@@ -15,6 +15,7 @@ from .dynamics import (
     critical_coupling,
     diagonalize,
     effective_evolution,
+    evolution_blocks,
     full_evolution,
     hamiltonian_matrix,
     normal_mode_frequencies,
@@ -30,6 +31,7 @@ from .metrics import (
     effective_bogoliubov,
     fidelity_eff,
     gaussian_fidelity,
+    gaussian_grid,
     vacuum_fidelity_moments,
 )
 from .perturbation import (

@@ -24,7 +24,7 @@ from .dynamics import (
     time_evolution,
 )
 from .fockoracle import FockOracle, TruncationError
-from .metrics import delta_n, fidelity_eff
+from .metrics import gaussian_grid
 from .perturbation import PerturbativeRegime, c2_coefficient, convergence_order, ladder_regimes, vacuum_perturbative_fidelity
 from .states import InitialState, NonPhysicalStateError
 
@@ -36,7 +36,6 @@ __all__ = [
     "CircuitParams",
     "FrameReport",
     "circuit_map",
-    "collective_coupling",
     "main",
 ]
 
@@ -182,35 +181,25 @@ def _regime_flags(cfg: ScanConfig) -> tuple[str, ...]:
 def run_scan(cfg: ScanConfig) -> tuple[list[dict], ScanSummary]:
     """Evaluate the grid, write the output file, and return rows plus summary."""
     p = cfg.params
-    factor = cfg.initial_state.factor()
     taus = np.linspace(cfg.tau_start, cfg.tau_end, cfg.steps)
-    oracle = FockOracle(p, cfg.cutoff) if cfg.oracle_enabled else None
-    g_tilde = p.g_bs / p.omega_a
-
-    rows = []
-    for tau in taus:
-        t = tau / p.omega_a
-        report = fidelity_eff(factor, p, t)
-        row = {
-            "tau": float(tau),
-            "fidelity": report.fidelity,
-            "bures": report.bures,
-            "delta_n": delta_n(factor, p, t),
-            "r_plus": report.r_plus,
-            "r_minus": report.r_minus,
-        }
-        if "c2_prediction" in cfg.outputs:
-            regime = PerturbativeRegime(g_tilde=g_tilde, tau=float(tau), s=cfg.initial_state.s)
-            row["c2_prediction"] = float(1.0 / np.sqrt(1.0 + c2_coefficient(regime) * g_tilde**2))
-        if oracle is not None:
-            point = oracle.compare(cfg.initial_state, t)
-            row["fidelity_oracle"] = point.fidelity
-            row["delta_n_oracle"] = point.delta_n
-        rows.append({k: row[k] for k in _columns(cfg)})
+    ts = taus / p.omega_a
+    grid = gaussian_grid(cfg.initial_state.factor(), p, ts)
+    columns = {"tau": taus, "delta_n": grid.delta_n, **vars(grid.report)}
+    if "c2_prediction" in cfg.outputs:
+        g_tilde = p.g_bs / p.omega_a
+        c2 = [c2_coefficient(PerturbativeRegime(g_tilde=g_tilde, tau=tau, s=cfg.initial_state.s)) for tau in taus.tolist()]
+        columns["c2_prediction"] = 1.0 / np.sqrt(1.0 + np.array(c2) * g_tilde**2)
+    if cfg.oracle_enabled:
+        oracle = FockOracle(p, cfg.cutoff)
+        points = [oracle.compare(cfg.initial_state, t) for t in ts]
+        columns["fidelity_oracle"] = [point.fidelity for point in points]
+        columns["delta_n_oracle"] = [point.delta_n for point in points]
+    cols = _columns(cfg)
+    rows = [dict(zip(cols, values)) for values in zip(*(np.asarray(columns[c]).tolist() for c in cols))]
 
     summary = ScanSummary(
-        min_fidelity=min(r["fidelity"] for r in rows) if "fidelity" in cfg.outputs else float("nan"),
-        max_abs_delta_n=max(abs(r["delta_n"]) for r in rows) if "delta_n" in cfg.outputs else float("nan"),
+        min_fidelity=float(np.min(grid.report.fidelity)) if "fidelity" in cfg.outputs else float("nan"),
+        max_abs_delta_n=float(np.max(np.abs(grid.delta_n))) if "delta_n" in cfg.outputs else float("nan"),
         regime_flags=_regime_flags(cfg),
     )
     _write_output(cfg, rows, summary)
@@ -230,13 +219,6 @@ def _write_output(cfg: ScanConfig, rows: list[dict], summary: ScanSummary):
         with open(cfg.output_path, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-
-
-def collective_coupling(n_systems: int, g_single: float) -> float:
-    """Effective coupling of n identical emitters to a common mode: sqrt(n) * g."""
-    if int(n_systems) != n_systems or n_systems < 1:
-        raise ValueError("the number of coupled systems must be a positive integer")
-    return float(np.sqrt(n_systems) * g_single)
 
 
 # -- superconducting-circuit frame mapper ---------------------------------
@@ -445,11 +427,10 @@ def _cmd_perturbative_compare(args) -> int:
     print(f"coupling ladder: {ladder}")
     print(f"fitted order of 1 - F in g: {slope:.3f} (expected 2)")
     if s == 0.0:
-        worst = 0.0
-        for tau in np.linspace(cfg.tau_start, cfg.tau_end, cfg.steps):
-            regime = PerturbativeRegime(g_tilde=g, tau=float(tau))
-            exact = fidelity_eff(cfg.initial_state.factor(), p, tau / p.omega_a).fidelity
-            worst = max(worst, abs(exact - vacuum_perturbative_fidelity(regime)))
+        taus = np.linspace(cfg.tau_start, cfg.tau_end, cfg.steps)
+        exact = gaussian_grid(cfg.initial_state.factor(), p, taus / p.omega_a).report.fidelity
+        law = [vacuum_perturbative_fidelity(PerturbativeRegime(g_tilde=g, tau=tau)) for tau in taus.tolist()]
+        worst = float(np.max(np.abs(exact - law)))
         print(f"max |F_exact - F_perturbative| on the grid: {worst:.3e}")
     return 0
 

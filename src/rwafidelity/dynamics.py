@@ -8,12 +8,15 @@ Conventions (used everywhere downstream):
 A 4x4 symplectic matrix is stored by its 2x2 blocks (alpha, beta); the full
 matrix is ((alpha, beta), (beta*, alpha*)).  The beam-splitter-only evolution
 is block diagonal (beta = 0); a nonzero beta block signals squeezing.
+
+The full evolution comes from ``evolution_blocks`` for every coupling and a
+whole array of times.  ``full_evolution`` (equal couplings) and
+``evolution_via_exponential`` are independent references for the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +35,7 @@ __all__ = [
     "full_evolution",
     "rwa_block",
     "rwa_evolution",
+    "evolution_blocks",
     "time_evolution",
     "evolution_via_exponential",
     "effective_evolution",
@@ -39,7 +43,8 @@ __all__ = [
 ]
 
 _I2 = np.eye(2)
-OMEGA = -1j * np.block([[_I2, np.zeros((2, 2))], [np.zeros((2, 2)), -_I2]])
+_SIGMA = np.array([1.0, 1.0, -1.0, -1.0])
+OMEGA = -1j * np.diag(_SIGMA)
 
 SYMPLECTIC_TOL = 1e-10
 # Margin below the critical coupling under which parameters are rejected:
@@ -120,15 +125,11 @@ class SymplecticMatrix:
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=complex))
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=complex))
         defect = self.bogoliubov_defect()
-        scale = max(1.0, float(np.linalg.norm(self.alpha) ** 2 + np.linalg.norm(self.beta) ** 2))
-        if defect > SYMPLECTIC_TOL * scale:
+        if defect > _defect_limit(self.alpha, self.beta):
             raise ValueError(f"blocks violate the Bogoliubov identities (defect {defect:.3e})")
 
     def bogoliubov_defect(self) -> float:
-        a, b = self.alpha, self.beta
-        d1 = np.max(np.abs(a @ a.conj().T - b @ b.conj().T - _I2))
-        d2 = np.max(np.abs(a @ b.T - b @ a.T))
-        return float(max(d1, d2))
+        return float(bogoliubov_defects(self.alpha, self.beta))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -141,9 +142,7 @@ class SymplecticMatrix:
         return SymplecticMatrix(self.alpha.conj().T, -self.beta.T)
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
-        a = self.alpha @ other.alpha + self.beta @ other.beta.conj()
-        b = self.alpha @ other.beta + self.beta @ other.alpha.conj()
-        return SymplecticMatrix(a, b)
+        return SymplecticMatrix(*compose(self.alpha, self.beta, other.alpha, other.beta))
 
     def symplectic_defect(self) -> float:
         s = self.matrix
@@ -182,11 +181,6 @@ def hamiltonian_matrix(p: OscillatorParams) -> np.ndarray:
     return np.block([[u, v], [v, u]]).astype(complex)
 
 
-def rwa_hamiltonian_matrix(p: OscillatorParams) -> np.ndarray:
-    """Hamiltonian matrix with the squeezing coupling dropped."""
-    return hamiltonian_matrix(OscillatorParams(p.omega_a, p.omega_b, p.g_bs, 0.0))
-
-
 def normal_mode_frequencies(p: OscillatorParams) -> tuple[float, float]:
     """Normal-mode frequencies (kappa_+, kappa_-), both real and positive."""
     wa2, wb2 = p.omega_a**2, p.omega_b**2
@@ -215,9 +209,12 @@ def _mixing_angle(p: OscillatorParams) -> float:
     return 0.5 * two_theta
 
 
-@lru_cache(maxsize=256)
-def _diagonalize_cached(omega_a: float, omega_b: float, g: float) -> NormalModes:
-    p = OscillatorParams(omega_a, omega_b, g, g)
+def diagonalize(p: OscillatorParams) -> NormalModes:
+    """Closed-form diagonalizer; only the equal-couplings family has one."""
+    if not p.equal_couplings:
+        raise ValueError("closed-form diagonalization requires g_bs == g_sq")
+    if p.g_bs < 0:
+        raise ValueError("closed-form diagonalization requires g >= 0")
     kp, km = normal_mode_frequencies(p)
     th = _mixing_angle(p)
     c, s = np.cos(th), np.sin(th)
@@ -237,15 +234,6 @@ def _diagonalize_cached(omega_a: float, omega_b: float, g: float) -> NormalModes
     return NormalModes(kp, km, th, SymplecticMatrix(alpha, beta))
 
 
-def diagonalize(p: OscillatorParams) -> NormalModes:
-    """Closed-form diagonalizer; only the equal-couplings family has one."""
-    if not p.equal_couplings:
-        raise ValueError("closed-form diagonalization requires g_bs == g_sq")
-    if p.g_bs < 0:
-        raise ValueError("closed-form diagonalization requires g >= 0")
-    return _diagonalize_cached(p.omega_a, p.omega_b, p.g_bs)
-
-
 def full_evolution(nm: NormalModes, t: float) -> SymplecticMatrix:
     """Closed-form evolution generated by the equal-couplings Hamiltonian."""
     if not np.isfinite(t):
@@ -258,20 +246,19 @@ def full_evolution(nm: NormalModes, t: float) -> SymplecticMatrix:
     return SymplecticMatrix(a, b)
 
 
-def rwa_block(p: OscillatorParams, t: float) -> np.ndarray:
-    """The unitary 2x2 block of the beam-splitter-only evolution."""
-    if not np.isfinite(t):
+def rwa_block(p: OscillatorParams, t) -> np.ndarray:
+    """The unitary 2x2 block of the beam-splitter-only evolution, stacked over the shape of t."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
         raise ValueError("time must be finite")
     w_delta = 0.5 * (p.omega_a - p.omega_b)
     w_sigma = 0.5 * (p.omega_a + p.omega_b)
     w_bs = np.sqrt(w_delta**2 + p.g_bs**2)
-    if w_bs == 0.0:
-        return np.exp(-1j * w_sigma * t) * np.eye(2, dtype=complex)
-    c2 = w_delta / w_bs
-    s2 = p.g_bs / w_bs
+    c2, s2 = (w_delta / w_bs, p.g_bs / w_bs) if w_bs > 0.0 else (0.0, 0.0)
     chi = np.cos(w_bs * t) - 1j * c2 * np.sin(w_bs * t)
-    xi = s2 * np.sin(w_bs * t)
-    return np.exp(-1j * w_sigma * t) * np.array([[chi, -1j * xi], [-1j * xi, np.conj(chi)]])
+    xi = -1j * s2 * np.sin(w_bs * t)
+    block = np.stack([np.stack([chi, xi], axis=-1), np.stack([xi, chi.conj()], axis=-1)], axis=-2)
+    return np.exp(-1j * w_sigma * t)[..., None, None] * block
 
 
 def rwa_evolution(p: OscillatorParams, t: float) -> SymplecticMatrix:
@@ -284,15 +271,69 @@ def evolution_via_exponential(p: OscillatorParams, t: float) -> SymplecticMatrix
     return SymplecticMatrix.from_matrix(s4)
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def compose(a1: np.ndarray, b1: np.ndarray, a2: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of the product of two symplectic matrices given by (stacked) blocks."""
+    return a1 @ a2 + b1 @ b2.conj(), a1 @ b2 + b1 @ a2.conj()
+
+
+def bogoliubov_defects(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Largest entry of a a^dag - b b^dag - I and a b^T - b a^T, per (stacked) block pair."""
+    d1 = np.abs(alpha @ _dagger(alpha) - beta @ _dagger(beta) - _I2).max(axis=(-2, -1))
+    d2 = np.abs(alpha @ beta.swapaxes(-1, -2) - beta @ alpha.swapaxes(-1, -2)).max(axis=(-2, -1))
+    return np.maximum(d1, d2)
+
+
+def _defect_limit(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Largest accepted Bogoliubov defect, relative to the squared block norms."""
+    return SYMPLECTIC_TOL * np.maximum(1.0, (np.abs(alpha) ** 2 + np.abs(beta) ** 2).sum(axis=(-2, -1)))
+
+
+def check_bogoliubov(alpha: np.ndarray, beta: np.ndarray, t: np.ndarray, what: str):
+    """Raise ArithmeticError, an internal failure, at the first t whose computed blocks break the identities."""
+    defect = bogoliubov_defects(alpha, beta)
+    bad = np.flatnonzero(defect > _defect_limit(alpha, beta))
+    if bad.size:
+        i = bad[0]
+        raise ArithmeticError(f"{what} violates the Bogoliubov identities at t={t[i]:.17g} (defect {defect[i]:.3e})")
+
+
+def evolution_blocks(p: OscillatorParams, t) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks (alpha, beta) of S(t) = exp(Omega H t), stacked over a 1-D array of times.
+
+    Colpa's diagonalization, for any stable couplings: with H = L L^T and
+    L^T Sigma L = U diag(lam) U^T, S(t) = L^-T U diag(exp(-i lam t)) U^T L^T.
+    U diag(.) U^T is a function of L^T Sigma L, so degenerate spectra need no
+    special case.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(np.isfinite(t)):
+        raise ValueError("time must be finite")
+    low = np.linalg.cholesky(hamiltonian_matrix(p).real)
+    lam, u = np.linalg.eigh(low.T @ (_SIGMA[:, None] * low))
+    left = np.linalg.solve(low.T, u)[:2]
+    phases = np.exp(-1j * np.multiply.outer(t, lam))
+    s = (left * phases[:, None, :]) @ (u.T @ low.T)
+    alpha, beta = s[..., :2], s[..., 2:]
+    check_bogoliubov(alpha, beta, t, "S(t)")
+    return alpha, beta
+
+
 def time_evolution(p: OscillatorParams, t: float) -> SymplecticMatrix:
-    """Full evolution; closed form when available, exponential route otherwise."""
-    if p.equal_couplings and p.g_bs >= 0:
-        return full_evolution(diagonalize(p), t)
-    return evolution_via_exponential(p, t)
+    """Full evolution S(t) at one time: the single-time case of ``evolution_blocks``."""
+    return SymplecticMatrix(*(block[0] for block in evolution_blocks(p, [t])))
+
+
+def effective_blocks(p: OscillatorParams, t) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of S_eff(t) = S_RWA^dag(t) S(t), stacked over a 1-D array of times."""
+    alpha, beta = evolution_blocks(p, t)
+    u_dag = _dagger(rwa_block(p, t))
+    return u_dag @ alpha, u_dag @ beta
 
 
 def effective_evolution(p: OscillatorParams, t: float) -> SymplecticMatrix:
     """S_eff(t): the RWA-frame residual evolution, identity iff the two coincide."""
-    s = time_evolution(p, t)
-    u = rwa_block(p, t)
-    return SymplecticMatrix(u.conj().T @ s.alpha, u.conj().T @ s.beta)
+    return SymplecticMatrix(*(block[0] for block in effective_blocks(p, [t])))

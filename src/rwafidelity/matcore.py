@@ -4,9 +4,10 @@ Everything operates on plain ``numpy.ndarray`` values with dtype complex128.
 The two nontrivial routines are the matrix exponential (scaling-and-squaring
 with a degree-13 rational approximant) and the quartic eigenvalue solver
 (characteristic polynomial, closed-form roots, Newton polish).  Both are
-deliberately self-contained: they serve as the independent numerical route
-against which the closed-form dynamics are checked, so they must not share
-code with the closed forms.
+deliberately self-contained and share no code with the dynamics.  The
+exponential is a test reference only: production evolutions come from
+``dynamics.evolution_blocks``.  The eigenvalue solver yields the symplectic
+spectra of covariance matrices.
 """
 
 from __future__ import annotations
@@ -16,19 +17,11 @@ import numpy as np
 __all__ = [
     "mat_exp",
     "eigvals4",
-    "det",
-    "trace",
-    "adjoint",
-    "transpose",
-    "conjugate",
-    "matmul",
     "check_matrix",
-    "EXP_TOL",
     "EIG_RESIDUAL_TOL",
 ]
 
 # Contract tolerances; tests may monkeypatch these.
-EXP_TOL = 1e-12
 EIG_RESIDUAL_TOL = 1e-9
 
 # Degree-13 diagonal Pade coefficients for exp, and the matching 1-norm bound.
@@ -61,34 +54,6 @@ def check_matrix(m, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a.view(float))):
         raise ValueError(f"{name} has non-finite entries")
     return a
-
-
-def matmul(a, b) -> np.ndarray:
-    a = check_matrix(a, "a")
-    b = check_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
-def det(m) -> complex:
-    return complex(np.linalg.det(check_matrix(m)))
-
-
-def trace(m) -> complex:
-    return complex(np.trace(check_matrix(m)))
-
-
-def adjoint(m) -> np.ndarray:
-    return check_matrix(m).conj().T.copy()
-
-
-def transpose(m) -> np.ndarray:
-    return check_matrix(m).T.copy()
-
-
-def conjugate(m) -> np.ndarray:
-    return check_matrix(m).conj().copy()
 
 
 def mat_exp(m, scale: complex = 1.0) -> np.ndarray:

@@ -4,12 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from rwafidelity import dynamics
 from rwafidelity.cli import (
     CircuitParams,
     ConfigError,
     ScanConfig,
     circuit_map,
-    collective_coupling,
     main,
     run_scan,
 )
@@ -118,17 +118,6 @@ class TestRunScan:
         assert "outside-perturbative-family" in summary.regime_flags
 
 
-class TestCollectiveCoupling:
-    def test_values(self):
-        assert collective_coupling(1, 0.3) == pytest.approx(0.3)
-        assert collective_coupling(100, 0.01) == pytest.approx(0.1)
-        assert collective_coupling(4, 0.25) == pytest.approx(0.5)
-
-    def test_rejects_bad_count(self):
-        with pytest.raises(ValueError):
-            collective_coupling(0, 0.1)
-
-
 class TestCircuitMap:
     def test_pumps_off(self):
         report = circuit_map(CircuitParams(epsilon_a=5.0, epsilon_b=6.0))
@@ -227,6 +216,16 @@ class TestMainExitCodes:
         cfg_path.write_text(json.dumps({"params": {"omega_a": 1.0, "omega_b": 1.0}, "tau_grid": {"start": 0, "end": 5, "steps": 1}}))
         assert main(["fidelity-scan", "--config", str(cfg_path)]) == 2
         assert "validation error" in capsys.readouterr().err
+
+    def test_internal_consistency_failure_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a corrupted RWA block breaks the Bogoliubov identities of S_f: an
+        # internal numerical failure, reported as a runtime error
+        rwa_block = dynamics.rwa_block
+        monkeypatch.setattr(dynamics, "rwa_block", lambda p, t: (1.0 + 1e-6) * rwa_block(p, t))
+        code = main(["fidelity-scan", "--g", "0.05", "--tau-end", "4", "--steps", "5", "--output", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "runtime error" in err and "t=0 " in err
 
     def test_config_file_drives_scan(self, tmp_path):
         out_path = tmp_path / "from_cfg.csv"

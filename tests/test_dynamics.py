@@ -10,6 +10,7 @@ from rwafidelity.dynamics import (
     critical_coupling,
     diagonalize,
     effective_evolution,
+    evolution_blocks,
     evolution_via_exponential,
     full_evolution,
     hamiltonian_matrix,
@@ -18,8 +19,8 @@ from rwafidelity.dynamics import (
     rwa_evolution,
     time_evolution,
 )
-from rwafidelity.metrics import effective_bogoliubov
-from rwafidelity.states import vacuum
+from rwafidelity.metrics import delta_n, effective_bogoliubov, fidelity_eff, gaussian_grid
+from rwafidelity.states import squeezed_pair, vacuum
 
 
 def random_params(rng, equal=False, margin=0.9):
@@ -193,6 +194,46 @@ class TestFullEvolution:
             closed = full_evolution(diagonalize(p), t).matrix
             via_exp = evolution_via_exponential(p, t).matrix
             assert np.max(np.abs(closed - via_exp)) < 1e-9
+
+
+class TestEvolutionBlocks:
+    # one production route for every coupling, against the closed form where
+    # it exists and the matrix exponential elsewhere
+    @pytest.mark.parametrize(
+        "reference,p",
+        [
+            ("closed", OscillatorParams(1.0, 1.0, 0.1, 0.1)),
+            ("closed", OscillatorParams(1.0, 1.7, 0.3, 0.3)),
+            ("closed", OscillatorParams(1.3, 0.8, 0.0, 0.0)),
+            ("exponential", OscillatorParams(1.0, 1.2, -0.2, -0.1)),
+            ("exponential", OscillatorParams(1.0, 1.2, -0.2, -0.2)),
+            ("exponential", OscillatorParams(1.0, 0.9, 0.2, -0.15)),
+            ("exponential", OscillatorParams(1.0, 0.8, 0.3, 0.0)),
+            ("exponential", OscillatorParams(1.0, 1.0, 0.0, 0.3)),
+            ("exponential", OscillatorParams(1.0, 1.0, 0.0, 0.0)),
+            ("exponential", OscillatorParams(1.0, 1.0, 0.4999, 0.4999)),
+        ],
+    )
+    def test_matches_reference_routes(self, reference, p):
+        ts = np.array([0.1, 1.0, 10.0])
+        alpha, beta = evolution_blocks(p, ts)
+        factor = squeezed_pair(0.3)
+        grid = gaussian_grid(factor, p, ts)
+        for i, t in enumerate(ts):
+            ref = full_evolution(diagonalize(p), t) if reference == "closed" else evolution_via_exponential(p, t)
+            got = np.block([[alpha[i], beta[i]], [beta[i].conj(), alpha[i].conj()]])
+            assert np.max(np.abs(got - ref.matrix)) < 1e-9
+            # the single-time functions are exactly rows of the batched ones
+            s = time_evolution(p, t)
+            assert np.array_equal(s.alpha, alpha[i]) and np.array_equal(s.beta, beta[i])
+            a_f, b_f = effective_bogoliubov(factor, p, t)
+            assert np.array_equal(a_f, grid.a_f[i]) and np.array_equal(b_f, grid.b_f[i])
+            assert fidelity_eff(factor, p, t) == grid.report.at(i)
+            assert delta_n(factor, p, t) == grid.delta_n[i]
+
+    def test_rejects_nonfinite_time(self):
+        with pytest.raises(ValueError, match="finite"):
+            evolution_blocks(OscillatorParams(1.0, 1.0, 0.1, 0.2), [0.0, np.inf])
 
 
 class TestRwaEvolution:

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from rwafidelity import matcore
-from rwafidelity.dynamics import OMEGA, OscillatorParams, SymplecticMatrix, rwa_block, time_evolution
+from rwafidelity.dynamics import OMEGA, OscillatorParams, SymplecticMatrix, hamiltonian_matrix, rwa_block, time_evolution
 from rwafidelity.fockoracle import InitialState, oracle_delta_n, oracle_fidelity
 from rwafidelity.metrics import (
     bloch_messiah,
     delta_n,
-    delta_n_from_trace,
     effective_bogoliubov,
     fidelity_eff,
     gaussian_fidelity,
@@ -23,6 +22,13 @@ def random_factor(rng) -> PureStateFactor:
     p2 = OscillatorParams(0.8, 1.1, 0.0, 0.3)
     s = time_evolution(p1, rng.uniform(0, 5)) @ time_evolution(p2, rng.uniform(0, 5))
     return PureStateFactor(s)
+
+
+def delta_n_from_trace(factor: PureStateFactor, p: OscillatorParams, t: float) -> float:
+    """delta_n from its covariance-trace definition: reference for the block formula."""
+    sigma0 = factor.covariance.sigma
+    s4 = time_evolution(p, t).matrix
+    return float(np.real(np.trace(s4 @ sigma0 @ s4.conj().T) - np.trace(sigma0)) / 4.0)
 
 
 class TestGaussianFidelity:
@@ -126,6 +132,31 @@ class TestFidelityEff:
         for t in (0.5, 2.0, 7.0, 15.0):
             assert fidelity_eff(vacuum(), p, t).fidelity == pytest.approx(1.0, abs=1e-10)
             assert fidelity_eff(passive, p, t).fidelity == pytest.approx(1.0, abs=1e-10)
+
+    def test_long_time_matches_high_precision_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        p = OscillatorParams(1.0, 1.3, 0.2, 0.05)
+        t = 1e7
+        rep = fidelity_eff(vacuum(), p, t)
+        a_f, b_f = effective_bogoliubov(vacuum(), p, t)
+        with mpmath.workdps(60):
+
+            def expm(q):
+                return mpmath.expm(mpmath.matrix((OMEGA @ hamiltonian_matrix(q)).tolist()) * t)
+
+            # vacuum: s0 = I, so S_f = S_RWA^-1 S
+            s_f = expm(OscillatorParams(p.omega_a, p.omega_b, p.g_bs, 0.0)) ** -1 * expm(p)
+            b_ref = s_f[0:2, 2:4]
+            f_ref = float(1 / mpmath.sqrt(mpmath.re(mpmath.det(mpmath.eye(2) + b_ref.H * b_ref))))
+            ref = np.array(s_f.tolist(), dtype=complex)
+        assert abs(rep.fidelity - f_ref) < 1e-9 * f_ref
+        sv = np.linalg.svd(ref[:2, 2:], compute_uv=False)
+        assert (rep.r_plus, rep.r_minus) == pytest.approx(tuple(np.arcsinh(sv)), abs=1e-9)
+        # entries carry the phases lambda * t ~ 1e7 rad, which double precision
+        # rounds by about t * eps * |lambda| ~ 3e-9
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(a_f - ref[:2, :2])) < 1e-8 * scale
+        assert np.max(np.abs(b_f - ref[:2, 2:])) < 1e-8 * scale
 
     def test_bures_monotone_in_fidelity(self):
         p = OscillatorParams(1.0, 1.0, 0.2, 0.2)
