@@ -23,7 +23,7 @@ from .dynamics import (
     time_evolution,
 )
 from .fockoracle import FockBasis, FockOracle, TruncationError, bound_check, fock_bound, oracle_delta_n, oracle_fidelity
-from .matcore import eigvals4, mat_exp
+from .matcore import mat_exp
 from .metrics import (
     FidelityReport,
     bloch_messiah,

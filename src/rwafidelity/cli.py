@@ -23,10 +23,10 @@ from .dynamics import (
     rwa_block,
     time_evolution,
 )
-from .fockoracle import FockOracle, TruncationError
+from .fockoracle import MAX_CUTOFF, FockOracle, TruncationError
 from .metrics import gaussian_grid
 from .perturbation import PerturbativeRegime, c2_coefficient, convergence_order, ladder_regimes, vacuum_perturbative_fidelity
-from .states import InitialState, NonPhysicalStateError
+from .states import InitialState
 
 __all__ = [
     "ConfigError",
@@ -46,6 +46,26 @@ ORACLE_OUTPUTS = ("fidelity_oracle", "delta_n_oracle")
 
 class ConfigError(ValueError):
     """Invalid scan configuration, with field-level diagnostics."""
+
+
+def _section(doc: dict, name: str) -> dict:
+    """The optional object doc[name]; a ConfigError names it when it is not an object."""
+    value = doc.get(name, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name}: expected an object, got {type(value).__name__}")
+    return value
+
+
+def _field(section: dict, where: str, key: str, kind, default=None):
+    """section[key] converted by kind; default=None makes the field required."""
+    if key not in section:
+        if default is None:
+            raise ConfigError(f"{where}: missing field {key!r}")
+        return default
+    try:
+        return kind(section[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}.{key}: expected a number, got {section[key]!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -76,8 +96,8 @@ class ScanConfig:
             problems.append("initial_state: scans accept vacuum or squeezed only")
         if self.fmt not in ("csv", "json"):
             problems.append("format: must be csv or json")
-        if not (1 <= self.cutoff <= 96):
-            problems.append("oracle: cutoff must be in [1, 96]")
+        if not (1 <= self.cutoff <= MAX_CUTOFF):
+            problems.append(f"oracle: cutoff must be in [1, {MAX_CUTOFF}]")
         if "c2_prediction" in self.outputs:
             p = self.params
             if not (p.equal_couplings and p.resonant and 0.0 < p.g_bs / p.omega_a < 0.5):
@@ -107,31 +127,32 @@ class ScanConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ScanConfig":
-        try:
-            pdoc = doc.get("params", {})
-            params = OscillatorParams(
-                omega_a=float(pdoc["omega_a"]),
-                omega_b=float(pdoc["omega_b"]),
-                g_bs=float(pdoc.get("g_bs", 0.0)),
-                g_sq=float(pdoc.get("g_sq", 0.0)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"params: missing field {exc}") from exc
-        sdoc = doc.get("initial_state", {"kind": "vacuum"})
-        if isinstance(sdoc, str):
-            sdoc = {"kind": sdoc}
-        initial = InitialState(kind=sdoc.get("kind", "vacuum"), s=float(sdoc.get("s", 0.0)))
-        grid = doc.get("tau_grid", {})
-        oracle = doc.get("oracle", {})
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config: the top-level value must be an object, got {type(doc).__name__}")
+        pdoc = _section(doc, "params")
+        params = OscillatorParams(
+            omega_a=_field(pdoc, "params", "omega_a", float),
+            omega_b=_field(pdoc, "params", "omega_b", float),
+            g_bs=_field(pdoc, "params", "g_bs", float, 0.0),
+            g_sq=_field(pdoc, "params", "g_sq", float, 0.0),
+        )
+        sdoc = doc.get("initial_state")
+        sdoc = {"kind": sdoc} if isinstance(sdoc, str) else _section(doc, "initial_state")
+        initial = InitialState(kind=sdoc.get("kind", "vacuum"), s=_field(sdoc, "initial_state", "s", float, 0.0))
+        grid = _section(doc, "tau_grid")
+        oracle = _section(doc, "oracle")
+        outputs = doc.get("outputs", CORE_OUTPUTS)
+        if not isinstance(outputs, (list, tuple)):
+            raise ConfigError(f"outputs: expected a list, got {type(outputs).__name__}")
         return ScanConfig(
             params=params,
             initial_state=initial,
-            tau_start=float(grid.get("start", 0.0)),
-            tau_end=float(grid.get("end", 10.0)),
-            steps=int(grid.get("steps", 101)),
-            outputs=tuple(doc.get("outputs", CORE_OUTPUTS)),
+            tau_start=_field(grid, "tau_grid", "start", float, 0.0),
+            tau_end=_field(grid, "tau_grid", "end", float, 10.0),
+            steps=_field(grid, "tau_grid", "steps", int, 101),
+            outputs=tuple(outputs),
             oracle_enabled=bool(oracle.get("enabled", False)),
-            cutoff=int(oracle.get("cutoff", 40)),
+            cutoff=_field(oracle, "oracle", "cutoff", int, 40),
             output_path=str(doc.get("output_path", "scan.csv")),
             fmt=str(doc.get("format", "csv")),
         )
@@ -187,8 +208,8 @@ def run_scan(cfg: ScanConfig) -> tuple[list[dict], ScanSummary]:
     columns = {"tau": taus, "delta_n": grid.delta_n, **vars(grid.report)}
     if "c2_prediction" in cfg.outputs:
         g_tilde = p.g_bs / p.omega_a
-        c2 = [c2_coefficient(PerturbativeRegime(g_tilde=g_tilde, tau=tau, s=cfg.initial_state.s)) for tau in taus.tolist()]
-        columns["c2_prediction"] = 1.0 / np.sqrt(1.0 + np.array(c2) * g_tilde**2)
+        c2 = c2_coefficient(PerturbativeRegime(g_tilde=g_tilde, tau=taus, s=cfg.initial_state.s))
+        columns["c2_prediction"] = 1.0 / np.sqrt(1.0 + c2 * g_tilde**2)
     if cfg.oracle_enabled:
         oracle = FockOracle(p, cfg.cutoff)
         points = [oracle.compare(cfg.initial_state, t) for t in ts]
@@ -429,7 +450,7 @@ def _cmd_perturbative_compare(args) -> int:
     if s == 0.0:
         taus = np.linspace(cfg.tau_start, cfg.tau_end, cfg.steps)
         exact = gaussian_grid(cfg.initial_state.factor(), p, taus / p.omega_a).report.fidelity
-        law = [vacuum_perturbative_fidelity(PerturbativeRegime(g_tilde=g, tau=tau)) for tau in taus.tolist()]
+        law = vacuum_perturbative_fidelity(PerturbativeRegime(g_tilde=g, tau=taus))
         worst = float(np.max(np.abs(exact - law)))
         print(f"max |F_exact - F_perturbative| on the grid: {worst:.3e}")
     return 0
@@ -507,9 +528,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, UnstableParamsError, NonPhysicalStateError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -35,6 +35,7 @@ __all__ = [
     "full_evolution",
     "rwa_block",
     "rwa_evolution",
+    "colpa",
     "evolution_blocks",
     "time_evolution",
     "evolution_via_exponential",
@@ -301,19 +302,31 @@ def check_bogoliubov(alpha: np.ndarray, beta: np.ndarray, t: np.ndarray, what: s
         raise ArithmeticError(f"{what} violates the Bogoliubov identities at t={t[i]:.17g} (defect {defect[i]:.3e})")
 
 
+def colpa(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Colpa's bosonic diagonalization (L, lam, U) of a positive-definite Hermitian 4x4 m.
+
+    m = L L^dag and L^dag Sigma L = U diag(lam) U^dag.  lam (ascending) is the
+    spectrum of Sigma m: normal-mode frequencies of a Hamiltonian matrix, or
+    symplectic eigenvalues of a covariance matrix, once with each sign.
+    Raises ``numpy.linalg.LinAlgError`` when m is not positive definite.
+    """
+    low = np.linalg.cholesky(m)
+    lam, u = np.linalg.eigh(_dagger(low) @ (_SIGMA[:, None] * low))
+    return low, lam, u
+
+
 def evolution_blocks(p: OscillatorParams, t) -> tuple[np.ndarray, np.ndarray]:
     """Blocks (alpha, beta) of S(t) = exp(Omega H t), stacked over a 1-D array of times.
 
-    Colpa's diagonalization, for any stable couplings: with H = L L^T and
-    L^T Sigma L = U diag(lam) U^T, S(t) = L^-T U diag(exp(-i lam t)) U^T L^T.
-    U diag(.) U^T is a function of L^T Sigma L, so degenerate spectra need no
-    special case.
+    With the real factors of ``colpa(H)``, H = L L^T and L^T Sigma L =
+    U diag(lam) U^T, S(t) = L^-T U diag(exp(-i lam t)) U^T L^T for any stable
+    couplings.  U diag(.) U^T is a function of L^T Sigma L, so degenerate
+    spectra need no special case.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(np.isfinite(t)):
         raise ValueError("time must be finite")
-    low = np.linalg.cholesky(hamiltonian_matrix(p).real)
-    lam, u = np.linalg.eigh(low.T @ (_SIGMA[:, None] * low))
+    low, lam, u = colpa(hamiltonian_matrix(p).real)
     left = np.linalg.solve(low.T, u)[:2]
     phases = np.exp(-1j * np.multiply.outer(t, lam))
     s = (left * phases[:, None, :]) @ (u.T @ low.T)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import OscillatorParams, diagonalize
+from .dynamics import OscillatorParams, diagonalize, normal_mode_frequencies
 from .metrics import fidelity_eff
 from .states import squeezed_pair, vacuum
 
@@ -35,7 +35,11 @@ WINDOW_G2TAU = 0.1
 
 @dataclass(frozen=True)
 class PerturbativeRegime:
-    """One evaluation point of the small-coupling analysis."""
+    """One evaluation point of the small-coupling analysis.
+
+    ``tau`` may also be an array: the resonant laws then broadcast over it,
+    and the window flag judges its largest entry.
+    """
 
     g_tilde: float
     tau: float
@@ -45,7 +49,8 @@ class PerturbativeRegime:
     def __post_init__(self):
         if not (0.0 < self.g_tilde < 0.5):
             raise ValueError("g_tilde must lie in (0, 0.5)")
-        if not np.isfinite(self.tau) or self.tau < 0:
+        tau = np.asarray(self.tau, dtype=float)
+        if not np.all(np.isfinite(tau)) or np.any(tau < 0):
             raise ValueError("tau must be finite and nonnegative")
 
     @property
@@ -53,7 +58,7 @@ class PerturbativeRegime:
         out = []
         if abs(self.epsilon) >= self.g_tilde:
             out.append("detuning-exceeds-coupling")
-        if self.g_tilde**2 * self.tau >= WINDOW_G2TAU:
+        if self.g_tilde**2 * np.max(self.tau) >= WINDOW_G2TAU:
             out.append("g2tau-outside-window")
         return tuple(out)
 
@@ -66,11 +71,7 @@ class PerturbativeRegime:
         return OscillatorParams(1.0, 1.0 + self.epsilon, g, g)
 
     def kappas(self) -> tuple[float, float]:
-        g = self.g_tilde
-        if self.epsilon == 0.0:
-            return float(np.sqrt(1.0 + 2.0 * g)), float(np.sqrt(1.0 - 2.0 * g))
-        nm = diagonalize(self.params())
-        return nm.kappa_plus, nm.kappa_minus
+        return normal_mode_frequencies(self.params())
 
 
 def q_coefficients(regime: PerturbativeRegime) -> tuple[float, float, float, float]:
@@ -140,7 +141,7 @@ def c2_coefficient(regime: PerturbativeRegime) -> float:
     gt = g * tau
     ch4_sh4 = np.cosh(s) ** 4 + np.sinh(s) ** 4
     sh2_2s = np.sinh(2.0 * s) ** 2
-    return float(
+    return (
         0.5 * sh2_2s * gt**2
         - 0.5 * np.sinh(4.0 * s) * np.cos(2.0 * tau) * np.sin(2.0 * gt) * gt
         + ch4_sh4 * (1.0 - np.cos(2.0 * tau) * np.cos(2.0 * gt))

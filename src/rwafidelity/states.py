@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .dynamics import OMEGA, SymplecticMatrix
+from .dynamics import SymplecticMatrix, colpa
 
 __all__ = [
     "NonPhysicalStateError",
@@ -133,9 +133,12 @@ def thermal(nu: float) -> CovarianceMatrix:
 
 
 def symplectic_eigenvalues(cov: CovarianceMatrix | np.ndarray) -> tuple[float, float]:
-    """The two symplectic eigenvalues (descending), from |eig(i Omega sigma)|."""
+    """The two symplectic eigenvalues (descending) of a positive-definite sigma, from ``colpa(sigma)``."""
     sigma = cov.sigma if isinstance(cov, CovarianceMatrix) else np.asarray(cov, dtype=complex)
-    vals = np.sort(np.abs(matcore.eigvals4(1j * OMEGA @ sigma)))
+    try:
+        vals = np.sort(np.abs(colpa(sigma)[1]))
+    except np.linalg.LinAlgError as exc:
+        raise NonPhysicalStateError("covariance matrix is not positive definite") from exc
     scale = max(1.0, float(np.linalg.norm(sigma)))
     if vals[1] - vals[0] > PAIRING_TOL * scale or vals[3] - vals[2] > PAIRING_TOL * scale:
         raise NonPhysicalStateError(f"unpaired symplectic spectrum {vals}")

@@ -217,6 +217,22 @@ class TestMainExitCodes:
         assert main(["fidelity-scan", "--config", str(cfg_path)]) == 2
         assert "validation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"params": {"omega_a": None, "omega_b": 1.0}}, "params.omega_a"),
+            ([{"params": {"omega_a": 1.0, "omega_b": 1.0}}], "top-level"),
+            ({"params": {"omega_a": 1.0, "omega_b": 1.0}, "initial_state": 5}, "initial_state"),
+        ],
+        ids=["null-field", "top-level-list", "scalar-section"],
+    )
+    def test_malformed_config_exit_2(self, tmp_path, capsys, doc, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["fidelity-scan", "--config", str(cfg_path), "--output", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and field in err
+
     def test_internal_consistency_failure_exit_1(self, tmp_path, capsys, monkeypatch):
         # a corrupted RWA block breaks the Bogoliubov identities of S_f: an
         # internal numerical failure, reported as a runtime error

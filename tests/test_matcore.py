@@ -72,43 +72,6 @@ class TestMatExp:
             matcore.mat_exp(m)
 
 
-class TestEigvals4:
-    def test_identity(self):
-        vals = matcore.eigvals4(np.eye(4))
-        assert np.allclose(np.sort(vals.real), 1.0, atol=1e-14)
-        assert np.allclose(vals.imag, 0.0, atol=1e-14)
-
-    def test_vacuum_symplectic_spectrum(self):
-        vals = matcore.eigvals4(1j * OMEGA @ np.eye(4))
-        assert np.allclose(np.abs(vals), 1.0, atol=1e-12)
-        assert np.isclose(np.sum(vals).real, 0.0, atol=1e-12)
-
-    def test_hamiltonian_normal_modes(self):
-        h = hamiltonian_matrix(OscillatorParams(1.0, 2.0, 0.3, 0.0))
-        vals = np.sort(np.abs(matcore.eigvals4(1j * OMEGA @ h)))
-        assert np.allclose(vals, [0.91690, 0.91690, 2.08310, 2.08310], atol=1e-4)
-        assert np.allclose(vals, [0.91690481051547, 0.91690481051547, 2.08309518948453, 2.08309518948453], atol=1e-9)
-
-    def test_characteristic_residual_random(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            m = random_matrix(rng, norm=rng.uniform(1e-2, 50.0))
-            vals = matcore.eigvals4(m)
-            scale = np.linalg.norm(m) ** 4
-            for lam in vals:
-                assert abs(np.linalg.det(m - lam * np.eye(4))) < 1e-9 * scale
-
-    def test_degenerate_spectra(self):
-        for diag in ([2.0, 2.0, 2.0, 2.0], [1.0, 1.0, 2.0, 2.0], [0.0, 0.0, 0.0, 0.0]):
-            m = np.diag(diag)
-            vals = np.sort(matcore.eigvals4(m).real)
-            assert np.allclose(vals, np.sort(diag), atol=1e-7)
-
-    def test_requires_dim_4(self):
-        with pytest.raises(ValueError):
-            matcore.eigvals4(np.eye(2))
-
-
 class TestPlumbing:
     def test_det_of_symplectic_is_one(self):
         s = time_evolution(OscillatorParams(1.0, 1.3, 0.2, 0.2), 2.3).matrix

@@ -32,6 +32,18 @@ class TestRegime:
         assert "g2tau-outside-window" in PerturbativeRegime(0.1, 50.0).flags
         assert "detuning-exceeds-coupling" in PerturbativeRegime(0.01, 1.0, epsilon=0.02).flags
 
+    def test_laws_broadcast_over_tau(self):
+        # an array of taus gives what the per-tau loop gives; numpy's array
+        # sin/cos may differ from the scalar call in the last bit
+        taus = np.linspace(0.0, 40.0, 2001)
+        for law, s in ((c2_coefficient, 0.3), (vacuum_perturbative_fidelity, 0.0), (vacuum_perturbative_bures_sq, 0.0)):
+            looped = np.array([law(PerturbativeRegime(0.05, tau, s=s)) for tau in taus.tolist()])
+            atol = 4.0 * np.finfo(float).eps * np.max(np.abs(looped))
+            np.testing.assert_allclose(law(PerturbativeRegime(0.05, taus, s=s)), looped, rtol=0.0, atol=atol)
+        assert "g2tau-outside-window" in PerturbativeRegime(0.05, taus).flags
+        with pytest.raises(ValueError):
+            PerturbativeRegime(0.05, np.array([1.0, -1.0]))
+
 
 class TestQCoefficients:
     def test_zero_coupling_limit(self):

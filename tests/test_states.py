@@ -48,6 +48,9 @@ class TestSqueezedPair:
     def test_pure_for_any_squeezing(self):
         for s in (0.1, 0.5, 0.7, 2.0):
             assert symplectic_eigenvalues(squeezed_pair(s).covariance) == pytest.approx((1.0, 1.0), abs=1e-8)
+        # sigma's condition number grows as e^(4s); purity holds to the norm-relative tolerance
+        for s in (7.0, 8.0, 8.5):
+            assert is_pure(squeezed_pair(s).covariance)
 
     def test_reconstruction(self):
         f = squeezed_pair(0.4)
@@ -80,6 +83,12 @@ class TestCovarianceValidation:
     def test_rejects_sub_vacuum_spectrum(self):
         with pytest.raises(NonPhysicalStateError):
             CovarianceMatrix(0.5 * np.eye(4))
+
+    @pytest.mark.parametrize("diag", [[-1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0]], ids=["minus-identity", "one-negative"])
+    def test_rejects_indefinite(self, diag):
+        # |eig(i Omega sigma)| is (1, 1, 1, 1) for both: only the sign tells them from the vacuum
+        with pytest.raises(NonPhysicalStateError, match="positive definite"):
+            CovarianceMatrix(np.diag(diag))
 
     def test_unpaired_spectrum_detected(self):
         with pytest.raises(NonPhysicalStateError, match="unpaired"):
