@@ -57,15 +57,25 @@ def _section(doc: dict, name: str) -> dict:
 
 
 def _field(section: dict, where: str, key: str, kind, default=None):
-    """section[key] converted by kind; default=None makes the field required."""
+    """section[key] as a JSON number, integral when kind is int; default=None makes the field required."""
     if key not in section:
         if default is None:
             raise ConfigError(f"{where}: missing field {key!r}")
         return default
-    try:
-        return kind(section[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}.{key}: expected a number, got {section[key]!r}") from exc
+    value = section[key]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not number or (kind is int and not float(value).is_integer()):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where}.{key}: expected {expected}, got {value!r}")
+    return kind(value)
+
+
+def _typed(section: dict, name: str, kind: type, default):
+    """The field at config path name ([section.]key), which must already be a kind: nothing is converted."""
+    value = section.get(name.rsplit(".", 1)[-1], default)
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name}: expected a {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -151,10 +161,10 @@ class ScanConfig:
             tau_end=_field(grid, "tau_grid", "end", float, 10.0),
             steps=_field(grid, "tau_grid", "steps", int, 101),
             outputs=tuple(outputs),
-            oracle_enabled=bool(oracle.get("enabled", False)),
+            oracle_enabled=_typed(oracle, "oracle.enabled", bool, False),
             cutoff=_field(oracle, "oracle", "cutoff", int, 40),
-            output_path=str(doc.get("output_path", "scan.csv")),
-            fmt=str(doc.get("format", "csv")),
+            output_path=_typed(doc, "output_path", str, "scan.csv"),
+            fmt=_typed(doc, "format", str, "csv"),
         )
 
     @staticmethod
@@ -211,10 +221,8 @@ def run_scan(cfg: ScanConfig) -> tuple[list[dict], ScanSummary]:
         c2 = c2_coefficient(PerturbativeRegime(g_tilde=g_tilde, tau=taus, s=cfg.initial_state.s))
         columns["c2_prediction"] = 1.0 / np.sqrt(1.0 + c2 * g_tilde**2)
     if cfg.oracle_enabled:
-        oracle = FockOracle(p, cfg.cutoff)
-        points = [oracle.compare(cfg.initial_state, t) for t in ts]
-        columns["fidelity_oracle"] = [point.fidelity for point in points]
-        columns["delta_n_oracle"] = [point.delta_n for point in points]
+        point = FockOracle(p, cfg.cutoff).compare(cfg.initial_state, ts)
+        columns["fidelity_oracle"], columns["delta_n_oracle"] = point.fidelity, point.delta_n
     cols = _columns(cfg)
     rows = [dict(zip(cols, values)) for values in zip(*(np.asarray(columns[c]).tolist() for c in cols))]
 

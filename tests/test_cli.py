@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rwafidelity
 from rwafidelity import dynamics
 from rwafidelity.cli import (
     CircuitParams,
@@ -15,6 +20,9 @@ from rwafidelity.cli import (
 )
 from rwafidelity.dynamics import OscillatorParams, UnstableParamsError
 from rwafidelity.states import InitialState
+
+
+PARAMS_DOC = {"params": {"omega_a": 1.0, "omega_b": 1.0}}
 
 
 def make_config(tmp_path, **overrides):
@@ -42,6 +50,11 @@ class TestScanConfig:
             make_config(tmp_path, outputs=("fidelity", "typo"))
         with pytest.raises(ConfigError, match="c2_prediction"):
             make_config(tmp_path, params=OscillatorParams(1.0, 2.0, 0.05, 0.05), outputs=("fidelity", "c2_prediction"))
+
+    def test_integral_float_is_accepted(self):
+        cfg = ScanConfig.from_dict({**PARAMS_DOC, "tau_grid": {"steps": 101.0}, "oracle": {"cutoff": 24.0}})
+        assert (cfg.steps, cfg.cutoff) == (101, 24)
+        assert isinstance(cfg.steps, int) and isinstance(cfg.cutoff, int)
 
     def test_rejects_bad_json(self):
         with pytest.raises(ConfigError):
@@ -223,8 +236,22 @@ class TestMainExitCodes:
             ({"params": {"omega_a": None, "omega_b": 1.0}}, "params.omega_a"),
             ([{"params": {"omega_a": 1.0, "omega_b": 1.0}}], "top-level"),
             ({"params": {"omega_a": 1.0, "omega_b": 1.0}, "initial_state": 5}, "initial_state"),
+            ({**PARAMS_DOC, "oracle": {"enabled": "false"}}, "oracle.enabled"),
+            ({**PARAMS_DOC, "output_path": None}, "output_path"),
+            ({**PARAMS_DOC, "tau_grid": {"steps": 2.9}}, "tau_grid.steps"),
+            ({**PARAMS_DOC, "oracle": {"cutoff": 40.7}}, "oracle.cutoff"),
+            ({**PARAMS_DOC, "oracle": {"cutoff": True}}, "oracle.cutoff"),
         ],
-        ids=["null-field", "top-level-list", "scalar-section"],
+        ids=[
+            "null-field",
+            "top-level-list",
+            "scalar-section",
+            "string-bool",
+            "null-path",
+            "fractional-steps",
+            "fractional-cutoff",
+            "bool-cutoff",
+        ],
     )
     def test_malformed_config_exit_2(self, tmp_path, capsys, doc, field):
         cfg_path = tmp_path / "cfg.json"
@@ -281,3 +308,13 @@ class TestMainExitCodes:
         )
         assert code == 2
         assert "critical" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-only dependency: importing it would add about 0.5 s and
+    # 30 MB to every command, the oracle included
+    probe = "import sys, rwafidelity.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(rwafidelity.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"
