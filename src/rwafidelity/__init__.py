@@ -8,29 +8,22 @@ everything against a truncated Fock-space propagation.
 
 from .dynamics import (
     OMEGA,
-    NormalModes,
     OscillatorParams,
     SymplecticMatrix,
     UnstableParamsError,
     critical_coupling,
-    diagonalize,
-    effective_evolution,
     evolution_blocks,
-    full_evolution,
     hamiltonian_matrix,
     normal_mode_frequencies,
-    rwa_evolution,
     time_evolution,
 )
-from .fockoracle import FockBasis, FockOracle, TruncationError, bound_check, fock_bound, oracle_delta_n, oracle_fidelity
-from .matcore import mat_exp
+from .fockoracle import FockBasis, FockOracle, TruncationError, bound_check, fock_bound
 from .metrics import (
     FidelityReport,
     bloch_messiah,
     delta_n,
     effective_bogoliubov,
     fidelity_eff,
-    gaussian_fidelity,
     gaussian_grid,
     vacuum_fidelity_moments,
 )
@@ -46,11 +39,8 @@ from .states import (
     InitialState,
     NonPhysicalStateError,
     PureStateFactor,
-    apply_symplectic,
-    reduce_mode,
     squeezed_pair,
     symplectic_eigenvalues,
-    thermal,
     vacuum,
 )
 

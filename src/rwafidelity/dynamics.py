@@ -10,36 +10,30 @@ matrix is ((alpha, beta), (beta*, alpha*)).  The beam-splitter-only evolution
 is block diagonal (beta = 0); a nonzero beta block signals squeezing.
 
 The full evolution comes from ``evolution_blocks`` for every coupling and a
-whole array of times.  ``full_evolution`` (equal couplings) and
-``evolution_via_exponential`` are independent references for the tests.
+whole array of times, through Colpa's bosonic diagonalization of the
+Hamiltonian matrix (``colpa``).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import matcore
 
 __all__ = [
     "OMEGA",
     "UnstableParamsError",
     "OscillatorParams",
     "SymplecticMatrix",
-    "NormalModes",
     "hamiltonian_matrix",
     "normal_mode_frequencies",
     "critical_coupling",
-    "diagonalize",
-    "full_evolution",
     "rwa_block",
-    "rwa_evolution",
     "colpa",
     "evolution_blocks",
     "time_evolution",
-    "evolution_via_exponential",
-    "effective_evolution",
     "SYMPLECTIC_TOL",
 ]
 
@@ -75,8 +69,11 @@ class OscillatorParams:
 
     def __post_init__(self):
         for name in ("omega_a", "omega_b", "g_bs", "g_sq"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+            # a Python float, so integer arguments cannot give integer arrays downstream
+            object.__setattr__(self, name, float(value))
         if self.omega_a <= 0 or self.omega_b <= 0:
             raise ValueError("oscillator frequencies must be positive")
         bound = np.sqrt(self.omega_a * self.omega_b)
@@ -137,42 +134,12 @@ class SymplecticMatrix:
         a, b = self.alpha, self.beta
         return np.block([[a, b], [b.conj(), a.conj()]])
 
-    @property
-    def inverse(self) -> "SymplecticMatrix":
-        # s^-1 = -Omega s^dag Omega, i.e. blocks (alpha^dag, -beta^T).
-        return SymplecticMatrix(self.alpha.conj().T, -self.beta.T)
-
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         return SymplecticMatrix(*compose(self.alpha, self.beta, other.alpha, other.beta))
-
-    def symplectic_defect(self) -> float:
-        s = self.matrix
-        return float(np.max(np.abs(s @ OMEGA @ s.conj().T - OMEGA)))
 
     @staticmethod
     def identity() -> "SymplecticMatrix":
         return SymplecticMatrix(np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
-
-    @staticmethod
-    def from_matrix(s4: np.ndarray) -> "SymplecticMatrix":
-        s4 = matcore.check_matrix(s4, "symplectic matrix")
-        if s4.shape[0] != 4:
-            raise ValueError("expected a 4x4 matrix")
-        return SymplecticMatrix(s4[:2, :2], s4[:2, 2:])
-
-
-@dataclass(frozen=True)
-class NormalModes:
-    """Normal-mode data of the equal-couplings Hamiltonian."""
-
-    kappa_plus: float
-    kappa_minus: float
-    theta: float
-    diagonalizer: SymplecticMatrix
-
-    def __post_init__(self):
-        if not (self.kappa_plus >= self.kappa_minus > 0):
-            raise ValueError("normal-mode frequencies must satisfy kappa_+ >= kappa_- > 0")
 
 
 def hamiltonian_matrix(p: OscillatorParams) -> np.ndarray:
@@ -198,55 +165,6 @@ def normal_mode_frequencies(p: OscillatorParams) -> tuple[float, float]:
     return float(np.sqrt(kp2)), float(np.sqrt(km2))
 
 
-def _mixing_angle(p: OscillatorParams) -> float:
-    """Angle diagonalizing the equal-couplings Hamiltonian, in [0, pi/2].
-
-    On resonance the defining relation degenerates and the angle is pi/4.
-    """
-    if p.resonant:
-        return np.pi / 4.0
-    g = p.g_bs
-    two_theta = np.arctan2(4.0 * g * np.sqrt(p.omega_a * p.omega_b), p.omega_a**2 - p.omega_b**2)
-    return 0.5 * two_theta
-
-
-def diagonalize(p: OscillatorParams) -> NormalModes:
-    """Closed-form diagonalizer; only the equal-couplings family has one."""
-    if not p.equal_couplings:
-        raise ValueError("closed-form diagonalization requires g_bs == g_sq")
-    if p.g_bs < 0:
-        raise ValueError("closed-form diagonalization requires g >= 0")
-    kp, km = normal_mode_frequencies(p)
-    th = _mixing_angle(p)
-    c, s = np.cos(th), np.sin(th)
-    wa, wb = p.omega_a, p.omega_b
-    alpha = np.array(
-        [
-            [(kp + wa) / (2.0 * np.sqrt(kp * wa)) * c, (kp + wb) / (2.0 * np.sqrt(kp * wb)) * s],
-            [(km + wa) / (2.0 * np.sqrt(km * wa)) * s, -(km + wb) / (2.0 * np.sqrt(km * wb)) * c],
-        ]
-    )
-    beta = np.array(
-        [
-            [(kp - wa) / (2.0 * np.sqrt(kp * wa)) * c, (kp - wb) / (2.0 * np.sqrt(kp * wb)) * s],
-            [(km - wa) / (2.0 * np.sqrt(km * wa)) * s, -(km - wb) / (2.0 * np.sqrt(km * wb)) * c],
-        ]
-    )
-    return NormalModes(kp, km, th, SymplecticMatrix(alpha, beta))
-
-
-def full_evolution(nm: NormalModes, t: float) -> SymplecticMatrix:
-    """Closed-form evolution generated by the equal-couplings Hamiltonian."""
-    if not np.isfinite(t):
-        raise ValueError("time must be finite")
-    al, be = nm.diagonalizer.alpha, nm.diagonalizer.beta
-    ph_m = np.diag([np.exp(-1j * nm.kappa_plus * t), np.exp(-1j * nm.kappa_minus * t)])
-    ph_p = np.diag([np.exp(1j * nm.kappa_plus * t), np.exp(1j * nm.kappa_minus * t)])
-    a = al.T @ ph_m @ al - be.T @ ph_p @ be
-    b = al.T @ ph_m @ be - be.T @ ph_p @ al
-    return SymplecticMatrix(a, b)
-
-
 def rwa_block(p: OscillatorParams, t) -> np.ndarray:
     """The unitary 2x2 block of the beam-splitter-only evolution, stacked over the shape of t."""
     t = np.asarray(t, dtype=float)
@@ -260,16 +178,6 @@ def rwa_block(p: OscillatorParams, t) -> np.ndarray:
     xi = -1j * s2 * np.sin(w_bs * t)
     block = np.stack([np.stack([chi, xi], axis=-1), np.stack([xi, chi.conj()], axis=-1)], axis=-2)
     return np.exp(-1j * w_sigma * t)[..., None, None] * block
-
-
-def rwa_evolution(p: OscillatorParams, t: float) -> SymplecticMatrix:
-    return SymplecticMatrix(rwa_block(p, t), np.zeros((2, 2), dtype=complex))
-
-
-def evolution_via_exponential(p: OscillatorParams, t: float) -> SymplecticMatrix:
-    """Evolution from the matrix exponential of the generator; any couplings."""
-    s4 = matcore.mat_exp(OMEGA @ hamiltonian_matrix(p), t)
-    return SymplecticMatrix.from_matrix(s4)
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -315,6 +223,16 @@ def colpa(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return low, lam, u
 
 
+def _modes(p: OscillatorParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normal modes (lam, left, right) of H from ``colpa(H)``: S(t) = left diag(exp(-i lam t)) right.
+
+    left = L^-T U and right = U^T L^T are real and mutually inverse; lam is
+    ascending, (-kappa_+, -kappa_-, kappa_-, kappa_+).
+    """
+    low, lam, u = colpa(hamiltonian_matrix(p).real)
+    return lam, np.linalg.solve(low.T, u), u.T @ low.T
+
+
 def evolution_blocks(p: OscillatorParams, t) -> tuple[np.ndarray, np.ndarray]:
     """Blocks (alpha, beta) of S(t) = exp(Omega H t), stacked over a 1-D array of times.
 
@@ -326,10 +244,9 @@ def evolution_blocks(p: OscillatorParams, t) -> tuple[np.ndarray, np.ndarray]:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(np.isfinite(t)):
         raise ValueError("time must be finite")
-    low, lam, u = colpa(hamiltonian_matrix(p).real)
-    left = np.linalg.solve(low.T, u)[:2]
+    lam, left, right = _modes(p)
     phases = np.exp(-1j * np.multiply.outer(t, lam))
-    s = (left * phases[:, None, :]) @ (u.T @ low.T)
+    s = (left[:2] * phases[:, None, :]) @ right
     alpha, beta = s[..., :2], s[..., 2:]
     check_bogoliubov(alpha, beta, t, "S(t)")
     return alpha, beta
@@ -345,8 +262,3 @@ def effective_blocks(p: OscillatorParams, t) -> tuple[np.ndarray, np.ndarray]:
     alpha, beta = evolution_blocks(p, t)
     u_dag = _dagger(rwa_block(p, t))
     return u_dag @ alpha, u_dag @ beta
-
-
-def effective_evolution(p: OscillatorParams, t: float) -> SymplecticMatrix:
-    """S_eff(t): the RWA-frame residual evolution, identity iff the two coincide."""
-    return SymplecticMatrix(*(block[0] for block in effective_blocks(p, [t])))

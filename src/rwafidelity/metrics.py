@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import OMEGA, OscillatorParams, _dagger, check_bogoliubov, compose, effective_blocks
-from .states import CovarianceMatrix, NonPhysicalStateError, PureStateFactor, vacuum
+from .dynamics import OscillatorParams, _dagger, check_bogoliubov, compose, effective_blocks
+from .states import PureStateFactor, vacuum
 
 __all__ = [
     "FidelityReport",
     "GaussianGrid",
-    "gaussian_fidelity",
     "gaussian_grid",
     "effective_bogoliubov",
     "fidelity_eff",
@@ -31,11 +30,9 @@ __all__ = [
     "number_moments",
     "vacuum_fidelity_moments",
     "CROSS_CHECK_TOL",
-    "RADICAND_TOL",
 ]
 
 CROSS_CHECK_TOL = 1e-10
-RADICAND_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -62,45 +59,9 @@ class GaussianGrid:
     b_f: np.ndarray
 
 
-def _safe_sqrt(x: float, what: str) -> float:
-    if x < -RADICAND_TOL:
-        raise NonPhysicalStateError(f"negative radicand in {what}: {x:.3e}")
-    return float(np.sqrt(max(x, 0.0)))
-
-
 def _trace(m: np.ndarray) -> np.ndarray:
     """Real part of the trace of each (stacked) 2x2 matrix."""
     return np.real(m[..., 0, 0] + m[..., 1, 1])
-
-
-def gaussian_fidelity(cov1: CovarianceMatrix, cov2: CovarianceMatrix) -> float:
-    """Fidelity of two (possibly mixed) zero-mean two-mode Gaussian states.
-
-    When either state is pure, Lambda vanishes and Gamma = Delta, collapsing
-    the general expression to 4/sqrt(Gamma); that branch is taken explicitly
-    because the general form loses half the significant digits at the pure
-    boundary (a square root of the rounding-level Lambda enters linearly).
-    """
-    s1, s2 = cov1.sigma, cov2.sigma
-    ident = np.eye(4, dtype=complex)
-    gam = float(np.real(np.linalg.det(ident - OMEGA @ s1 @ OMEGA @ s2)))
-    lam = float(np.real(np.linalg.det(ident + 1j * OMEGA @ s1) * np.linalg.det(ident + 1j * OMEGA @ s2)))
-    root_g = _safe_sqrt(gam, "Gamma")
-    if abs(lam) <= 1e-10 * max(1.0, abs(gam)):
-        if root_g <= 0.0:
-            raise NonPhysicalStateError("fidelity denominator is not positive")
-        fid = 4.0 / root_g
-    else:
-        delta = float(np.real(np.linalg.det(s1 + s2)))
-        root_l = _safe_sqrt(lam, "Lambda")
-        inner = _safe_sqrt((root_l + root_g) ** 2 - delta, "fidelity discriminant")
-        denom = root_l + root_g - inner
-        if denom <= 0.0:
-            raise NonPhysicalStateError("fidelity denominator is not positive")
-        fid = 4.0 / denom
-    if fid > 1.0 + RADICAND_TOL:
-        raise NonPhysicalStateError(f"fidelity {fid} exceeds one beyond tolerance")
-    return float(min(max(fid, 0.0), 1.0))
 
 
 def gaussian_grid(factor: PureStateFactor, p: OscillatorParams, t) -> GaussianGrid:

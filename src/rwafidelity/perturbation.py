@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import OscillatorParams, diagonalize, normal_mode_frequencies
+from .dynamics import OscillatorParams, _modes, normal_mode_frequencies
 from .metrics import fidelity_eff
 from .states import squeezed_pair, vacuum
 
@@ -75,9 +75,15 @@ class PerturbativeRegime:
 
 
 def q_coefficients(regime: PerturbativeRegime) -> tuple[float, float, float, float]:
-    """Exact q1..q4 from the determinant/cross-term combinations of (alpha, beta)."""
-    nm = diagonalize(regime.params())
-    al, be = nm.diagonalizer.alpha.real, nm.diagonalizer.beta.real
+    """Exact q1..q4 from the determinant/cross-term combinations of the diagonalizer (alpha, beta).
+
+    The diagonalizer rows for +kappa_+ and then +kappa_- are the rows of the
+    Colpa factor U^T L^T for the two positive frequencies, scaled by
+    lam^(-1/2).  The q's are squares, so the signs of the rows drop out.
+    """
+    lam, _, right = _modes(regime.params())
+    rows = right[[3, 2]] / np.sqrt(lam[[3, 2]])[:, None]
+    al, be = rows[:, :2], rows[:, 2:]
     det_a = float(np.linalg.det(al))
     det_b = float(np.linalg.det(be))
     cross_x = al[0, 0] * be[1, 1] - al[0, 1] * be[1, 0]

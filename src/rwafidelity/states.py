@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
 from .dynamics import SymplecticMatrix, colpa
 
 __all__ = [
@@ -22,12 +21,7 @@ __all__ = [
     "InitialState",
     "vacuum",
     "squeezed_pair",
-    "thermal",
     "symplectic_eigenvalues",
-    "apply_symplectic",
-    "reduce_mode",
-    "single_mode_symplectic_eigenvalue",
-    "is_pure",
     "HERMITICITY_TOL",
     "PHYSICALITY_TOL",
     "PAIRING_TOL",
@@ -51,9 +45,11 @@ class CovarianceMatrix:
     sigma: np.ndarray
 
     def __post_init__(self):
-        s = matcore.check_matrix(self.sigma, "covariance matrix")
-        if s.shape[0] != 4:
-            raise ValueError("covariance matrix must be 4x4")
+        s = np.asarray(self.sigma, dtype=complex)
+        if s.shape != (4, 4):
+            raise ValueError(f"covariance matrix must be 4x4, got shape {s.shape}")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("covariance matrix has non-finite entries")
         scale = max(1.0, float(np.linalg.norm(s)))
         if np.max(np.abs(s - s.conj().T)) > HERMITICITY_TOL * scale:
             raise NonPhysicalStateError("covariance matrix is not Hermitian")
@@ -125,13 +121,6 @@ def squeezed_pair(s: float) -> PureStateFactor:
     return PureStateFactor(SymplecticMatrix(alpha0, beta0))
 
 
-def thermal(nu: float) -> CovarianceMatrix:
-    """Two-mode thermal state sigma = nu * I; used to exercise the mixed-state fidelity."""
-    if nu < 1.0:
-        raise NonPhysicalStateError("thermal symplectic eigenvalue must be >= 1")
-    return CovarianceMatrix(nu * np.eye(4, dtype=complex))
-
-
 def symplectic_eigenvalues(cov: CovarianceMatrix | np.ndarray) -> tuple[float, float]:
     """The two symplectic eigenvalues (descending) of a positive-definite sigma, from ``colpa(sigma)``."""
     sigma = cov.sigma if isinstance(cov, CovarianceMatrix) else np.asarray(cov, dtype=complex)
@@ -145,38 +134,3 @@ def symplectic_eigenvalues(cov: CovarianceMatrix | np.ndarray) -> tuple[float, f
     nu_small = 0.5 * (vals[0] + vals[1])
     nu_large = 0.5 * (vals[2] + vals[3])
     return float(nu_large), float(nu_small)
-
-
-def apply_symplectic(cov: CovarianceMatrix, s: SymplecticMatrix) -> CovarianceMatrix:
-    """sigma -> S sigma S^dag."""
-    s4 = s.matrix
-    out = s4 @ cov.sigma @ s4.conj().T
-    return CovarianceMatrix(0.5 * (out + out.conj().T))
-
-
-_MODE_INDEX = {"a": [0, 2], "b": [1, 3]}
-
-
-def reduce_mode(cov: CovarianceMatrix, mode: str) -> np.ndarray:
-    """Single-mode reduced covariance: delete the other mode's rows and columns."""
-    if mode not in _MODE_INDEX:
-        raise ValueError("mode must be 'a' or 'b'")
-    idx = _MODE_INDEX[mode]
-    return cov.sigma[np.ix_(idx, idx)].copy()
-
-
-def single_mode_symplectic_eigenvalue(sig2: np.ndarray) -> float:
-    """Brute 2x2 symplectic eigenvalue |eig(i omega sig)| for one mode."""
-    sig2 = matcore.check_matrix(sig2, "single-mode covariance")
-    if sig2.shape[0] != 2:
-        raise ValueError("expected a 2x2 matrix")
-    # i*omega = diag(1, -1) in the (a, a^dag) ordering.
-    m = np.diag([1.0, -1.0]) @ sig2
-    ev = np.linalg.eigvals(m)
-    return float(0.5 * (abs(ev[0]) + abs(ev[1])))
-
-
-def is_pure(cov: CovarianceMatrix, tol: float = PHYSICALITY_TOL) -> bool:
-    """Purity: all symplectic eigenvalues equal to one."""
-    nus = symplectic_eigenvalues(cov)
-    return bool(max(abs(nu - 1.0) for nu in nus) <= tol * max(1.0, float(np.linalg.norm(cov.sigma))))

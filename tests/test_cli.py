@@ -311,10 +311,15 @@ class TestMainExitCodes:
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy is a test-only dependency: importing it would add about 0.5 s and
-    # 30 MB to every command, the oracle included
-    probe = "import sys, rwafidelity.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    src = str(Path(rwafidelity.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # scipy and mpmath are test-only dependencies: importing scipy would add
+    # about 0.5 s and 30 MB to every command, the oracle included.  The tests
+    # directory is on the path, so a package import of the test references
+    # (tests/reference.py) would load and show up here.
+    probe = (
+        "import sys, rwafidelity, rwafidelity.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath', 'reference')))"
+    )
+    paths = [str(Path(rwafidelity.__file__).parents[1]), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env).stdout
     assert out.strip() == "[]"

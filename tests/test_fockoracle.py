@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reference import oracle_delta_n, oracle_fidelity
 from rwafidelity.dynamics import OscillatorParams
 from rwafidelity.fockoracle import (
     MAX_CUTOFF,
@@ -15,8 +16,6 @@ from rwafidelity.fockoracle import (
     chebyshev_coefficients,
     fock_bound,
     fock_vector,
-    oracle_delta_n,
-    oracle_fidelity,
     squeezed_mode_amplitudes,
     squeezed_vector,
 )
@@ -90,6 +89,16 @@ class TestBasis:
         with pytest.raises(ValueError):
             FockBasis(0)
 
+    def test_masks_built_once_and_read_only(self):
+        basis = FockBasis(4)
+        assert basis.number_vector is basis.number_vector
+        assert basis.boundary_mask is basis.boundary_mask
+        assert basis.number_vector[basis.index(3, 4)] == 7.0
+        assert basis.boundary_mask.sum() == 2 * 4 + 1
+        for arr in (basis.number_vector, basis.boundary_mask):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
 
 class TestHamiltonian:
     def test_free_is_diagonal(self):
@@ -115,7 +124,7 @@ class TestHamiltonian:
     def test_rwa_commutes_with_number(self):
         basis = FockBasis(6)
         h = materialized(OscillatorParams(1.0, 1.0, 0.3, 0.3), basis, variant="rwa")
-        n_op = np.diag(basis.number_vector())
+        n_op = np.diag(basis.number_vector)
         assert np.max(np.abs(h @ n_op - n_op @ h)) < 1e-12
 
     @pytest.mark.parametrize("name", PARAMS)
@@ -194,7 +203,7 @@ class TestPropagation:
         if kind == "squeezed":
             psi0, _ = squeezed_vector(oracle.basis, initial.s)
         h_full, h_rwa = build_hamiltonian(p, oracle.basis), build_hamiltonian(p, oracle.basis, "rwa")
-        n = oracle.basis.number_vector()
+        n = oracle.basis.number_vector
         grid = oracle.compare(initial, ts)
         for i, t in enumerate(ts):
             ref_full = dense_propagate(h_full, psi0.amplitudes, t)
@@ -256,6 +265,17 @@ class TestSqueezedInput:
 
 
 class TestOracle:
+    def test_integer_frequencies_match_float(self):
+        # integer arguments are stored as floats, so the Fock diagonal cannot come out int64
+        p = OscillatorParams(1, 1, 0.05, 0.05)
+        assert p == OscillatorParams(1.0, 1.0, 0.05, 0.05)
+        assert all(type(v) is float for v in vars(p).values())
+        ts = np.linspace(0.0, 3.0, 7)
+        got = FockOracle(p, 40).compare(InitialState("squeezed", s=0.2), ts)
+        ref = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 40).compare(InitialState("squeezed", s=0.2), ts)
+        assert np.array_equal(got.fidelity, ref.fidelity)
+        assert np.array_equal(got.delta_n, ref.delta_n)
+
     def test_uncoupled_fidelity_is_one(self):
         p = OscillatorParams(1.0, 1.5)
         assert oracle_fidelity(p, InitialState("vacuum"), 3.0, 10) == pytest.approx(1.0, abs=1e-12)

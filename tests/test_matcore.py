@@ -1,8 +1,11 @@
+"""The reference matrix exponential, and the matrix validation at the package boundary."""
+
 import numpy as np
 import pytest
 
-from rwafidelity import matcore
+from reference import mat_exp
 from rwafidelity.dynamics import OMEGA, OscillatorParams, hamiltonian_matrix, time_evolution
+from rwafidelity.states import CovarianceMatrix
 
 
 def random_matrix(rng, dim=4, norm=None):
@@ -16,24 +19,24 @@ class TestMatExp:
     def test_zero_exponent_is_identity(self):
         rng = np.random.default_rng(0)
         m = random_matrix(rng)
-        assert np.allclose(matcore.mat_exp(m, 0.0), np.eye(4), atol=1e-15)
+        assert np.allclose(mat_exp(m, 0.0), np.eye(4), atol=1e-15)
 
     def test_diagonal_pi_rotation(self):
         m = np.diag([1j * np.pi, 1j * np.pi])
-        assert np.allclose(matcore.mat_exp(m), -np.eye(2), atol=1e-13)
+        assert np.allclose(mat_exp(m), -np.eye(2), atol=1e-13)
 
     def test_matches_closed_form_evolution(self):
         # generator route against the closed-form coupled-oscillator solution
         p = OscillatorParams(1.0, 1.0, 0.1, 0.1)
         s_closed = time_evolution(p, 1.0).matrix
-        s_exp = matcore.mat_exp(OMEGA @ hamiltonian_matrix(p), 1.0)
+        s_exp = mat_exp(OMEGA @ hamiltonian_matrix(p), 1.0)
         assert np.max(np.abs(s_closed - s_exp)) < 1e-10
 
     def test_group_property(self):
         rng = np.random.default_rng(1)
         m = random_matrix(rng, norm=2.0)
-        lhs = matcore.mat_exp(m, 0.7) @ matcore.mat_exp(m, 1.1)
-        rhs = matcore.mat_exp(m, 1.8)
+        lhs = mat_exp(m, 0.7) @ mat_exp(m, 1.1)
+        rhs = mat_exp(m, 1.8)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_inverse_product_on_generators(self):
@@ -44,7 +47,7 @@ class TestMatExp:
             gc = np.sqrt(wa * wb)
             p = OscillatorParams(wa, wb, rng.uniform(0, 0.45) * gc, rng.uniform(0, 0.45) * gc)
             a = OMEGA @ hamiltonian_matrix(p) * rng.uniform(0, 10) / (2.0 * max(wa, wb))
-            r = matcore.mat_exp(a) @ matcore.mat_exp(a, -1.0)
+            r = mat_exp(a) @ mat_exp(a, -1.0)
             assert np.max(np.abs(r - np.eye(4))) < 1e-12
 
     def test_inverse_product_generic(self):
@@ -53,8 +56,8 @@ class TestMatExp:
         rng = np.random.default_rng(3)
         for _ in range(100):
             a = random_matrix(rng, norm=rng.uniform(0, 10))
-            ea = matcore.mat_exp(a)
-            eia = matcore.mat_exp(a, -1.0)
+            ea = mat_exp(a)
+            eia = mat_exp(a, -1.0)
             bound = 1e-12 * max(1.0, np.linalg.norm(ea, 2) * np.linalg.norm(eia, 2))
             assert np.max(np.abs(ea @ eia - np.eye(4))) < bound
 
@@ -62,14 +65,14 @@ class TestMatExp:
         rng = np.random.default_rng(4)
         for _ in range(100):
             a = random_matrix(rng, norm=rng.uniform(0, 10))
-            lhs = np.linalg.det(matcore.mat_exp(a))
+            lhs = np.linalg.det(mat_exp(a))
             rhs = np.exp(np.trace(a))
             assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 
     def test_rejects_nonfinite(self):
         m = np.full((4, 4), np.nan)
         with pytest.raises(ValueError):
-            matcore.mat_exp(m)
+            mat_exp(m)
 
 
 class TestPlumbing:
@@ -78,5 +81,8 @@ class TestPlumbing:
         assert abs(np.linalg.det(s) - 1.0) < 1e-10
 
     def test_rejects_odd_sizes(self):
-        with pytest.raises(ValueError):
-            matcore.check_matrix(np.eye(3))
+        for m in (np.eye(3), np.eye(2), np.ones(4)):
+            with pytest.raises(ValueError, match="4x4"):
+                CovarianceMatrix(m)
+        with pytest.raises(ValueError, match="non-finite"):
+            CovarianceMatrix(np.diag([1.0, 1.0, 1.0, np.inf]))

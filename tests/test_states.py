@@ -1,18 +1,14 @@
 import numpy as np
 import pytest
 
+from reference import apply_symplectic, is_pure, reduce_mode, single_mode_symplectic_eigenvalue, thermal
 from rwafidelity.dynamics import OscillatorParams, time_evolution
 from rwafidelity.states import (
     CovarianceMatrix,
     InitialState,
     NonPhysicalStateError,
-    apply_symplectic,
-    is_pure,
-    reduce_mode,
-    single_mode_symplectic_eigenvalue,
     squeezed_pair,
     symplectic_eigenvalues,
-    thermal,
     vacuum,
 )
 
