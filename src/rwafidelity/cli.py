@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,15 +57,16 @@ def _section(doc: dict, name: str) -> dict:
 
 
 def _field(section: dict, where: str, key: str, kind, default=None):
-    """section[key] as a JSON number, integral when kind is int; default=None makes the field required."""
+    """section[key] as a finite JSON number, integral when kind is int; default=None makes the field required."""
     if key not in section:
         if default is None:
             raise ConfigError(f"{where}: missing field {key!r}")
         return default
     value = section[key]
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # the bound rejects nan, +-inf and integers too large for a float
+    number = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
     if not number or (kind is int and not float(value).is_integer()):
-        expected = "an integer" if kind is int else "a number"
+        expected = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{where}.{key}: expected {expected}, got {value!r}")
     return kind(value)
 
@@ -76,6 +77,11 @@ def _typed(section: dict, name: str, kind: type, default):
     if not isinstance(value, kind):
         raise ConfigError(f"{name}: expected a {kind.__name__}, got {value!r}")
     return value
+
+
+def _perturbative_family(p: OscillatorParams) -> bool:
+    """Resonant equal couplings with 0 < g/omega < 0.5, where the second-order laws apply."""
+    return p.equal_couplings and p.resonant and 0.0 < p.g_bs / p.omega_a < 0.5
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,7 @@ class ScanConfig:
 
     def __post_init__(self):
         problems = []
-        if self.tau_end <= self.tau_start:
+        if not self.tau_end > self.tau_start:
             problems.append("tau_grid: end must exceed start")
         if self.steps < 2:
             problems.append("tau_grid: steps must be at least 2")
@@ -104,14 +110,14 @@ class ScanConfig:
                 problems.append(f"outputs: unrecognized quantity {name!r}")
         if self.initial_state.kind not in ("vacuum", "squeezed"):
             problems.append("initial_state: scans accept vacuum or squeezed only")
+        elif self.initial_state.kind == "vacuum" and self.initial_state.s != 0.0:
+            problems.append("initial_state: s needs kind squeezed")
         if self.fmt not in ("csv", "json"):
             problems.append("format: must be csv or json")
         if not (1 <= self.cutoff <= MAX_CUTOFF):
             problems.append(f"oracle: cutoff must be in [1, {MAX_CUTOFF}]")
-        if "c2_prediction" in self.outputs:
-            p = self.params
-            if not (p.equal_couplings and p.resonant and 0.0 < p.g_bs / p.omega_a < 0.5):
-                problems.append("outputs: c2_prediction needs resonant equal couplings with 0 < g/omega < 0.5")
+        if "c2_prediction" in self.outputs and not _perturbative_family(self.params):
+            problems.append("outputs: c2_prediction needs resonant equal couplings with 0 < g/omega < 0.5")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -121,12 +127,7 @@ class ScanConfig:
         if self.initial_state.kind == "squeezed":
             state["s"] = self.initial_state.s
         return {
-            "params": {
-                "omega_a": self.params.omega_a,
-                "omega_b": self.params.omega_b,
-                "g_bs": self.params.g_bs,
-                "g_sq": self.params.g_sq,
-            },
+            "params": asdict(self.params),
             "initial_state": state,
             "tau_grid": {"start": self.tau_start, "end": self.tau_end, "steps": self.steps},
             "outputs": list(self.outputs),
@@ -143,28 +144,30 @@ class ScanConfig:
         params = OscillatorParams(
             omega_a=_field(pdoc, "params", "omega_a", float),
             omega_b=_field(pdoc, "params", "omega_b", float),
-            g_bs=_field(pdoc, "params", "g_bs", float, 0.0),
-            g_sq=_field(pdoc, "params", "g_sq", float, 0.0),
+            g_bs=_field(pdoc, "params", "g_bs", float, OscillatorParams.g_bs),
+            g_sq=_field(pdoc, "params", "g_sq", float, OscillatorParams.g_sq),
         )
         sdoc = doc.get("initial_state")
         sdoc = {"kind": sdoc} if isinstance(sdoc, str) else _section(doc, "initial_state")
-        initial = InitialState(kind=sdoc.get("kind", "vacuum"), s=_field(sdoc, "initial_state", "s", float, 0.0))
+        initial = InitialState(
+            kind=sdoc.get("kind", ScanConfig.initial_state.kind), s=_field(sdoc, "initial_state", "s", float, InitialState.s)
+        )
         grid = _section(doc, "tau_grid")
         oracle = _section(doc, "oracle")
-        outputs = doc.get("outputs", CORE_OUTPUTS)
+        outputs = doc.get("outputs", ScanConfig.outputs)
         if not isinstance(outputs, (list, tuple)):
             raise ConfigError(f"outputs: expected a list, got {type(outputs).__name__}")
         return ScanConfig(
             params=params,
             initial_state=initial,
-            tau_start=_field(grid, "tau_grid", "start", float, 0.0),
-            tau_end=_field(grid, "tau_grid", "end", float, 10.0),
-            steps=_field(grid, "tau_grid", "steps", int, 101),
+            tau_start=_field(grid, "tau_grid", "start", float, ScanConfig.tau_start),
+            tau_end=_field(grid, "tau_grid", "end", float, ScanConfig.tau_end),
+            steps=_field(grid, "tau_grid", "steps", int, ScanConfig.steps),
             outputs=tuple(outputs),
-            oracle_enabled=_typed(oracle, "oracle.enabled", bool, False),
-            cutoff=_field(oracle, "oracle", "cutoff", int, 40),
-            output_path=_typed(doc, "output_path", str, "scan.csv"),
-            fmt=_typed(doc, "format", str, "csv"),
+            oracle_enabled=_typed(oracle, "oracle.enabled", bool, ScanConfig.oracle_enabled),
+            cutoff=_field(oracle, "oracle", "cutoff", int, ScanConfig.cutoff),
+            output_path=_typed(doc, "output_path", str, ScanConfig.output_path),
+            fmt=_typed(doc, "format", str, ScanConfig.fmt),
         )
 
     @staticmethod
@@ -181,70 +184,60 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class ScanSummary:
-    min_fidelity: float
-    max_abs_delta_n: float
+    """Scan statistics; a statistic is None when its column was not requested."""
+
+    min_fidelity: float | None
+    max_abs_delta_n: float | None
     regime_flags: tuple[str, ...]
 
     def line(self) -> str:
         flags = ",".join(self.regime_flags) if self.regime_flags else "none"
-        return (
-            f"min_fidelity={self.min_fidelity:.12g} "
-            f"max_abs_delta_n={self.max_abs_delta_n:.12g} regime_flags={flags}"
-        )
-
-
-def _columns(cfg: ScanConfig) -> list[str]:
-    cols = ["tau"] + [name for name in KNOWN_OUTPUTS if name in cfg.outputs]
-    if cfg.oracle_enabled:
-        cols += list(ORACLE_OUTPUTS)
-    return cols
+        fid, dn = (float("nan") if x is None else x for x in (self.min_fidelity, self.max_abs_delta_n))
+        return f"min_fidelity={fid:.12g} max_abs_delta_n={dn:.12g} regime_flags={flags}"
 
 
 def _regime_flags(cfg: ScanConfig) -> tuple[str, ...]:
-    p = cfg.params
-    g_tilde = p.g_bs / p.omega_a
-    if not (p.equal_couplings and p.resonant and 0.0 < g_tilde < 0.5):
+    if not _perturbative_family(cfg.params):
         return ("outside-perturbative-family",)
-    regime = PerturbativeRegime(g_tilde=g_tilde, tau=cfg.tau_end, s=cfg.initial_state.s)
-    return regime.flags
+    g_tilde = cfg.params.g_bs / cfg.params.omega_a
+    return PerturbativeRegime(g_tilde=g_tilde, tau=cfg.tau_end, s=cfg.initial_state.s).flags
 
 
-def run_scan(cfg: ScanConfig) -> tuple[list[dict], ScanSummary]:
-    """Evaluate the grid, write the output file, and return rows plus summary."""
+def run_scan(cfg: ScanConfig) -> tuple[dict[str, list[float]], ScanSummary]:
+    """Evaluate the grid, write the output file, and return the columns, in output order, plus summary."""
     p = cfg.params
     taus = np.linspace(cfg.tau_start, cfg.tau_end, cfg.steps)
     ts = taus / p.omega_a
     grid = gaussian_grid(cfg.initial_state.factor(), p, ts)
-    columns = {"tau": taus, "delta_n": grid.delta_n, **vars(grid.report)}
+    values = {"tau": taus, "delta_n": grid.delta_n, **vars(grid.report)}
     if "c2_prediction" in cfg.outputs:
         g_tilde = p.g_bs / p.omega_a
         c2 = c2_coefficient(PerturbativeRegime(g_tilde=g_tilde, tau=taus, s=cfg.initial_state.s))
-        columns["c2_prediction"] = 1.0 / np.sqrt(1.0 + c2 * g_tilde**2)
+        values["c2_prediction"] = 1.0 / np.sqrt(1.0 + c2 * g_tilde**2)
     if cfg.oracle_enabled:
         point = FockOracle(p, cfg.cutoff).compare(cfg.initial_state, ts)
-        columns["fidelity_oracle"], columns["delta_n_oracle"] = point.fidelity, point.delta_n
-    cols = _columns(cfg)
-    rows = [dict(zip(cols, values)) for values in zip(*(np.asarray(columns[c]).tolist() for c in cols))]
+        values["fidelity_oracle"], values["delta_n_oracle"] = point.fidelity, point.delta_n
+    names = ["tau", *(name for name in KNOWN_OUTPUTS if name in cfg.outputs), *(ORACLE_OUTPUTS if cfg.oracle_enabled else ())]
+    columns = {name: np.asarray(values[name]).tolist() for name in names}
 
     summary = ScanSummary(
-        min_fidelity=float(np.min(grid.report.fidelity)) if "fidelity" in cfg.outputs else float("nan"),
-        max_abs_delta_n=float(np.max(np.abs(grid.delta_n))) if "delta_n" in cfg.outputs else float("nan"),
+        min_fidelity=min(columns["fidelity"]) if "fidelity" in columns else None,
+        max_abs_delta_n=max(map(abs, columns["delta_n"])) if "delta_n" in columns else None,
         regime_flags=_regime_flags(cfg),
     )
-    _write_output(cfg, rows, summary)
-    return rows, summary
+    _write_output(cfg, columns, summary)
+    return columns, summary
 
 
-def _write_output(cfg: ScanConfig, rows: list[dict], summary: ScanSummary):
-    cols = _columns(cfg)
+def _write_output(cfg: ScanConfig, columns: dict[str, list[float]], summary: ScanSummary):
+    rows = zip(*columns.values())
     if cfg.fmt == "csv":
         with open(cfg.output_path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(cols)
-            for row in rows:
-                writer.writerow([f"{row[c]:.17g}" for c in cols])
+            writer.writerow(columns)
+            writer.writerows([f"{v:.17g}" for v in row] for row in rows)
     else:
-        doc = {"config": cfg.to_dict(), "rows": rows, "summary": asdict(summary)}
+        doc = {"config": cfg.to_dict(), "rows": [dict(zip(columns, row)) for row in rows], "summary": asdict(summary)}
         with open(cfg.output_path, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
@@ -337,6 +330,25 @@ def circuit_map(c: CircuitParams) -> FrameReport:
 # -- argument parsing -------------------------------------------------------
 
 
+# The config-document field each flag overwrites, in writing order: --g comes
+# before --g-bs and --g-sq so that either overrides one of the pair.
+_FLAG_FIELDS = (
+    ("output", "output_path"),
+    ("fmt", "format"),
+    ("omega_a", "params.omega_a"),
+    ("omega_b", "params.omega_b"),
+    ("g", "params.g_bs"),
+    ("g", "params.g_sq"),
+    ("g_bs", "params.g_bs"),
+    ("g_sq", "params.g_sq"),
+    ("tau_start", "tau_grid.start"),
+    ("tau_end", "tau_grid.end"),
+    ("steps", "tau_grid.steps"),
+    ("cutoff", "oracle.cutoff"),
+    ("oracle", "oracle.enabled"),
+)
+
+
 def _add_common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--output", help="output file path")
@@ -351,54 +363,24 @@ def _add_common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--tau-end", type=float)
     sub.add_argument("--steps", type=int)
     sub.add_argument("--cutoff", type=int)
-    sub.add_argument("--oracle", action="store_true", help="add oracle columns to the scan")
+    sub.add_argument("--oracle", action="store_true", default=None, help="add oracle columns to the scan")
 
 
 def _config_from_args(args) -> ScanConfig:
+    """The --config file (or the default scan) as a document, each given flag written into its field, parsed once."""
     if args.config:
         with open(args.config) as fh:
-            cfg = ScanConfig.from_json(fh.read())
+            doc = ScanConfig.from_json(fh.read()).to_dict()
     else:
-        cfg = ScanConfig(params=OscillatorParams(1.0, 1.0, 0.05, 0.05))
-
-    pdoc = {
-        "omega_a": cfg.params.omega_a,
-        "omega_b": cfg.params.omega_b,
-        "g_bs": cfg.params.g_bs,
-        "g_sq": cfg.params.g_sq,
-    }
-    if args.omega_a is not None:
-        pdoc["omega_a"] = args.omega_a
-    if args.omega_b is not None:
-        pdoc["omega_b"] = args.omega_b
-    if args.g is not None:
-        pdoc["g_bs"] = pdoc["g_sq"] = args.g
-    if args.g_bs is not None:
-        pdoc["g_bs"] = args.g_bs
-    if args.g_sq is not None:
-        pdoc["g_sq"] = args.g_sq
-    params = OscillatorParams(**pdoc)
-
-    updates: dict = {"params": params}
+        doc = ScanConfig(params=OscillatorParams(1.0, 1.0, 0.05, 0.05)).to_dict()
     if args.squeezing is not None:
-        updates["initial_state"] = (
-            InitialState("squeezed", s=args.squeezing) if args.squeezing != 0.0 else InitialState("vacuum")
-        )
-    if args.tau_start is not None:
-        updates["tau_start"] = args.tau_start
-    if args.tau_end is not None:
-        updates["tau_end"] = args.tau_end
-    if args.steps is not None:
-        updates["steps"] = args.steps
-    if args.cutoff is not None:
-        updates["cutoff"] = args.cutoff
-    if args.oracle:
-        updates["oracle_enabled"] = True
-    if args.output is not None:
-        updates["output_path"] = args.output
-    if args.fmt is not None:
-        updates["fmt"] = args.fmt
-    return replace(cfg, **updates)
+        doc["initial_state"] = {"kind": "squeezed", "s": args.squeezing} if args.squeezing != 0.0 else {"kind": "vacuum"}
+    for dest, path in _FLAG_FIELDS:
+        value = getattr(args, dest)
+        if value is not None:
+            section, _, key = path.rpartition(".")
+            (doc[section] if section else doc)[key] = value
+    return ScanConfig.from_dict(doc)
 
 
 def _fmt_block(m: np.ndarray) -> str:
@@ -466,13 +448,12 @@ def _cmd_perturbative_compare(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     cfg = _config_from_args(args)
-    cfg = replace(cfg, oracle_enabled=True)
-    rows, summary = run_scan(cfg)
-    worst_f = max(abs(r["fidelity"] - r["fidelity_oracle"]) for r in rows)
-    worst_n = max(abs(r["delta_n"] - r["delta_n_oracle"]) for r in rows)
+    columns, summary = run_scan(cfg)
     print(f"wrote {cfg.output_path} ({cfg.steps} rows, cutoff {cfg.cutoff})")
-    print(f"max |fidelity - oracle| = {worst_f:.3e}")
-    print(f"max |delta_n - oracle| = {worst_n:.3e}")
+    for name in ("fidelity", "delta_n"):
+        if name in columns:
+            worst = max(abs(x - y) for x, y in zip(columns[name], columns[f"{name}_oracle"]))
+            print(f"max |{name} - oracle| = {worst:.3e}")
     print(summary.line())
     return 0
 
@@ -520,6 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=helptext)
         _add_common_flags(sub)
         sub.set_defaults(fn=fn)
+    subs.choices["oracle-check"].set_defaults(oracle=True)
     sub = subs.add_parser("circuit-map", help="map a pumped circuit to effective oscillator parameters")
     sub.add_argument("--epsilon-a", type=float, required=True)
     sub.add_argument("--epsilon-b", type=float, required=True)

@@ -123,7 +123,7 @@ class SymplecticMatrix:
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=complex))
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=complex))
         defect = self.bogoliubov_defect()
-        if defect > _defect_limit(self.alpha, self.beta):
+        if not defect <= _defect_limit(self.alpha, self.beta):
             raise ValueError(f"blocks violate the Bogoliubov identities (defect {defect:.3e})")
 
     def bogoliubov_defect(self) -> float:
@@ -204,7 +204,7 @@ def _defect_limit(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
 def check_bogoliubov(alpha: np.ndarray, beta: np.ndarray, t: np.ndarray, what: str):
     """Raise ArithmeticError, an internal failure, at the first t whose computed blocks break the identities."""
     defect = bogoliubov_defects(alpha, beta)
-    bad = np.flatnonzero(defect > _defect_limit(alpha, beta))
+    bad = np.flatnonzero(~(defect <= _defect_limit(alpha, beta)))
     if bad.size:
         i = bad[0]
         raise ArithmeticError(f"{what} violates the Bogoliubov identities at t={t[i]:.17g} (defect {defect[i]:.3e})")

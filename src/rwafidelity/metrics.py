@@ -79,7 +79,7 @@ def gaussian_grid(factor: PureStateFactor, p: OscillatorParams, t) -> GaussianGr
 
     fid = 1.0 / np.sqrt(np.real(np.linalg.det(np.eye(2) + _dagger(b_f) @ b_f)))
     fid_a = 1.0 / np.abs(np.linalg.det(a_f))
-    bad = np.flatnonzero(np.abs(fid - fid_a) > CROSS_CHECK_TOL * np.maximum(1.0, fid))
+    bad = np.flatnonzero(~(np.abs(fid - fid_a) <= CROSS_CHECK_TOL * np.maximum(1.0, fid)))
     if bad.size:
         i = bad[0]
         raise ArithmeticError(f"fidelity routes disagree at t={t[i]:.17g}: {fid[i]} vs {fid_a[i]}")
@@ -164,6 +164,6 @@ def vacuum_fidelity_moments(p: OscillatorParams, t: float) -> tuple[float, float
     var = dn2 - dn**2
     f_inv2 = 1.0 + 1.5 * dn + 0.5 * dn**2 - 0.25 * var
     det_route = float(grid.report.fidelity[0]) ** -2
-    if abs(f_inv2 - det_route) > CROSS_CHECK_TOL * max(1.0, det_route):
+    if not abs(f_inv2 - det_route) <= CROSS_CHECK_TOL * max(1.0, det_route):
         raise ArithmeticError(f"moment route {f_inv2} disagrees with determinant route {det_route}")
     return f_inv2, dn, dn2, var

@@ -98,6 +98,8 @@ class InitialState:
             raise ValueError(f"unknown initial state kind {self.kind!r}")
         if self.kind == "fock" and (self.n_a < 0 or self.n_b < 0):
             raise ValueError("fock occupations must be nonnegative")
+        if not np.isfinite(self.s):
+            raise ValueError(f"squeezing s must be finite, got {self.s!r}")
 
     def factor(self) -> PureStateFactor:
         if self.kind == "vacuum":
@@ -114,7 +116,7 @@ def vacuum() -> PureStateFactor:
 
 def squeezed_pair(s: float) -> PureStateFactor:
     """Both modes squeezed by the same real parameter s (no squeezing phase)."""
-    if abs(s) > SQUEEZING_RANGE:
+    if not abs(s) <= SQUEEZING_RANGE:
         raise ValueError(f"|s| <= {SQUEEZING_RANGE} required, got {s}")
     alpha0 = np.cosh(s) * np.eye(2, dtype=complex)
     beta0 = np.sinh(s) * np.eye(2, dtype=complex)

@@ -38,6 +38,12 @@ def make_config(tmp_path, **overrides):
     return ScanConfig(**fields)
 
 
+def _subprocess_env(*paths: str) -> dict:
+    """The environment with the package sources, then paths, put first on PYTHONPATH."""
+    entries = [str(Path(rwafidelity.__file__).parents[1]), *paths, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, entries))}
+
+
 class TestScanConfig:
     def test_json_roundtrip(self, tmp_path):
         cfg = make_config(tmp_path, initial_state=InitialState("squeezed", s=0.2), oracle_enabled=True, cutoff=24)
@@ -50,6 +56,8 @@ class TestScanConfig:
             make_config(tmp_path, outputs=("fidelity", "typo"))
         with pytest.raises(ConfigError, match="c2_prediction"):
             make_config(tmp_path, params=OscillatorParams(1.0, 2.0, 0.05, 0.05), outputs=("fidelity", "c2_prediction"))
+        with pytest.raises(ConfigError, match="end must exceed start"):
+            make_config(tmp_path, tau_end=float("nan"))
 
     def test_integral_float_is_accepted(self):
         cfg = ScanConfig.from_dict({**PARAMS_DOC, "tau_grid": {"steps": 101.0}, "oracle": {"cutoff": 24.0}})
@@ -64,8 +72,8 @@ class TestScanConfig:
 class TestRunScan:
     def test_uncoupled_fidelity_column_is_one(self, tmp_path):
         cfg = make_config(tmp_path, params=OscillatorParams(1.0, 1.0, 0.0, 0.0))
-        rows, summary = run_scan(cfg)
-        assert all(r["fidelity"] == 1.0 for r in rows)
+        columns, summary = run_scan(cfg)
+        assert all(f == 1.0 for f in columns["fidelity"])
         assert summary.min_fidelity == 1.0
 
     def test_recurrence_row(self, tmp_path):
@@ -77,23 +85,23 @@ class TestRunScan:
             tau_end=2.0 * t_star,
             steps=3,
         )
-        rows, _ = run_scan(cfg)
-        assert rows[1]["tau"] == pytest.approx(t_star)
-        assert rows[1]["fidelity"] == pytest.approx(1.0, abs=1e-8)
+        columns, _ = run_scan(cfg)
+        assert columns["tau"][1] == pytest.approx(t_star)
+        assert columns["fidelity"][1] == pytest.approx(1.0, abs=1e-8)
 
     def test_oracle_columns_agree(self, tmp_path):
         cfg = make_config(tmp_path, tau_end=4.0, steps=5, oracle_enabled=True, cutoff=30)
-        rows, _ = run_scan(cfg)
-        for r in rows:
-            assert abs(r["fidelity"] - r["fidelity_oracle"]) < 1e-6
-            assert abs(r["delta_n"] - r["delta_n_oracle"]) < 1e-6
+        columns, _ = run_scan(cfg)
+        for name in ("fidelity", "delta_n"):
+            for x, y in zip(columns[name], columns[f"{name}_oracle"], strict=True):
+                assert abs(x - y) < 1e-6
 
     def test_row_invariants(self, tmp_path):
         cfg = make_config(tmp_path, initial_state=InitialState("squeezed", s=0.3), tau_end=8.0, steps=17)
-        rows, _ = run_scan(cfg)
-        for r in rows:
-            assert 0.0 <= r["fidelity"] <= 1.0
-            assert r["bures"] ** 2 == pytest.approx(2.0 * (1.0 - np.sqrt(r["fidelity"])), abs=1e-9)
+        columns, _ = run_scan(cfg)
+        for fid, bures in zip(columns["fidelity"], columns["bures"], strict=True):
+            assert 0.0 <= fid <= 1.0
+            assert bures**2 == pytest.approx(2.0 * (1.0 - np.sqrt(fid)), abs=1e-9)
 
     def test_csv_header_and_determinism(self, tmp_path):
         cfg = make_config(tmp_path, outputs=("fidelity", "bures", "delta_n", "r_plus", "r_minus", "c2_prediction"))
@@ -107,11 +115,12 @@ class TestRunScan:
 
     def test_csv_roundtrip_precision(self, tmp_path):
         cfg = make_config(tmp_path, tau_end=3.0, steps=4)
-        rows, _ = run_scan(cfg)
+        columns, _ = run_scan(cfg)
         with open(cfg.output_path) as fh:
             parsed = list(csv.DictReader(fh))
-        for row, ref in zip(parsed, rows):
-            assert float(row["fidelity"]) == ref["fidelity"]
+        for row, ref in zip(parsed, columns["fidelity"]):
+            assert float(row["fidelity"]) == ref
+        assert {name: [float(row[name]) for row in parsed] for name in columns} == columns
 
     def test_json_output_embeds_config(self, tmp_path):
         path = tmp_path / "scan.json"
@@ -121,6 +130,16 @@ class TestRunScan:
         assert ScanConfig.from_dict(doc["config"]) == cfg
         assert len(doc["rows"]) == cfg.steps
         assert "min_fidelity" in doc["summary"]
+
+    def test_json_summary_is_strict_json_without_statistic_columns(self, tmp_path):
+        path = tmp_path / "scan.json"
+        run_scan(make_config(tmp_path, outputs=("bures",), output_path=str(path), fmt="json"))
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        assert doc["summary"]["min_fidelity"] is None and doc["summary"]["max_abs_delta_n"] is None
 
     def test_regime_flags_reported(self, tmp_path):
         cfg = make_config(tmp_path, params=OscillatorParams(1.0, 1.0, 0.1, 0.1), tau_end=50.0)
@@ -241,6 +260,9 @@ class TestMainExitCodes:
             ({**PARAMS_DOC, "tau_grid": {"steps": 2.9}}, "tau_grid.steps"),
             ({**PARAMS_DOC, "oracle": {"cutoff": 40.7}}, "oracle.cutoff"),
             ({**PARAMS_DOC, "oracle": {"cutoff": True}}, "oracle.cutoff"),
+            ({**PARAMS_DOC, "tau_grid": {"end": float("nan")}}, "tau_grid.end: expected a finite number, got nan"),
+            ({"params": {"omega_a": 10**400, "omega_b": 1.0}}, "params.omega_a"),
+            ({**PARAMS_DOC, "initial_state": {"kind": "vacuum", "s": 0.5}}, "initial_state: s needs kind squeezed"),
         ],
         ids=[
             "null-field",
@@ -251,6 +273,9 @@ class TestMainExitCodes:
             "fractional-steps",
             "fractional-cutoff",
             "bool-cutoff",
+            "nan-literal",
+            "int-beyond-float",
+            "vacuum-with-s",
         ],
     )
     def test_malformed_config_exit_2(self, tmp_path, capsys, doc, field):
@@ -270,6 +295,58 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "runtime error" in err and "t=0 " in err
 
+    def test_nan_rwa_block_exit_1(self, tmp_path, capsys, monkeypatch):
+        # NaN fails every internal check instead of passing it into the output
+        monkeypatch.setattr(dynamics, "rwa_block", lambda p, t: np.full((np.size(t), 2, 2), np.nan))
+        code = main(["fidelity-scan", "--g", "0.05", "--tau-end", "4", "--steps", "5", "--output", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "runtime error" in err and "t=0 " in err
+
+    @pytest.mark.parametrize(
+        "command, flags, field",
+        [
+            ("fidelity-scan", ["--squeezing", "nan"], "initial_state.s"),
+            ("fidelity-scan", ["--tau-end", "nan"], "tau_grid.end"),
+            ("fidelity-scan", ["--omega-b", "inf"], "params.omega_b"),
+            ("oracle-check", ["--squeezing", "nan"], "initial_state.s"),
+        ],
+        ids=["squeezing", "tau-end", "omega-b", "oracle-squeezing"],
+    )
+    def test_nonfinite_flag_exit_2(self, tmp_path, capsys, command, flags, field):
+        out_path = tmp_path / "x.csv"
+        assert main([command, *flags, "--steps", "3", "--output", str(out_path)]) == 2
+        assert f"validation error: {field}: expected a finite number" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "flags, path, expected",
+        [
+            (["--steps", "3"], ("tau_grid", "steps"), 3),
+            (["--g", "0.1", "--g-bs", "0.05"], ("params", "g_bs"), 0.05),
+            (["--g", "0.1", "--g-bs", "0.05"], ("params", "g_sq"), 0.1),
+            (["--g-sq", "0.02", "--g", "0.1"], ("params", "g_sq"), 0.02),
+            (["--squeezing", "0"], ("initial_state", "kind"), "vacuum"),
+            (["--tau-start", "1"], ("tau_grid", "end"), 5.0),
+        ],
+        ids=["steps", "g-then-g-bs", "g-keeps-g-sq", "g-sq-wins-over-g", "squeezing-0-is-vacuum", "others-kept"],
+    )
+    def test_flag_overwrites_one_config_field(self, tmp_path, flags, path, expected):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(make_config(tmp_path, initial_state=InitialState("squeezed", s=0.2)).to_json())
+        out_path = tmp_path / "out.json"
+        assert main(["fidelity-scan", "--config", str(cfg_path), *flags, "--format", "json", "--output", str(out_path)]) == 0
+        doc = json.loads(out_path.read_text())
+        section, key = path
+        assert doc["config"][section][key] == expected
+        assert len(doc["rows"]) == doc["config"]["tau_grid"]["steps"]
+
+    def test_module_entry_point_exit_code(self):
+        argv = [sys.executable, "-m", "rwafidelity.cli", "validity", "--g", "0.5"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=_subprocess_env())
+        assert proc.returncode == 2
+        assert "critical" in proc.stderr
+
     def test_config_file_drives_scan(self, tmp_path):
         out_path = tmp_path / "from_cfg.csv"
         cfg = make_config(tmp_path, output_path=str(out_path), steps=3)
@@ -286,6 +363,14 @@ class TestMainExitCodes:
         assert code == 0
         out = capsys.readouterr().out
         assert "max |fidelity - oracle|" in out
+
+    def test_oracle_check_without_fidelity_column(self, tmp_path, capsys):
+        cfg = make_config(tmp_path, outputs=("delta_n",), tau_end=2.0, steps=3, cutoff=24)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        assert main(["oracle-check", "--config", str(cfg_path)]) == 0
+        out = capsys.readouterr().out
+        assert "max |delta_n - oracle|" in out and "max |fidelity - oracle|" not in out
 
     def test_perturbative_compare_slope(self, capsys):
         code = main(["perturbative-compare", "--omega-a", "1", "--omega-b", "1", "--g", "0.1", "--tau-end", "5", "--steps", "6"])
@@ -319,7 +404,6 @@ def test_cli_import_leaves_scipy_out():
         "import sys, rwafidelity, rwafidelity.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath', 'reference')))"
     )
-    paths = [str(Path(rwafidelity.__file__).parents[1]), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env = _subprocess_env(str(Path(__file__).parent))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env).stdout
     assert out.strip() == "[]"

@@ -16,6 +16,7 @@ from rwafidelity.dynamics import (
     OscillatorParams,
     SymplecticMatrix,
     UnstableParamsError,
+    check_bogoliubov,
     critical_coupling,
     evolution_blocks,
     hamiltonian_matrix,
@@ -327,6 +328,13 @@ class TestSymplecticMatrix:
     def test_rejects_invalid_blocks(self):
         with pytest.raises(ValueError):
             SymplecticMatrix(2.0 * np.eye(2), np.zeros((2, 2)))
+
+    def test_nan_blocks_fail_the_checks(self):
+        nan = np.full((2, 2), np.nan)
+        with pytest.raises(ValueError, match="Bogoliubov"):
+            SymplecticMatrix(nan, np.zeros((2, 2)))
+        with pytest.raises(ArithmeticError, match="t=1 "):
+            check_bogoliubov(np.stack([np.eye(2), nan]), np.zeros((2, 2, 2)), np.array([0.0, 1.0]), "S")
 
     def test_inverse(self):
         s = time_evolution(OscillatorParams(1.0, 1.1, 0.2, 0.2), 1.3)

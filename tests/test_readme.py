@@ -1,12 +1,30 @@
 import re
+import shlex
 from pathlib import Path
+
+from rwafidelity.cli import main
 
 README = Path(__file__).parents[1] / "README.md"
 
 
+def _blocks(text: str, lang: str) -> list[str]:
+    return re.findall(rf"^```{lang}\n(.*?)^```", text, flags=re.S | re.M)
+
+
 def test_readme_python_blocks_run():
     # the quickstart is executed, so a renamed or moved name breaks a test, not only the docs
-    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.S | re.M)
+    blocks = _blocks(README.read_text(), "python")
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    # each command of the "Command line" section, with that section's JSON document as scan.json
+    section = README.read_text().split("## Command line", 1)[1]
+    commands = [shlex.split(line) for line in _blocks(section, "")[0].replace("\\\n", " ").splitlines()]
+    assert commands and all(argv[0] == "rwafidelity" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scan.json").write_text(_blocks(section, "json")[0])
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv

@@ -57,6 +57,13 @@ class TestSqueezedPair:
         with pytest.raises(ValueError):
             squeezed_pair(10.5)
 
+    @pytest.mark.parametrize("s", [float("nan"), float("inf")])
+    def test_rejects_nonfinite(self, s):
+        with pytest.raises(ValueError):
+            squeezed_pair(s)
+        with pytest.raises(ValueError, match="finite"):
+            InitialState("squeezed", s=s)
+
 
 class TestThermal:
     def test_symplectic_eigenvalues(self):
