@@ -38,7 +38,7 @@ from .states import (
     CovarianceMatrix,
     InitialState,
     NonPhysicalStateError,
-    PureStateFactor,
+    covariance,
     squeezed_pair,
     symplectic_eigenvalues,
     vacuum,

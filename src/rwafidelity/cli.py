@@ -42,6 +42,7 @@ __all__ = [
 CORE_OUTPUTS = ("fidelity", "bures", "delta_n", "r_plus", "r_minus")
 KNOWN_OUTPUTS = CORE_OUTPUTS + ("c2_prediction",)
 ORACLE_OUTPUTS = ("fidelity_oracle", "delta_n_oracle")
+MAX_STEPS = 10**6  # every row, about 1 KB, is held in memory before writing
 
 
 class ConfigError(ValueError):
@@ -105,6 +106,8 @@ class ScanConfig:
             problems.append("tau_grid: end must exceed start")
         if self.steps < 2:
             problems.append("tau_grid: steps must be at least 2")
+        elif self.steps > MAX_STEPS:
+            problems.append(f"tau_grid: steps must be at most {MAX_STEPS}")
         for name in self.outputs:
             if name not in KNOWN_OUTPUTS:
                 problems.append(f"outputs: unrecognized quantity {name!r}")

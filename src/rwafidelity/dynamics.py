@@ -80,7 +80,7 @@ class OscillatorParams:
         if abs(self.g_bs) + abs(self.g_sq) >= bound * (1.0 - CRITICAL_MARGIN):
             raise UnstableParamsError(
                 f"couplings |g_bs|+|g_sq| = {abs(self.g_bs) + abs(self.g_sq):.6g} reach the "
-                f"critical coupling {critical_coupling_value(self.omega_a, self.omega_b, self.g_bs, self.g_sq):.6g} "
+                f"critical coupling {critical_coupling(self):.6g} "
                 f"(stability bound sqrt(omega_a*omega_b) = {bound:.6g})"
             )
 
@@ -93,7 +93,7 @@ class OscillatorParams:
         return abs(self.omega_a**2 - self.omega_b**2) < 1e-12
 
 
-def critical_coupling_value(omega_a: float, omega_b: float, g_bs: float, g_sq: float) -> float:
+def critical_coupling(p: OscillatorParams) -> float:
     """Critical coupling magnitude along the ray through (g_bs, g_sq).
 
     Scaling the coupling pair by c keeps stability while
@@ -101,15 +101,11 @@ def critical_coupling_value(omega_a: float, omega_b: float, g_bs: float, g_sq: f
     the larger coupling at the first boundary crossing.  Equal couplings give
     sqrt(wa*wb)/2, a single coupling gives sqrt(wa*wb).
     """
-    bound = np.sqrt(omega_a * omega_b)
-    total = abs(g_bs) + abs(g_sq)
+    bound = np.sqrt(p.omega_a * p.omega_b)
+    total = abs(p.g_bs) + abs(p.g_sq)
     if total == 0.0:
         return bound / 2.0  # degenerate ray; quote the equal-couplings value
-    return bound * max(abs(g_bs), abs(g_sq)) / total
-
-
-def critical_coupling(p: OscillatorParams) -> float:
-    return critical_coupling_value(p.omega_a, p.omega_b, p.g_bs, p.g_sq)
+    return bound * max(abs(p.g_bs), abs(p.g_sq)) / total
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ initial vector is propagated, by a Chebyshev expansion of exp(-i H dt) over the
 Gershgorin interval of H (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
 Every term with a Bessel factor J_k(b dt) above double-precision roundoff is
 kept, so the propagation is unitary to rounding (about 1e-14), not exactly.
-The cost grows as (omega_a + omega_b) * cutoff * |time span|.
+The cost grows as (omega_a + omega_b) * cutoff * |time span|, and a request
+whose estimated work exceeds WORK_BUDGET is refused before it starts.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .states import InitialState
 __all__ = [
     "TruncationError",
     "FockBasis",
-    "FockVector",
     "GridHamiltonian",
     "chebyshev_coefficients",
     "fock_vector",
@@ -40,6 +40,10 @@ __all__ = [
 TAIL_TOL = 1e-8
 MAX_CUTOFF = 96
 BOUND_CERT_TOL = 1e-6
+# Largest trajectory, in amplitude updates: a Chebyshev term costs the stacked length plus
+# TERM_OVERHEAD for the interpreter.  One update took 13-15 ns on one core: about a minute.
+WORK_BUDGET = 4e9
+TERM_OVERHEAD = 1200
 
 
 class TruncationError(RuntimeError):
@@ -82,31 +86,6 @@ class FockBasis:
         mask = np.maximum(*self.occupations(np.arange(self.dim))) == self.cutoff
         mask.flags.writeable = False
         return mask
-
-
-@dataclass
-class FockVector:
-    """State vector on a FockBasis."""
-
-    basis: FockBasis
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.basis.dim,):
-            raise ValueError("amplitude length does not match the basis dimension")
-        self.amplitudes = amp
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def tail_weight(self) -> float:
-        """Probability mass sitting on the boundary shell of the truncation."""
-        return float(np.sum(np.abs(self.amplitudes[self.basis.boundary_mask]) ** 2))
-
-    def number_expectation(self) -> float:
-        n = self.basis.number_vector
-        return float(np.real(np.vdot(self.amplitudes, n * self.amplitudes)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,10 +160,10 @@ def chebyshev_coefficients(x: float) -> np.ndarray:
     return np.where(k == 0, 1.0, 2.0) * (-1j * np.sign(x)) ** (k % 4) * j[:kept]
 
 
-def fock_vector(basis: FockBasis, n_a: int, n_b: int) -> FockVector:
+def fock_vector(basis: FockBasis, n_a: int, n_b: int) -> np.ndarray:
     amp = np.zeros(basis.dim, dtype=complex)
     amp[basis.index(n_a, n_b)] = 1.0
-    return FockVector(basis, amp)
+    return amp
 
 
 def squeezed_mode_amplitudes(s: float, cutoff: int) -> np.ndarray:
@@ -201,8 +180,8 @@ def squeezed_mode_amplitudes(s: float, cutoff: int) -> np.ndarray:
     return amp / math.sqrt(math.cosh(s))
 
 
-def squeezed_vector(basis: FockBasis, s: float) -> tuple[FockVector, float]:
-    """Truncated squeezed-pair state and the discarded weight before renormalization."""
+def squeezed_vector(basis: FockBasis, s: float) -> tuple[np.ndarray, float]:
+    """Amplitudes of the truncated squeezed-pair state and the discarded weight before renormalization."""
     mode = squeezed_mode_amplitudes(s, basis.cutoff)
     amp = np.kron(mode, mode).astype(complex)
     weight = float(np.sum(np.abs(amp) ** 2))
@@ -210,12 +189,11 @@ def squeezed_vector(basis: FockBasis, s: float) -> tuple[FockVector, float]:
     if discarded > TAIL_TOL:
         raise TruncationError(f"initial squeezed state loses weight {discarded:.3e} at cutoff {basis.cutoff}")
     amp /= math.sqrt(weight)
-    return FockVector(basis, amp), discarded
+    return amp, discarded
 
 
-def initial_vector(basis: FockBasis, initial: InitialState) -> tuple[FockVector, float]:
-    if initial.kind == "vacuum":
-        return fock_vector(basis, 0, 0), 0.0
+def initial_vector(basis: FockBasis, initial: InitialState) -> tuple[np.ndarray, float]:
+    """Amplitudes of the initial state and their discarded weight; the vacuum is |0, 0>."""
     if initial.kind == "squeezed":
         return squeezed_vector(basis, initial.s)
     return fock_vector(basis, initial.n_a, initial.n_b), 0.0
@@ -243,13 +221,12 @@ class FockOracle:
         scale = 2.0 / self._half
         self._recurrence = GridHamiltonian((pair.diagonal - self._centre) * scale, pair.bs * scale, pair.sq * scale)
 
-    def _step(self, psi: np.ndarray, dt: float) -> np.ndarray:
+    def _step(self, psi: np.ndarray, dt: float, coeffs: np.ndarray) -> np.ndarray:
         # The recurrence cycles through four fixed buffers (prev starts as a
         # copy, since its buffer is reused).  With fresh temporaries on every
         # term its speed hung on the state of the heap: a cutoff-80
         # oracle-check ran 15-50% slower after an unrelated change in what
-        # else was allocated.
-        coeffs = chebyshev_coefficients(self._half * dt)
+        # else was allocated.  coeffs is shared between steps, so it is only read.
         out = coeffs[0] * psi
         prev, cur, spare, work = psi.copy(), np.empty_like(psi), np.empty_like(psi), np.empty_like(psi)
         self._recurrence._apply(psi, cur, work)
@@ -263,15 +240,24 @@ class FockOracle:
             out += work
         return np.exp(-1j * self._centre * dt) * out
 
-    def _trajectory(self, psi0: FockVector, ts):
-        """(full, rwa) states at each time of ts, each stepped from the one before (from t = 0 first)."""
-        dim, t_prev = self.basis.dim, 0.0
-        pair = np.tile(psi0.amplitudes, 2)
-        for t in ts:
-            pair, t_prev = self._step(pair, t - t_prev), t
-            yield FockVector(self.basis, pair[:dim]), FockVector(self.basis, pair[dim:])
+    def _trajectory(self, psi0: np.ndarray, ts):
+        """(2, dim) rows (full, rwa) at each time of ts, stepped from t = 0; ValueError first if over WORK_BUDGET."""
+        dts = np.diff(np.asarray(ts, dtype=float), prepend=0.0)
+        x = self._half * np.abs(dts)
+        work = (2 * self.basis.dim + TERM_OVERHEAD) * float(np.sum(x + 16.0 * np.cbrt(x) + 40.0))
+        if not work <= WORK_BUDGET:
+            msg = f"the oracle would need about {work:.3g} amplitude updates, over the budget of {WORK_BUDGET:.3g}"
+            raise ValueError(f"{msg}; shorten the tau span or lower the cutoff")
+        coeffs = {}  # one entry per distinct step: rounding leaves a linspace grid only a few
+        pair = np.tile(psi0, 2)
+        for dt in dts:
+            if dt not in coeffs:
+                coeffs[dt] = chebyshev_coefficients(self._half * dt)
+            pair = self._step(pair, dt, coeffs[dt])
+            yield pair.reshape(2, -1)
 
-    def evolved_pair(self, initial: InitialState, t: float) -> tuple[FockVector, FockVector, float]:
+    def evolved_pair(self, initial: InitialState, t: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """Amplitudes (full, rwa) at time t and the initial state's discarded weight."""
         psi0, discarded = initial_vector(self.basis, initial)
         ((psi_full, psi_rwa),) = self._trajectory(psi0, [t])
         return psi_full, psi_rwa, discarded
@@ -279,14 +265,15 @@ class FockOracle:
     def compare(self, initial: InitialState, ts) -> OraclePoint:
         """Oracle outputs over an array of times, or float fields for a scalar t."""
         psi0, tail = initial_vector(self.basis, initial)
+        mask, n = self.basis.boundary_mask, self.basis.number_vector
         times = np.asarray(ts, dtype=float)
         fid, d_n = np.empty(times.shape), np.empty(times.shape)
         for i, (psi_full, psi_rwa) in enumerate(self._trajectory(psi0, times.reshape(-1))):
-            tail = max(tail, psi_full.tail_weight(), psi_rwa.tail_weight())
+            tail = max(tail, *(float(np.sum(np.abs(v[mask]) ** 2)) for v in (psi_full, psi_rwa)))
             if tail > TAIL_TOL:
                 raise TruncationError(f"truncation tail {tail:.3e} exceeds {TAIL_TOL} at cutoff {self.basis.cutoff}")
-            fid.flat[i] = abs(np.vdot(psi_rwa.amplitudes, psi_full.amplitudes)) ** 2
-            d_n.flat[i] = psi_full.number_expectation() - psi_rwa.number_expectation()
+            fid.flat[i] = abs(np.vdot(psi_rwa, psi_full)) ** 2
+            d_n.flat[i] = np.real(np.vdot(psi_full, n * psi_full)) - np.real(np.vdot(psi_rwa, n * psi_rwa))
         if times.ndim == 0:
             fid, d_n = float(fid), float(d_n)
         return OraclePoint(fidelity=fid, delta_n=d_n, tail_weight=tail)
@@ -309,7 +296,7 @@ class BoundCheckResult:
 
 def _propagation_distance(p: OscillatorParams, n_a: int, n_b: int, t: float, cutoff: int) -> float:
     psi_full, psi_rwa, _ = FockOracle(p, cutoff).evolved_pair(InitialState("fock", n_a=n_a, n_b=n_b), t)
-    return float(np.linalg.norm(psi_full.amplitudes - psi_rwa.amplitudes))
+    return float(np.linalg.norm(psi_full - psi_rwa))
 
 
 def bound_check(n_a: int, n_b: int, p: OscillatorParams, t: float, cutoff: int) -> BoundCheckResult:
@@ -318,9 +305,9 @@ def bound_check(n_a: int, n_b: int, p: OscillatorParams, t: float, cutoff: int) 
     The distance is recomputed at double the cutoff; a shift beyond the
     certification tolerance means the truncation is too small.
     """
-    if abs(p.omega_a - p.omega_b) > 1e-12:
+    if not p.resonant:
         raise ValueError("the bound is derived on resonance")
-    if p.g_bs != p.g_sq:
+    if not p.equal_couplings:
         raise ValueError("the bound compares equal couplings against their RWA")
     if 2 * cutoff > MAX_CUTOFF:
         raise ValueError(f"the certification doubles the cutoff, so it must be at most {MAX_CUTOFF // 2}")

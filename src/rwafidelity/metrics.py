@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import OscillatorParams, _dagger, check_bogoliubov, compose, effective_blocks
-from .states import PureStateFactor, vacuum
+from .dynamics import OscillatorParams, SymplecticMatrix, _dagger, check_bogoliubov, compose, effective_blocks
+from .states import vacuum
 
 __all__ = [
     "FidelityReport",
@@ -64,7 +64,7 @@ def _trace(m: np.ndarray) -> np.ndarray:
     return np.real(m[..., 0, 0] + m[..., 1, 1])
 
 
-def gaussian_grid(factor: PureStateFactor, p: OscillatorParams, t) -> GaussianGrid:
+def gaussian_grid(factor: SymplecticMatrix, p: OscillatorParams, t) -> GaussianGrid:
     """Full-vs-RWA comparison of the initial state at each time of a 1-D array.
 
     Checked at every time: the Bogoliubov identities of S(t) and S_f, and the
@@ -89,7 +89,7 @@ def gaussian_grid(factor: PureStateFactor, p: OscillatorParams, t) -> GaussianGr
     return GaussianGrid(report, _delta_n(factor, a_eff, b_eff), a_f, b_f)
 
 
-def effective_bogoliubov(factor: PureStateFactor, p: OscillatorParams, t: float) -> tuple[np.ndarray, np.ndarray]:
+def effective_bogoliubov(factor: SymplecticMatrix, p: OscillatorParams, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Blocks (A_f, B_f) of s0^-1 S_RWA^dag(t) S(t) s0 at one time."""
     grid = gaussian_grid(factor, p, [t])
     return grid.a_f[0], grid.b_f[0]
@@ -111,18 +111,18 @@ def bloch_messiah(b_block: np.ndarray) -> tuple[float, float]:
     return np.arcsinh(np.sqrt(lam_plus)), np.arcsinh(np.sqrt(lam_minus))
 
 
-def fidelity_eff(factor: PureStateFactor, p: OscillatorParams, t: float) -> FidelityReport:
+def fidelity_eff(factor: SymplecticMatrix, p: OscillatorParams, t: float) -> FidelityReport:
     """Fidelity between the full- and RWA-evolved images of the initial state."""
     return gaussian_grid(factor, p, [t]).report.at(0)
 
 
-def _delta_n(factor: PureStateFactor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _delta_n(factor: SymplecticMatrix, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     al0, be0 = factor.alpha, factor.beta
     m = _dagger(b) @ b
     return _trace(m) + 2.0 * _trace(m @ be0.conj() @ be0.T) + 2.0 * _trace(_dagger(b) @ a @ al0 @ be0.T)
 
 
-def delta_n(factor: PureStateFactor, p: OscillatorParams, t: float) -> float:
+def delta_n(factor: SymplecticMatrix, p: OscillatorParams, t: float) -> float:
     """Average excitation surplus of the full evolution over the RWA one.
 
     The RWA evolution conserves the total number, so the passive 2x2 block

@@ -122,10 +122,7 @@ def _require_resonance(regime: PerturbativeRegime):
 
 def vacuum_perturbative_fidelity(regime: PerturbativeRegime) -> float:
     """Second-order fidelity law for an initial vacuum on resonance."""
-    _require_resonance(regime)
-    g, tau = regime.g_tilde, regime.tau
-    kp, km = regime.kappas()
-    return 1.0 - 0.5 * g**2 * (np.sin(kp * tau) ** 2 + np.sin(km * tau) ** 2)
+    return 1.0 - vacuum_perturbative_bures_sq(regime)
 
 
 def vacuum_perturbative_bures_sq(regime: PerturbativeRegime) -> float:

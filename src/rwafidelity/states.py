@@ -17,8 +17,8 @@ from .dynamics import SymplecticMatrix, colpa
 __all__ = [
     "NonPhysicalStateError",
     "CovarianceMatrix",
-    "PureStateFactor",
     "InitialState",
+    "covariance",
     "vacuum",
     "squeezed_pair",
     "symplectic_eigenvalues",
@@ -60,32 +60,11 @@ class CovarianceMatrix:
 
 
 @dataclass(frozen=True)
-class PureStateFactor:
-    """Symplectic factor s0 of a pure state's covariance, sigma = s0 s0^dag."""
-
-    s0: SymplecticMatrix
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.s0.alpha
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self.s0.beta
-
-    @property
-    def covariance(self) -> CovarianceMatrix:
-        s4 = self.s0.matrix
-        sig = s4 @ s4.conj().T
-        return CovarianceMatrix(0.5 * (sig + sig.conj().T))
-
-
-@dataclass(frozen=True)
 class InitialState:
     """Tagged initial-state choice shared by the scan harness and the oracle.
 
     ``vacuum`` and ``squeezed`` have Gaussian factors; ``fock`` exists only
-    for the brute-force number-basis route.
+    for the brute-force number-basis route, and alone takes occupations.
     """
 
     kind: str
@@ -98,10 +77,12 @@ class InitialState:
             raise ValueError(f"unknown initial state kind {self.kind!r}")
         if self.kind == "fock" and (self.n_a < 0 or self.n_b < 0):
             raise ValueError("fock occupations must be nonnegative")
+        if self.kind != "fock" and (self.n_a or self.n_b):
+            raise ValueError(f"occupations n_a, n_b need kind fock, got kind {self.kind!r}")
         if not np.isfinite(self.s):
             raise ValueError(f"squeezing s must be finite, got {self.s!r}")
 
-    def factor(self) -> PureStateFactor:
+    def factor(self) -> SymplecticMatrix:
         if self.kind == "vacuum":
             return vacuum()
         if self.kind == "squeezed":
@@ -109,18 +90,25 @@ class InitialState:
         raise ValueError("fock states have no Gaussian factor")
 
 
-def vacuum() -> PureStateFactor:
+def vacuum() -> SymplecticMatrix:
     """The two-mode vacuum: sigma = I, s0 = I."""
-    return PureStateFactor(SymplecticMatrix.identity())
+    return SymplecticMatrix.identity()
 
 
-def squeezed_pair(s: float) -> PureStateFactor:
-    """Both modes squeezed by the same real parameter s (no squeezing phase)."""
+def squeezed_pair(s: float) -> SymplecticMatrix:
+    """Factor s0 of both modes squeezed by the same real parameter s (no squeezing phase)."""
     if not abs(s) <= SQUEEZING_RANGE:
         raise ValueError(f"|s| <= {SQUEEZING_RANGE} required, got {s}")
     alpha0 = np.cosh(s) * np.eye(2, dtype=complex)
     beta0 = np.sinh(s) * np.eye(2, dtype=complex)
-    return PureStateFactor(SymplecticMatrix(alpha0, beta0))
+    return SymplecticMatrix(alpha0, beta0)
+
+
+def covariance(s0: SymplecticMatrix) -> CovarianceMatrix:
+    """Covariance sigma = s0 s0^dag of the pure state with symplectic factor s0."""
+    s4 = s0.matrix
+    sig = s4 @ s4.conj().T
+    return CovarianceMatrix(0.5 * (sig + sig.conj().T))
 
 
 def symplectic_eigenvalues(cov: CovarianceMatrix | np.ndarray) -> tuple[float, float]:

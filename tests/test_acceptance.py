@@ -26,7 +26,7 @@ from rwafidelity.perturbation import (
     q_resonant_closed,
     vacuum_perturbative_fidelity,
 )
-from rwafidelity.states import InitialState, PureStateFactor, squeezed_pair, vacuum
+from rwafidelity.states import InitialState, squeezed_pair, vacuum
 
 LADDER = np.array([0.1, 0.05, 0.025])
 
@@ -99,9 +99,7 @@ def test_criterion_2_main_result_consistency():
 
 def test_criterion_3_rwa_exact_without_squeezing():
     rng = np.random.default_rng(103)
-    passive = PureStateFactor(
-        SymplecticMatrix(rwa_block(OscillatorParams(1.0, 1.3, 0.2, 0.0), 0.9), np.zeros((2, 2)))
-    )
+    passive = SymplecticMatrix(rwa_block(OscillatorParams(1.0, 1.3, 0.2, 0.0), 0.9), np.zeros((2, 2)))
     worst = 0.0
     for _ in range(40):
         wa, wb = rng.uniform(0.3, 3.0, 2)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import rwafidelity
 from rwafidelity import dynamics
 from rwafidelity.cli import (
+    MAX_STEPS,
     CircuitParams,
     ConfigError,
     ScanConfig,
@@ -363,6 +365,18 @@ class TestMainExitCodes:
         assert code == 0
         out = capsys.readouterr().out
         assert "max |fidelity - oracle|" in out
+
+    def test_oracle_check_over_work_budget_exit_2(self, tmp_path, capsys):
+        start = time.perf_counter()
+        code = main(["oracle-check", "--cutoff", "96", "--tau-end", "100000", "--steps", "3", "--output", str(tmp_path / "oc.csv")])
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        assert "budget" in capsys.readouterr().err
+
+    def test_steps_cap_exit_2(self, tmp_path, capsys):
+        assert main(["fidelity-scan", "--steps", str(MAX_STEPS + 1), "--output", str(tmp_path / "out.csv")]) == 2
+        assert f"tau_grid: steps must be at most {MAX_STEPS}" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_oracle_check_without_fidelity_column(self, tmp_path, capsys):
         cfg = make_config(tmp_path, outputs=("delta_n",), tau_end=2.0, steps=3, cutoff=24)

@@ -25,7 +25,7 @@ from rwafidelity.dynamics import (
     time_evolution,
 )
 from rwafidelity.metrics import delta_n, effective_bogoliubov, fidelity_eff, gaussian_grid
-from rwafidelity.states import squeezed_pair, vacuum
+from rwafidelity.states import covariance, squeezed_pair, vacuum
 
 
 def random_params(rng, equal=False, margin=0.9):
@@ -309,7 +309,7 @@ class TestInvariants:
         rng = np.random.default_rng(14)
         p = random_params(rng, equal=True)
         h = hamiltonian_matrix(p)
-        sigma0 = vacuum().covariance.sigma
+        sigma0 = covariance(vacuum()).sigma
         e0 = np.trace(h @ sigma0).real
         for t in (0.5, 3.0, 42.0):
             s4 = time_evolution(p, t).matrix
@@ -318,7 +318,7 @@ class TestInvariants:
 
     def test_rwa_passivity(self):
         p = OscillatorParams(1.0, 1.2, 0.4, 0.4)
-        sigma0 = vacuum().covariance.sigma
+        sigma0 = covariance(vacuum()).sigma
         for t in (0.5, 3.0, 42.0):
             s4 = rwa_evolution(p, t).matrix
             assert abs(np.trace(s4 @ sigma0 @ s4.conj().T).real - np.trace(sigma0).real) < 1e-10

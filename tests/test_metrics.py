@@ -11,31 +11,31 @@ from rwafidelity.metrics import (
     number_moments,
     vacuum_fidelity_moments,
 )
-from rwafidelity.states import InitialState, PureStateFactor, squeezed_pair, vacuum
+from rwafidelity.states import InitialState, covariance, squeezed_pair, vacuum
 
 
-def random_factor(rng) -> PureStateFactor:
+def random_factor(rng) -> SymplecticMatrix:
     """Pure-state factor with generic squeezing: product of two evolutions."""
     p1 = OscillatorParams(1.0, 1.3, 0.25, 0.25)
     p2 = OscillatorParams(0.8, 1.1, 0.0, 0.3)
     s = time_evolution(p1, rng.uniform(0, 5)) @ time_evolution(p2, rng.uniform(0, 5))
-    return PureStateFactor(s)
+    return s
 
 
-def delta_n_from_trace(factor: PureStateFactor, p: OscillatorParams, t: float) -> float:
+def delta_n_from_trace(factor: SymplecticMatrix, p: OscillatorParams, t: float) -> float:
     """delta_n from its covariance-trace definition: reference for the block formula."""
-    sigma0 = factor.covariance.sigma
+    sigma0 = covariance(factor).sigma
     s4 = time_evolution(p, t).matrix
     return float(np.real(np.trace(s4 @ sigma0 @ s4.conj().T) - np.trace(sigma0)) / 4.0)
 
 
 class TestGaussianFidelity:
     def test_identical_pure_states(self):
-        cov = squeezed_pair(0.3).covariance
+        cov = covariance(squeezed_pair(0.3))
         assert gaussian_fidelity(cov, cov) == pytest.approx(1.0, abs=1e-10)
 
     def test_vacuum_vs_squeezed_pair(self):
-        got = gaussian_fidelity(vacuum().covariance, squeezed_pair(0.4).covariance)
+        got = gaussian_fidelity(covariance(vacuum()), covariance(squeezed_pair(0.4)))
         assert got == pytest.approx(1.0 / np.cosh(0.4) ** 2, abs=1e-9)
 
     def test_identical_thermal_states(self):
@@ -43,15 +43,15 @@ class TestGaussianFidelity:
 
     def test_vacuum_vs_thermal(self):
         nu = 3.0
-        got = gaussian_fidelity(vacuum().covariance, thermal(nu))
+        got = gaussian_fidelity(covariance(vacuum()), thermal(nu))
         assert got == pytest.approx(4.0 / (1.0 + nu) ** 2, abs=1e-10)
 
     def test_pure_state_reduction_of_formula(self):
         # for pure inputs Lambda vanishes, Gamma = Delta, and F = 4/sqrt(Gamma)
         rng = np.random.default_rng(30)
         for _ in range(10):
-            c1 = random_factor(rng).covariance
-            c2 = random_factor(rng).covariance
+            c1 = covariance(random_factor(rng))
+            c2 = covariance(random_factor(rng))
             s1, s2 = c1.sigma, c2.sigma
             ident = np.eye(4)
             gam = np.linalg.det(ident - OMEGA @ s1 @ OMEGA @ s2).real
@@ -64,7 +64,7 @@ class TestGaussianFidelity:
     def test_bounded_by_one(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            f = gaussian_fidelity(random_factor(rng).covariance, random_factor(rng).covariance)
+            f = gaussian_fidelity(covariance(random_factor(rng)), covariance(random_factor(rng)))
             assert 0.0 <= f <= 1.0
 
 
@@ -122,7 +122,7 @@ class TestFidelityEff:
     def test_no_squeezing_theorem(self):
         # passive dynamics + passive initial state: fidelity identically one
         p = OscillatorParams(1.0, 1.7, 0.5, 0.0)
-        passive = PureStateFactor(SymplecticMatrix(rwa_block(OscillatorParams(1.0, 1.1, 0.2, 0.0), 1.3), np.zeros((2, 2))))
+        passive = SymplecticMatrix(rwa_block(OscillatorParams(1.0, 1.1, 0.2, 0.0), 1.3), np.zeros((2, 2)))
         for t in (0.5, 2.0, 7.0, 15.0):
             assert fidelity_eff(vacuum(), p, t).fidelity == pytest.approx(1.0, abs=1e-10)
             assert fidelity_eff(passive, p, t).fidelity == pytest.approx(1.0, abs=1e-10)

@@ -7,6 +7,7 @@ from rwafidelity.states import (
     CovarianceMatrix,
     InitialState,
     NonPhysicalStateError,
+    covariance,
     squeezed_pair,
     symplectic_eigenvalues,
     vacuum,
@@ -15,22 +16,22 @@ from rwafidelity.states import (
 
 class TestVacuum:
     def test_covariance_is_identity(self):
-        cov = vacuum().covariance
+        cov = covariance(vacuum())
         assert np.array_equal(cov.sigma, np.eye(4))
 
     def test_symplectic_eigenvalues(self):
-        assert symplectic_eigenvalues(vacuum().covariance) == pytest.approx((1.0, 1.0), abs=1e-12)
+        assert symplectic_eigenvalues(covariance(vacuum())) == pytest.approx((1.0, 1.0), abs=1e-12)
 
     def test_pure(self):
-        assert is_pure(vacuum().covariance)
+        assert is_pure(covariance(vacuum()))
 
 
 class TestSqueezedPair:
     def test_zero_squeezing_is_vacuum(self):
-        assert np.allclose(squeezed_pair(0.0).covariance.sigma, np.eye(4), atol=1e-15)
+        assert np.allclose(covariance(squeezed_pair(0.0)).sigma, np.eye(4), atol=1e-15)
 
     def test_covariance_blocks(self):
-        cov = squeezed_pair(0.5).covariance
+        cov = covariance(squeezed_pair(0.5))
         assert cov.sigma[0, 0].real == pytest.approx(np.cosh(1.0), abs=1e-12)
         assert cov.sigma[0, 0].real == pytest.approx(1.5430806348152437, abs=1e-9)
         assert cov.sigma[0, 2].real == pytest.approx(np.sinh(1.0), abs=1e-12)
@@ -43,15 +44,15 @@ class TestSqueezedPair:
 
     def test_pure_for_any_squeezing(self):
         for s in (0.1, 0.5, 0.7, 2.0):
-            assert symplectic_eigenvalues(squeezed_pair(s).covariance) == pytest.approx((1.0, 1.0), abs=1e-8)
+            assert symplectic_eigenvalues(covariance(squeezed_pair(s))) == pytest.approx((1.0, 1.0), abs=1e-8)
         # sigma's condition number grows as e^(4s); purity holds to the norm-relative tolerance
         for s in (7.0, 8.0, 8.5):
-            assert is_pure(squeezed_pair(s).covariance)
+            assert is_pure(covariance(squeezed_pair(s)))
 
     def test_reconstruction(self):
         f = squeezed_pair(0.4)
-        s4 = f.s0.matrix
-        assert np.max(np.abs(s4 @ s4.conj().T - f.covariance.sigma)) < 1e-10
+        s4 = f.matrix
+        assert np.max(np.abs(s4 @ s4.conj().T - covariance(f).sigma)) < 1e-10
 
     def test_range_guard(self):
         with pytest.raises(ValueError):
@@ -102,16 +103,16 @@ class TestApplySymplectic:
     def test_identity_fixes_vacuum(self):
         from rwafidelity.dynamics import SymplecticMatrix
 
-        out = apply_symplectic(vacuum().covariance, SymplecticMatrix.identity())
+        out = apply_symplectic(covariance(vacuum()), SymplecticMatrix.identity())
         assert np.allclose(out.sigma, np.eye(4))
 
     def test_squeezer_creates_squeezed_pair(self):
-        out = apply_symplectic(vacuum().covariance, squeezed_pair(0.35).s0)
-        assert np.max(np.abs(out.sigma - squeezed_pair(0.35).covariance.sigma)) < 1e-12
+        out = apply_symplectic(covariance(vacuum()), squeezed_pair(0.35))
+        assert np.max(np.abs(out.sigma - covariance(squeezed_pair(0.35)).sigma)) < 1e-12
 
     def test_purity_preserved_under_evolution(self):
         p = OscillatorParams(1.0, 1.0, 0.2, 0.2)
-        out = apply_symplectic(squeezed_pair(0.3).covariance, time_evolution(p, 2.0))
+        out = apply_symplectic(covariance(squeezed_pair(0.3)), time_evolution(p, 2.0))
         assert symplectic_eigenvalues(out) == pytest.approx((1.0, 1.0), abs=1e-9)
 
     def test_williamson_invariance(self):
@@ -123,11 +124,11 @@ class TestApplySymplectic:
 
 class TestReduction:
     def test_vacuum_reduces_to_identity(self):
-        assert np.allclose(reduce_mode(vacuum().covariance, "a"), np.eye(2))
+        assert np.allclose(reduce_mode(covariance(vacuum()), "a"), np.eye(2))
 
     def test_squeezed_pair_reduction_is_pure(self):
         # product state: each mode is pure on its own, nu = 1 despite cosh(2s) diagonals
-        sig = reduce_mode(squeezed_pair(0.5).covariance, "a")
+        sig = reduce_mode(covariance(squeezed_pair(0.5)), "a")
         assert sig[0, 0].real == pytest.approx(np.cosh(1.0), abs=1e-12)
         assert sig[0, 1].real == pytest.approx(np.sinh(1.0), abs=1e-12)
         assert single_mode_symplectic_eigenvalue(sig) == pytest.approx(1.0, abs=1e-10)
@@ -135,7 +136,7 @@ class TestReduction:
     def test_two_mode_squeezed_reduction_is_thermal(self):
         # squeezing-only interaction entangles the modes: local state is hot
         p = OscillatorParams(1.0, 1.0, 0.0, 0.5)
-        out = apply_symplectic(vacuum().covariance, time_evolution(p, 2.0))
+        out = apply_symplectic(covariance(vacuum()), time_evolution(p, 2.0))
         nu_a = single_mode_symplectic_eigenvalue(reduce_mode(out, "a"))
         nu_b = single_mode_symplectic_eigenvalue(reduce_mode(out, "b"))
         assert nu_a > 1.0 + 1e-6
@@ -145,18 +146,18 @@ class TestReduction:
         rng = np.random.default_rng(21)
         for _ in range(20):
             p = OscillatorParams(1.0, 1.3, 0.2, 0.2)
-            out = apply_symplectic(squeezed_pair(rng.uniform(-0.5, 0.5)).covariance, time_evolution(p, rng.uniform(0, 10)))
+            out = apply_symplectic(covariance(squeezed_pair(rng.uniform(-0.5, 0.5))), time_evolution(p, rng.uniform(0, 10)))
             for mode in ("a", "b"):
                 assert single_mode_symplectic_eigenvalue(reduce_mode(out, mode)) >= 1.0 - 1e-9
 
     def test_mode_name_validated(self):
         with pytest.raises(ValueError):
-            reduce_mode(vacuum().covariance, "c")
+            reduce_mode(covariance(vacuum()), "c")
 
 
 class TestPurityDeterminant:
     def test_purity_iff_unit_determinant(self):
-        pure = squeezed_pair(0.6).covariance
+        pure = covariance(squeezed_pair(0.6))
         assert abs(np.linalg.det(pure.sigma).real - 1.0) < 1e-8
         hot = thermal(2.0)
         assert np.linalg.det(hot.sigma).real > 1.0 + 1e-6
@@ -173,3 +174,12 @@ class TestInitialState:
     def test_fock_has_no_factor(self):
         with pytest.raises(ValueError):
             InitialState("fock", n_a=1, n_b=0).factor()
+
+    def test_occupations_need_kind_fock(self):
+        # the oracle starts every kind from a number-basis vector, so an
+        # occupation on a Gaussian kind would propagate a different state
+        with pytest.raises(ValueError, match="need kind fock"):
+            InitialState("vacuum", n_a=2)
+        with pytest.raises(ValueError, match="need kind fock"):
+            InitialState("squeezed", s=0.2, n_b=1)
+        assert InitialState("fock", n_a=2).n_a == 2
