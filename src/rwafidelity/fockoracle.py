@@ -6,8 +6,15 @@ initial vector is propagated, by a Chebyshev expansion of exp(-i H dt) over the
 Gershgorin interval of H (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
 Every term with a Bessel factor J_k(b dt) above double-precision roundoff is
 kept, so the propagation is unitary to rounding (about 1e-14), not exactly.
-The cost grows as (omega_a + omega_b) * cutoff * |time span|, and a request
-whose estimated work exceeds WORK_BUDGET is refused before it starts.
+
+Both couplings change n_a + n_b by 0 or 2 (a'b keeps it, a'b' raises it by
+2), so the full H and its RWA copy conserve its parity, and every initial
+state here (a Fock state, the vacuum, the squeezed pair) lies in one parity
+sector.  Only that sector is propagated, so a Chebyshev term touches half the
+basis; the other half stays exactly zero, and `evolved_pair` returns it as
+zeros.  The number of terms grows as (omega_a + omega_b) * cutoff * |time
+span|, and a request whose estimated work exceeds WORK_BUDGET is refused
+before it starts.
 """
 
 from __future__ import annotations
@@ -40,8 +47,9 @@ __all__ = [
 TAIL_TOL = 1e-8
 MAX_CUTOFF = 96
 BOUND_CERT_TOL = 1e-6
-# Largest trajectory, in amplitude updates: a Chebyshev term costs the stacked length plus
-# TERM_OVERHEAD for the interpreter.  One update took 13-15 ns on one core: about a minute.
+# Largest trajectory, in amplitude updates: a Chebyshev term costs the stacked length (twice
+# the sector's) plus TERM_OVERHEAD for the interpreter.  At cutoffs 1 to 96 one update took
+# 11-13 ns on one core, so the budget is about a minute.
 WORK_BUDGET = 4e9
 TERM_OVERHEAD = 1200
 
@@ -87,47 +95,89 @@ class FockBasis:
         mask.flags.writeable = False
         return mask
 
+    @property
+    def stride(self) -> int:
+        """Odd row stride of the sector layout: cutoff + 1, or cutoff + 2 past a dead column n_b = cutoff + 1."""
+        return self.cutoff + 1 + self.cutoff % 2
+
+    def parity(self, amplitudes: np.ndarray) -> int:
+        """Parity of n_a + n_b shared by every nonzero amplitude."""
+        occupied = self.number_vector[np.flatnonzero(amplitudes)] % 2
+        if not occupied.size or np.any(occupied != occupied[0]):
+            raise ValueError("the amplitudes do not lie in one parity sector of n_a + n_b")
+        return int(occupied[0])
+
+    def sector(self, values: np.ndarray, parity: int) -> np.ndarray:
+        """Entries of a basis array with n_a + n_b of the given parity, in sector order.
+
+        Laid out with row stride `stride`, the flat index n_a stride + n_b has the
+        parity of n_a + n_b, so the sector is every second entry; the dead column
+        is zero (False for a mask).
+        """
+        c = self.cutoff
+        grid = np.zeros((c + 1, self.stride), dtype=values.dtype)
+        grid[:, : c + 1] = values.reshape(c + 1, c + 1)
+        return grid.ravel()[parity::2].copy()
+
+    def from_sector(self, values: np.ndarray, parity: int) -> np.ndarray:
+        """The basis array of sector entries, exactly zero off the sector."""
+        c = self.cutoff
+        grid = np.zeros((c + 1) * self.stride, dtype=values.dtype)
+        grid[parity::2] = values
+        return grid.reshape(c + 1, self.stride)[:, : c + 1].ravel()
+
 
 @dataclass(frozen=True, eq=False)
 class GridHamiltonian:
     """H = wa n_a + wb n_b + g_bs (a'b + ab') + g_sq (a'b' + ab) on flat amplitudes.
 
-    Index k = n_a (cutoff+1) + n_b, copies of the basis stacked end to end.  A
-    coupling links k to k + d (d = cutoff for a'b, cutoff + 2 for a'b') through
-    weights H[k + d, k] that are zero where the shift leaves the grid; d is the
-    number of entries the weights lack.
+    Copies of the basis, or of one parity sector, are stacked end to end.  A
+    coupling links k to k + d through weights H[k + d, k] that are zero where
+    the shift leaves the grid; d is the number of entries the weights lack.  On
+    the basis (index n_a (cutoff+1) + n_b) d is cutoff for a'b and cutoff + 2
+    for a'b'; on a sector (FockBasis.sector) they are (stride - 1) / 2 and
+    (stride + 1) / 2.
     """
 
     diagonal: np.ndarray  # H[k, k]
-    bs: np.ndarray  # H[k + cutoff, k]
-    sq: np.ndarray  # H[k + cutoff + 2, k]
+    bs: np.ndarray  # H[k + d, k] of a'b
+    sq: np.ndarray  # H[k + d, k] of a'b'
 
     @classmethod
-    def build(cls, p: OscillatorParams, basis: FockBasis, g_sq) -> "GridHamiltonian":
-        """One copy of H per entry of g_sq, in place of p.g_sq; g_sq = 0 is the RWA."""
+    def build(cls, p: OscillatorParams, basis: FockBasis, g_sq, parity: int | None = None) -> "GridHamiltonian":
+        """One copy of H per entry of g_sq, in place of p.g_sq; g_sq = 0 is the RWA.
+
+        On the whole basis, or on the sector of the given parity of n_a + n_b.
+        """
         c, g_sq = basis.cutoff, np.atleast_1d(g_sq)
         n_a, n_b = basis.occupations(np.arange(basis.dim))
         up = np.sqrt(n_a + 1.0) * (n_a < c)
-        return cls(
-            np.tile(p.omega_a * n_a + p.omega_b * n_b, len(g_sq)),
-            np.tile(p.g_bs * up * np.sqrt(n_b), len(g_sq))[:-c],
-            np.multiply.outer(g_sq, up * np.sqrt(n_b + 1.0) * (n_b < c)).ravel()[: -(c + 2)],
-        )
+        diagonal = p.omega_a * n_a + p.omega_b * n_b
+        bs, sq = p.g_bs * up * np.sqrt(n_b), up * np.sqrt(n_b + 1.0) * (n_b < c)
+        d_bs, d_sq = c, c + 2
+        if parity is not None:
+            diagonal, bs, sq = (basis.sector(v, parity) for v in (diagonal, bs, sq))
+            d_bs, d_sq = basis.stride // 2, basis.stride // 2 + 1
+        return cls(np.tile(diagonal, len(g_sq)), np.tile(bs, len(g_sq))[:-d_bs], np.multiply.outer(g_sq, sq).ravel()[:-d_sq])
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
         dtype = np.result_type(self.diagonal, psi)
-        return self._apply(psi, np.empty(psi.shape, dtype), np.empty(psi.shape, dtype))
+        buffers = (psi, np.empty(psi.shape, dtype), np.empty(psi.shape, dtype))
+        return self._apply(*map(self._shifted, buffers))
 
-    def _apply(self, psi: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """H psi written into out, with work (shaped like psi) as scratch; allocates nothing."""
+    def _shifted(self, buf: np.ndarray) -> tuple:
+        """buf with its (buf[..., d:], buf[..., :-d]) views for each coupling shift d, for _apply."""
+        return buf, tuple((buf[..., d:], buf[..., :-d]) for d in (len(self.diagonal) - len(w) for w in (self.bs, self.sq)))
+
+    def _apply(self, psi: tuple, out: tuple, work: tuple) -> np.ndarray:
+        """H psi written into out, with work as scratch, all `_shifted` buffers alike; allocates nothing."""
+        (psi, psi_at), (out, out_at), (_, work_at) = psi, out, work
         np.multiply(self.diagonal, psi, out=out)
-        for w in (self.bs, self.sq):
-            d = len(self.diagonal) - len(w)
-            part = work[..., d:]
-            np.multiply(w, psi[..., :-d], out=part)
-            out[..., d:] += part
-            np.multiply(w, psi[..., d:], out=part)
-            out[..., :-d] += part
+        for w, (psi_hi, psi_lo), (out_hi, out_lo), (part, _) in zip((self.bs, self.sq), psi_at, out_at, work_at):
+            np.multiply(w, psi_lo, out=part)
+            np.add(out_hi, part, out=out_hi)
+            np.multiply(w, psi_hi, out=part)
+            np.add(out_lo, part, out=out_lo)
         return out
 
     def spectral_bounds(self) -> tuple[float, float]:
@@ -219,56 +269,67 @@ class FockOracle:
         self._centre, self._half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         # 2 (H - centre) / half: its Chebyshev recurrence is T_(k+1) = L T_k - T_(k-1)
         scale = 2.0 / self._half
-        self._recurrence = GridHamiltonian((pair.diagonal - self._centre) * scale, pair.bs * scale, pair.sq * scale)
+        self._recurrences = tuple(
+            GridHamiltonian((h.diagonal - self._centre) * scale, h.bs * scale, h.sq * scale)
+            for h in (GridHamiltonian.build(p, self.basis, (p.g_sq, 0.0), parity) for parity in (0, 1))
+        )
 
     def _step(self, psi: np.ndarray, dt: float, coeffs: np.ndarray) -> np.ndarray:
         # The recurrence cycles through four fixed buffers (prev starts as a
-        # copy, since its buffer is reused).  With fresh temporaries on every
-        # term its speed hung on the state of the heap: a cutoff-80
-        # oracle-check ran 15-50% slower after an unrelated change in what
-        # else was allocated.  coeffs is shared between steps, so it is only read.
+        # copy, since its buffer is reused), whose shifted views are built here
+        # once, not on every term.  With fresh temporaries on every term its
+        # speed hung on the state of the heap: a cutoff-80 oracle-check ran
+        # 15-50% slower after an unrelated change in what else was allocated.
+        # coeffs is shared between steps, so it is only read.
+        h = self._recurrence
         out = coeffs[0] * psi
-        prev, cur, spare, work = psi.copy(), np.empty_like(psi), np.empty_like(psi), np.empty_like(psi)
-        self._recurrence._apply(psi, cur, work)
-        cur *= 0.5
+        prev, cur, spare, work = map(h._shifted, (psi.copy(), np.empty_like(psi), np.empty_like(psi), np.empty_like(psi)))
+        h._apply(prev, cur, work)
+        np.multiply(cur[0], 0.5, out=cur[0])
         for k, c in enumerate(coeffs[1:]):
             if k:
-                nxt = self._recurrence._apply(cur, spare, work)
-                nxt -= prev
-                prev, cur, spare = cur, nxt, prev
-            np.multiply(c, cur, out=work)
-            out += work
+                h._apply(cur, spare, work)
+                np.subtract(spare[0], prev[0], out=spare[0])
+                prev, cur, spare = cur, spare, prev
+            np.multiply(c, cur[0], out=work[0])
+            np.add(out, work[0], out=out)
         return np.exp(-1j * self._centre * dt) * out
 
-    def _trajectory(self, psi0: np.ndarray, ts):
-        """(2, dim) rows (full, rwa) at each time of ts, stepped from t = 0; ValueError first if over WORK_BUDGET."""
+    def _trajectory(self, psi0: np.ndarray, parity: int, ts):
+        """(2, sector length) rows (full, rwa) of psi0's parity sector at each time of ts, stepped from t = 0.
+
+        Raises ValueError before the first step if the work is over WORK_BUDGET.
+        """
         dts = np.diff(np.asarray(ts, dtype=float), prepend=0.0)
         x = self._half * np.abs(dts)
-        work = (2 * self.basis.dim + TERM_OVERHEAD) * float(np.sum(x + 16.0 * np.cbrt(x) + 40.0))
+        pair = np.tile(self.basis.sector(psi0, parity), 2)
+        work = (len(pair) + TERM_OVERHEAD) * float(np.sum(x + 16.0 * np.cbrt(x) + 40.0))
         if not work <= WORK_BUDGET:
             msg = f"the oracle would need about {work:.3g} amplitude updates, over the budget of {WORK_BUDGET:.3g}"
             raise ValueError(f"{msg}; shorten the tau span or lower the cutoff")
         coeffs = {}  # one entry per distinct step: rounding leaves a linspace grid only a few
-        pair = np.tile(psi0, 2)
         for dt in dts:
             if dt not in coeffs:
                 coeffs[dt] = chebyshev_coefficients(self._half * dt)
+            self._recurrence = self._recurrences[parity]  # what _step applies, set per step: no sector leaks between trajectories
             pair = self._step(pair, dt, coeffs[dt])
             yield pair.reshape(2, -1)
 
     def evolved_pair(self, initial: InitialState, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """Amplitudes (full, rwa) at time t and the initial state's discarded weight."""
+        """Amplitudes (full, rwa) on the basis at time t and the initial state's discarded weight."""
         psi0, discarded = initial_vector(self.basis, initial)
-        ((psi_full, psi_rwa),) = self._trajectory(psi0, [t])
-        return psi_full, psi_rwa, discarded
+        parity = self.basis.parity(psi0)
+        ((psi_full, psi_rwa),) = self._trajectory(psi0, parity, [t])
+        return self.basis.from_sector(psi_full, parity), self.basis.from_sector(psi_rwa, parity), discarded
 
     def compare(self, initial: InitialState, ts) -> OraclePoint:
         """Oracle outputs over an array of times, or float fields for a scalar t."""
         psi0, tail = initial_vector(self.basis, initial)
-        mask, n = self.basis.boundary_mask, self.basis.number_vector
+        parity = self.basis.parity(psi0)
+        mask, n = (self.basis.sector(v, parity) for v in (self.basis.boundary_mask, self.basis.number_vector))
         times = np.asarray(ts, dtype=float)
         fid, d_n = np.empty(times.shape), np.empty(times.shape)
-        for i, (psi_full, psi_rwa) in enumerate(self._trajectory(psi0, times.reshape(-1))):
+        for i, (psi_full, psi_rwa) in enumerate(self._trajectory(psi0, parity, times.reshape(-1))):
             tail = max(tail, *(float(np.sum(np.abs(v[mask]) ** 2)) for v in (psi_full, psi_rwa)))
             if tail > TAIL_TOL:
                 raise TruncationError(f"truncation tail {tail:.3e} exceeds {TAIL_TOL} at cutoff {self.basis.cutoff}")

@@ -102,6 +102,25 @@ class TestBasis:
             with pytest.raises(ValueError):
                 arr[0] = 1
 
+    @pytest.mark.parametrize("cutoff", [1, 6, 7])
+    def test_sectors_split_the_basis(self, cutoff):
+        basis = FockBasis(cutoff)
+        values = np.random.default_rng(cutoff).normal(size=basis.dim)
+        parity = basis.number_vector % 2
+        halves = [basis.from_sector(basis.sector(values, p), p) for p in (0, 1)]
+        for p, half in enumerate(halves):
+            assert np.array_equal(half[parity == p], values[parity == p])
+            assert np.all(half[parity != p] == 0.0)
+            assert len(basis.sector(values, p)) == ((cutoff + 1) * basis.stride - p + 1) // 2
+        assert basis.stride % 2 == 1
+
+    def test_parity_of_amplitudes(self):
+        basis = FockBasis(7)
+        assert basis.parity(fock_vector(basis, 2, 3)) == 1
+        assert basis.parity(squeezed_vector(basis, 0.05)[0]) == 0
+        with pytest.raises(ValueError, match="one parity sector"):
+            basis.parity(fock_vector(basis, 1, 1) + fock_vector(basis, 1, 0))
+
 
 class TestHamiltonian:
     def test_free_is_diagonal(self):
@@ -144,6 +163,20 @@ class TestHamiltonian:
         pair = GridHamiltonian.build(p, basis, (p.g_sq, 0.0))(psi)
         assert np.max(np.abs(pair[: basis.dim] - build_hamiltonian(p, basis) @ psi[: basis.dim])) < 1e-14
         assert np.max(np.abs(pair[basis.dim :] - build_hamiltonian(p, basis, "rwa") @ psi[basis.dim :])) < 1e-14
+
+    @pytest.mark.parametrize("name", PARAMS)
+    @pytest.mark.parametrize("cutoff", [5, 8])
+    def test_sector_pair_is_the_restricted_operator(self, name, cutoff):
+        p, basis = PARAMS[name], FockBasis(cutoff)
+        refs = build_hamiltonian(p, basis), build_hamiltonian(p, basis, "rwa")
+        rng = np.random.default_rng(cutoff)
+        for parity in (0, 1):
+            copies = [basis.sector(rng.normal(size=basis.dim), parity) for _ in refs]
+            pair = GridHamiltonian.build(p, basis, (p.g_sq, 0.0), parity)(np.concatenate(copies))
+            for got, ref, v in zip(np.split(pair, 2), refs, copies):
+                assert np.max(np.abs(basis.from_sector(got, parity) - ref @ basis.from_sector(v, parity))) < 1e-14
+                # the dead column of an odd cutoff stays empty
+                assert np.array_equal(basis.sector(basis.from_sector(got, parity), parity), got)
 
     @pytest.mark.parametrize("name", PARAMS)
     def test_gershgorin_bounds_contain_spectrum(self, name):
@@ -199,25 +232,39 @@ class TestPropagation:
     @pytest.mark.parametrize("kind", INPUTS)
     @pytest.mark.parametrize("name", PARAMS)
     def test_matches_dense_eigh(self, name, kind):
+        # an even and an odd cutoff: the sector layout pads odd cutoffs with a dead column
         p, initial = PARAMS[name], INPUTS[kind]
-        oracle = FockOracle(p, 12)
         ts = np.array([-2.5, 0.0, 0.7, 3.0])
-        psi0 = fock_vector(oracle.basis, initial.n_a, initial.n_b)
-        if kind == "squeezed":
-            psi0, _ = squeezed_vector(oracle.basis, initial.s)
-        h_full, h_rwa = build_hamiltonian(p, oracle.basis), build_hamiltonian(p, oracle.basis, "rwa")
-        n = oracle.basis.number_vector
-        grid = oracle.compare(initial, ts)
-        for i, t in enumerate(ts):
-            ref_full = dense_propagate(h_full, psi0, t)
-            ref_rwa = dense_propagate(h_rwa, psi0, t)
-            full, rwa, _ = oracle.evolved_pair(initial, t)
-            assert np.max(np.abs(full - ref_full)) < 1e-12
-            assert np.max(np.abs(rwa - ref_rwa)) < 1e-12
-            ref_fid = abs(np.vdot(ref_rwa, ref_full)) ** 2
-            ref_dn = np.vdot(ref_full, n * ref_full).real - np.vdot(ref_rwa, n * ref_rwa).real
-            assert abs(grid.fidelity[i] - ref_fid) < 1e-12
-            assert abs(grid.delta_n[i] - ref_dn) < 1e-12
+        for cutoff in (12, 13):
+            oracle = FockOracle(p, cutoff)
+            psi0 = fock_vector(oracle.basis, initial.n_a, initial.n_b)
+            if kind == "squeezed":
+                psi0, _ = squeezed_vector(oracle.basis, initial.s)
+            h_full, h_rwa = build_hamiltonian(p, oracle.basis), build_hamiltonian(p, oracle.basis, "rwa")
+            n = oracle.basis.number_vector
+            grid = oracle.compare(initial, ts)
+            for i, t in enumerate(ts):
+                ref_full = dense_propagate(h_full, psi0, t)
+                ref_rwa = dense_propagate(h_rwa, psi0, t)
+                full, rwa, _ = oracle.evolved_pair(initial, t)
+                assert np.max(np.abs(full - ref_full)) < 1e-12
+                assert np.max(np.abs(rwa - ref_rwa)) < 1e-12
+                ref_fid = abs(np.vdot(ref_rwa, ref_full)) ** 2
+                ref_dn = np.vdot(ref_full, n * ref_full).real - np.vdot(ref_rwa, n * ref_rwa).real
+                assert abs(grid.fidelity[i] - ref_fid) < 1e-12
+                assert abs(grid.delta_n[i] - ref_dn) < 1e-12
+
+    @pytest.mark.parametrize("cutoff", [12, 13])
+    @pytest.mark.parametrize("n_a, n_b", [(1, 1), (1, 0)])
+    def test_off_sector_amplitudes_are_exactly_zero(self, cutoff, n_a, n_b):
+        oracle = FockOracle(PARAMS["mixed-sign"], cutoff)
+        full, rwa, _ = oracle.evolved_pair(InitialState("fock", n_a=n_a, n_b=n_b), 2.0)
+        off = oracle.basis.number_vector % 2 != (n_a + n_b) % 2
+        for amp in (full, rwa):
+            assert amp.shape == (oracle.basis.dim,)
+            assert np.all(amp[off] == 0.0)
+            assert abs(np.linalg.norm(amp) - 1.0) < 1e-12
+        assert np.count_nonzero(full) > np.count_nonzero(rwa) > 1
 
     def test_rwa_conserves_number(self):
         p = OscillatorParams(1.0, 1.0, 0.3, 0.3)
@@ -241,6 +288,12 @@ class TestPropagation:
         oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.3, 0.3), 6)
         with pytest.raises(TruncationError, match="truncation tail"):
             oracle.compare(InitialState("vacuum"), np.linspace(0.0, 10.0, 11))
+
+    @pytest.mark.parametrize("cutoff", [6, 7])
+    def test_tail_check_on_odd_sector(self, cutoff):
+        oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.3, 0.3), cutoff)
+        with pytest.raises(TruncationError, match=f"truncation tail .* at cutoff {cutoff}"):
+            oracle.compare(InitialState("fock", n_a=1, n_b=0), np.linspace(0.0, 10.0, 11))
 
 
 class TestSqueezedInput:
