@@ -8,7 +8,7 @@ order and 17-significant-digit floats so regenerated files diff cleanly.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -42,7 +42,7 @@ __all__ = [
 CORE_OUTPUTS = ("fidelity", "bures", "delta_n", "r_plus", "r_minus")
 KNOWN_OUTPUTS = CORE_OUTPUTS + ("c2_prediction",)
 ORACLE_OUTPUTS = ("fidelity_oracle", "delta_n_oracle")
-MAX_STEPS = 10**6  # every row, about 1 KB, is held in memory before writing
+MAX_STEPS = 10**6  # rows are streamed, but every column is held as a list before writing
 
 
 class ConfigError(ValueError):
@@ -232,18 +232,34 @@ def run_scan(cfg: ScanConfig) -> tuple[dict[str, list[float]], ScanSummary]:
     return columns, summary
 
 
+def _json_values(column: list[float]) -> list:
+    """The column with each non-finite float replaced by json's spelling of it (NaN, Infinity, -Infinity)."""
+    if np.isfinite(sum(column)):
+        return column
+    return [v if np.isfinite(v) else json.dumps(v) for v in column]
+
+
+def _nested(value) -> str:
+    """json.dumps(value, indent=2) as it reads one level deep inside an indent=2 document."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
 def _write_output(cfg: ScanConfig, columns: dict[str, list[float]], summary: ScanSummary):
-    rows = zip(*columns.values())
+    """Stream the rows through one row template: the bytes of csv.writer and of json.dump(indent=2)."""
     if cfg.fmt == "csv":
+        row = ",".join(["%.17g"] * len(columns)) + "\r\n"
         with open(cfg.output_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            writer.writerows([f"{v:.17g}" for v in row] for row in rows)
+            fh.write(",".join(columns) + "\r\n")
+            fh.writelines(map(row.__mod__, zip(*columns.values())))
     else:
-        doc = {"config": cfg.to_dict(), "rows": [dict(zip(columns, row)) for row in rows], "summary": asdict(summary)}
+        # str of a float is its repr, which is how json writes a finite float
+        row = "    {\n" + ",\n".join(f"      {json.dumps(name)}: %s" for name in columns) + "\n    }"
+        rows = zip(*map(_json_values, columns.values()))
         with open(cfg.output_path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(f'{{\n  "config": {_nested(cfg.to_dict())},\n  "rows": [\n')
+            fh.write(row % next(rows))
+            fh.writelines(map((",\n" + row).__mod__, rows))
+            fh.write(f'\n  ],\n  "summary": {_nested(asdict(summary))}\n}}\n')
 
 
 # -- superconducting-circuit frame mapper ---------------------------------
@@ -488,6 +504,7 @@ def _cmd_circuit_map(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: each add_argument queries the terminal size
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rwafidelity",

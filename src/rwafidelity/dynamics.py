@@ -180,15 +180,37 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of (stacked) 2x2 blocks, written out entrywise; a single block broadcasts against a stack.
+
+    ``@`` on a stack of 2x2 blocks costs one BLAS call per block, an order of
+    magnitude more than these four entrywise sums.
+    """
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    c00 = a00 * b00 + a01 * b10
+    out = np.empty(np.shape(c00) + (2, 2), dtype=c00.dtype)
+    out[..., 0, 0] = c00
+    out[..., 0, 1] = a00 * b01 + a01 * b11
+    out[..., 1, 0] = a10 * b00 + a11 * b10
+    out[..., 1, 1] = a10 * b01 + a11 * b11
+    return out
+
+
+def _det(m: np.ndarray) -> np.ndarray:
+    """Determinant of each (stacked) 2x2 block."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
 def compose(a1: np.ndarray, b1: np.ndarray, a2: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Blocks of the product of two symplectic matrices given by (stacked) blocks."""
-    return a1 @ a2 + b1 @ b2.conj(), a1 @ b2 + b1 @ a2.conj()
+    return _mul(a1, a2) + _mul(b1, b2.conj()), _mul(a1, b2) + _mul(b1, a2.conj())
 
 
 def bogoliubov_defects(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Largest entry of a a^dag - b b^dag - I and a b^T - b a^T, per (stacked) block pair."""
-    d1 = np.abs(alpha @ _dagger(alpha) - beta @ _dagger(beta) - _I2).max(axis=(-2, -1))
-    d2 = np.abs(alpha @ beta.swapaxes(-1, -2) - beta @ alpha.swapaxes(-1, -2)).max(axis=(-2, -1))
+    d1 = np.abs(_mul(alpha, _dagger(alpha)) - _mul(beta, _dagger(beta)) - _I2).max(axis=(-2, -1))
+    d2 = np.abs(_mul(alpha, beta.swapaxes(-1, -2)) - _mul(beta, alpha.swapaxes(-1, -2))).max(axis=(-2, -1))
     return np.maximum(d1, d2)
 
 
@@ -241,8 +263,10 @@ def evolution_blocks(p: OscillatorParams, t) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(t)):
         raise ValueError("time must be finite")
     lam, left, right = _modes(p)
-    phases = np.exp(-1j * np.multiply.outer(t, lam))
-    s = (left[:2] * phases[:, None, :]) @ right
+    # S(t)[i, j] for the top block row i < 2 is sum_k left[i, k] right[k, j] exp(-i lam_k t):
+    # one (n, 4) @ (4, 8) product of the phases with the table of left[i, k] right[k, j]
+    table = (left[:2].T[:, :, None] * right[:, None, :]).reshape(4, 8)
+    s = (np.exp(-1j * np.multiply.outer(t, lam)) @ table).reshape(-1, 2, 4)
     alpha, beta = s[..., :2], s[..., 2:]
     check_bogoliubov(alpha, beta, t, "S(t)")
     return alpha, beta
@@ -257,4 +281,4 @@ def effective_blocks(p: OscillatorParams, t) -> tuple[np.ndarray, np.ndarray]:
     """Blocks of S_eff(t) = S_RWA^dag(t) S(t), stacked over a 1-D array of times."""
     alpha, beta = evolution_blocks(p, t)
     u_dag = _dagger(rwa_block(p, t))
-    return u_dag @ alpha, u_dag @ beta
+    return _mul(u_dag, alpha), _mul(u_dag, beta)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import OscillatorParams, SymplecticMatrix, _dagger, check_bogoliubov, compose, effective_blocks
+from .dynamics import OscillatorParams, SymplecticMatrix, _I2, _dagger, _det, _mul, check_bogoliubov, compose, effective_blocks
 from .states import vacuum
 
 __all__ = [
@@ -74,11 +74,14 @@ def gaussian_grid(factor: SymplecticMatrix, p: OscillatorParams, t) -> GaussianG
     t = np.atleast_1d(np.asarray(t, dtype=float))
     a_eff, b_eff = effective_blocks(p, t)
     al0, be0 = factor.alpha, factor.beta
-    a_f, b_f = compose(*compose(_dagger(al0), -be0.T, a_eff, b_eff), al0, be0)
+    # S_f = I + s0^-1 (S_eff - I) s0: the plain sandwich s0^-1 S_eff s0 cancels
+    # blocks of size cosh^2(s) near t = 0 and breaks the identities at large s
+    a_f, b_f = compose(*compose(_dagger(al0), -be0.T, a_eff - _I2, b_eff), al0, be0)
+    a_f += _I2
     check_bogoliubov(a_f, b_f, t, "S_f")
 
-    fid = 1.0 / np.sqrt(np.real(np.linalg.det(np.eye(2) + _dagger(b_f) @ b_f)))
-    fid_a = 1.0 / np.abs(np.linalg.det(a_f))
+    fid = 1.0 / np.sqrt(np.real(_det(_I2 + _mul(_dagger(b_f), b_f))))
+    fid_a = 1.0 / np.abs(_det(a_f))
     bad = np.flatnonzero(~(np.abs(fid - fid_a) <= CROSS_CHECK_TOL * np.maximum(1.0, fid)))
     if bad.size:
         i = bad[0]
@@ -102,7 +105,7 @@ def bloch_messiah(b_block: np.ndarray) -> tuple[float, float]:
     Hermitian product B^dag B, and r = arcsinh(singular value), per (stacked) block.
     """
     b = np.asarray(b_block, dtype=complex)
-    m = _dagger(b) @ b
+    m = _mul(_dagger(b), b)
     half_tr = 0.5 * _trace(m)
     off = 0.25 * np.abs(m[..., 0, 0] - m[..., 1, 1]) ** 2 + np.abs(m[..., 0, 1]) ** 2
     spread = np.sqrt(np.maximum(off, 0.0))
@@ -118,8 +121,9 @@ def fidelity_eff(factor: SymplecticMatrix, p: OscillatorParams, t: float) -> Fid
 
 def _delta_n(factor: SymplecticMatrix, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     al0, be0 = factor.alpha, factor.beta
-    m = _dagger(b) @ b
-    return _trace(m) + 2.0 * _trace(m @ be0.conj() @ be0.T) + 2.0 * _trace(_dagger(b) @ a @ al0 @ be0.T)
+    m = _mul(_dagger(b), b)
+    cross = _mul(_mul(_mul(_dagger(b), a), al0), be0.T)
+    return _trace(m) + 2.0 * _trace(_mul(_mul(m, be0.conj()), be0.T)) + 2.0 * _trace(cross)
 
 
 def delta_n(factor: SymplecticMatrix, p: OscillatorParams, t: float) -> float:
@@ -142,12 +146,10 @@ def number_moments(a_block: np.ndarray, b_block: np.ndarray) -> tuple[float, flo
     """
     a = np.asarray(a_block, dtype=complex)
     b = np.asarray(b_block, dtype=complex)
-    dn = float(np.real(np.trace(b.conj().T @ b)))
+    dn = float(_trace(_mul(_dagger(b), b)))
     dn2 = float(
-        np.real(
-            np.trace(a @ a.conj().T @ b @ b.conj().T)
-            + np.trace(b @ a.T @ b.conj() @ a.conj().T)
-        )
+        _trace(_mul(_mul(_mul(a, _dagger(a)), b), _dagger(b)))
+        + _trace(_mul(_mul(_mul(b, a.T), b.conj()), _dagger(a)))
     ) + dn**2
     return dn, dn2
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,15 @@ import pytest
 import rwafidelity
 from rwafidelity import dynamics
 from rwafidelity.cli import (
+    CORE_OUTPUTS,
     MAX_STEPS,
+    ORACLE_OUTPUTS,
     CircuitParams,
     ConfigError,
     ScanConfig,
+    ScanSummary,
+    _write_output,
+    build_parser,
     circuit_map,
     main,
     run_scan,
@@ -150,6 +156,64 @@ class TestRunScan:
         cfg = make_config(tmp_path, params=OscillatorParams(1.0, 2.0, 0.1, 0.0))
         _, summary = run_scan(cfg)
         assert "outside-perturbative-family" in summary.regime_flags
+
+
+def stdlib_output(path, cfg, columns, summary):
+    """What csv.writer with .17g strings, or json.dump(indent=2) plus a newline, writes for these columns."""
+    rows = list(zip(*columns.values()))
+    if cfg.fmt == "csv":
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows([f"{v:.17g}" for v in row] for row in rows)
+    else:
+        doc = {"config": cfg.to_dict(), "rows": [dict(zip(columns, row)) for row in rows], "summary": asdict(summary)}
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+    return Path(path).read_bytes()
+
+
+class TestWriteOutput:
+    # the streamed row-template writer against the stdlib writers, kept here as the reference
+    # each column takes every other value: two 1.7e308 overflow its sum, with every value finite
+    AWKWARD = [-0.0, 5e-324, 1e-300, 2.0, 1e16, 0.1, 1.0 / 3.0, -2.5e-17, 1.7e308, 1.7e308, 1.7e308, 1.7e308]
+
+    def columns(self, names):
+        rng = np.random.default_rng(5)
+        n = len(self.AWKWARD)
+        columns = {"tau": np.linspace(-4.0, 6.0, n).tolist()}
+        for k, name in enumerate(names):
+            column = (rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n)).tolist()
+            column[k % 2 :: 2] = self.AWKWARD[k % 2 :: 2]
+            columns[name] = column
+        return columns
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("c2", [False, True], ids=["core", "c2"])
+    @pytest.mark.parametrize("oracle", [False, True], ids=["no-oracle", "oracle"])
+    def test_bytes_match_stdlib_writers(self, tmp_path, fmt, c2, oracle):
+        outputs = CORE_OUTPUTS + (("c2_prediction",) if c2 else ())
+        cfg = make_config(tmp_path, outputs=outputs, oracle_enabled=oracle, fmt=fmt, output_path=str(tmp_path / "new"))
+        columns = self.columns(outputs + (ORACLE_OUTPUTS if oracle else ()))
+        summary = ScanSummary(min(columns["fidelity"]), None, ("outside-perturbative-family",))
+        _write_output(cfg, columns, summary)
+        assert (tmp_path / "new").read_bytes() == stdlib_output(tmp_path / "old", cfg, columns, summary)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_nonfinite_spelling(self, tmp_path, fmt):
+        cfg = make_config(tmp_path, fmt=fmt, output_path=str(tmp_path / "new"))
+        columns = self.columns(CORE_OUTPUTS)
+        columns["r_minus"][-3:] = [float("nan"), float("inf"), -float("inf")]
+        summary = ScanSummary(float("nan"), float("inf"), ())
+        _write_output(cfg, columns, summary)
+        written = (tmp_path / "new").read_bytes().decode()
+        assert written.encode() == stdlib_output(tmp_path / "old", cfg, columns, summary)
+        if fmt == "json":
+            # json.dump's spelling, which a bare %r of the float ("nan", "inf") would miss
+            assert '"r_minus": NaN' in written and '"r_minus": -Infinity' in written and "nan" not in written
+        else:
+            assert ",nan" in written and ",-inf" in written
 
 
 class TestCircuitMap:
@@ -342,6 +406,24 @@ class TestMainExitCodes:
         section, key = path
         assert doc["config"][section][key] == expected
         assert len(doc["rows"]) == doc["config"]["tau_grid"]["steps"]
+
+    @pytest.mark.parametrize("s", ["7", "8", "10"])
+    def test_large_squeezing_general_couplings(self, tmp_path, capsys, s):
+        # S_f composed as I + s0^-1 (S_eff - I) s0 keeps the Bogoliubov check
+        # at t = 0, where the plain sandwich cancels blocks of size cosh^2(s)
+        flags = ["--omega-b", "1.3", "--g-bs", "0.21", "--g-sq", "0.13", "--squeezing", s]
+        assert main(["fidelity-scan", *flags, "--output", str(tmp_path / "x.csv")]) == 0
+        assert "runtime error" not in capsys.readouterr().err
+
+    def test_parser_is_built_once_and_keeps_no_defaults(self, tmp_path):
+        # the parser is cached per process; the oracle-check default must not
+        # reach a later fidelity-scan
+        assert build_parser() is build_parser()
+        common = ["--g", "0.05", "--tau-end", "2", "--steps", "3"]
+        assert main(["oracle-check", *common, "--cutoff", "12", "--output", str(tmp_path / "o.csv")]) == 0
+        assert main(["fidelity-scan", *common, "--output", str(tmp_path / "s.csv")]) == 0
+        assert (tmp_path / "o.csv").read_text().splitlines()[0].endswith("fidelity_oracle,delta_n_oracle")
+        assert (tmp_path / "s.csv").read_text().splitlines()[0] == ",".join(("tau", *CORE_OUTPUTS))
 
     def test_module_entry_point_exit_code(self):
         argv = [sys.executable, "-m", "rwafidelity.cli", "validity", "--g", "0.5"]

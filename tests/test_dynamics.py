@@ -16,6 +16,8 @@ from rwafidelity.dynamics import (
     OscillatorParams,
     SymplecticMatrix,
     UnstableParamsError,
+    _det,
+    _mul,
     check_bogoliubov,
     critical_coupling,
     evolution_blocks,
@@ -340,3 +342,26 @@ class TestSymplecticMatrix:
         s = time_evolution(OscillatorParams(1.0, 1.1, 0.2, 0.2), 1.3)
         prod = (s @ inverse(s)).matrix
         assert np.max(np.abs(prod - np.eye(4))) < 1e-12
+
+
+class TestBlockAlgebra:
+    # the explicit 2x2 product and determinant against numpy, relative to the
+    # size of the terms that each entry sums
+    @staticmethod
+    def blocks(rng, *shape):
+        return rng.normal(size=(*shape, 2, 2)) + 1j * rng.normal(size=(*shape, 2, 2))
+
+    def test_product_matches_matmul_and_broadcasts(self):
+        rng = np.random.default_rng(11)
+        stack, other, one, single = self.blocks(rng, 200), self.blocks(rng, 200), self.blocks(rng), self.blocks(rng)
+        for a, b in ((stack, other), (one, single), (one, stack), (stack, one)):
+            got = _mul(a, b)
+            assert got.shape == np.broadcast_shapes(a.shape, b.shape)
+            assert np.all(np.abs(got - np.matmul(a, b)) <= 1e-15 * (np.abs(a) @ np.abs(b)))
+
+    def test_determinant_matches_linalg(self):
+        rng = np.random.default_rng(12)
+        for m in (self.blocks(rng, 200), self.blocks(rng)):
+            scale = np.abs(m[..., 0, 0] * m[..., 1, 1]) + np.abs(m[..., 0, 1] * m[..., 1, 0])
+            assert np.shape(_det(m)) == m.shape[:-2]
+            assert np.all(np.abs(_det(m) - np.linalg.det(m)) <= 1e-15 * scale)

@@ -8,6 +8,7 @@ from rwafidelity.metrics import (
     delta_n,
     effective_bogoliubov,
     fidelity_eff,
+    gaussian_grid,
     number_moments,
     vacuum_fidelity_moments,
 )
@@ -151,6 +152,27 @@ class TestFidelityEff:
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(a_f - ref[:2, :2])) < 1e-8 * scale
         assert np.max(np.abs(b_f - ref[:2, 2:])) < 1e-8 * scale
+
+    def test_large_squeezing_matches_high_precision_reference(self):
+        # s = 8, general couplings: S_f = I + s0^-1 (S_eff - I) s0 against a
+        # 60-digit s0^-1 S_RWA^-1 S s0, with s0 built from the exact cosh and sinh
+        mpmath = pytest.importorskip("mpmath")
+        p = OscillatorParams(1.0, 1.3, 0.21, 0.13)
+        ts = np.array([1e-3, 0.7, 5.0])
+        fid = gaussian_grid(squeezed_pair(8.0), p, ts).report.fidelity
+        with mpmath.workdps(60):
+            c, sh = mpmath.cosh(8), mpmath.sinh(8)
+            s0 = mpmath.matrix([[c, 0, sh, 0], [0, c, 0, sh], [sh, 0, c, 0], [0, sh, 0, c]])
+            s0_inv = mpmath.matrix([[c, 0, -sh, 0], [0, c, 0, -sh], [-sh, 0, c, 0], [0, -sh, 0, c]])
+            for t, f in zip(ts, fid):
+
+                def expm(q):
+                    return mpmath.expm(mpmath.matrix((OMEGA @ hamiltonian_matrix(q)).tolist()) * t)
+
+                s_f = s0_inv * expm(OscillatorParams(p.omega_a, p.omega_b, p.g_bs, 0.0)) ** -1 * expm(p) * s0
+                b_ref = s_f[0:2, 2:4]
+                f_ref = float(1 / mpmath.sqrt(mpmath.re(mpmath.det(mpmath.eye(2) + b_ref.H * b_ref))))
+                assert abs(f - f_ref) <= 1e-8 * f_ref
 
     def test_bures_monotone_in_fidelity(self):
         p = OscillatorParams(1.0, 1.0, 0.2, 0.2)
