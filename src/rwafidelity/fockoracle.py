@@ -1,25 +1,34 @@
 """Brute-force ground truth in a number-truncated two-mode Fock space.
 
 States live on the product basis |n_a, n_b> with 0 <= n <= cutoff.  No matrix
-is built: `GridHamiltonian` applies H by shifted-slice products, and only the
-initial vector is propagated, by a Chebyshev expansion of exp(-i H dt) over the
-Gershgorin interval of H (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
-Every term with a Bessel factor J_k(b dt) above double-precision roundoff is
-kept, so the propagation is unitary to rounding (about 1e-14), not exactly.
+is built for the full H: `GridHamiltonian` applies it by shifted-slice
+products, and only the initial vector is propagated, by a Chebyshev expansion
+of exp(-i H dt) over the Gershgorin interval of H (Tal-Ezer & Kosloff,
+J. Chem. Phys. 81, 3967 (1984)).  Every term with a Bessel factor J_k(b dt)
+above double-precision roundoff is kept, so the propagation is unitary to
+rounding (about 1e-14), not exactly.
 
 Both couplings change n_a + n_b by 0 or 2 (a'b keeps it, a'b' raises it by
-2), so the full H and its RWA copy conserve its parity, and every initial
-state here (a Fock state, the vacuum, the squeezed pair) lies in one parity
-sector.  Only that sector is propagated, so a Chebyshev term touches half the
-basis; the other half stays exactly zero, and `evolved_pair` returns it as
-zeros.  The number of terms grows as (omega_a + omega_b) * cutoff * |time
-span|, and a request whose estimated work exceeds WORK_BUDGET is refused
-before it starts.
+2), so H conserves its parity, and every initial state here (a Fock state,
+the vacuum, the squeezed pair) lies in one parity sector.  Only that sector
+is propagated, so a Chebyshev term touches half the basis; the other half
+stays exactly zero, and `evolved_pair` returns it as zeros.
+
+The RWA copy keeps only a'b + ab', which conserves N = n_a + n_b itself, so it
+is solved, not propagated: `RwaBlocks` diagonalizes once each tridiagonal
+block of fixed N that carries the initial state's weight (one block for the
+vacuum or a Fock state), and reads the RWA state, its overlap with the full
+state and its weight on the truncation boundary from that eigenbasis at any
+time.  Its cost does not grow with the time span, and <N> under it keeps its
+initial value exactly.  The number of Chebyshev terms grows as
+(omega_a + omega_b) * cutoff * |time span|, and a request whose estimated
+work exceeds WORK_BUDGET is refused before it starts.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,11 +56,16 @@ __all__ = [
 TAIL_TOL = 1e-8
 MAX_CUTOFF = 96
 BOUND_CERT_TOL = 1e-6
-# Largest trajectory, in amplitude updates: a Chebyshev term costs the stacked length (twice
-# the sector's) plus TERM_OVERHEAD for the interpreter.  At cutoffs 1 to 96 one update took
-# 11-13 ns on one core, so the budget is about a minute.
+# Largest trajectory, in amplitude updates of one Chebyshev term (12 ns each on one core at
+# cutoffs 4 to 96), so the budget is about a minute.  A term costs the sector's length plus
+# TERM_OVERHEAD for the interpreter.  Diagonalizing the RWA blocks costs about EIGH_COST m^3
+# per block of m rows (0.1-0.8 measured, m = 25 to 97); each time costs the sector's length
+# plus PROJECTION_COST per entry of the padded block stack (5.2 fitted) plus TIME_OVERHEAD.
 WORK_BUDGET = 4e9
 TERM_OVERHEAD = 1200
+EIGH_COST = 0.5
+PROJECTION_COST = 5
+TIME_OVERHEAD = 2000
 
 
 class TruncationError(RuntimeError):
@@ -258,20 +272,107 @@ class OraclePoint:
     tail_weight: float
 
 
+def number_blocks(basis: FockBasis, psi: np.ndarray, parity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occupations (n_a, n_b) of the blocks of fixed N = n_a + n_b that carry psi's weight.
+
+    psi holds the amplitudes of the sector of the given parity.  One row per
+    block, n_a rising from max(0, N - cutoff) to min(N, cutoff); rows are
+    padded with -1 to the longest block.  Blocks whose weight is at most
+    eps^2 / (number of blocks) are left out: together they hold at most eps^2,
+    and U_RWA keeps the weight of each block, so the RWA state they omit has
+    norm at most eps at every time.
+    """
+    c = basis.cutoff
+    total = np.arange(parity, 2 * c + 1, 2)[:, None]
+    n_a = np.maximum(total - c, 0) + np.arange(c + 1)
+    valid = n_a <= np.minimum(total, c)
+    n_a, n_b = np.where(valid, n_a, -1), np.where(valid, total - n_a, -1)
+    weight = np.sum(np.abs(np.where(valid, psi[(n_a * basis.stride + n_b) // 2], 0.0)) ** 2, axis=1)
+    kept = weight > np.finfo(float).eps ** 2 / len(weight)
+    width = int(valid[kept].sum(axis=1).max())
+    return n_a[kept, :width], n_b[kept, :width]
+
+
+def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Stacked real matrices (B, j, k) times complex vectors (B, k), as (B, j) complex.
+
+    Both parts of z go through one real product: casting m to complex would
+    copy it and double the arithmetic.
+    """
+    return np.matmul(m, np.ascontiguousarray(z).view(float).reshape(*z.shape, 2)).view(complex)[..., 0]
+
+
+class RwaBlocks:
+    """Exact RWA evolution of a sector state, block by block of the conserved N = n_a + n_b.
+
+    H_RWA keeps n_a + n_b, so on the truncated basis it is a sum of
+    tridiagonal blocks, one per N: diagonal omega_a n_a + omega_b n_b,
+    off-diagonal g_bs sqrt((n_a + 1) n_b).  Each block that `number_blocks`
+    keeps is diagonalized once, H_N = V_N diag(E_N) V_N^T, and then
+    psi_rwa,N(t) = V_N e^(-i E_N t) c_N with c_N = V_N^T psi0,N at any t.  The blocks sit in
+    one zero-padded (blocks, m, m) stack, so a time costs a few batched
+    products, not a loop over blocks.
+    """
+
+    def __init__(self, p: OscillatorParams, basis: FockBasis, n_a: np.ndarray, n_b: np.ndarray, psi0: np.ndarray):
+        """Blocks (n_a, n_b) from `number_blocks`; psi0 holds the sector amplitudes at t = 0."""
+        self.valid = valid = n_a >= 0
+        # padding reads sector position 0, always through a zero entry of V
+        self.index = np.where(valid, (n_a * basis.stride + n_b) // 2, 0)
+        sizes = valid.sum(axis=1)
+        # each block is diagonalized about its mean energy, since eigh's error scales with
+        # the norm it sees and E t reaches thousands of radians
+        diagonal = np.where(valid, p.omega_a * n_a + p.omega_b * n_b, 0.0)
+        mean = diagonal.sum(axis=1) / sizes
+        rows = np.arange(n_a.shape[1])
+        blocks = np.zeros(n_a.shape + rows.shape)
+        blocks[:, rows, rows] = diagonal - mean[:, None]
+        off = np.where(valid[:, 1:], p.g_bs * np.sqrt((n_a[:, :-1] + 1.0) * n_b[:, :-1]), 0.0)
+        blocks[:, rows[1:], rows[:-1]] = blocks[:, rows[:-1], rows[1:]] = off
+        self.energies = np.zeros(n_a.shape)
+        vecs = np.zeros(blocks.shape)
+        for b, size in enumerate(sizes):
+            self.energies[b, :size], vecs[b, :size, :size] = np.linalg.eigh(blocks[b, :size, :size])
+        self.energies += mean[:, None]
+        self.vecs_t = np.ascontiguousarray(vecs.transpose(0, 2, 1))  # V^T, the hot product's operand
+        self.c = _real_matmul(self.vecs_t, psi0[self.index])
+        # rows on the truncation boundary, n_a = cutoff or n_b = cutoff, with their block
+        self.edge_block, edge_row = np.nonzero(valid & (np.maximum(n_a, n_b) == basis.cutoff))
+        self.edge_vecs = vecs[self.edge_block, edge_row]
+
+    def coefficients(self, t: float) -> np.ndarray:
+        """Eigenbasis amplitudes e^(-i E t) c at time t, zero in the padding."""
+        return np.exp(-1j * (t * self.energies)) * self.c
+
+    def overlap(self, coef: np.ndarray, psi: np.ndarray) -> complex:
+        """<psi_rwa|psi> for the RWA state of eigenbasis amplitudes coef and sector amplitudes psi."""
+        return complex(np.vdot(coef, _real_matmul(self.vecs_t, psi[self.index])))
+
+    def boundary_weight(self, coef: np.ndarray) -> float:
+        """Weight of the RWA state on the truncation boundary."""
+        edge = np.einsum("km,km->k", self.edge_vecs, coef[self.edge_block])
+        return float(np.sum(np.abs(edge) ** 2))
+
+    def amplitudes(self, coef: np.ndarray, size: int) -> np.ndarray:
+        """Sector amplitudes of the RWA state, exactly zero outside its blocks."""
+        out = np.zeros(size, dtype=complex)
+        out[self.index[self.valid]] = _real_matmul(self.vecs_t.transpose(0, 2, 1), coef)[self.valid]
+        return out
+
+
 class FockOracle:
-    """Paired full/RWA propagation of one parameter set at a fixed cutoff."""
+    """Full propagation of one parameter set at a fixed cutoff, against its exact RWA copy."""
 
     def __init__(self, p: OscillatorParams, cutoff: int):
         self.params = p
         self.basis = FockBasis(cutoff)
-        pair = GridHamiltonian.build(p, self.basis, (p.g_sq, 0.0))
-        lo, hi = pair.spectral_bounds()  # the RWA discs lie inside the full ones
+        lo, hi = GridHamiltonian.build(p, self.basis, p.g_sq).spectral_bounds()
         self._centre, self._half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         # 2 (H - centre) / half: its Chebyshev recurrence is T_(k+1) = L T_k - T_(k-1)
         scale = 2.0 / self._half
         self._recurrences = tuple(
             GridHamiltonian((h.diagonal - self._centre) * scale, h.bs * scale, h.sq * scale)
-            for h in (GridHamiltonian.build(p, self.basis, (p.g_sq, 0.0), parity) for parity in (0, 1))
+            for h in (GridHamiltonian.build(p, self.basis, p.g_sq, parity) for parity in (0, 1))
         )
 
     def _step(self, psi: np.ndarray, dt: float, coeffs: np.ndarray) -> np.ndarray:
@@ -295,31 +396,43 @@ class FockOracle:
             np.add(out, work[0], out=out)
         return np.exp(-1j * self._centre * dt) * out
 
-    def _trajectory(self, psi0: np.ndarray, parity: int, ts):
-        """(2, sector length) rows (full, rwa) of psi0's parity sector at each time of ts, stepped from t = 0.
+    def _trajectory(self, psi0: np.ndarray, parity: int, ts) -> tuple[RwaBlocks, Iterator[np.ndarray]]:
+        """psi0's RWA blocks, and its parity sector under the full H at each time of ts, stepped from t = 0.
 
-        Raises ValueError before the first step if the work is over WORK_BUDGET.
+        Raises ValueError, before any block is diagonalized or step taken, if
+        the work is over WORK_BUDGET.
         """
         dts = np.diff(np.asarray(ts, dtype=float), prepend=0.0)
         x = self._half * np.abs(dts)
-        pair = np.tile(self.basis.sector(psi0, parity), 2)
-        work = (len(pair) + TERM_OVERHEAD) * float(np.sum(x + 16.0 * np.cbrt(x) + 40.0))
+        psi = self.basis.sector(psi0, parity)
+        n_a, n_b = number_blocks(self.basis, psi, parity)
+        sizes = np.sum(n_a >= 0, axis=1)
+        work = (
+            (len(psi) + TERM_OVERHEAD) * float(np.sum(x + 16.0 * np.cbrt(x) + 40.0))
+            + EIGH_COST * float(np.sum(sizes.astype(float) ** 3))
+            + (len(psi) + PROJECTION_COST * n_a.size + TIME_OVERHEAD) * len(dts)
+        )
         if not work <= WORK_BUDGET:
             msg = f"the oracle would need about {work:.3g} amplitude updates, over the budget of {WORK_BUDGET:.3g}"
             raise ValueError(f"{msg}; shorten the tau span or lower the cutoff")
+        return RwaBlocks(self.params, self.basis, n_a, n_b, psi), self._states(psi, parity, dts)
+
+    def _states(self, psi: np.ndarray, parity: int, dts: np.ndarray) -> Iterator[np.ndarray]:
         coeffs = {}  # one entry per distinct step: rounding leaves a linspace grid only a few
         for dt in dts:
             if dt not in coeffs:
                 coeffs[dt] = chebyshev_coefficients(self._half * dt)
             self._recurrence = self._recurrences[parity]  # what _step applies, set per step: no sector leaks between trajectories
-            pair = self._step(pair, dt, coeffs[dt])
-            yield pair.reshape(2, -1)
+            psi = self._step(psi, dt, coeffs[dt])
+            yield psi
 
     def evolved_pair(self, initial: InitialState, t: float) -> tuple[np.ndarray, np.ndarray, float]:
         """Amplitudes (full, rwa) on the basis at time t and the initial state's discarded weight."""
         psi0, discarded = initial_vector(self.basis, initial)
         parity = self.basis.parity(psi0)
-        ((psi_full, psi_rwa),) = self._trajectory(psi0, parity, [t])
+        rwa, states = self._trajectory(psi0, parity, [t])
+        (psi_full,) = states
+        psi_rwa = rwa.amplitudes(rwa.coefficients(t), len(psi_full))
         return self.basis.from_sector(psi_full, parity), self.basis.from_sector(psi_rwa, parity), discarded
 
     def compare(self, initial: InitialState, ts) -> OraclePoint:
@@ -329,12 +442,18 @@ class FockOracle:
         mask, n = (self.basis.sector(v, parity) for v in (self.basis.boundary_mask, self.basis.number_vector))
         times = np.asarray(ts, dtype=float)
         fid, d_n = np.empty(times.shape), np.empty(times.shape)
-        for i, (psi_full, psi_rwa) in enumerate(self._trajectory(psi0, parity, times.reshape(-1))):
-            tail = max(tail, *(float(np.sum(np.abs(v[mask]) ** 2)) for v in (psi_full, psi_rwa)))
+        rwa, states = self._trajectory(psi0, parity, times.reshape(-1))
+        # H_RWA commutes with N, so <N> keeps its initial value exactly, truncation included;
+        # summed as the full side is, so that delta_n is exactly 0 at t = 0
+        psi = self.basis.sector(psi0, parity)
+        n_rwa = np.real(np.vdot(psi, n * psi))
+        for i, (t, psi_full) in enumerate(zip(times.flat, states)):
+            coef = rwa.coefficients(t)
+            tail = max(tail, float(np.sum(np.abs(psi_full[mask]) ** 2)), rwa.boundary_weight(coef))
             if tail > TAIL_TOL:
                 raise TruncationError(f"truncation tail {tail:.3e} exceeds {TAIL_TOL} at cutoff {self.basis.cutoff}")
-            fid.flat[i] = abs(np.vdot(psi_rwa, psi_full)) ** 2
-            d_n.flat[i] = np.real(np.vdot(psi_full, n * psi_full)) - np.real(np.vdot(psi_rwa, n * psi_rwa))
+            fid.flat[i] = abs(rwa.overlap(coef, psi_full)) ** 2
+            d_n.flat[i] = np.real(np.vdot(psi_full, n * psi_full)) - n_rwa
         if times.ndim == 0:
             fid, d_n = float(fid), float(d_n)
         return OraclePoint(fidelity=fid, delta_n=d_n, tail_weight=tail)
@@ -372,9 +491,13 @@ def bound_check(n_a: int, n_b: int, p: OscillatorParams, t: float, cutoff: int) 
         raise ValueError("the bound compares equal couplings against their RWA")
     if 2 * cutoff > MAX_CUTOFF:
         raise ValueError(f"the certification doubles the cutoff, so it must be at most {MAX_CUTOFF // 2}")
+    z_max = fock_bound(n_a, n_b, p.g_bs, p.omega_a, t)
+    if p.g_sq == 0.0:
+        # equal couplings, so H is its own RWA and U = U_RWA exactly; the two
+        # propagation routes would disagree by rounding
+        return BoundCheckResult(z_exact=0.0, z_max=z_max, satisfied=True)
     z_base = _propagation_distance(p, n_a, n_b, t, cutoff)
     z_doubled = _propagation_distance(p, n_a, n_b, t, 2 * cutoff)
     if abs(z_doubled - z_base) > BOUND_CERT_TOL:
         raise TruncationError(f"doubling the cutoff moves the distance by {abs(z_doubled - z_base):.3e}; raise the cutoff")
-    z_max = fock_bound(n_a, n_b, p.g_bs, p.omega_a, t)
     return BoundCheckResult(z_exact=z_doubled, z_max=z_max, satisfied=z_doubled <= z_max)

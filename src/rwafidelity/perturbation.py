@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import OscillatorParams, _modes, normal_mode_frequencies
-from .metrics import fidelity_eff
+from .metrics import gaussian_grid
 from .states import squeezed_pair, vacuum
 
 __all__ = [
@@ -185,16 +185,18 @@ def convergence_order(regimes) -> float:
 
     Regimes sharing a g_tilde form one ladder rung; the rung value is the
     largest deficit 1 - F over the rung (robust against the oscillating
-    prefactor).  Exact zeros are excluded; at least three distinct couplings
-    are required.
+    prefactor).  Regimes sharing their parameters and initial state are
+    evaluated in one `gaussian_grid` call over their taus.  Exact zeros are
+    excluded; at least three distinct couplings are required.
     """
-    rungs: dict[float, float] = {}
+    taus: dict[tuple[float, OscillatorParams, float], list] = {}
     for regime in regimes:
-        factor = vacuum() if regime.s == 0.0 else squeezed_pair(regime.s)
-        report = fidelity_eff(factor, regime.params(), regime.tau)
-        deficit = 1.0 - report.fidelity
-        key = regime.g_tilde
-        rungs[key] = max(rungs.get(key, 0.0), deficit)
+        taus.setdefault((regime.g_tilde, regime.params(), regime.s), []).append(regime.tau)
+    rungs: dict[float, float] = {}
+    for (g, p, s), tau in taus.items():
+        factor = vacuum() if s == 0.0 else squeezed_pair(s)
+        deficit = float(np.max(1.0 - gaussian_grid(factor, p, np.hstack(tau)).report.fidelity))
+        rungs[g] = max(rungs.get(g, 0.0), deficit)
     ladder = sorted((g, d) for g, d in rungs.items() if d > 0.0)
     if len(ladder) < 3:
         raise ValueError("need at least three ladder couplings with nonzero deficit")

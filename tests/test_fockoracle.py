@@ -296,6 +296,90 @@ class TestPropagation:
             oracle.compare(InitialState("fock", n_a=1, n_b=0), np.linspace(0.0, 10.0, 11))
 
 
+def chebyshev_propagate(h, psi0, ts):
+    """exp(-i h t) psi0 for each t: a plain Chebyshev sum of a GridHamiltonian over its Gershgorin interval."""
+    lo, hi = h.spectral_bounds()
+    centre, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    eye = np.eye(len(h.diagonal))
+    scaled = (h(eye).T - centre * eye) / half
+    coeffs = [chebyshev_coefficients(half * t) for t in ts]
+    a = np.zeros((len(ts), max(map(len, coeffs))), dtype=complex)
+    for row, c in zip(a, coeffs):
+        row[: len(c)] = c
+    # T_k(scaled) psi0, with the real and imaginary parts of psi0 side by side
+    terms = np.empty((a.shape[1], len(psi0), 2))
+    terms[0] = np.asarray(psi0, dtype=complex).view(float).reshape(-1, 2)
+    terms[1] = scaled @ terms[0]
+    for k in range(2, len(terms)):
+        terms[k] = 2.0 * (scaled @ terms[k - 1]) - terms[k - 2]
+    return np.exp(-1j * centre * np.asarray(ts))[:, None] * (a @ terms.view(complex)[..., 0])
+
+
+class TestRwaBlocks:
+    # the RWA side is solved exactly per block of n_a + n_b; these pin it against an independent
+    # propagation of the RWA operator, whose phases E t reach about 6000 rad at |t| = 200
+    RWA_INPUTS = {
+        "squeezed": InitialState("squeezed", s=0.2),  # even, every block
+        "fock-interior": InitialState("fock", n_a=2, n_b=1),  # odd, a block with no boundary row
+        "fock-boundary-odd": InitialState("fock", n_a=5, n_b=8),  # n_a + n_b above the cutoff
+        "fock-boundary-even": InitialState("fock", n_a=7, n_b=7),
+    }
+
+    @pytest.mark.parametrize("kind", RWA_INPUTS)
+    @pytest.mark.parametrize("name", ["equal", "mixed-sign", "g_bs=0", "detuned"])
+    def test_matches_chebyshev_of_rwa_operator(self, name, kind, monkeypatch):
+        # the RWA side never reads the full one, whose propagation to |t| = 200 is skipped
+        monkeypatch.setattr(FockOracle, "_step", lambda self, psi, dt, coeffs: psi)
+        p, initial = PARAMS[name], self.RWA_INPUTS[kind]
+        ts = [-200.0, -3.7, 0.4, 57.0, 200.0]
+        for cutoff in (12, 13):
+            oracle = FockOracle(p, cutoff)
+            rwa = [oracle.evolved_pair(initial, t)[1] for t in ts]
+            psi0 = squeezed_vector(oracle.basis, initial.s)[0] if kind == "squeezed" else fock_vector(oracle.basis, initial.n_a, initial.n_b)
+            parity = oracle.basis.parity(psi0)
+            h = GridHamiltonian.build(p, oracle.basis, 0.0, parity)
+            ref = chebyshev_propagate(h, oracle.basis.sector(psi0, parity), ts)
+            for got, want in zip(rwa, ref):
+                assert np.max(np.abs(got - oracle.basis.from_sector(want, parity))) < 1e-12
+
+    @pytest.mark.parametrize("cutoff", [12, 13])
+    @pytest.mark.parametrize("n_a, n_b", [(0, 0), (3, 2), (5, 8), (12, 12)])
+    def test_fock_input_stays_in_its_block(self, cutoff, n_a, n_b):
+        oracle = FockOracle(PARAMS["mixed-sign"], cutoff)
+        n = oracle.basis.number_vector
+        for t in (-40.0, 0.3, 7.0, 150.0):
+            _, rwa, _ = oracle.evolved_pair(InitialState("fock", n_a=n_a, n_b=n_b), t)
+            assert np.all(rwa[n != n_a + n_b] == 0.0)
+            assert abs(np.sum(np.abs(rwa) ** 2) - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("cutoff", [12, 13])
+    def test_block_weights_conserved(self, cutoff):
+        oracle = FockOracle(PARAMS["equal"], cutoff)
+        psi0, _ = squeezed_vector(oracle.basis, 0.2)
+        n = oracle.basis.number_vector.astype(int)
+        weights0 = np.bincount(n, weights=np.abs(psi0) ** 2)
+        for t in (-60.0, 1.1, 200.0):
+            _, rwa, _ = oracle.evolved_pair(InitialState("squeezed", s=0.2), t)
+            assert np.max(np.abs(np.bincount(n, weights=np.abs(rwa) ** 2) - weights0)) < 1e-14
+
+    def test_tail_includes_rwa_boundary_rows(self):
+        # here the RWA state holds more weight on the boundary than the full one
+        p, initial, t = OscillatorParams(1.0, 1.0, 0.3, 0.3), InitialState("fock", n_a=6, n_b=6), 1.0
+        oracle = FockOracle(p, 8)
+        psi0 = fock_vector(oracle.basis, 6, 6)
+        mask = oracle.basis.boundary_mask
+        tails = [np.sum(np.abs(dense_propagate(build_hamiltonian(p, oracle.basis, v), psi0, t)[mask]) ** 2) for v in ("full", "rwa")]
+        assert tails[1] > 2.0 * tails[0]
+        with pytest.raises(TruncationError, match=f"truncation tail {tails[1]:.3e} exceeds"):
+            oracle.compare(initial, t)
+
+    @pytest.mark.parametrize("cutoff, tail", [(6, "4.966e-05"), (7, "6.732e-06")])
+    def test_tail_check_on_odd_sector_names_the_tail(self, cutoff, tail):
+        oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.3, 0.3), cutoff)
+        with pytest.raises(TruncationError, match=f"truncation tail {tail} exceeds"):
+            oracle.compare(InitialState("fock", n_a=1, n_b=0), np.linspace(0.0, 10.0, 11))
+
+
 class TestSqueezedInput:
     def test_amplitude_moments_match_convention(self):
         # <a^2> must equal +sinh(2s)/2 in the covariance convention used here

@@ -164,6 +164,19 @@ class TestConvergenceOrder:
         with_zeros = regimes + [PerturbativeRegime(g, 0.0) for g in LADDER]
         assert convergence_order(with_zeros) == pytest.approx(convergence_order(regimes), abs=1e-12)
 
+    @pytest.mark.parametrize("s", [0.0, 0.2])
+    def test_matches_scalar_loop(self, s):
+        # one fidelity_eff call per regime: the loop the batched rungs replace
+        regimes = ladder_regimes(LADDER, g_tau=0.5, s=s) + [PerturbativeRegime(0.05, 3.0, epsilon=0.01, s=s)]
+        rungs = {}
+        for regime in regimes:
+            factor = vacuum() if regime.s == 0.0 else squeezed_pair(regime.s)
+            deficit = 1.0 - fidelity_eff(factor, regime.params(), regime.tau).fidelity
+            rungs[regime.g_tilde] = max(rungs.get(regime.g_tilde, 0.0), deficit)
+        ladder = sorted(rungs.items())
+        slope = fit_loglog_slope([g for g, _ in ladder], [d for _, d in ladder])
+        assert abs(convergence_order(regimes) - slope) < 1e-12
+
     def test_insufficient_ladder(self):
         with pytest.raises(ValueError):
             convergence_order(ladder_regimes([0.1, 0.05], g_tau=0.5))
