@@ -8,6 +8,16 @@ J. Chem. Phys. 81, 3967 (1984)).  Every term with a Bessel factor J_k(b dt)
 above double-precision roundoff is kept, so the propagation is unitary to
 rounding (about 1e-14), not exactly.
 
+The requested times are sorted and cut into windows, each holding at most
+WINDOW amplitudes of states, RWA eigenbasis amplitudes and coefficients.  One series is expanded per
+window, from t = 0 for the first and from the last time of the window before
+for the others: its terms T_k psi are formed once, a chunk at a time, and each
+chunk is summed into the state at every time of the window by one matrix
+product.  A term therefore costs the same whatever the number of times, and a
+fine grid pays the series' fixed tail of terms once per window, not once per
+time.  H and every initial state are real, so the first window runs in real
+arithmetic.
+
 Both couplings change n_a + n_b by 0 or 2 (a'b keeps it, a'b' raises it by
 2), so H conserves its parity, and every initial state here (a Fock state,
 the vacuum, the squeezed pair) lies in one parity sector.  Only that sector
@@ -18,11 +28,13 @@ The RWA copy keeps only a'b + ab', which conserves N = n_a + n_b itself, so it
 is solved, not propagated: `RwaBlocks` diagonalizes once each tridiagonal
 block of fixed N that carries the initial state's weight (one block for the
 vacuum or a Fock state), and reads the RWA state, its overlap with the full
-state and its weight on the truncation boundary from that eigenbasis at any
-time.  Its cost does not grow with the time span, and <N> under it keeps its
-initial value exactly.  The number of Chebyshev terms grows as
-(omega_a + omega_b) * cutoff * |time span|, and a request whose estimated
-work exceeds WORK_BUDGET is refused before it starts.
+state and its weight on the truncation boundary from that eigenbasis at all
+the times of a window at once.  Its cost does not grow with the time span, and
+<N> under it keeps its initial value exactly.  The truncation tail is checked
+at every time, and a `TruncationError` names the first time it fails.  The
+number of Chebyshev terms grows as (omega_a + omega_b) * cutoff * |time span|,
+and a request whose estimated work exceeds WORK_BUDGET is refused before any
+coefficient is built.
 """
 
 from __future__ import annotations
@@ -57,15 +69,20 @@ TAIL_TOL = 1e-8
 MAX_CUTOFF = 96
 BOUND_CERT_TOL = 1e-6
 # Largest trajectory, in amplitude updates of one Chebyshev term (12 ns each on one core at
-# cutoffs 4 to 96), so the budget is about a minute.  A term costs the sector's length plus
-# TERM_OVERHEAD for the interpreter.  Diagonalizing the RWA blocks costs about EIGH_COST m^3
-# per block of m rows (0.1-0.8 measured, m = 25 to 97); each time costs the sector's length
-# plus PROJECTION_COST per entry of the padded block stack (5.2 fitted) plus TIME_OVERHEAD.
+# cutoffs 4 to 96), so the budget is about a minute.  A window's series costs, per term, the
+# sector's length plus TERM_OVERHEAD for the interpreter plus PRODUCT_COST per amplitude and
+# time of the window for summing the term into every state (0.06-0.08 measured at cutoffs 80
+# and 96).  Diagonalizing the RWA blocks costs about EIGH_COST m^3 per block of m rows (0.1-0.8
+# measured, m = 25 to 97); each time costs the sector's length plus PROJECTION_COST per entry
+# of the padded block stack (6-9 measured).  A window holds at most WINDOW amplitudes of states,
+# RWA eigenbasis amplitudes and coefficients, and forms its terms in chunks of at most WINDOW
+# amplitudes, so its memory is bounded whatever the grid.
 WORK_BUDGET = 4e9
 TERM_OVERHEAD = 1200
+PRODUCT_COST = 0.08
 EIGH_COST = 0.5
-PROJECTION_COST = 5
-TIME_OVERHEAD = 2000
+PROJECTION_COST = 8
+WINDOW = 2**15
 
 
 class TruncationError(RuntimeError):
@@ -145,7 +162,7 @@ class FockBasis:
 class GridHamiltonian:
     """H = wa n_a + wb n_b + g_bs (a'b + ab') + g_sq (a'b' + ab) on flat amplitudes.
 
-    Copies of the basis, or of one parity sector, are stacked end to end.  A
+    The amplitudes are those of the basis or of one parity sector.  A
     coupling links k to k + d through weights H[k + d, k] that are zero where
     the shift leaves the grid; d is the number of entries the weights lack.  On
     the basis (index n_a (cutoff+1) + n_b) d is cutoff for a'b and cutoff + 2
@@ -158,21 +175,21 @@ class GridHamiltonian:
     sq: np.ndarray  # H[k + d, k] of a'b'
 
     @classmethod
-    def build(cls, p: OscillatorParams, basis: FockBasis, g_sq, parity: int | None = None) -> "GridHamiltonian":
-        """One copy of H per entry of g_sq, in place of p.g_sq; g_sq = 0 is the RWA.
+    def build(cls, p: OscillatorParams, basis: FockBasis, g_sq: float, parity: int | None = None) -> "GridHamiltonian":
+        """H with g_sq in place of p.g_sq; g_sq = 0 is the RWA.
 
         On the whole basis, or on the sector of the given parity of n_a + n_b.
         """
-        c, g_sq = basis.cutoff, np.atleast_1d(g_sq)
+        c = basis.cutoff
         n_a, n_b = basis.occupations(np.arange(basis.dim))
         up = np.sqrt(n_a + 1.0) * (n_a < c)
         diagonal = p.omega_a * n_a + p.omega_b * n_b
-        bs, sq = p.g_bs * up * np.sqrt(n_b), up * np.sqrt(n_b + 1.0) * (n_b < c)
+        bs, sq = p.g_bs * up * np.sqrt(n_b), g_sq * (up * np.sqrt(n_b + 1.0) * (n_b < c))
         d_bs, d_sq = c, c + 2
         if parity is not None:
             diagonal, bs, sq = (basis.sector(v, parity) for v in (diagonal, bs, sq))
             d_bs, d_sq = basis.stride // 2, basis.stride // 2 + 1
-        return cls(np.tile(diagonal, len(g_sq)), np.tile(bs, len(g_sq))[:-d_bs], np.multiply.outer(g_sq, sq).ravel()[:-d_sq])
+        return cls(diagonal, bs[:-d_bs], sq[:-d_sq])
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
         dtype = np.result_type(self.diagonal, psi)
@@ -201,31 +218,52 @@ class GridHamiltonian:
         return float(np.min(self.diagonal - radius)), float(np.max(self.diagonal + radius))
 
 
-def chebyshev_coefficients(x: float) -> np.ndarray:
+def chebyshev_terms(ax):
+    """Miller's starting index int(|x| + 16 |x|^(1/3)) + 40, well past the turning point k = |x|: a bound on the terms kept."""
+    return (ax + 16.0 * np.cbrt(ax)).astype(int) + 40
+
+
+def chebyshev_coefficients(x) -> np.ndarray:
     """a_k with exp(-i x y) = sum_k a_k T_k(y) on [-1, 1], cut where |J_k(x)| drops below eps.
 
-    a_k = (2 - delta_k0) (-i)^k J_k(x).  J_k(|x|) comes from Miller's backward
-    recurrence J_(k-1) = (2k/|x|) J_k - J_(k+1), started well past the turning
-    point k = |x| and normalized by J_0 + 2 sum_k J_2k = 1; J_k(-x) = (-1)^k J_k(x).
+    A scalar x gives one row; an array of x gives one row per entry, each cut
+    at its own length and zero-padded to the longest, all from one recurrence.
+    a_k = (2 - delta_k0) (-i)^k J_k(x), so a_k is real for even k and imaginary
+    for odd k.  J_k(|x|) comes from Miller's backward recurrence J_(k-1) =
+    (2k/|x|) J_k - J_(k+1), each entry started at its own `chebyshev_terms`
+    from 2^-900, so that it cannot overflow, and normalized by J_0 + 2 sum_k
+    J_2k = 1; J_k(-x) = (-1)^k J_k(x).  Below |x| = 2^-26, J_0 = 1 and J_1 =
+    |x|/2 to double precision and J_2 < eps, so those are set directly.
     """
-    if x == 0.0:
-        return np.ones(1, dtype=complex)
-    ax = abs(x)
-    top = int(ax + 16.0 * ax ** (1.0 / 3.0)) + 40
-    j = np.zeros(top + 2)
-    j[top] = 1.0
-    for k in range(top, 0, -1):
-        j[k - 1] = 2.0 * k / ax * j[k] - j[k + 1]
-        if abs(j[k - 1]) > 1e250:
-            j[k - 1 :] *= 1e-250
-    j /= j[0] + 2.0 * np.sum(j[2::2])
-    kept = np.nonzero(np.abs(j) >= np.finfo(float).eps)[0][-1] + 1
-    k = np.arange(kept)
-    return np.where(k == 0, 1.0, 2.0) * (-1j * np.sign(x)) ** (k % 4) * j[:kept]
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x).ravel()
+    small = ax < 2.0**-26
+    tops = chebyshev_terms(ax[~small])
+    j = np.zeros((int(tops.max(initial=1)) + 2, ax.size))
+    j[0, small], j[1, small] = 1.0, 0.5 * ax[small]
+    if tops.size:
+        starts = {}
+        for col, top in enumerate(tops.tolist()):
+            starts.setdefault(top, []).append(col)
+        miller = np.zeros((len(j), tops.size))
+        # lists of row views: indexing a list is cheaper than slicing the array in this loop
+        rows, ratios = list(miller), list(np.multiply.outer(np.arange(len(j)), 2.0 / ax[~small]))
+        for k in range(len(j) - 2, 0, -1):
+            if k in starts:
+                rows[k][starts[k]] = 2.0**-900
+            np.multiply(ratios[k], rows[k], out=rows[k - 1])
+            np.subtract(rows[k - 1], rows[k + 1], out=rows[k - 1])
+        j[:, ~small] = miller / (miller[0] + 2.0 * np.sum(miller[2::2], axis=0))
+    above = np.abs(j) >= np.finfo(float).eps
+    kept = len(j) - np.argmax(above[::-1], axis=0)
+    k = np.arange(kept.max())[:, None]
+    phase = np.array([1.0, -1j, -1.0, 1j])[(k * np.sign(x).ravel().astype(int)) % 4]
+    a = np.where(k < kept, np.where(k == 0, 1.0, 2.0) * j[: len(k)], 0.0) * phase
+    return a.T.reshape(x.shape + (len(k),))
 
 
 def fock_vector(basis: FockBasis, n_a: int, n_b: int) -> np.ndarray:
-    amp = np.zeros(basis.dim, dtype=complex)
+    amp = np.zeros(basis.dim)
     amp[basis.index(n_a, n_b)] = 1.0
     return amp
 
@@ -247,8 +285,8 @@ def squeezed_mode_amplitudes(s: float, cutoff: int) -> np.ndarray:
 def squeezed_vector(basis: FockBasis, s: float) -> tuple[np.ndarray, float]:
     """Amplitudes of the truncated squeezed-pair state and the discarded weight before renormalization."""
     mode = squeezed_mode_amplitudes(s, basis.cutoff)
-    amp = np.kron(mode, mode).astype(complex)
-    weight = float(np.sum(np.abs(amp) ** 2))
+    amp = np.kron(mode, mode)
+    weight = float(np.sum(amp**2))
     discarded = 1.0 - weight
     if discarded > TAIL_TOL:
         raise TruncationError(f"initial squeezed state loses weight {discarded:.3e} at cutoff {basis.cutoff}")
@@ -294,7 +332,7 @@ def number_blocks(basis: FockBasis, psi: np.ndarray, parity: int) -> tuple[np.nd
 
 
 def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Stacked real matrices (B, j, k) times complex vectors (B, k), as (B, j) complex.
+    """Stacked real matrices (B, j, k) times complex vectors (..., B, k), as (..., B, j) complex.
 
     Both parts of z go through one real product: casting m to complex would
     copy it and double the arithmetic.
@@ -310,8 +348,8 @@ class RwaBlocks:
     off-diagonal g_bs sqrt((n_a + 1) n_b).  Each block that `number_blocks`
     keeps is diagonalized once, H_N = V_N diag(E_N) V_N^T, and then
     psi_rwa,N(t) = V_N e^(-i E_N t) c_N with c_N = V_N^T psi0,N at any t.  The blocks sit in
-    one zero-padded (blocks, m, m) stack, so a time costs a few batched
-    products, not a loop over blocks.
+    one zero-padded (blocks, m, m) stack, so the times of a window cost a few
+    batched products, not a loop over blocks or times.
     """
 
     def __init__(self, p: OscillatorParams, basis: FockBasis, n_a: np.ndarray, n_b: np.ndarray, psi0: np.ndarray):
@@ -335,23 +373,34 @@ class RwaBlocks:
             self.energies[b, :size], vecs[b, :size, :size] = np.linalg.eigh(blocks[b, :size, :size])
         self.energies += mean[:, None]
         self.vecs_t = np.ascontiguousarray(vecs.transpose(0, 2, 1))  # V^T, the hot product's operand
-        self.c = _real_matmul(self.vecs_t, psi0[self.index])
-        # rows on the truncation boundary, n_a = cutoff or n_b = cutoff, with their block
-        self.edge_block, edge_row = np.nonzero(valid & (np.maximum(n_a, n_b) == basis.cutoff))
-        self.edge_vecs = vecs[self.edge_block, edge_row]
+        self.c = np.matmul(self.vecs_t, psi0[self.index][..., None])[..., 0]
+        # rows on the truncation boundary, n_a = cutoff or n_b = cutoff: at most two per block, its
+        # first and last, so each block's are two rows of V, zero where the block has fewer
+        edge = valid & (np.maximum(n_a, n_b) == basis.cutoff)
+        ends = np.argsort(~edge, axis=1, kind="stable")[:, :2]
+        on_edge = np.take_along_axis(edge, ends, axis=1)[..., None]
+        self.edge_vecs = np.where(on_edge, np.take_along_axis(vecs, ends[..., None], axis=1), 0.0)
 
-    def coefficients(self, t: float) -> np.ndarray:
-        """Eigenbasis amplitudes e^(-i E t) c at time t, zero in the padding."""
-        return np.exp(-1j * (t * self.energies)) * self.c
+    def coefficients(self, ts: np.ndarray) -> np.ndarray:
+        """Eigenbasis amplitudes e^(-i E t) c, one (blocks, m) stack per time of ts, zero in the padding."""
+        phase = np.multiply.outer(ts, self.energies)
+        coef = np.empty(phase.shape, complex)
+        np.cos(phase, out=coef.real)
+        np.negative(np.sin(phase, out=phase), out=coef.imag)
+        coef *= self.c
+        return coef
 
-    def overlap(self, coef: np.ndarray, psi: np.ndarray) -> complex:
-        """<psi_rwa|psi> for the RWA state of eigenbasis amplitudes coef and sector amplitudes psi."""
-        return complex(np.vdot(coef, _real_matmul(self.vecs_t, psi[self.index])))
+    def overlap(self, coef: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """<psi_rwa|psi> per time, for RWA eigenbasis amplitudes coef and rows psi of sector amplitudes."""
+        # sum conj(a) b over real and imaginary parts side by side, with no conjugated copy of coef
+        a, b = (z.view(float).reshape(len(z), -1, 2) for z in (coef, _real_matmul(self.vecs_t, psi[:, self.index])))
+        re = np.einsum("tkc,tkc->t", a, b)
+        return re + 1j * (np.einsum("tk,tk->t", a[..., 0], b[..., 1]) - np.einsum("tk,tk->t", a[..., 1], b[..., 0]))
 
-    def boundary_weight(self, coef: np.ndarray) -> float:
-        """Weight of the RWA state on the truncation boundary."""
-        edge = np.einsum("km,km->k", self.edge_vecs, coef[self.edge_block])
-        return float(np.sum(np.abs(edge) ** 2))
+    def boundary_weight(self, coef: np.ndarray) -> np.ndarray:
+        """Weight of the RWA state on the truncation boundary, per time."""
+        edge = _real_matmul(self.edge_vecs, coef)
+        return np.sum(edge.real**2 + edge.imag**2, axis=(1, 2))
 
     def amplitudes(self, coef: np.ndarray, size: int) -> np.ndarray:
         """Sector amplitudes of the RWA state, exactly zero outside its blocks."""
@@ -375,88 +424,167 @@ class FockOracle:
             for h in (GridHamiltonian.build(p, self.basis, p.g_sq, parity) for parity in (0, 1))
         )
 
-    def _step(self, psi: np.ndarray, dt: float, coeffs: np.ndarray) -> np.ndarray:
-        # The recurrence cycles through four fixed buffers (prev starts as a
-        # copy, since its buffer is reused), whose shifted views are built here
-        # once, not on every term.  With fresh temporaries on every term its
-        # speed hung on the state of the heap: a cutoff-80 oracle-check ran
-        # 15-50% slower after an unrelated change in what else was allocated.
-        # coeffs is shared between steps, so it is only read.
-        h = self._recurrence
-        out = coeffs[0] * psi
-        prev, cur, spare, work = map(h._shifted, (psi.copy(), np.empty_like(psi), np.empty_like(psi), np.empty_like(psi)))
-        h._apply(prev, cur, work)
-        np.multiply(cur[0], 0.5, out=cur[0])
-        for k, c in enumerate(coeffs[1:]):
-            if k:
-                h._apply(cur, spare, work)
-                np.subtract(spare[0], prev[0], out=spare[0])
-                prev, cur, spare = cur, spare, prev
-            np.multiply(c, cur[0], out=work[0])
-            np.add(out, work[0], out=out)
-        return np.exp(-1j * self._centre * dt) * out
+    def _windows(self, ts: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
+        """ts's positions in ascending order of time, its window edges in that order, and each window's anchor and terms.
 
-    def _trajectory(self, psi0: np.ndarray, parity: int, ts) -> tuple[RwaBlocks, Iterator[np.ndarray]]:
-        """psi0's RWA blocks, and its parity sector under the full H at each time of ts, stepped from t = 0.
-
-        Raises ValueError, before any block is diagonalized or step taken, if
-        the work is over WORK_BUDGET.
+        Window w holds the times at order[edges[w] : edges[w + 1]] and is
+        anchored at the time before them, t = 0 for the first; its Chebyshev
+        series needs at most terms[w] terms.  A window takes times while their
+        rows of size amplitudes and of coefficients, times x (size + terms),
+        fit in WINDOW amplitudes, and at least one time: a binary search finds
+        how many for a window that starts at each position, and the windows
+        are chained from the first.
         """
-        dts = np.diff(np.asarray(ts, dtype=float), prepend=0.0)
-        x = self._half * np.abs(dts)
+        order = np.argsort(ts, kind="stable")
+        t = ts[order]
+        anchor = np.concatenate(([0.0], t[:-1]))  # of a window that starts at each position
+
+        def terms(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+            # t is sorted, so the times farthest from the anchor are at the ends
+            reach = np.maximum(np.abs(t[first] - anchor[first]), np.abs(t[first + count - 1] - anchor[first]))
+            return chebyshev_terms(self._half * reach)
+
+        first = np.arange(len(t))
+        fit, most = np.ones(len(t), dtype=int), np.minimum(max(WINDOW // size, 1), len(t) - first)
+        while np.any(active := fit < most):
+            count = np.where(active, (fit + most + 1) // 2, fit)
+            fits = count * (size + terms(first, count)) <= WINDOW
+            fit, most = np.where(active & fits, count, fit), np.where(active & ~fits, count - 1, most)
+        edges, fit = [0], fit.tolist()
+        while edges[-1] < len(t):
+            edges.append(edges[-1] + fit[edges[-1]])
+        first, count = np.array(edges[:-1], dtype=int), np.diff(edges)
+        return order, np.array(edges), anchor[first], terms(first, count)
+
+    def _trajectory(self, psi0: np.ndarray, parity: int, ts: np.ndarray) -> tuple[RwaBlocks, Iterator[tuple]]:
+        """psi0's RWA blocks, and per window of ts its (positions, times, sector states under the full H).
+
+        Raises ValueError, before any block is diagonalized or coefficient
+        built, if a time is not finite or the work is over WORK_BUDGET.
+        """
+        if not np.all(np.isfinite(ts)):
+            raise ValueError("the oracle's times must be finite")
         psi = self.basis.sector(psi0, parity)
         n_a, n_b = number_blocks(self.basis, psi, parity)
-        sizes = np.sum(n_a >= 0, axis=1)
+        # each time of a window holds its state and its RWA eigenbasis amplitudes, padding and all
+        order, edges, anchors, terms = self._windows(ts, len(psi) + n_a.size)
         work = (
-            (len(psi) + TERM_OVERHEAD) * float(np.sum(x + 16.0 * np.cbrt(x) + 40.0))
-            + EIGH_COST * float(np.sum(sizes.astype(float) ** 3))
-            + (len(psi) + PROJECTION_COST * n_a.size + TIME_OVERHEAD) * len(dts)
+            float(np.sum(terms * (len(psi) + TERM_OVERHEAD + PRODUCT_COST * np.diff(edges) * len(psi))))
+            + EIGH_COST * float(np.sum(np.sum(n_a >= 0, axis=1).astype(float) ** 3))
+            + (len(psi) + PROJECTION_COST * n_a.size) * len(ts)
         )
         if not work <= WORK_BUDGET:
             msg = f"the oracle would need about {work:.3g} amplitude updates, over the budget of {WORK_BUDGET:.3g}"
             raise ValueError(f"{msg}; shorten the tau span or lower the cutoff")
-        return RwaBlocks(self.params, self.basis, n_a, n_b, psi), self._states(psi, parity, dts)
+        windows = [(order[a:b], anchor) for a, b, anchor in zip(edges[:-1], edges[1:], anchors)]
+        return RwaBlocks(self.params, self.basis, n_a, n_b, psi), self._propagate(psi, parity, ts, windows)
 
-    def _states(self, psi: np.ndarray, parity: int, dts: np.ndarray) -> Iterator[np.ndarray]:
-        coeffs = {}  # one entry per distinct step: rounding leaves a linspace grid only a few
-        for dt in dts:
-            if dt not in coeffs:
-                coeffs[dt] = chebyshev_coefficients(self._half * dt)
-            self._recurrence = self._recurrences[parity]  # what _step applies, set per step: no sector leaks between trajectories
-            psi = self._step(psi, dt, coeffs[dt])
-            yield psi
+    def _propagate(self, psi: np.ndarray, parity: int, ts: np.ndarray, windows: list) -> Iterator[tuple]:
+        """Per window (positions, anchor) its (positions, times, sector states), from the last state of the one before.
+
+        The states are held in one array per trajectory, so each window's
+        overwrite the last window's.
+        """
+        states = np.empty((max((len(where) for where, _ in windows), default=0), len(psi)), complex)
+        for where, anchor in windows:
+            self._expand(parity, psi, ts[where] - anchor, states[: len(where)])
+            psi = states[len(where) - 1].copy()
+            yield where, ts[where], states[: len(where)]
+
+    def _expand(self, parity: int, psi: np.ndarray, dts: np.ndarray, states: np.ndarray) -> None:
+        """Rows exp(-i H dt) psi into states, one per dt of dts, from one Chebyshev series on psi's parity sector.
+
+        The terms T_k psi are formed a chunk of at most WINDOW amplitudes at a
+        time in one buffer, whose last two rows seed the next chunk, and each
+        chunk is summed into every row by one product per parity of k: a_k is
+        real for even k and imaginary for odd k.  A real psi (the window from
+        t = 0) keeps the terms and the products real.  The buffer's shifted
+        views are built once per window, not per term: with fresh temporaries
+        on every term the recurrence's speed hung on the state of the heap (a
+        cutoff-80 oracle-check ran 15-50% slower after an unrelated change in
+        what else was allocated).
+        """
+        h = self._recurrences[parity]
+        a = chebyshev_coefficients(self._half * dts)
+        weights = np.ascontiguousarray(a.real[:, 0::2]), np.ascontiguousarray(a.imag[:, 1::2])
+        real = not np.iscomplexobj(psi)
+        buf = np.empty((max(2, WINDOW // len(psi) // 2 * 2) + 2, len(psi)), psi.dtype)
+        rows, work = [h._shifted(row) for row in buf], h._shifted(np.empty_like(psi))
+        terms = buf.view(float)
+        part = np.empty((len(dts), terms.shape[1]))
+        states[...] = 0.0
+        start = 0
+        for k in range(a.shape[1]):
+            prev, cur = rows[k - start + 1], rows[k - start + 2]
+            if k == 0:
+                cur[0][:] = psi
+            else:
+                h._apply(prev, cur, work)
+                if k == 1:
+                    np.multiply(cur[0], 0.5, out=cur[0])
+                else:
+                    np.subtract(cur[0], rows[k - start][0], out=cur[0])
+            if cur is rows[-1] or k + 1 == a.shape[1]:
+                # rows 2, 4, ... of buf hold the even terms from T_start, rows 3, 5, ... the odd
+                # ones, whose sum is imaginary: i (x + i y) = -y + i x
+                for w, first in zip(weights, (2, 3)):
+                    block = terms[first : k - start + 3 : 2]
+                    np.matmul(w[:, start // 2 : start // 2 + len(block)], block, out=part)
+                    if real:
+                        dest = states.real if first == 2 else states.imag
+                        np.add(dest, part, out=dest)
+                    elif first == 2:
+                        np.add(states, part.view(complex), out=states)
+                    else:
+                        np.subtract(states.real, part.view(complex).imag, out=states.real)
+                        np.add(states.imag, part.view(complex).real, out=states.imag)
+                buf[:2] = buf[-2:]
+                start = k + 1
+        states *= np.exp(-1j * self._centre * dts)[:, None]
 
     def evolved_pair(self, initial: InitialState, t: float) -> tuple[np.ndarray, np.ndarray, float]:
         """Amplitudes (full, rwa) on the basis at time t and the initial state's discarded weight."""
         psi0, discarded = initial_vector(self.basis, initial)
         parity = self.basis.parity(psi0)
-        rwa, states = self._trajectory(psi0, parity, [t])
-        (psi_full,) = states
-        psi_rwa = rwa.amplitudes(rwa.coefficients(t), len(psi_full))
-        return self.basis.from_sector(psi_full, parity), self.basis.from_sector(psi_rwa, parity), discarded
+        rwa, windows = self._trajectory(psi0, parity, np.array([t], dtype=float))
+        ((_, times, states),) = windows
+        psi_rwa = rwa.amplitudes(rwa.coefficients(times)[0], states.shape[1])
+        return self.basis.from_sector(states[0], parity), self.basis.from_sector(psi_rwa, parity), discarded
 
     def compare(self, initial: InitialState, ts) -> OraclePoint:
         """Oracle outputs over an array of times, or float fields for a scalar t."""
         psi0, tail = initial_vector(self.basis, initial)
         parity = self.basis.parity(psi0)
-        mask, n = (self.basis.sector(v, parity) for v in (self.basis.boundary_mask, self.basis.number_vector))
+        edge = np.flatnonzero(self.basis.sector(self.basis.boundary_mask, parity))
+        n = self.basis.sector(self.basis.number_vector, parity)
         times = np.asarray(ts, dtype=float)
-        fid, d_n = np.empty(times.shape), np.empty(times.shape)
-        rwa, states = self._trajectory(psi0, parity, times.reshape(-1))
+        fid, d_n = np.empty(times.size), np.empty(times.size)
+        rwa, windows = self._trajectory(psi0, parity, times.ravel())
         # H_RWA commutes with N, so <N> keeps its initial value exactly, truncation included;
         # summed as the full side is, so that delta_n is exactly 0 at t = 0
-        psi = self.basis.sector(psi0, parity)
-        n_rwa = np.real(np.vdot(psi, n * psi))
-        for i, (t, psi_full) in enumerate(zip(times.flat, states)):
+        n_rwa = np.sum(n * _density(self.basis.sector(psi0, parity)))
+
+        def measure(t: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """Worst truncation tail, fidelity and delta_n at each time of a window."""
             coef = rwa.coefficients(t)
-            tail = max(tail, float(np.sum(np.abs(psi_full[mask]) ** 2)), rwa.boundary_weight(coef))
-            if tail > TAIL_TOL:
-                raise TruncationError(f"truncation tail {tail:.3e} exceeds {TAIL_TOL} at cutoff {self.basis.cutoff}")
-            fid.flat[i] = abs(rwa.overlap(coef, psi_full)) ** 2
-            d_n.flat[i] = np.real(np.vdot(psi_full, n * psi_full)) - n_rwa
+            density = _density(states)
+            tails = np.maximum(np.sum(density[:, edge], axis=1), rwa.boundary_weight(coef))
+            return tails, np.abs(rwa.overlap(coef, states)) ** 2, np.sum(n * density, axis=1) - n_rwa
+
+        for where, t, states in windows:
+            tails, fid[where], d_n[where] = measure(t, states)
+            if np.any(tails > TAIL_TOL):
+                first = int(np.argmax(tails > TAIL_TOL))
+                msg = f"truncation tail {tails[first]:.3e} exceeds {TAIL_TOL} at cutoff {self.basis.cutoff}"
+                raise TruncationError(f"{msg} (first at t = {t[first]:.6g})")
+            tail = max(tail, float(np.max(tails)))
         if times.ndim == 0:
-            fid, d_n = float(fid), float(d_n)
-        return OraclePoint(fidelity=fid, delta_n=d_n, tail_weight=tail)
+            return OraclePoint(fidelity=float(fid[0]), delta_n=float(d_n[0]), tail_weight=tail)
+        return OraclePoint(fidelity=fid.reshape(times.shape), delta_n=d_n.reshape(times.shape), tail_weight=tail)
+
+
+def _density(psi: np.ndarray) -> np.ndarray:
+    return psi.real**2 + psi.imag**2
 
 
 def fock_bound(n_a: int, n_b: int, g: float, omega: float, t: float) -> float:

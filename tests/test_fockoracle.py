@@ -157,13 +157,6 @@ class TestHamiltonian:
             ref = build_hamiltonian(PARAMS[name], basis, variant)
             assert np.max(np.abs(materialized(PARAMS[name], basis, variant) - ref)) < 1e-15
 
-    def test_stacked_copies_act_independently(self):
-        p, basis = PARAMS["mixed-sign"], FockBasis(5)
-        psi = np.random.default_rng(1).normal(size=2 * basis.dim)
-        pair = GridHamiltonian.build(p, basis, (p.g_sq, 0.0))(psi)
-        assert np.max(np.abs(pair[: basis.dim] - build_hamiltonian(p, basis) @ psi[: basis.dim])) < 1e-14
-        assert np.max(np.abs(pair[basis.dim :] - build_hamiltonian(p, basis, "rwa") @ psi[basis.dim :])) < 1e-14
-
     @pytest.mark.parametrize("name", PARAMS)
     @pytest.mark.parametrize("cutoff", [5, 8])
     def test_sector_pair_is_the_restricted_operator(self, name, cutoff):
@@ -172,8 +165,8 @@ class TestHamiltonian:
         rng = np.random.default_rng(cutoff)
         for parity in (0, 1):
             copies = [basis.sector(rng.normal(size=basis.dim), parity) for _ in refs]
-            pair = GridHamiltonian.build(p, basis, (p.g_sq, 0.0), parity)(np.concatenate(copies))
-            for got, ref, v in zip(np.split(pair, 2), refs, copies):
+            pair = [GridHamiltonian.build(p, basis, g_sq, parity)(v) for g_sq, v in zip((p.g_sq, 0.0), copies)]
+            for got, ref, v in zip(pair, refs, copies):
                 assert np.max(np.abs(basis.from_sector(got, parity) - ref @ basis.from_sector(v, parity))) < 1e-14
                 # the dead column of an odd cutoff stays empty
                 assert np.array_equal(basis.sector(basis.from_sector(got, parity), parity), got)
@@ -315,6 +308,80 @@ def chebyshev_propagate(h, psi0, ts):
     return np.exp(-1j * centre * np.asarray(ts))[:, None] * (a @ terms.view(complex)[..., 0])
 
 
+def frozen_expansion(self, parity, psi, dts, states):
+    """Stands in for FockOracle._expand where only the RWA side or the work estimate is under test."""
+    states[...] = psi
+
+
+class TestWindows:
+    # the full side sums one Chebyshev series per window of times; pinned against
+    # chebyshev_propagate, which sums every time's own series from t = 0
+    @pytest.mark.parametrize("cutoff", [12, 13])
+    @pytest.mark.parametrize("kind", ["squeezed", "fock-odd"])
+    def test_matches_chebyshev_propagate(self, cutoff, kind):
+        p, rng = PARAMS["mixed-sign"], np.random.default_rng(cutoff)
+        ts = np.concatenate([np.linspace(-6.0, 30.0, 300), [0.0, 4.5, 4.5, -6.0, 30.0, 60.0]])
+        ts = ts[rng.permutation(len(ts))]
+        oracle = FockOracle(p, cutoff)
+        psi0 = squeezed_vector(oracle.basis, 0.2)[0] if kind == "squeezed" else fock_vector(oracle.basis, 2, 1)
+        parity = oracle.basis.parity(psi0)
+        assert parity == (0 if kind == "squeezed" else 1)
+        sector = oracle.basis.sector(psi0, parity)
+        assert len(oracle._windows(ts, len(sector))[1]) > 3
+        _, windows = oracle._trajectory(psi0, parity, ts)
+        got = np.empty((len(ts), len(sector)), dtype=complex)
+        for where, times, states in windows:
+            assert np.array_equal(times, ts[where]) and np.all(np.diff(times) >= 0.0)
+            got[where] = states
+        ref = chebyshev_propagate(GridHamiltonian.build(p, oracle.basis, p.g_sq, parity), sector, ts)
+        assert np.max(np.abs(got - ref)) < 1e-12
+
+    @pytest.mark.parametrize("cutoff", [4, 24, 96])
+    def test_windows_are_full_and_fit(self, cutoff):
+        oracle, rng = FockOracle(PARAMS["equal"], cutoff), np.random.default_rng(cutoff)
+        size = len(oracle.basis.sector(oracle.basis.number_vector, 0))
+        ts = np.concatenate([rng.uniform(-5.0, 40.0, 3000), [7.0] * 5, [1e-300, 0.0, 60.0, 400.0]])
+        order, edges, anchors, terms = oracle._windows(ts, size)
+        t = ts[order]
+        assert np.array_equal(np.sort(order), np.arange(len(ts))) and np.all(np.diff(t) >= 0.0)
+        assert edges[0] == 0 and edges[-1] == len(ts) and np.all(np.diff(edges) >= 1)
+
+        def bound(a, b, anchor):
+            return fockoracle.chebyshev_terms(oracle._half * np.max(np.abs(t[a:b] - anchor)))
+
+        for w, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            anchor = t[a - 1] if a else 0.0
+            assert anchors[w] == anchor and terms[w] == bound(a, b, anchor)
+            assert b - a == 1 or (b - a) * (size + terms[w]) <= fockoracle.WINDOW
+            if b < len(t):
+                assert (b - a + 1) * (size + bound(a, b + 1, anchor)) > fockoracle.WINDOW
+
+    @pytest.mark.parametrize("cutoff", [12, 13])
+    def test_evolved_pair_agrees_with_compare(self, cutoff):
+        p, initial = PARAMS["detuned"], InitialState("squeezed", s=0.2)
+        oracle = FockOracle(p, cutoff)
+        ts = np.linspace(-3.0, 25.0, 400)
+        grid = oracle.compare(initial, ts)
+        n = oracle.basis.number_vector
+        for i in (0, 117, 250, 399):
+            full, rwa, _ = oracle.evolved_pair(initial, ts[i])
+            assert abs(abs(np.vdot(rwa, full)) ** 2 - grid.fidelity[i]) < 1e-12
+            assert abs(np.vdot(full, n * full).real - np.vdot(rwa, n * rwa).real - grid.delta_n[i]) < 1e-12
+
+    @pytest.mark.parametrize("cutoff", [6, 7])
+    def test_truncation_error_names_the_first_failing_time(self, cutoff):
+        p, ts = OscillatorParams(1.0, 1.0, 0.3, 0.3), np.linspace(0.0, 10.0, 41)
+        oracle = FockOracle(p, cutoff)
+        psi0, mask = fock_vector(oracle.basis, 1, 0), oracle.basis.boundary_mask
+        h_full, h_rwa = build_hamiltonian(p, oracle.basis), build_hamiltonian(p, oracle.basis, "rwa")
+        tails = [max(np.sum(np.abs(dense_propagate(h, psi0, t)[mask]) ** 2) for h in (h_full, h_rwa)) for t in ts]
+        first = ts[np.argmax(np.array(tails) > fockoracle.TAIL_TOL)]
+        assert 0.0 < first < ts[-1]
+        for order in (slice(None), slice(None, None, -1)):
+            with pytest.raises(TruncationError, match=re.escape(f"at cutoff {cutoff} (first at t = {first:.6g})")):
+                oracle.compare(InitialState("fock", n_a=1, n_b=0), ts[order])
+
+
 class TestRwaBlocks:
     # the RWA side is solved exactly per block of n_a + n_b; these pin it against an independent
     # propagation of the RWA operator, whose phases E t reach about 6000 rad at |t| = 200
@@ -329,7 +396,7 @@ class TestRwaBlocks:
     @pytest.mark.parametrize("name", ["equal", "mixed-sign", "g_bs=0", "detuned"])
     def test_matches_chebyshev_of_rwa_operator(self, name, kind, monkeypatch):
         # the RWA side never reads the full one, whose propagation to |t| = 200 is skipped
-        monkeypatch.setattr(FockOracle, "_step", lambda self, psi, dt, coeffs: psi)
+        monkeypatch.setattr(FockOracle, "_expand", frozen_expansion)
         p, initial = PARAMS[name], self.RWA_INPUTS[kind]
         ts = [-200.0, -3.7, 0.4, 57.0, 200.0]
         for cutoff in (12, 13):
@@ -447,31 +514,48 @@ class TestOracle:
         assert abs(a - b) < 1e-6
 
     def test_work_budget_refuses_before_propagating(self, monkeypatch):
-        def no_step(*args):
-            raise AssertionError("propagated past the work budget")
+        def no_work(*args):
+            raise AssertionError("built a coefficient table or propagated past the work budget")
 
         oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 96)
-        monkeypatch.setattr(FockOracle, "_step", no_step)
+        monkeypatch.setattr(fockoracle, "chebyshev_coefficients", no_work)
+        monkeypatch.setattr(FockOracle, "_expand", no_work)
         with pytest.raises(ValueError, match=re.escape(f"over the budget of {WORK_BUDGET:.3g}")):
             oracle.evolved_pair(InitialState("vacuum"), 1e5)
+        with pytest.raises(ValueError, match=re.escape(f"over the budget of {WORK_BUDGET:.3g}")):
+            oracle.compare(InitialState("vacuum"), np.linspace(0.0, 1e5, 3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_times(self, bad):
+        oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 8)
+        with pytest.raises(ValueError, match="must be finite"):
+            oracle.compare(InitialState("vacuum"), np.array([0.0, bad, 1.0]))
+        with pytest.raises(ValueError, match="must be finite"):
+            oracle.evolved_pair(InitialState("vacuum"), bad)
 
     def test_work_budget_admits_long_span_at_cutoff_40(self, monkeypatch):
         # cutoff 40 to tau 1000 runs in a few seconds; only the estimate is exercised here
-        monkeypatch.setattr(FockOracle, "_step", lambda self, psi, dt, coeffs: psi)
+        monkeypatch.setattr(FockOracle, "_expand", frozen_expansion)
         point = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 40).compare(InitialState("vacuum"), np.linspace(0, 1000, 101))
         assert point.tail_weight == 0.0
 
-    def test_chebyshev_coefficients_once_per_distinct_step(self, monkeypatch):
+    def test_chebyshev_coefficients_once_per_window(self, monkeypatch):
         calls = []
 
         def counted(x):
-            calls.append(x)
+            calls.append(np.array(x))
             return chebyshev_coefficients(x)
 
         monkeypatch.setattr(fockoracle, "chebyshev_coefficients", counted)
         ts = np.linspace(0.0, 10.0, 201)
-        FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 24).compare(InitialState("vacuum"), ts)
-        assert len(calls) == len(set(np.diff(ts, prepend=0.0))) < 20
+        oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 24)
+        oracle.compare(InitialState("vacuum"), ts)
+        sector = oracle.basis.sector(fock_vector(oracle.basis, 0, 0), 0)
+        _, edges, _, _ = oracle._windows(ts, len(sector) + fockoracle.number_blocks(oracle.basis, sector, 0)[0].size)
+        # one table per window, holding a row for each of its times, never one per time
+        assert 1 < len(calls) == len(edges) - 1 < 20
+        assert [len(x) for x in calls] == np.diff(edges).tolist()
+        assert sum(map(len, calls)) == len(ts)
 
     def test_fidelity_bounded(self):
         p = OscillatorParams(1.0, 1.0, 0.2, 0.2)
