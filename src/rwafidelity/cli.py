@@ -211,15 +211,22 @@ def run_scan(cfg: ScanConfig) -> tuple[dict[str, list[float]], ScanSummary]:
     p = cfg.params
     taus = np.linspace(cfg.tau_start, cfg.tau_end, cfg.steps)
     ts = taus / p.omega_a
+    values = {"tau": taus}
+    if cfg.oracle_enabled:
+        # first, so that a request over the oracle's work budget is refused before the grid is paid for
+        try:
+            point = FockOracle(p, cfg.cutoff).compare(cfg.initial_state, ts)
+        except TruncationError as exc:
+            if exc.index is None:
+                raise
+            raise TruncationError(exc.reason, exc.index, f"tau = {taus[exc.index]:.6g}") from exc
+        values["fidelity_oracle"], values["delta_n_oracle"] = point.fidelity, point.delta_n
     grid = gaussian_grid(cfg.initial_state.factor(), p, ts)
-    values = {"tau": taus, "delta_n": grid.delta_n, **vars(grid.report)}
+    values.update(delta_n=grid.delta_n, **vars(grid.report))
     if "c2_prediction" in cfg.outputs:
         g_tilde = p.g_bs / p.omega_a
         c2 = c2_coefficient(PerturbativeRegime(g_tilde=g_tilde, tau=taus, s=cfg.initial_state.s))
         values["c2_prediction"] = 1.0 / np.sqrt(1.0 + c2 * g_tilde**2)
-    if cfg.oracle_enabled:
-        point = FockOracle(p, cfg.cutoff).compare(cfg.initial_state, ts)
-        values["fidelity_oracle"], values["delta_n_oracle"] = point.fidelity, point.delta_n
     names = ["tau", *(name for name in KNOWN_OUTPUTS if name in cfg.outputs), *(ORACLE_OUTPUTS if cfg.oracle_enabled else ())]
     columns = {name: np.asarray(values[name]).tolist() for name in names}
 

@@ -15,8 +15,11 @@ for the others: its terms T_k psi are formed once, a chunk at a time, and each
 chunk is summed into the state at every time of the window by one matrix
 product.  A term therefore costs the same whatever the number of times, and a
 fine grid pays the series' fixed tail of terms once per window, not once per
-time.  H and every initial state are real, so the first window runs in real
-arithmetic.
+time.  Every window runs in real arithmetic: H and every initial state are
+real, and the complex state of a later window is propagated as its (real,
+imaginary) float pairs under a copy of H with each weight repeated.  The term
+buffers are set up once per trajectory, and the Chebyshev coefficients of a
+run of windows come from one Miller recurrence.
 
 Both couplings change n_a + n_b by 0 or 2 (a'b keeps it, a'b' raises it by
 2), so H conserves its parity, and every initial state here (a Fock state,
@@ -69,24 +72,29 @@ TAIL_TOL = 1e-8
 MAX_CUTOFF = 96
 BOUND_CERT_TOL = 1e-6
 # Largest trajectory, in amplitude updates of one Chebyshev term (12 ns each on one core at
-# cutoffs 4 to 96), so the budget is about a minute.  A window's series costs, per term, the
-# sector's length plus TERM_OVERHEAD for the interpreter plus PRODUCT_COST per amplitude and
-# time of the window for summing the term into every state (0.06-0.08 measured at cutoffs 80
-# and 96).  Diagonalizing the RWA blocks costs about EIGH_COST m^3 per block of m rows (0.1-0.8
-# measured, m = 25 to 97); each time costs the sector's length plus PROJECTION_COST per entry
-# of the padded block stack (6-9 measured).  A window holds at most WINDOW amplitudes of states,
-# RWA eigenbasis amplitudes and coefficients, and forms its terms in chunks of at most WINDOW
-# amplitudes, so its memory is bounded whatever the grid.
+# cutoffs 4 to 96, 5-9 ns measured), so the budget is about a minute.  A window's series costs,
+# per term, the sector's length plus TERM_OVERHEAD for the interpreter (9-10 us measured) plus
+# PRODUCT_COST per amplitude and time of the window for summing the term into every state
+# (0.06-0.08 measured at cutoffs 80 and 96).  Diagonalizing the RWA blocks costs about EIGH_COST
+# m^3 per block of m rows (0.1-0.8 measured, m = 25 to 97); each time costs the sector's length
+# plus PROJECTION_COST m per entry of the padded (blocks, m, m) stack (0.07-0.09 measured, m = 41
+# to 97).  A window holds at most WINDOW amplitudes of states, RWA eigenbasis amplitudes and
+# coefficients, and forms its terms in chunks of at most WINDOW amplitudes, so its memory is
+# bounded whatever the grid.
 WORK_BUDGET = 4e9
-TERM_OVERHEAD = 1200
+TERM_OVERHEAD = 800
 PRODUCT_COST = 0.08
 EIGH_COST = 0.5
-PROJECTION_COST = 8
+PROJECTION_COST = 0.08
 WINDOW = 2**15
 
 
 class TruncationError(RuntimeError):
-    """Raised when the cutoff is too small for the requested quantity."""
+    """Raised when the cutoff is too small; a check over times names the first that fails, `at`, and its flat `index`."""
+
+    def __init__(self, reason: str, index: int | None = None, at: str = ""):
+        super().__init__(f"{reason} (first at {at})" if at else reason)
+        self.reason, self.index = reason, index
 
 
 @dataclass(frozen=True)
@@ -331,15 +339,6 @@ def number_blocks(basis: FockBasis, psi: np.ndarray, parity: int) -> tuple[np.nd
     return n_a[kept, :width], n_b[kept, :width]
 
 
-def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Stacked real matrices (B, j, k) times complex vectors (..., B, k), as (..., B, j) complex.
-
-    Both parts of z go through one real product: casting m to complex would
-    copy it and double the arithmetic.
-    """
-    return np.matmul(m, np.ascontiguousarray(z).view(float).reshape(*z.shape, 2)).view(complex)[..., 0]
-
-
 class RwaBlocks:
     """Exact RWA evolution of a sector state, block by block of the conserved N = n_a + n_b.
 
@@ -348,8 +347,9 @@ class RwaBlocks:
     off-diagonal g_bs sqrt((n_a + 1) n_b).  Each block that `number_blocks`
     keeps is diagonalized once, H_N = V_N diag(E_N) V_N^T, and then
     psi_rwa,N(t) = V_N e^(-i E_N t) c_N with c_N = V_N^T psi0,N at any t.  The blocks sit in
-    one zero-padded (blocks, m, m) stack, so the times of a window cost a few
-    batched products, not a loop over blocks or times.
+    one zero-padded (blocks, m, m) stack, and the times of a window are the
+    trailing axis of what it multiplies, so a window costs one batched product
+    per quantity, not a loop over blocks or times.
     """
 
     def __init__(self, p: OscillatorParams, basis: FockBasis, n_a: np.ndarray, n_b: np.ndarray, psi0: np.ndarray):
@@ -367,13 +367,13 @@ class RwaBlocks:
         blocks[:, rows, rows] = diagonal - mean[:, None]
         off = np.where(valid[:, 1:], p.g_bs * np.sqrt((n_a[:, :-1] + 1.0) * n_b[:, :-1]), 0.0)
         blocks[:, rows[1:], rows[:-1]] = blocks[:, rows[:-1], rows[1:]] = off
-        self.energies = np.zeros(n_a.shape)
+        energies = np.zeros(n_a.shape)
         vecs = np.zeros(blocks.shape)
         for b, size in enumerate(sizes):
-            self.energies[b, :size], vecs[b, :size, :size] = np.linalg.eigh(blocks[b, :size, :size])
-        self.energies += mean[:, None]
+            energies[b, :size], vecs[b, :size, :size] = np.linalg.eigh(blocks[b, :size, :size])
+        self.energies = (energies + mean[:, None])[valid]  # of the blocks' entries only, as is c
         self.vecs_t = np.ascontiguousarray(vecs.transpose(0, 2, 1))  # V^T, the hot product's operand
-        self.c = np.matmul(self.vecs_t, psi0[self.index][..., None])[..., 0]
+        self.c = np.matmul(self.vecs_t, psi0[self.index][..., None])[..., 0][valid]
         # rows on the truncation boundary, n_a = cutoff or n_b = cutoff: at most two per block, its
         # first and last, so each block's are two rows of V, zero where the block has fewer
         edge = valid & (np.maximum(n_a, n_b) == basis.cutoff)
@@ -382,30 +382,35 @@ class RwaBlocks:
         self.edge_vecs = np.where(on_edge, np.take_along_axis(vecs, ends[..., None], axis=1), 0.0)
 
     def coefficients(self, ts: np.ndarray) -> np.ndarray:
-        """Eigenbasis amplitudes e^(-i E t) c, one (blocks, m) stack per time of ts, zero in the padding."""
-        phase = np.multiply.outer(ts, self.energies)
+        """Eigenbasis amplitudes e^(-i E t) c, a (blocks, m, times) stack, zero in the padding.
+
+        The phases are formed on the blocks' entries only and scattered into the stack.
+        """
+        phase = np.multiply.outer(self.energies, ts)
         coef = np.empty(phase.shape, complex)
         np.cos(phase, out=coef.real)
         np.negative(np.sin(phase, out=phase), out=coef.imag)
-        coef *= self.c
-        return coef
+        coef *= self.c[:, None]
+        stack = np.zeros(self.valid.shape + ts.shape, complex)
+        stack[self.valid] = coef
+        return stack
 
     def overlap(self, coef: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """<psi_rwa|psi> per time, for RWA eigenbasis amplitudes coef and rows psi of sector amplitudes."""
-        # sum conj(a) b over real and imaginary parts side by side, with no conjugated copy of coef
-        a, b = (z.view(float).reshape(len(z), -1, 2) for z in (coef, _real_matmul(self.vecs_t, psi[:, self.index])))
-        re = np.einsum("tkc,tkc->t", a, b)
-        return re + 1j * (np.einsum("tk,tk->t", a[..., 0], b[..., 1]) - np.einsum("tk,tk->t", a[..., 1], b[..., 0]))
+        # both parts of psi go through one real product, times side by side on the trailing axis
+        proj = np.matmul(self.vecs_t, psi.T[self.index].view(float)).view(complex)
+        return np.einsum("bkt,bkt->t", coef.conj(), proj)
 
     def boundary_weight(self, coef: np.ndarray) -> np.ndarray:
         """Weight of the RWA state on the truncation boundary, per time."""
-        edge = _real_matmul(self.edge_vecs, coef)
-        return np.sum(edge.real**2 + edge.imag**2, axis=(1, 2))
+        edge = np.matmul(self.edge_vecs, coef.view(float)).reshape(-1, coef.shape[-1], 2)
+        return np.einsum("ktc,ktc->t", edge, edge)
 
     def amplitudes(self, coef: np.ndarray, size: int) -> np.ndarray:
-        """Sector amplitudes of the RWA state, exactly zero outside its blocks."""
+        """Sector amplitudes of the RWA state at one time, for a (blocks, m, 1) coef, exactly zero outside its blocks."""
         out = np.zeros(size, dtype=complex)
-        out[self.index[self.valid]] = _real_matmul(self.vecs_t.transpose(0, 2, 1), coef)[self.valid]
+        rwa = np.matmul(self.vecs_t.transpose(0, 2, 1), coef.view(float)).view(complex)
+        out[self.index[self.valid]] = rwa[self.valid, 0]
         return out
 
 
@@ -417,12 +422,15 @@ class FockOracle:
         self.basis = FockBasis(cutoff)
         lo, hi = GridHamiltonian.build(p, self.basis, p.g_sq).spectral_bounds()
         self._centre, self._half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        # 2 (H - centre) / half: its Chebyshev recurrence is T_(k+1) = L T_k - T_(k-1)
+        # 2 (H - centre) / half: its Chebyshev recurrence is T_(k+1) = L T_k - T_(k-1).  Per parity
+        # it acts on real amplitudes, and its copy with each weight repeated acts on complex ones
+        # viewed as (real, imaginary) float pairs, whose shifts `_shifted` doubles by itself
         scale = 2.0 / self._half
-        self._recurrences = tuple(
-            GridHamiltonian((h.diagonal - self._centre) * scale, h.bs * scale, h.sq * scale)
-            for h in (GridHamiltonian.build(p, self.basis, p.g_sq, parity) for parity in (0, 1))
-        )
+        self._recurrences = []
+        for parity in (0, 1):
+            h = GridHamiltonian.build(p, self.basis, p.g_sq, parity)
+            weights = (h.diagonal - self._centre) * scale, h.bs * scale, h.sq * scale
+            self._recurrences.append((GridHamiltonian(*weights), GridHamiltonian(*(np.repeat(w, 2) for w in weights))))
 
     def _windows(self, ts: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
         """ts's positions in ascending order of time, its window edges in that order, and each window's anchor and terms.
@@ -471,53 +479,77 @@ class FockOracle:
         work = (
             float(np.sum(terms * (len(psi) + TERM_OVERHEAD + PRODUCT_COST * np.diff(edges) * len(psi))))
             + EIGH_COST * float(np.sum(np.sum(n_a >= 0, axis=1).astype(float) ** 3))
-            + (len(psi) + PROJECTION_COST * n_a.size) * len(ts)
+            + (len(psi) + PROJECTION_COST * n_a.size * n_a.shape[1]) * len(ts)
         )
         if not work <= WORK_BUDGET:
             msg = f"the oracle would need about {work:.3g} amplitude updates, over the budget of {WORK_BUDGET:.3g}"
             raise ValueError(f"{msg}; shorten the tau span or lower the cutoff")
-        windows = [(order[a:b], anchor) for a, b, anchor in zip(edges[:-1], edges[1:], anchors)]
-        return RwaBlocks(self.params, self.basis, n_a, n_b, psi), self._propagate(psi, parity, ts, windows)
+        rwa = RwaBlocks(self.params, self.basis, n_a, n_b, psi)
+        return rwa, self._propagate(psi, parity, ts, order, edges, anchors, terms)
 
-    def _propagate(self, psi: np.ndarray, parity: int, ts: np.ndarray, windows: list) -> Iterator[tuple]:
-        """Per window (positions, anchor) its (positions, times, sector states), from the last state of the one before.
+    def _propagate(self, psi, parity, ts, order, edges, anchors, terms) -> Iterator[tuple]:
+        """Per window of `_windows` its (positions, times, sector states), from the last state of the window before.
 
-        The states are held in one array per trajectory, so each window's
-        overwrite the last window's.
+        Set up once per trajectory: one array of states, which each window
+        overwrites, and one buffer of terms with the `_shifted` views of its
+        rows for the real operator (the first window, from a real state) and
+        its interleaved copy (the later ones); fresh temporaries on every term
+        made the recurrence's speed hang on the state of the heap.  A run of
+        windows whose rows, times x term bound, fit in WINDOW entries shares
+        one coefficient table, and each window cuts it at its own kept length.
         """
-        states = np.empty((max((len(where) for where, _ in windows), default=0), len(psi)), complex)
-        for where, anchor in windows:
-            self._expand(parity, psi, ts[where] - anchor, states[: len(where)])
-            psi = states[len(where) - 1].copy()
-            yield where, ts[where], states[: len(where)]
+        rows = max(2, WINDOW // len(psi) // 2 * 2) + 2
+        flat, scratch = np.empty(rows * 2 * len(psi)), np.empty(2 * len(psi))
+        kernels = []
+        for h in self._recurrences[parity]:
+            buf = flat[: rows * len(h.diagonal)].reshape(rows, -1)
+            kernels.append((buf, [h._shifted(row) for row in buf], h._shifted(scratch[: len(h.diagonal)]), h))
+        counts = np.diff(edges)
+        states = np.empty((int(counts.max(initial=0)), len(psi)), complex)
+        dts = ts[order] - np.repeat(anchors, counts)
+        # a window of one time is a run of its own: np.sum adds up a lone column of the table
+        # pairwise but the columns of a wider one row by row, so only then is each window's
+        # table bit for bit the one it would have alone
+        edges, terms, single, end = edges.tolist(), terms.tolist(), (counts == 1).tolist(), 0
+        for w, (first, last) in enumerate(zip(edges[:-1], edges[1:])):
+            if first == end:
+                run, top = w + 1, terms[w]
+                while not single[w] and run < len(terms) and not single[run]:
+                    top = max(top, terms[run])
+                    if (edges[run + 1] - first) * top > WINDOW:
+                        break
+                    run += 1
+                start, end = first, edges[run]
+                table = chebyshev_coefficients(self._half * dts[start:end])
+            a = table[first - start : last - start]
+            out = states[: last - first]
+            self._expand(kernels[np.iscomplexobj(psi)], psi, a[:, : np.flatnonzero(np.any(a, axis=0))[-1] + 1], out)
+            out *= np.exp(-1j * self._centre * dts[first:last])[:, None]
+            psi = out[-1].copy()
+            yield order[first:last], ts[order[first:last]], out
 
-    def _expand(self, parity: int, psi: np.ndarray, dts: np.ndarray, states: np.ndarray) -> None:
-        """Rows exp(-i H dt) psi into states, one per dt of dts, from one Chebyshev series on psi's parity sector.
+    @staticmethod
+    def _expand(kernel: tuple, psi: np.ndarray, a: np.ndarray, states: np.ndarray) -> None:
+        """Rows sum_k a_k T_k psi into states, one per row of the coefficient table a.
 
-        The terms T_k psi are formed a chunk of at most WINDOW amplitudes at a
-        time in one buffer, whose last two rows seed the next chunk, and each
-        chunk is summed into every row by one product per parity of k: a_k is
-        real for even k and imaginary for odd k.  A real psi (the window from
-        t = 0) keeps the terms and the products real.  The buffer's shifted
-        views are built once per window, not per term: with fresh temporaries
-        on every term the recurrence's speed hung on the state of the heap (a
-        cutoff-80 oracle-check ran 15-50% slower after an unrelated change in
-        what else was allocated).
+        kernel is a buffer of terms, the `_shifted` views of its rows and of a
+        scratch row, and the recurrence operator: the real one for a real psi,
+        the interleaved copy, on float pairs, for a complex psi.  The terms
+        T_k psi are formed a chunk of at most WINDOW amplitudes at a time in
+        the buffer, whose last two rows seed the next chunk, and each chunk is
+        summed into every row by one product per parity of k: a_k is real for
+        even k and imaginary for odd k.
         """
-        h = self._recurrences[parity]
-        a = chebyshev_coefficients(self._half * dts)
+        terms, rows, work, h = kernel
         weights = np.ascontiguousarray(a.real[:, 0::2]), np.ascontiguousarray(a.imag[:, 1::2])
         real = not np.iscomplexobj(psi)
-        buf = np.empty((max(2, WINDOW // len(psi) // 2 * 2) + 2, len(psi)), psi.dtype)
-        rows, work = [h._shifted(row) for row in buf], h._shifted(np.empty_like(psi))
-        terms = buf.view(float)
-        part = np.empty((len(dts), terms.shape[1]))
+        part = np.empty((len(a), terms.shape[1]))
         states[...] = 0.0
         start = 0
         for k in range(a.shape[1]):
             prev, cur = rows[k - start + 1], rows[k - start + 2]
             if k == 0:
-                cur[0][:] = psi
+                cur[0][:] = psi.view(float)
             else:
                 h._apply(prev, cur, work)
                 if k == 1:
@@ -525,8 +557,8 @@ class FockOracle:
                 else:
                     np.subtract(cur[0], rows[k - start][0], out=cur[0])
             if cur is rows[-1] or k + 1 == a.shape[1]:
-                # rows 2, 4, ... of buf hold the even terms from T_start, rows 3, 5, ... the odd
-                # ones, whose sum is imaginary: i (x + i y) = -y + i x
+                # rows 2, 4, ... of the buffer hold the even terms from T_start, rows 3, 5, ... the
+                # odd ones, whose sum is imaginary: i (x + i y) = -y + i x
                 for w, first in zip(weights, (2, 3)):
                     block = terms[first : k - start + 3 : 2]
                     np.matmul(w[:, start // 2 : start // 2 + len(block)], block, out=part)
@@ -538,9 +570,8 @@ class FockOracle:
                     else:
                         np.subtract(states.real, part.view(complex).imag, out=states.real)
                         np.add(states.imag, part.view(complex).real, out=states.imag)
-                buf[:2] = buf[-2:]
+                terms[:2] = terms[-2:]
                 start = k + 1
-        states *= np.exp(-1j * self._centre * dts)[:, None]
 
     def evolved_pair(self, initial: InitialState, t: float) -> tuple[np.ndarray, np.ndarray, float]:
         """Amplitudes (full, rwa) on the basis at time t and the initial state's discarded weight."""
@@ -548,7 +579,7 @@ class FockOracle:
         parity = self.basis.parity(psi0)
         rwa, windows = self._trajectory(psi0, parity, np.array([t], dtype=float))
         ((_, times, states),) = windows
-        psi_rwa = rwa.amplitudes(rwa.coefficients(times)[0], states.shape[1])
+        psi_rwa = rwa.amplitudes(rwa.coefficients(times), states.shape[1])
         return self.basis.from_sector(states[0], parity), self.basis.from_sector(psi_rwa, parity), discarded
 
     def compare(self, initial: InitialState, ts) -> OraclePoint:
@@ -576,7 +607,7 @@ class FockOracle:
             if np.any(tails > TAIL_TOL):
                 first = int(np.argmax(tails > TAIL_TOL))
                 msg = f"truncation tail {tails[first]:.3e} exceeds {TAIL_TOL} at cutoff {self.basis.cutoff}"
-                raise TruncationError(f"{msg} (first at t = {t[first]:.6g})")
+                raise TruncationError(msg, int(where[first]), f"t = {t[first]:.6g}")
             tail = max(tail, float(np.max(tails)))
         if times.ndim == 0:
             return OraclePoint(fidelity=float(fid[0]), delta_n=float(d_n[0]), tail_weight=tail)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import rwafidelity
-from rwafidelity import dynamics
+from rwafidelity import cli, dynamics
 from rwafidelity.cli import (
     CORE_OUTPUTS,
     MAX_STEPS,
@@ -27,6 +28,7 @@ from rwafidelity.cli import (
     run_scan,
 )
 from rwafidelity.dynamics import OscillatorParams, UnstableParamsError
+from rwafidelity.fockoracle import FockOracle, TruncationError
 from rwafidelity.states import InitialState
 
 
@@ -454,6 +456,28 @@ class TestMainExitCodes:
         assert code == 2
         assert time.perf_counter() - start < 1.0
         assert "budget" in capsys.readouterr().err
+
+    def test_oracle_budget_refused_before_the_gaussian_grid(self, tmp_path, capsys, monkeypatch):
+        # the grid of a million taus costs seconds; a request the oracle refuses must not pay for it
+        def no_grid(*args):
+            raise AssertionError("evaluated the Gaussian grid of a refused oracle-check")
+
+        monkeypatch.setattr(cli, "gaussian_grid", no_grid)
+        code = main(["oracle-check", "--cutoff", "96", "--tau-end", "100000", "--steps", "1000000", "--output", str(tmp_path / "oc.csv")])
+        assert code == 2
+        assert "budget" in capsys.readouterr().err
+        assert not (tmp_path / "oc.csv").exists()
+
+    def test_truncation_error_names_the_tau_of_the_grid(self, tmp_path, capsys):
+        # omega_a = 2, so the oracle's time t = tau / 2: the tail first fails at t = 0.5, the row tau = 1
+        oracle, initial = FockOracle(OscillatorParams(2.0, 2.0, 0.9, 0.9), 10), InitialState("vacuum")
+        oracle.compare(initial, np.array([0.0, 0.25]))
+        with pytest.raises(TruncationError, match=re.escape("(first at t = 0.5)")):
+            oracle.compare(initial, np.array([0.0, 0.25, 0.5]))
+        flags = ["--omega-a", "2", "--omega-b", "2", "--g", "0.9", "--tau-end", "4", "--steps", "9", "--cutoff", "10"]
+        assert main(["oracle-check", *flags, "--output", str(tmp_path / "oc.csv")]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"truncation tail \S+ exceeds \S+ at cutoff 10 \(first at tau = 1\)$", err.strip()), err
 
     def test_steps_cap_exit_2(self, tmp_path, capsys):
         assert main(["fidelity-scan", "--steps", str(MAX_STEPS + 1), "--output", str(tmp_path / "out.csv")]) == 2

@@ -171,6 +171,17 @@ class TestHamiltonian:
                 # the dead column of an odd cutoff stays empty
                 assert np.array_equal(basis.sector(basis.from_sector(got, parity), parity), got)
 
+    @pytest.mark.parametrize("cutoff", [12, 13])
+    def test_interleaved_copy_acts_on_complex_amplitudes(self, cutoff):
+        # each weight repeated, on (real, imaginary) float pairs: the shifts double by themselves
+        p, basis = PARAMS["mixed-sign"], FockBasis(cutoff)
+        rng = np.random.default_rng(cutoff)
+        for parity in (0, 1):
+            h = GridHamiltonian.build(p, basis, p.g_sq, parity)
+            pair = GridHamiltonian(*(np.repeat(w, 2) for w in (h.diagonal, h.bs, h.sq)))
+            psi = rng.normal(size=len(h.diagonal)) + 1j * rng.normal(size=len(h.diagonal))
+            assert np.array_equal(pair(psi.view(float)).view(complex), h(psi))
+
     @pytest.mark.parametrize("name", PARAMS)
     def test_gershgorin_bounds_contain_spectrum(self, name):
         basis = FockBasis(8)
@@ -308,9 +319,10 @@ def chebyshev_propagate(h, psi0, ts):
     return np.exp(-1j * centre * np.asarray(ts))[:, None] * (a @ terms.view(complex)[..., 0])
 
 
-def frozen_expansion(self, parity, psi, dts, states):
-    """Stands in for FockOracle._expand where only the RWA side or the work estimate is under test."""
-    states[...] = psi
+def frozen_propagation(self, psi, parity, ts, order, edges, anchors, terms):
+    """Stands in for FockOracle._propagate where only the RWA side or the work estimate is under test: psi never moves."""
+    for first, last in zip(edges[:-1], edges[1:]):
+        yield order[first:last], ts[order[first:last]], np.tile(psi.astype(complex), (last - first, 1))
 
 
 class TestWindows:
@@ -334,6 +346,24 @@ class TestWindows:
             assert np.array_equal(times, ts[where]) and np.all(np.diff(times) >= 0.0)
             got[where] = states
         ref = chebyshev_propagate(GridHamiltonian.build(p, oracle.basis, p.g_sq, parity), sector, ts)
+        assert np.max(np.abs(got - ref)) < 1e-12
+
+    @pytest.mark.parametrize("cutoff", [12, 13])
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_interleaved_kernel_matches_chebyshev_propagate(self, cutoff, parity):
+        # a complex start state runs every window, the first too, through the interleaved copy
+        p, rng = PARAMS["detuned"], np.random.default_rng(cutoff + parity)
+        oracle = FockOracle(p, cutoff)
+        n = len(oracle.basis.sector(oracle.basis.number_vector, parity))
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi /= np.linalg.norm(psi)
+        ts = np.concatenate([np.linspace(-8.0, 30.0, 400), [3.3, 3.3]])[rng.permutation(402)]
+        order, edges, anchors, terms = oracle._windows(ts, n)
+        assert len(edges) > 4
+        got = np.empty((len(ts), n), dtype=complex)
+        for where, times, states in oracle._propagate(psi, parity, ts, order, edges, anchors, terms):
+            got[where] = states
+        ref = chebyshev_propagate(GridHamiltonian.build(p, oracle.basis, p.g_sq, parity), psi, ts)
         assert np.max(np.abs(got - ref)) < 1e-12
 
     @pytest.mark.parametrize("cutoff", [4, 24, 96])
@@ -396,7 +426,7 @@ class TestRwaBlocks:
     @pytest.mark.parametrize("name", ["equal", "mixed-sign", "g_bs=0", "detuned"])
     def test_matches_chebyshev_of_rwa_operator(self, name, kind, monkeypatch):
         # the RWA side never reads the full one, whose propagation to |t| = 200 is skipped
-        monkeypatch.setattr(FockOracle, "_expand", frozen_expansion)
+        monkeypatch.setattr(FockOracle, "_propagate", frozen_propagation)
         p, initial = PARAMS[name], self.RWA_INPUTS[kind]
         ts = [-200.0, -3.7, 0.4, 57.0, 200.0]
         for cutoff in (12, 13):
@@ -408,6 +438,30 @@ class TestRwaBlocks:
             ref = chebyshev_propagate(h, oracle.basis.sector(psi0, parity), ts)
             for got, want in zip(rwa, ref):
                 assert np.max(np.abs(got - oracle.basis.from_sector(want, parity))) < 1e-12
+
+    @pytest.mark.parametrize("cutoff", [12, 13])
+    def test_time_major_projection_matches_dense(self, cutoff):
+        # squeezed input: blocks of 1 to cutoff + 1 rows, so the stack is mostly padding at its ends
+        p, basis = PARAMS["mixed-sign"], FockBasis(cutoff)
+        psi0, _ = squeezed_vector(basis, 0.2)
+        sector = basis.sector(psi0, 0)
+        n_a, n_b = fockoracle.number_blocks(basis, sector, 0)
+        sizes = np.sum(n_a >= 0, axis=1)
+        assert sizes[0] == 1 and len(set(sizes.tolist())) > 5
+        rwa = fockoracle.RwaBlocks(p, basis, n_a, n_b, sector)
+        ts = np.array([-40.0, 0.0, 0.9, 2.5, 130.0])
+        rng = np.random.default_rng(cutoff)
+        psi = rng.normal(size=(len(ts), len(sector))) + 1j * rng.normal(size=(len(ts), len(sector)))
+        coef = rwa.coefficients(ts)
+        assert coef.shape == n_a.shape + ts.shape and np.all(coef[n_a < 0] == 0.0)
+        h_rwa, mask = build_hamiltonian(p, basis, "rwa"), basis.boundary_mask
+        overlap, boundary = rwa.overlap(coef, psi), rwa.boundary_weight(coef)
+        for i, t in enumerate(ts):
+            ref = dense_propagate(h_rwa, psi0, t)
+            assert abs(overlap[i] - np.vdot(ref, basis.from_sector(psi[i], 0))) < 1e-12
+            assert abs(boundary[i] - np.sum(np.abs(ref[mask]) ** 2)) < 1e-14
+            got = basis.from_sector(rwa.amplitudes(coef[..., i : i + 1], len(sector)), 0)
+            assert np.max(np.abs(got - ref)) < 1e-12
 
     @pytest.mark.parametrize("cutoff", [12, 13])
     @pytest.mark.parametrize("n_a, n_b", [(0, 0), (3, 2), (5, 8), (12, 12)])
@@ -519,7 +573,7 @@ class TestOracle:
 
         oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 96)
         monkeypatch.setattr(fockoracle, "chebyshev_coefficients", no_work)
-        monkeypatch.setattr(FockOracle, "_expand", no_work)
+        monkeypatch.setattr(FockOracle, "_propagate", no_work)
         with pytest.raises(ValueError, match=re.escape(f"over the budget of {WORK_BUDGET:.3g}")):
             oracle.evolved_pair(InitialState("vacuum"), 1e5)
         with pytest.raises(ValueError, match=re.escape(f"over the budget of {WORK_BUDGET:.3g}")):
@@ -535,11 +589,11 @@ class TestOracle:
 
     def test_work_budget_admits_long_span_at_cutoff_40(self, monkeypatch):
         # cutoff 40 to tau 1000 runs in a few seconds; only the estimate is exercised here
-        monkeypatch.setattr(FockOracle, "_expand", frozen_expansion)
+        monkeypatch.setattr(FockOracle, "_propagate", frozen_propagation)
         point = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 40).compare(InitialState("vacuum"), np.linspace(0, 1000, 101))
         assert point.tail_weight == 0.0
 
-    def test_chebyshev_coefficients_once_per_window(self, monkeypatch):
+    def test_one_miller_recurrence_per_run_of_windows(self, monkeypatch):
         calls = []
 
         def counted(x):
@@ -551,11 +605,58 @@ class TestOracle:
         oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 24)
         oracle.compare(InitialState("vacuum"), ts)
         sector = oracle.basis.sector(fock_vector(oracle.basis, 0, 0), 0)
-        _, edges, _, _ = oracle._windows(ts, len(sector) + fockoracle.number_blocks(oracle.basis, sector, 0)[0].size)
-        # one table per window, holding a row for each of its times, never one per time
-        assert 1 < len(calls) == len(edges) - 1 < 20
-        assert [len(x) for x in calls] == np.diff(edges).tolist()
-        assert sum(map(len, calls)) == len(ts)
+        order, edges, anchors, terms = oracle._windows(ts, len(sector) + fockoracle.number_blocks(oracle.basis, sector, 0)[0].size)
+        # the tables hold every time once, in window order, each from its own window's anchor
+        assert np.array_equal(np.concatenate(calls), oracle._half * (ts[order] - np.repeat(anchors, np.diff(edges))))
+        # one table per run of whole windows, never one per window or per time
+        assert 1 < len(calls) < len(edges) - 1
+        runs = np.cumsum([0] + [len(x) for x in calls])
+        assert set(runs) <= set(edges.tolist())
+        for a, b in zip(runs[:-1], runs[1:]):
+            w = np.flatnonzero((edges[:-1] >= a) & (edges[:-1] < b))
+            assert len(w) == 1 or (b - a) * terms[w].max() <= fockoracle.WINDOW
+            # a run stops only where the next window would not fit, or would join a window of one time
+            if b < len(ts):
+                nxt = len(w) + w[0]
+                widths = np.diff(edges)
+                assert widths[nxt] == 1 or widths[w[0]] == 1 or (edges[nxt + 1] - a) * max(terms[w].max(), terms[nxt]) > fockoracle.WINDOW
+
+    def test_each_window_sums_its_own_table_bit_for_bit(self, monkeypatch):
+        # runs of windows share one recurrence, yet each window's coefficients are those of a table
+        # of its own; the last window holds one time, whose lone column np.sum adds up pairwise
+        seen, expand = [], FockOracle._expand
+
+        def spy(kernel, psi, a, states):
+            seen.append(a.copy())
+            expand(kernel, psi, a, states)
+
+        monkeypatch.setattr(FockOracle, "_expand", staticmethod(spy))
+        oracle, ts = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 12), np.linspace(0.0, 10.0, 101)
+        psi0 = fock_vector(oracle.basis, 0, 0)
+        order, edges, anchors, _ = oracle._windows(ts, len(oracle.basis.sector(psi0, 0)) + 1)
+        assert np.diff(edges).tolist() == [100, 1]
+        for _ in oracle._trajectory(psi0, 0, ts)[1]:
+            pass
+        assert len(seen) == len(edges) - 1
+        for a, first, last, anchor in zip(seen, edges[:-1], edges[1:], anchors):
+            assert np.array_equal(a, chebyshev_coefficients(oracle._half * (ts[order[first:last]] - anchor)))
+
+    def test_coefficient_tables_stay_within_the_window_on_a_long_grid(self, monkeypatch):
+        # a table of all 200 000 times would hold 2.8 million entries, and its Miller recurrence 11 million
+        sizes = []
+
+        def counted(x):
+            table = chebyshev_coefficients(x)
+            sizes.append(table.size)
+            return table
+
+        monkeypatch.setattr(fockoracle, "chebyshev_coefficients", counted)
+        monkeypatch.setattr(FockOracle, "_expand", staticmethod(lambda kernel, psi, a, states: states.fill(0.0)))
+        oracle, ts = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 8), np.linspace(0.0, 100.0, 200_000)
+        psi0, _ = squeezed_vector(oracle.basis, 0.1)
+        _, windows = oracle._trajectory(psi0, 0, ts)
+        assert sum(len(where) for where, _, _ in windows) == len(ts)
+        assert len(sizes) > 100 and max(sizes) <= fockoracle.WINDOW
 
     def test_fidelity_bounded(self):
         p = OscillatorParams(1.0, 1.0, 0.2, 0.2)
