@@ -3,7 +3,8 @@
 The package solves the quadratic two-oscillator dynamics in closed symplectic
 form, compares the full and RWA evolutions through Gaussian-state fidelity and
 particle-number statistics, reproduces the small-coupling laws, and checks
-everything against a truncated Fock-space propagation.
+everything against a truncated Fock-space propagation.  An initial Gaussian
+state is its symplectic factor s0, a ``SymplecticMatrix``.
 """
 
 from .dynamics import (
@@ -22,10 +23,8 @@ from .metrics import (
     FidelityReport,
     bloch_messiah,
     delta_n,
-    effective_bogoliubov,
     fidelity_eff,
     gaussian_grid,
-    vacuum_fidelity_moments,
 )
 from .perturbation import (
     PerturbativeRegime,
@@ -34,14 +33,6 @@ from .perturbation import (
     q_coefficients,
     vacuum_perturbative_fidelity,
 )
-from .states import (
-    CovarianceMatrix,
-    InitialState,
-    NonPhysicalStateError,
-    covariance,
-    squeezed_pair,
-    symplectic_eigenvalues,
-    vacuum,
-)
+from .states import InitialState, squeezed_pair, vacuum
 
 __version__ = "0.1.0"

@@ -232,8 +232,9 @@ def colpa(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Colpa's bosonic diagonalization (L, lam, U) of a positive-definite Hermitian 4x4 m.
 
     m = L L^dag and L^dag Sigma L = U diag(lam) U^dag.  lam (ascending) is the
-    spectrum of Sigma m: normal-mode frequencies of a Hamiltonian matrix, or
-    symplectic eigenvalues of a covariance matrix, once with each sign.
+    spectrum of Sigma m, once with each sign: for a Hamiltonian matrix, its
+    normal-mode frequencies.  A state needs no such step: it is given by its
+    symplectic factor s0, never by a covariance matrix.
     Raises ``numpy.linalg.LinAlgError`` when m is not positive definite.
     """
     low = np.linalg.cholesky(m)

@@ -261,7 +261,9 @@ def chebyshev_coefficients(x) -> np.ndarray:
                 rows[k][starts[k]] = 2.0**-900
             np.multiply(ratios[k], rows[k], out=rows[k - 1])
             np.subtract(rows[k - 1], rows[k + 1], out=rows[k - 1])
-        j[:, ~small] = miller / (miller[0] + 2.0 * np.sum(miller[2::2], axis=0))
+        # a running sum adds each column in order whatever the table's width (np.sum adds a lone
+        # column pairwise), so a column's normalization is the one it would have in a table alone
+        j[:, ~small] = miller / (miller[0] + 2.0 * np.cumsum(miller[2::2], axis=0)[-1])
     above = np.abs(j) >= np.finfo(float).eps
     kept = len(j) - np.argmax(above[::-1], axis=0)
     k = np.arange(kept.max())[:, None]
@@ -279,7 +281,7 @@ def fock_vector(basis: FockBasis, n_a: int, n_b: int) -> np.ndarray:
 def squeezed_mode_amplitudes(s: float, cutoff: int) -> np.ndarray:
     """Number-basis amplitudes of a single squeezed mode with +sinh(s) pair moment.
 
-    Matches the covariance convention of states.squeezed_pair: <a^2> = sinh(2s)/2,
+    Matches the factor of states.squeezed_pair, beta0 = sinh(s) I: <a^2> = sinh(2s)/2,
     so the even amplitudes carry (+tanh s)^k.
     """
     amp = np.zeros(cutoff + 1)
@@ -507,14 +509,11 @@ class FockOracle:
         counts = np.diff(edges)
         states = np.empty((int(counts.max(initial=0)), len(psi)), complex)
         dts = ts[order] - np.repeat(anchors, counts)
-        # a window of one time is a run of its own: np.sum adds up a lone column of the table
-        # pairwise but the columns of a wider one row by row, so only then is each window's
-        # table bit for bit the one it would have alone
-        edges, terms, single, end = edges.tolist(), terms.tolist(), (counts == 1).tolist(), 0
+        edges, terms, end = edges.tolist(), terms.tolist(), 0
         for w, (first, last) in enumerate(zip(edges[:-1], edges[1:])):
             if first == end:
                 run, top = w + 1, terms[w]
-                while not single[w] and run < len(terms) and not single[run]:
+                while run < len(terms):
                     top = max(top, terms[run])
                     if (edges[run + 1] - first) * top > WINDOW:
                         break

@@ -6,8 +6,8 @@ states is 1/sqrt(det(I + B_f^dag B_f)); the companion block A_f provides the
 mandatory internal cross-check 1/|det A_f|, and the singular values of B_f
 give the squeezing parameters r_+- with F = 1/(cosh r_+ cosh r_-).
 
-``gaussian_grid`` evaluates all of these over an array of times; the
-single-time functions are its one-time cases.
+``gaussian_grid`` evaluates all of these over an array of times;
+``fidelity_eff`` and ``delta_n`` are its one-time cases.
 """
 
 from __future__ import annotations
@@ -17,18 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import OscillatorParams, SymplecticMatrix, _I2, _dagger, _det, _mul, check_bogoliubov, compose, effective_blocks
-from .states import vacuum
 
 __all__ = [
     "FidelityReport",
     "GaussianGrid",
     "gaussian_grid",
-    "effective_bogoliubov",
     "fidelity_eff",
     "bloch_messiah",
     "delta_n",
-    "number_moments",
-    "vacuum_fidelity_moments",
     "CROSS_CHECK_TOL",
 ]
 
@@ -69,7 +65,9 @@ def gaussian_grid(factor: SymplecticMatrix, p: OscillatorParams, t) -> GaussianG
 
     Checked at every time: the Bogoliubov identities of S(t) and S_f, and the
     B-route fidelity against the A-route 1/|det A_f|.  A failure raises
-    ArithmeticError naming the first failing time.
+    ArithmeticError naming the first failing time.  Both checks are absolute
+    for F <= 1 and for blocks of unit size, so neither sees a small relative
+    error in a tiny fidelity or in a small entry of S_f.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     a_eff, b_eff = effective_blocks(p, t)
@@ -90,12 +88,6 @@ def gaussian_grid(factor: SymplecticMatrix, p: OscillatorParams, t) -> GaussianG
     root = np.sqrt(fid)
     report = FidelityReport(fid, np.sqrt(2.0 * (1.0 - root)), 0.5 * np.arccos(root), *bloch_messiah(b_f))
     return GaussianGrid(report, _delta_n(factor, a_eff, b_eff), a_f, b_f)
-
-
-def effective_bogoliubov(factor: SymplecticMatrix, p: OscillatorParams, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks (A_f, B_f) of s0^-1 S_RWA^dag(t) S(t) s0 at one time."""
-    grid = gaussian_grid(factor, p, [t])
-    return grid.a_f[0], grid.b_f[0]
 
 
 def bloch_messiah(b_block: np.ndarray) -> tuple[float, float]:
@@ -136,36 +128,3 @@ def delta_n(factor: SymplecticMatrix, p: OscillatorParams, t: float) -> float:
     Vanishes identically when B = 0.
     """
     return float(gaussian_grid(factor, p, [t]).delta_n[0])
-
-
-def number_moments(a_block: np.ndarray, b_block: np.ndarray) -> tuple[float, float]:
-    """Vacuum expectation (dN, dN^2) of the number change under a Bogoliubov pair.
-
-    dN   = Tr(B+B)
-    dN^2 = Tr(A A+ B B+) + Tr(B A^T B* A+) + (Tr B+B)^2
-    """
-    a = np.asarray(a_block, dtype=complex)
-    b = np.asarray(b_block, dtype=complex)
-    dn = float(_trace(_mul(_dagger(b), b)))
-    dn2 = float(
-        _trace(_mul(_mul(_mul(a, _dagger(a)), b), _dagger(b)))
-        + _trace(_mul(_mul(_mul(b, a.T), b.conj()), _dagger(a)))
-    ) + dn**2
-    return dn, dn2
-
-
-def vacuum_fidelity_moments(p: OscillatorParams, t: float) -> tuple[float, float, float, float]:
-    """(F^-2, dN, dN^2, variance) for an initial vacuum, via number statistics.
-
-    F^-2 = 1 + (3/2) dN + (1/2) dN^2_mean - (1/4) var, where dN^2_mean is the
-    square of the mean and var = dN^2 - dN^2_mean.  Cross-checked against the
-    determinant route.
-    """
-    grid = gaussian_grid(vacuum(), p, [t])
-    dn, dn2 = number_moments(grid.a_f[0], grid.b_f[0])
-    var = dn2 - dn**2
-    f_inv2 = 1.0 + 1.5 * dn + 0.5 * dn**2 - 0.25 * var
-    det_route = float(grid.report.fidelity[0]) ** -2
-    if not abs(f_inv2 - det_route) <= CROSS_CHECK_TOL * max(1.0, det_route):
-        raise ArithmeticError(f"moment route {f_inv2} disagrees with determinant route {det_route}")
-    return f_inv2, dn, dn2, var

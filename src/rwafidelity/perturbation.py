@@ -19,8 +19,6 @@ from .states import squeezed_pair, vacuum
 __all__ = [
     "PerturbativeRegime",
     "q_coefficients",
-    "q_resonant_closed",
-    "q_epsilon_linear",
     "vacuum_perturbative_fidelity",
     "vacuum_perturbative_bures_sq",
     "c2_coefficient",
@@ -93,26 +91,6 @@ def q_coefficients(regime: PerturbativeRegime) -> tuple[float, float, float, flo
     q3 = -det_a**2 + det_b**2 + cross_x**2 - cross_y**2
     q4 = -det_a**2 + det_b**2 - cross_x**2 + cross_y**2
     return q1, q2, q3, q4
-
-
-def q_resonant_closed(g: float) -> tuple[float, float, float, float]:
-    """Resonant closed forms of q1..q4 (exact at epsilon = 0)."""
-    return (
-        1.0,
-        (1.0 - g**2) / np.sqrt(1.0 - 4.0 * g**2),
-        -(1.0 + g) / np.sqrt(1.0 + 2.0 * g),
-        -(1.0 - g) / np.sqrt(1.0 - 2.0 * g),
-    )
-
-
-def q_epsilon_linear(g: float, eps: float) -> tuple[float, float, float, float]:
-    """Detuning-linear expansions of q1..q4 (valid for |eps| << g)."""
-    return (
-        1.0,
-        (1.0 - g**2 - g**2 * (1.0 + 2.0 * g**2) / (1.0 - 4.0 * g**2) * eps) / np.sqrt(1.0 - 4.0 * g**2),
-        -(1.0 + g - g**2 * eps / (2.0 + 4.0 * g)) / np.sqrt(1.0 + 2.0 * g),
-        -(1.0 - g - g**2 * eps / (2.0 - 4.0 * g)) / np.sqrt(1.0 - 2.0 * g),
-    )
 
 
 def _require_resonance(regime: PerturbativeRegime):

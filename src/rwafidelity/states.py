@@ -1,9 +1,10 @@
-"""Gaussian states as 4x4 covariance matrices with zero first moments.
+"""Initial Gaussian states, each given by its symplectic factor s0.
 
-The complex (a, a^dag) convention is used throughout: sigma_nm is the
-expectation of the anticommutator {X_n, X_m^dag} with X = (a, b, a+, b+), so
-the vacuum is exactly the identity matrix.  Displaced states are out of
-scope, so no constructor takes first moments.
+A pure zero-mean two-mode Gaussian state is the image of the vacuum under a
+symplectic matrix s0 (blocks in the complex (a, b, a^dag, b^dag) ordering),
+and every quantity the package reports follows from s0 and the evolutions,
+so no covariance matrix is formed.  Displaced states are out of scope, so no
+constructor takes first moments.
 """
 
 from __future__ import annotations
@@ -12,51 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SymplecticMatrix, colpa
+from .dynamics import SymplecticMatrix
 
 __all__ = [
-    "NonPhysicalStateError",
-    "CovarianceMatrix",
     "InitialState",
-    "covariance",
     "vacuum",
     "squeezed_pair",
-    "symplectic_eigenvalues",
-    "HERMITICITY_TOL",
-    "PHYSICALITY_TOL",
-    "PAIRING_TOL",
     "SQUEEZING_RANGE",
 ]
 
-HERMITICITY_TOL = 1e-12
-PHYSICALITY_TOL = 1e-9
-PAIRING_TOL = 1e-8
 SQUEEZING_RANGE = 10.0
-
-
-class NonPhysicalStateError(ValueError):
-    """Raised for covariance matrices without a physical symplectic spectrum."""
-
-
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """Second-moment matrix of a zero-mean two-mode Gaussian state."""
-
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.sigma, dtype=complex)
-        if s.shape != (4, 4):
-            raise ValueError(f"covariance matrix must be 4x4, got shape {s.shape}")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("covariance matrix has non-finite entries")
-        scale = max(1.0, float(np.linalg.norm(s)))
-        if np.max(np.abs(s - s.conj().T)) > HERMITICITY_TOL * scale:
-            raise NonPhysicalStateError("covariance matrix is not Hermitian")
-        object.__setattr__(self, "sigma", s)
-        nus = symplectic_eigenvalues(self)
-        if min(nus) < 1.0 - PHYSICALITY_TOL * scale:
-            raise NonPhysicalStateError(f"symplectic eigenvalues {nus} below 1")
 
 
 @dataclass(frozen=True)
@@ -91,7 +57,7 @@ class InitialState:
 
 
 def vacuum() -> SymplecticMatrix:
-    """The two-mode vacuum: sigma = I, s0 = I."""
+    """The two-mode vacuum: s0 = I."""
     return SymplecticMatrix.identity()
 
 
@@ -102,25 +68,3 @@ def squeezed_pair(s: float) -> SymplecticMatrix:
     alpha0 = np.cosh(s) * np.eye(2, dtype=complex)
     beta0 = np.sinh(s) * np.eye(2, dtype=complex)
     return SymplecticMatrix(alpha0, beta0)
-
-
-def covariance(s0: SymplecticMatrix) -> CovarianceMatrix:
-    """Covariance sigma = s0 s0^dag of the pure state with symplectic factor s0."""
-    s4 = s0.matrix
-    sig = s4 @ s4.conj().T
-    return CovarianceMatrix(0.5 * (sig + sig.conj().T))
-
-
-def symplectic_eigenvalues(cov: CovarianceMatrix | np.ndarray) -> tuple[float, float]:
-    """The two symplectic eigenvalues (descending) of a positive-definite sigma, from ``colpa(sigma)``."""
-    sigma = cov.sigma if isinstance(cov, CovarianceMatrix) else np.asarray(cov, dtype=complex)
-    try:
-        vals = np.sort(np.abs(colpa(sigma)[1]))
-    except np.linalg.LinAlgError as exc:
-        raise NonPhysicalStateError("covariance matrix is not positive definite") from exc
-    scale = max(1.0, float(np.linalg.norm(sigma)))
-    if vals[1] - vals[0] > PAIRING_TOL * scale or vals[3] - vals[2] > PAIRING_TOL * scale:
-        raise NonPhysicalStateError(f"unpaired symplectic spectrum {vals}")
-    nu_small = 0.5 * (vals[0] + vals[1])
-    nu_large = 0.5 * (vals[2] + vals[3])
-    return float(nu_large), float(nu_small)

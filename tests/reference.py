@@ -2,9 +2,11 @@
 
 The package does not import this module.  It holds the routes that are off
 the production path: the scaling-and-squaring matrix exponential, the
-closed-form equal-couplings diagonalizer, the general mixed-state Gaussian
-fidelity, covariance-level operations, and one-call wrappers around the
-Fock oracle.
+closed-form equal-couplings diagonalizer, the covariance-matrix layer (a
+state as sigma = s0 s0^dag, its symplectic eigenvalues, the general
+mixed-state Gaussian fidelity), the number-moment route to the vacuum
+fidelity, the closed and detuning-linear forms of the q coefficients, and
+one-call wrappers around the Fock oracle.
 """
 
 from __future__ import annotations
@@ -17,13 +19,17 @@ from rwafidelity.dynamics import (
     OMEGA,
     OscillatorParams,
     SymplecticMatrix,
+    _dagger,
+    _mul,
+    colpa,
     effective_blocks,
     hamiltonian_matrix,
     normal_mode_frequencies,
     rwa_block,
 )
 from rwafidelity.fockoracle import FockOracle
-from rwafidelity.states import PHYSICALITY_TOL, CovarianceMatrix, InitialState, NonPhysicalStateError, symplectic_eigenvalues
+from rwafidelity.metrics import CROSS_CHECK_TOL, _trace, gaussian_grid
+from rwafidelity.states import InitialState, vacuum
 
 # -- matrix exponential --------------------------------------------------------
 
@@ -164,6 +170,65 @@ def full_evolution(nm: NormalModes, t: float) -> SymplecticMatrix:
 
 
 # -- covariance matrices -----------------------------------------------------------
+#
+# sigma_nm is the expectation of the anticommutator {X_n, X_m^dag} with
+# X = (a, b, a+, b+), so the vacuum is exactly the identity matrix.
+
+HERMITICITY_TOL = 1e-12
+PHYSICALITY_TOL = 1e-9
+PAIRING_TOL = 1e-8
+
+
+class NonPhysicalStateError(ValueError):
+    """Raised for covariance matrices without a physical symplectic spectrum."""
+
+
+@dataclass(frozen=True)
+class CovarianceMatrix:
+    """Second-moment matrix of a zero-mean two-mode Gaussian state."""
+
+    sigma: np.ndarray
+
+    def __post_init__(self):
+        s = np.asarray(self.sigma, dtype=complex)
+        if s.shape != (4, 4):
+            raise ValueError(f"covariance matrix must be 4x4, got shape {s.shape}")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("covariance matrix has non-finite entries")
+        scale = max(1.0, float(np.linalg.norm(s)))
+        if np.max(np.abs(s - s.conj().T)) > HERMITICITY_TOL * scale:
+            raise NonPhysicalStateError("covariance matrix is not Hermitian")
+        object.__setattr__(self, "sigma", s)
+        nus = symplectic_eigenvalues(self)
+        if min(nus) < 1.0 - PHYSICALITY_TOL * scale:
+            raise NonPhysicalStateError(f"symplectic eigenvalues {nus} below 1")
+
+
+def covariance(s0: SymplecticMatrix) -> CovarianceMatrix:
+    """Covariance sigma = s0 s0^dag of the pure state with symplectic factor s0."""
+    s4 = s0.matrix
+    sig = s4 @ s4.conj().T
+    return CovarianceMatrix(0.5 * (sig + sig.conj().T))
+
+
+def symplectic_eigenvalues(cov: CovarianceMatrix | np.ndarray) -> tuple[float, float]:
+    """The two symplectic eigenvalues (descending) of a positive-definite sigma, from ``colpa(sigma)``.
+
+    sigma has condition number about e^(4s) for the squeezed pair, so the
+    pure value 1 is lost at large s: s = 9 gives 1.049.
+    """
+    sigma = cov.sigma if isinstance(cov, CovarianceMatrix) else np.asarray(cov, dtype=complex)
+    try:
+        vals = np.sort(np.abs(colpa(sigma)[1]))
+    except np.linalg.LinAlgError as exc:
+        raise NonPhysicalStateError("covariance matrix is not positive definite") from exc
+    scale = max(1.0, float(np.linalg.norm(sigma)))
+    if vals[1] - vals[0] > PAIRING_TOL * scale or vals[3] - vals[2] > PAIRING_TOL * scale:
+        raise NonPhysicalStateError(f"unpaired symplectic spectrum {vals}")
+    nu_small = 0.5 * (vals[0] + vals[1])
+    nu_large = 0.5 * (vals[2] + vals[3])
+    return float(nu_large), float(nu_small)
+
 
 
 def thermal(nu: float) -> CovarianceMatrix:
@@ -246,6 +311,62 @@ def gaussian_fidelity(cov1: CovarianceMatrix, cov2: CovarianceMatrix) -> float:
     if fid > 1.0 + RADICAND_TOL:
         raise NonPhysicalStateError(f"fidelity {fid} exceeds one beyond tolerance")
     return float(min(max(fid, 0.0), 1.0))
+
+
+# -- number moments and q closed forms ---------------------------------------------------
+
+
+def number_moments(a_block: np.ndarray, b_block: np.ndarray) -> tuple[float, float]:
+    """Vacuum expectation (dN, dN^2) of the number change under a Bogoliubov pair.
+
+    dN   = Tr(B+B)
+    dN^2 = Tr(A A+ B B+) + Tr(B A^T B* A+) + (Tr B+B)^2
+    """
+    a = np.asarray(a_block, dtype=complex)
+    b = np.asarray(b_block, dtype=complex)
+    dn = float(_trace(_mul(_dagger(b), b)))
+    dn2 = float(
+        _trace(_mul(_mul(_mul(a, _dagger(a)), b), _dagger(b)))
+        + _trace(_mul(_mul(_mul(b, a.T), b.conj()), _dagger(a)))
+    ) + dn**2
+    return dn, dn2
+
+
+def vacuum_fidelity_moments(p: OscillatorParams, t: float) -> tuple[float, float, float, float]:
+    """(F^-2, dN, dN^2, variance) for an initial vacuum, via number statistics.
+
+    F^-2 = 1 + (3/2) dN + (1/2) dN^2_mean - (1/4) var, where dN^2_mean is the
+    square of the mean and var = dN^2 - dN^2_mean.  Cross-checked against the
+    determinant route.
+    """
+    grid = gaussian_grid(vacuum(), p, [t])
+    dn, dn2 = number_moments(grid.a_f[0], grid.b_f[0])
+    var = dn2 - dn**2
+    f_inv2 = 1.0 + 1.5 * dn + 0.5 * dn**2 - 0.25 * var
+    det_route = float(grid.report.fidelity[0]) ** -2
+    if not abs(f_inv2 - det_route) <= CROSS_CHECK_TOL * max(1.0, det_route):
+        raise ArithmeticError(f"moment route {f_inv2} disagrees with determinant route {det_route}")
+    return f_inv2, dn, dn2, var
+
+
+def q_resonant_closed(g: float) -> tuple[float, float, float, float]:
+    """Resonant closed forms of q1..q4 (exact at epsilon = 0)."""
+    return (
+        1.0,
+        (1.0 - g**2) / np.sqrt(1.0 - 4.0 * g**2),
+        -(1.0 + g) / np.sqrt(1.0 + 2.0 * g),
+        -(1.0 - g) / np.sqrt(1.0 - 2.0 * g),
+    )
+
+
+def q_epsilon_linear(g: float, eps: float) -> tuple[float, float, float, float]:
+    """Detuning-linear expansions of q1..q4 (valid for |eps| << g)."""
+    return (
+        1.0,
+        (1.0 - g**2 - g**2 * (1.0 + 2.0 * g**2) / (1.0 - 4.0 * g**2) * eps) / np.sqrt(1.0 - 4.0 * g**2),
+        -(1.0 + g - g**2 * eps / (2.0 + 4.0 * g)) / np.sqrt(1.0 + 2.0 * g),
+        -(1.0 - g - g**2 * eps / (2.0 - 4.0 * g)) / np.sqrt(1.0 - 2.0 * g),
+    )
 
 
 # -- Fock oracle, one time per call ------------------------------------------------------

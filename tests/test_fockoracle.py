@@ -615,15 +615,14 @@ class TestOracle:
         for a, b in zip(runs[:-1], runs[1:]):
             w = np.flatnonzero((edges[:-1] >= a) & (edges[:-1] < b))
             assert len(w) == 1 or (b - a) * terms[w].max() <= fockoracle.WINDOW
-            # a run stops only where the next window would not fit, or would join a window of one time
+            # a run stops only where the next window would not fit
             if b < len(ts):
                 nxt = len(w) + w[0]
-                widths = np.diff(edges)
-                assert widths[nxt] == 1 or widths[w[0]] == 1 or (edges[nxt + 1] - a) * max(terms[w].max(), terms[nxt]) > fockoracle.WINDOW
+                assert (edges[nxt + 1] - a) * max(terms[w].max(), terms[nxt]) > fockoracle.WINDOW
 
     def test_each_window_sums_its_own_table_bit_for_bit(self, monkeypatch):
         # runs of windows share one recurrence, yet each window's coefficients are those of a table
-        # of its own; the last window holds one time, whose lone column np.sum adds up pairwise
+        # of its own; the last window holds one time, a table of one column
         seen, expand = [], FockOracle._expand
 
         def spy(kernel, psi, a, states):

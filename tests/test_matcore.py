@@ -1,11 +1,10 @@
-"""The reference matrix exponential, and the matrix validation at the package boundary."""
+"""The reference matrix exponential, and the covariance-matrix validation of the references."""
 
 import numpy as np
 import pytest
 
-from reference import mat_exp
+from reference import CovarianceMatrix, mat_exp
 from rwafidelity.dynamics import OMEGA, OscillatorParams, hamiltonian_matrix, time_evolution
-from rwafidelity.states import CovarianceMatrix
 
 
 def random_matrix(rng, dim=4, norm=None):

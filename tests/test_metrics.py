@@ -1,18 +1,28 @@
 import numpy as np
 import pytest
 
-from reference import diagonalize, gaussian_fidelity, mat_exp, oracle_delta_n, oracle_fidelity, thermal
-from rwafidelity.dynamics import OMEGA, OscillatorParams, SymplecticMatrix, hamiltonian_matrix, rwa_block, time_evolution
-from rwafidelity.metrics import (
-    bloch_messiah,
-    delta_n,
-    effective_bogoliubov,
-    fidelity_eff,
-    gaussian_grid,
+from reference import (
+    covariance,
+    diagonalize,
+    gaussian_fidelity,
+    mat_exp,
     number_moments,
+    oracle_delta_n,
+    oracle_fidelity,
+    thermal,
     vacuum_fidelity_moments,
 )
-from rwafidelity.states import InitialState, covariance, squeezed_pair, vacuum
+from rwafidelity.dynamics import (
+    OMEGA,
+    OscillatorParams,
+    SymplecticMatrix,
+    check_bogoliubov,
+    hamiltonian_matrix,
+    rwa_block,
+    time_evolution,
+)
+from rwafidelity.metrics import bloch_messiah, delta_n, fidelity_eff, gaussian_grid
+from rwafidelity.states import InitialState, squeezed_pair, vacuum
 
 
 def random_factor(rng) -> SymplecticMatrix:
@@ -71,20 +81,21 @@ class TestGaussianFidelity:
 
 class TestEffectiveBogoliubov:
     def test_time_zero(self):
-        a_f, b_f = effective_bogoliubov(squeezed_pair(0.3), OscillatorParams(1.0, 1.0, 0.1, 0.1), 0.0)
+        grid = gaussian_grid(squeezed_pair(0.3), OscillatorParams(1.0, 1.0, 0.1, 0.1), [0.0])
+        a_f, b_f = grid.a_f[0], grid.b_f[0]
         assert np.allclose(a_f, np.eye(2), atol=1e-12)
         assert np.allclose(b_f, 0.0, atol=1e-12)
 
     def test_uncoupled_vacuum(self):
         p = OscillatorParams(1.0, 1.2, 0.0, 0.0)
         for t in (0.7, 4.0, 20.0):
-            _, b_f = effective_bogoliubov(vacuum(), p, t)
+            b_f = gaussian_grid(vacuum(), p, [t]).b_f[0]
             assert np.max(np.abs(b_f)) < 1e-12
 
     def test_recurrence_vacuum(self):
         p = OscillatorParams(1.0, 1.0, 0.3, 0.3)
         t_star = 2.0 * np.pi / diagonalize(p).kappa_minus
-        _, b_f = effective_bogoliubov(vacuum(), p, t_star)
+        b_f = gaussian_grid(vacuum(), p, [t_star]).b_f[0]
         assert np.max(np.abs(b_f)) < 1e-9
 
 
@@ -133,7 +144,8 @@ class TestFidelityEff:
         p = OscillatorParams(1.0, 1.3, 0.2, 0.05)
         t = 1e7
         rep = fidelity_eff(vacuum(), p, t)
-        a_f, b_f = effective_bogoliubov(vacuum(), p, t)
+        grid = gaussian_grid(vacuum(), p, [t])
+        a_f, b_f = grid.a_f[0], grid.b_f[0]
         with mpmath.workdps(60):
 
             def expm(q):
@@ -199,9 +211,7 @@ class TestBlochMessiah:
     def test_matches_svd(self):
         rng = np.random.default_rng(33)
         for _ in range(20):
-            _, b_f = effective_bogoliubov(
-                squeezed_pair(0.2), OscillatorParams(1.0, 1.0, 0.1, 0.1), rng.uniform(0, 10)
-            )
+            b_f = gaussian_grid(squeezed_pair(0.2), OscillatorParams(1.0, 1.0, 0.1, 0.1), [rng.uniform(0, 10)]).b_f[0]
             sv = np.linalg.svd(b_f, compute_uv=False)
             assert bloch_messiah(b_f) == pytest.approx(tuple(np.arcsinh(sv)), abs=1e-10)
 
@@ -282,3 +292,62 @@ class TestVacuumMoments:
             lhs = float(np.real(np.trace(m @ m)))
             rhs = 0.5 * (dn2 - 2.0 * dn - dn**2)
             assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
+
+
+class TestCrossCheckLimits:
+    """What the internal checks of `gaussian_grid` can and cannot see.
+
+    The A/B fidelity check allows CROSS_CHECK_TOL * max(1, F), which is
+    absolute for F <= 1, and the S_f Bogoliubov check is absolute for blocks
+    of unit size.  Both are documented limits, recorded here with numbers.
+    """
+
+    def test_routes_agree_to_relative_1e_8_below_the_bound(self):
+        # 300 stable couplings at least 1e-4 (relative) below |g_bs|+|g_sq| = sqrt(wa*wb),
+        # |s| <= 10, t <= 1e4.  Seed 0 reaches 1.6e-12; over seeds 0-29 of this draw the largest
+        # relative A/B gap per seed had median 2.7e-11 and maximum 1.1e-8, and 0.14% of draws
+        # exceeded 1e-10.  Nearer the bound the gap grows (next test)
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for _ in range(300):
+            wb = rng.uniform(0.5, 2.0)
+            total = (1.0 - 10.0 ** rng.uniform(-4.0, 0.0)) * np.sqrt(wb)
+            share, (sign_bs, sign_sq) = rng.uniform(), rng.choice([-1.0, 1.0], 2)
+            p = OscillatorParams(1.0, wb, sign_bs * share * total, sign_sq * (1.0 - share) * total)
+            grid = gaussian_grid(squeezed_pair(rng.uniform(-10.0, 10.0)), p, [rng.uniform(0.0, 1e4)])
+            f_a = 1.0 / abs(np.linalg.det(grid.a_f[0]))
+            f_b = grid.report.fidelity[0]
+            worst = max(worst, abs(f_b - f_a) / f_b)
+        assert worst <= 1e-8
+
+    def test_near_the_bound_the_reported_fidelity_drifts_unseen(self):
+        # 2.5e-9 (relative) below the bound, s = 5.8, t = 4650: F ~ 2e-11, so the absolute A/B
+        # check passes while the reported B route 1/sqrt(det(I + B_f^dag B_f)) is off by 1.5e-4
+        # relative; the A route 1/|det A_f| stays within 1e-10 of a 60-digit reference
+        mpmath = pytest.importorskip("mpmath")
+        p = OscillatorParams(1.0, 1.7817465554683207, 0.6898820195848263, -0.6449387723381426)
+        s, t = 5.800306359615998, 4649.9230017547725
+        grid = gaussian_grid(squeezed_pair(s), p, [t])
+        with mpmath.workdps(60):
+            c, sh = mpmath.cosh(s), mpmath.sinh(s)
+            s0 = mpmath.matrix([[c, 0, sh, 0], [0, c, 0, sh], [sh, 0, c, 0], [0, sh, 0, c]])
+            s0_inv = mpmath.matrix([[c, 0, -sh, 0], [0, c, 0, -sh], [-sh, 0, c, 0], [0, -sh, 0, c]])
+
+            def expm(q):
+                return mpmath.expm(mpmath.matrix((OMEGA @ hamiltonian_matrix(q)).tolist()) * t)
+
+            s_f = s0_inv * expm(OscillatorParams(p.omega_a, p.omega_b, p.g_bs, 0.0)) ** -1 * expm(p) * s0
+            b_ref = s_f[0:2, 2:4]
+            f_ref = float(1 / mpmath.sqrt(mpmath.re(mpmath.det(mpmath.eye(2) + b_ref.H * b_ref))))
+        assert abs(1.0 / abs(np.linalg.det(grid.a_f[0])) - f_ref) < 1e-9 * f_ref
+        assert abs(grid.report.fidelity[0] - f_ref) > 1e-6 * f_ref
+
+    def test_bogoliubov_check_misses_a_small_relative_error(self):
+        # the entries A_f[0, 1] of `fidelity-scan --g 0.05` are of order 1e-3: a relative
+        # error of 1e-8 in them shifts the identities by 1e-11, under the limit of 2e-10
+        ts = np.linspace(0.0, 10.0, 101)
+        grid = gaussian_grid(vacuum(), OscillatorParams(1.0, 1.0, 0.05, 0.05), ts)
+        a_f = grid.a_f.copy()
+        a_f[..., 0, 1] *= 1.0 + 1e-8
+        assert np.max(np.abs(a_f[..., 0, 1])) < 2e-3
+        check_bogoliubov(a_f, grid.b_f, ts, "S_f")

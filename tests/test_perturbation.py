@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference import q_epsilon_linear, q_resonant_closed
 from rwafidelity.dynamics import OscillatorParams
 from rwafidelity.metrics import fidelity_eff
 from rwafidelity.perturbation import (
@@ -10,8 +11,6 @@ from rwafidelity.perturbation import (
     fit_loglog_slope,
     ladder_regimes,
     q_coefficients,
-    q_epsilon_linear,
-    q_resonant_closed,
     vacuum_perturbative_bures_sq,
     vacuum_perturbative_fidelity,
 )

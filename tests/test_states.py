@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from reference import apply_symplectic, is_pure, reduce_mode, single_mode_symplectic_eigenvalue, thermal
-from rwafidelity.dynamics import OscillatorParams, time_evolution
-from rwafidelity.states import (
+from reference import (
     CovarianceMatrix,
-    InitialState,
     NonPhysicalStateError,
+    apply_symplectic,
     covariance,
-    squeezed_pair,
+    is_pure,
+    reduce_mode,
+    single_mode_symplectic_eigenvalue,
     symplectic_eigenvalues,
-    vacuum,
+    thermal,
 )
+from rwafidelity.dynamics import OscillatorParams, time_evolution
+from rwafidelity.states import InitialState, squeezed_pair, vacuum
 
 
 class TestVacuum:
