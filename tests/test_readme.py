@@ -2,7 +2,7 @@ import re
 import shlex
 from pathlib import Path
 
-from rwafidelity.cli import main
+from rwafidelity import cli
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -20,11 +20,16 @@ def test_readme_python_blocks_run():
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch):
-    # each command of the "Command line" section, with that section's JSON document as scan.json
+    # each command of the "Command line" section, with that section's JSON document as scan.json;
+    # run in order, no line overwrites a file an earlier line wrote
     section = README.read_text().split("## Command line", 1)[1]
     commands = [shlex.split(line) for line in _blocks(section, "")[0].replace("\\\n", " ").splitlines()]
     assert commands and all(argv[0] == "rwafidelity" for argv in commands)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "scan.json").write_text(_blocks(section, "json")[0])
+    written = []
+    write_output = cli._write_output
+    monkeypatch.setattr(cli, "_write_output", lambda cfg, *rest: (written.append(cfg.output_path), write_output(cfg, *rest)))
     for argv in commands:
-        assert main(argv[1:]) == 0, argv
+        assert cli.main(argv[1:]) == 0, argv
+    assert len(set(written)) == len(written) >= 2, written
