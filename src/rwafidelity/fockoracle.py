@@ -8,18 +8,17 @@ J. Chem. Phys. 81, 3967 (1984)).  Every term with a Bessel factor J_k(b dt)
 above double-precision roundoff is kept, so the propagation is unitary to
 rounding (about 1e-14), not exactly.
 
-The requested times are sorted and cut into windows, each holding at most
-WINDOW amplitudes of states, RWA eigenbasis amplitudes and coefficients.  One series is expanded per
-window, from t = 0 for the first and from the last time of the window before
-for the others: its terms T_k psi are formed once, a chunk at a time, and each
-chunk is summed into the state at every time of the window by one matrix
-product.  A term therefore costs the same whatever the number of times, and a
-fine grid pays the series' fixed tail of terms once per window, not once per
-time.  Every window runs in real arithmetic: H and every initial state are
-real, and the complex state of a later window is propagated as its (real,
-imaginary) float pairs under a copy of H with each weight repeated.  The term
-buffers are set up once per trajectory, and the Chebyshev coefficients of a
-run of windows come from one Miller recurrence.
+The requested times are sorted and cut into windows.  One series is expanded
+per window, from t = 0 for the first and from the last time of the window
+before for the others: its terms T_k psi are formed once, CHUNK at a time, and
+each chunk is summed into the state at every time of the window by one matrix
+product per parity of k.  A window takes times while their states, RWA
+eigenbasis amplitudes and coefficients fit in WINDOW amplitudes, so a fine
+grid pays the series' fixed tail of terms once per window, not once per time.
+The first window runs on a real state, a later one on its complex state's
+(real, imaginary) float pairs under a copy of H with each weight repeated.
+The term buffers are set up once per trajectory, and the Chebyshev
+coefficients of a run of windows come from one Miller recurrence.
 
 Both couplings change n_a + n_b by 0 or 2 (a'b keeps it, a'b' raises it by
 2), so H conserves its parity, and every initial state here (a Fock state,
@@ -79,14 +78,15 @@ BOUND_CERT_TOL = 1e-6
 # m^3 per block of m rows (0.1-0.8 measured, m = 25 to 97); each time costs the sector's length
 # plus PROJECTION_COST m per entry of the padded (blocks, m, m) stack (0.07-0.09 measured, m = 41
 # to 97).  A window holds at most WINDOW amplitudes of states, RWA eigenbasis amplitudes and
-# coefficients, and forms its terms in chunks of at most WINDOW amplitudes, so its memory is
-# bounded whatever the grid.
+# coefficients, and forms its terms CHUNK at a time, CHUNK / 2 per parity and product, in a
+# buffer of CHUNK + 2 rows, so its memory is bounded whatever the grid.
 WORK_BUDGET = 4e9
 TERM_OVERHEAD = 800
 PRODUCT_COST = 0.08
 EIGH_COST = 0.5
 PROJECTION_COST = 0.08
-WINDOW = 2**15
+WINDOW = 2**16
+CHUNK = 32
 
 
 class TruncationError(RuntimeError):
@@ -201,18 +201,17 @@ class GridHamiltonian:
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
         dtype = np.result_type(self.diagonal, psi)
-        buffers = (psi, np.empty(psi.shape, dtype), np.empty(psi.shape, dtype))
-        return self._apply(*map(self._shifted, buffers))
+        return self._apply(*self._shifted(psi, np.empty(psi.shape, dtype), np.empty(psi.shape, dtype)))
 
-    def _shifted(self, buf: np.ndarray) -> tuple:
-        """buf with its (buf[..., d:], buf[..., :-d]) views for each coupling shift d, for _apply."""
-        return buf, tuple((buf[..., d:], buf[..., :-d]) for d in (len(self.diagonal) - len(w) for w in (self.bs, self.sq)))
+    def _shifted(self, psi: np.ndarray, out: np.ndarray, work: np.ndarray) -> tuple:
+        """_apply's arguments for out = H psi with scratch work: per coupling shift d, its weights and psi[d:], psi[:-d], out[d:], out[:-d], work[d:]."""
+        shifts = ((w, len(self.diagonal) - len(w)) for w in (self.bs, self.sq))
+        return psi, out, tuple((w, psi[..., d:], psi[..., :-d], out[..., d:], out[..., :-d], work[..., d:]) for w, d in shifts)
 
-    def _apply(self, psi: tuple, out: tuple, work: tuple) -> np.ndarray:
-        """H psi written into out, with work as scratch, all `_shifted` buffers alike; allocates nothing."""
-        (psi, psi_at), (out, out_at), (_, work_at) = psi, out, work
+    def _apply(self, psi: np.ndarray, out: np.ndarray, couplings: tuple) -> np.ndarray:
+        """H psi written into out through the views of `_shifted`; allocates nothing."""
         np.multiply(self.diagonal, psi, out=out)
-        for w, (psi_hi, psi_lo), (out_hi, out_lo), (part, _) in zip((self.bs, self.sq), psi_at, out_at, work_at):
+        for w, psi_hi, psi_lo, out_hi, out_lo, part in couplings:
             np.multiply(w, psi_lo, out=part)
             np.add(out_hi, part, out=out_hi)
             np.multiply(w, psi_hi, out=part)
@@ -493,19 +492,20 @@ class FockOracle:
         """Per window of `_windows` its (positions, times, sector states), from the last state of the window before.
 
         Set up once per trajectory: one array of states, which each window
-        overwrites, and one buffer of terms with the `_shifted` views of its
-        rows for the real operator (the first window, from a real state) and
-        its interleaved copy (the later ones); fresh temporaries on every term
-        made the recurrence's speed hang on the state of the heap.  A run of
-        windows whose rows, times x term bound, fit in WINDOW entries shares
-        one coefficient table, and each window cuts it at its own kept length.
+        overwrites, and one buffer of CHUNK + 2 rows of terms with the
+        `_shifted` arguments from each row to the next, for the real operator
+        (the first window, from a real state) and its interleaved copy (the
+        later ones); fresh temporaries on every term made the recurrence's
+        speed hang on the state of the heap.  A run of windows whose rows,
+        times x term bound, fit in WINDOW entries shares one coefficient
+        table, and each window cuts it at its own kept length.
         """
-        rows = max(2, WINDOW // len(psi) // 2 * 2) + 2
+        rows = CHUNK + 2
         flat, scratch = np.empty(rows * 2 * len(psi)), np.empty(2 * len(psi))
         kernels = []
         for h in self._recurrences[parity]:
             buf = flat[: rows * len(h.diagonal)].reshape(rows, -1)
-            kernels.append((buf, [h._shifted(row) for row in buf], h._shifted(scratch[: len(h.diagonal)]), h))
+            kernels.append((buf, [h._shifted(*pair, scratch[: len(h.diagonal)]) for pair in zip(buf, buf[1:])], h))
         counts = np.diff(edges)
         states = np.empty((int(counts.max(initial=0)), len(psi)), complex)
         dts = ts[order] - np.repeat(anchors, counts)
@@ -531,31 +531,28 @@ class FockOracle:
     def _expand(kernel: tuple, psi: np.ndarray, a: np.ndarray, states: np.ndarray) -> None:
         """Rows sum_k a_k T_k psi into states, one per row of the coefficient table a.
 
-        kernel is a buffer of terms, the `_shifted` views of its rows and of a
-        scratch row, and the recurrence operator: the real one for a real psi,
-        the interleaved copy, on float pairs, for a complex psi.  The terms
-        T_k psi are formed a chunk of at most WINDOW amplitudes at a time in
-        the buffer, whose last two rows seed the next chunk, and each chunk is
-        summed into every row by one product per parity of k: a_k is real for
-        even k and imaginary for odd k.
+        kernel is a buffer of terms, the `_shifted` arguments from its row j
+        to row j + 1 (steps[j]), and the recurrence operator: the real one for
+        a real psi, the interleaved copy, on float pairs, for a complex psi.
+        The terms T_k psi are formed CHUNK at a time in the buffer, whose last
+        two rows seed the next chunk, and each chunk is summed into every row
+        by one product per parity of k (a_k is real for even k, else imaginary).
         """
-        terms, rows, work, h = kernel
+        terms, steps, h = kernel
         weights = np.ascontiguousarray(a.real[:, 0::2]), np.ascontiguousarray(a.imag[:, 1::2])
         real = not np.iscomplexobj(psi)
         part = np.empty((len(a), terms.shape[1]))
         states[...] = 0.0
         start = 0
         for k in range(a.shape[1]):
-            prev, cur = rows[k - start + 1], rows[k - start + 2]
+            prev, cur, couplings = steps[k - start + 1]
             if k == 0:
-                cur[0][:] = psi.view(float)
+                cur[:] = psi.view(float)
+            elif k == 1:
+                np.multiply(h._apply(prev, cur, couplings), 0.5, out=cur)
             else:
-                h._apply(prev, cur, work)
-                if k == 1:
-                    np.multiply(cur[0], 0.5, out=cur[0])
-                else:
-                    np.subtract(cur[0], rows[k - start][0], out=cur[0])
-            if cur is rows[-1] or k + 1 == a.shape[1]:
+                np.subtract(h._apply(prev, cur, couplings), steps[k - start][0], out=cur)
+            if cur is steps[-1][1] or k + 1 == a.shape[1]:
                 # rows 2, 4, ... of the buffer hold the even terms from T_start, rows 3, 5, ... the
                 # odd ones, whose sum is imaginary: i (x + i y) = -y + i x
                 for w, first in zip(weights, (2, 3)):

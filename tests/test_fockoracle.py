@@ -357,7 +357,7 @@ class TestWindows:
         n = len(oracle.basis.sector(oracle.basis.number_vector, parity))
         psi = rng.normal(size=n) + 1j * rng.normal(size=n)
         psi /= np.linalg.norm(psi)
-        ts = np.concatenate([np.linspace(-8.0, 30.0, 400), [3.3, 3.3]])[rng.permutation(402)]
+        ts = np.concatenate([np.linspace(-8.0, 30.0, 800), [3.3, 3.3]])[rng.permutation(802)]
         order, edges, anchors, terms = oracle._windows(ts, n)
         assert len(edges) > 4
         got = np.empty((len(ts), n), dtype=complex)
@@ -593,6 +593,15 @@ class TestOracle:
         point = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 40).compare(InitialState("vacuum"), np.linspace(0, 1000, 101))
         assert point.tail_weight == 0.0
 
+    def test_work_budget_limit_on_a_long_fine_grid(self):
+        # windows of WINDOW amplitudes price each term into more times: 100001 times at cutoff 24
+        # are estimated at 3.7e9 updates to tau 45000 and 4.3e9 to tau 55000, which is refused
+        oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 24)
+        psi0 = fock_vector(oracle.basis, 0, 0)
+        oracle._trajectory(psi0, 0, np.linspace(0.0, 45000.0, 100001))
+        with pytest.raises(ValueError, match=re.escape(f"over the budget of {WORK_BUDGET:.3g}")):
+            oracle._trajectory(psi0, 0, np.linspace(0.0, 55000.0, 100001))
+
     def test_one_miller_recurrence_per_run_of_windows(self, monkeypatch):
         calls = []
 
@@ -601,7 +610,7 @@ class TestOracle:
             return chebyshev_coefficients(x)
 
         monkeypatch.setattr(fockoracle, "chebyshev_coefficients", counted)
-        ts = np.linspace(0.0, 10.0, 201)
+        ts = np.linspace(0.0, 10.0, 401)
         oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 24)
         oracle.compare(InitialState("vacuum"), ts)
         sector = oracle.basis.sector(fock_vector(oracle.basis, 0, 0), 0)
@@ -630,15 +639,57 @@ class TestOracle:
             expand(kernel, psi, a, states)
 
         monkeypatch.setattr(FockOracle, "_expand", staticmethod(spy))
-        oracle, ts = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 12), np.linspace(0.0, 10.0, 101)
+        oracle, ts = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 12), np.linspace(0.0, 10.0, 200)
         psi0 = fock_vector(oracle.basis, 0, 0)
         order, edges, anchors, _ = oracle._windows(ts, len(oracle.basis.sector(psi0, 0)) + 1)
-        assert np.diff(edges).tolist() == [100, 1]
+        assert np.diff(edges).tolist() == [199, 1]
         for _ in oracle._trajectory(psi0, 0, ts)[1]:
             pass
         assert len(seen) == len(edges) - 1
         for a, first, last, anchor in zip(seen, edges[:-1], edges[1:], anchors):
             assert np.array_equal(a, chebyshev_coefficients(oracle._half * (ts[order[first:last]] - anchor)))
+
+    @pytest.mark.parametrize("s", [0.0, 0.2])
+    def test_sparse_cutoff_80_grid_runs_as_one_real_series(self, monkeypatch, s):
+        # 11 times to tau 10 at cutoff 80 fit one window of WINDOW amplitudes, so no term is formed
+        # on float pairs and no second series tail is paid
+        seen, products, expand, matmul = [], [], FockOracle._expand, np.matmul
+
+        def spy(kernel, psi, a, states):
+            seen.append((np.iscomplexobj(psi), a.shape))
+            expand(kernel, psi, a, states)
+
+        def counted(x, y, **kwargs):
+            if "out" in kwargs:  # _expand's chunk products; the RWA side passes no out
+                products.append(len(y))
+            return matmul(x, y, **kwargs)
+
+        monkeypatch.setattr(FockOracle, "_expand", staticmethod(spy))
+        monkeypatch.setattr(np, "matmul", counted)
+        initial = InitialState("squeezed", s=s) if s else InitialState("vacuum")
+        FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 80).compare(initial, np.linspace(0.0, 10.0, 11))
+        ((complex_psi, (times, terms)),) = seen
+        assert not complex_psi and times == 11
+        # one product per parity and chunk; every chunk but the last sums 16 terms of each parity
+        assert len(products) == 2 * math.ceil(terms / fockoracle.CHUNK) and min(products[:-2]) >= 16
+
+    def test_complex_window_term_buffer_is_bounded_at_cutoff_96(self, monkeypatch):
+        buffers, expand = [], FockOracle._expand
+
+        def spy(kernel, psi, a, states):
+            if np.iscomplexobj(psi):
+                buffers.append(kernel[0])
+            expand(kernel, psi, a, states)
+
+        monkeypatch.setattr(FockOracle, "_expand", staticmethod(spy))
+        oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 96)
+        oracle.compare(InitialState("vacuum"), np.linspace(0.0, 10.0, 41))
+        size = len(oracle.basis.sector(oracle.basis.number_vector, 0))
+        assert buffers
+        for terms in buffers:
+            # CHUNK + 2 rows of float pairs, whatever the grid; the real kernel shares the allocation
+            assert terms.shape == (fockoracle.CHUNK + 2, 2 * size)
+            assert terms.base.nbytes == terms.nbytes < 3e6
 
     def test_coefficient_tables_stay_within_the_window_on_a_long_grid(self, monkeypatch):
         # a table of all 200 000 times would hold 2.8 million entries, and its Miller recurrence 11 million
