@@ -202,11 +202,16 @@ class ScanSummary:
         return f"min_fidelity={fid:.12g} max_abs_delta_n={dn:.12g} regime_flags={flags}"
 
 
+def _tau_reach(cfg: ScanConfig) -> float:
+    """The grid's largest |tau|: every scan column, C2 and the vacuum law are even in tau."""
+    return max(abs(cfg.tau_start), abs(cfg.tau_end))
+
+
 def _regime_flags(cfg: ScanConfig) -> tuple[str, ...]:
     if not _perturbative_family(cfg.params):
         return ("outside-perturbative-family",)
     g_tilde = cfg.params.g_bs / cfg.params.omega_a
-    return PerturbativeRegime(g_tilde=g_tilde, tau=cfg.tau_end, s=cfg.initial_state.s).flags
+    return PerturbativeRegime(g_tilde=g_tilde, tau=_tau_reach(cfg), s=cfg.initial_state.s).flags
 
 
 def run_scan(cfg: ScanConfig) -> tuple[dict[str, list[float]], ScanSummary]:
@@ -228,7 +233,7 @@ def run_scan(cfg: ScanConfig) -> tuple[dict[str, list[float]], ScanSummary]:
     values.update(delta_n=grid.delta_n, **vars(grid.report))
     if "c2_prediction" in cfg.outputs:
         g_tilde = p.g_bs / p.omega_a
-        c2 = c2_coefficient(PerturbativeRegime(g_tilde=g_tilde, tau=taus, s=cfg.initial_state.s))
+        c2 = c2_coefficient(PerturbativeRegime(g_tilde=g_tilde, tau=np.abs(taus), s=cfg.initial_state.s))
         values["c2_prediction"] = 1.0 / np.sqrt(1.0 + c2 * g_tilde**2)
     names = ["tau", *(name for name in KNOWN_OUTPUTS if name in cfg.outputs), *(ORACLE_OUTPUTS if cfg.oracle_enabled else ())]
     columns = {name: np.asarray(values[name]).tolist() for name in names}
@@ -487,13 +492,13 @@ def _cmd_perturbative_compare(args) -> int:
     g = p.g_bs / p.omega_a
     s = cfg.initial_state.s
     ladder = [g, g / 2.0, g / 4.0]
-    slope = convergence_order(ladder_regimes(ladder, g_tau=g * cfg.tau_end, s=s))
+    slope = convergence_order(ladder_regimes(ladder, g_tau=g * _tau_reach(cfg), s=s))
     print(f"coupling ladder: {ladder}")
     print(f"fitted order of 1 - F in g: {slope:.3f} (expected 2)")
     if s == 0.0:
         taus = np.linspace(cfg.tau_start, cfg.tau_end, cfg.steps)
         exact = gaussian_grid(cfg.initial_state.factor(), p, taus / p.omega_a).report.fidelity
-        law = vacuum_perturbative_fidelity(PerturbativeRegime(g_tilde=g, tau=taus))
+        law = vacuum_perturbative_fidelity(PerturbativeRegime(g_tilde=g, tau=np.abs(taus)))
         worst = float(np.max(np.abs(exact - law)))
         print(f"max |F_exact - F_perturbative| on the grid: {worst:.3e}")
     return 0

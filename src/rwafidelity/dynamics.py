@@ -9,9 +9,9 @@ A 4x4 symplectic matrix is stored by its 2x2 blocks (alpha, beta); the full
 matrix is ((alpha, beta), (beta*, alpha*)).  The beam-splitter-only evolution
 is block diagonal (beta = 0); a nonzero beta block signals squeezing.
 
-The full evolution comes from ``evolution_blocks`` for every coupling and a
-whole array of times, through Colpa's bosonic diagonalization of the
-Hamiltonian matrix (``colpa``).
+Both evolutions are phase broadcasts over a whole array of times: S(t) and
+kappa_+- come from Colpa's bosonic diagonalization of the Hamiltonian matrix
+(``colpa``), the RWA block from the RWA modes, the eigenpairs of its passive block U.
 """
 
 from __future__ import annotations
@@ -146,34 +146,23 @@ def hamiltonian_matrix(p: OscillatorParams) -> np.ndarray:
 
 
 def normal_mode_frequencies(p: OscillatorParams) -> tuple[float, float]:
-    """Normal-mode frequencies (kappa_+, kappa_-), both real and positive."""
-    wa2, wb2 = p.omega_a**2, p.omega_b**2
-    dg2 = p.g_bs**2 - p.g_sq**2
-    gamma2 = (wa2 - wb2) ** 2 + 8.0 * p.omega_a * p.omega_b * (p.g_bs**2 + p.g_sq**2) + 4.0 * (wa2 + wb2) * dg2
-    gamma = np.sqrt(gamma2)
-    kp2 = 0.5 * ((wa2 + wb2) + 2.0 * dg2 + gamma)
-    km2 = 0.5 * ((wa2 + wb2) + 2.0 * dg2 - gamma)
-    if km2 <= 0.0:
-        raise UnstableParamsError(
-            f"normal mode squared frequency {km2:.3e} is not positive; "
-            f"critical coupling {critical_coupling(p):.6g}"
-        )
-    return float(np.sqrt(kp2)), float(np.sqrt(km2))
+    """Normal-mode frequencies (kappa_+, kappa_-), both real and positive: the positive half of ``_modes(p)``'s lam."""
+    lam = _modes(p)[0]
+    return float(lam[3]), float(lam[2])
 
 
 def rwa_block(p: OscillatorParams, t) -> np.ndarray:
-    """The unitary 2x2 block of the beam-splitter-only evolution, stacked over the shape of t."""
+    """The unitary 2x2 block exp(-i U t) of the beam-splitter-only evolution, stacked over the shape of t.
+
+    The phase broadcast of ``evolution_blocks`` over the RWA modes U = v diag(nu) v^T of the passive
+    block U = ((omega_a, g_bs), (g_bs, omega_b)): the phases exp(-i nu_k t) times the table v[i, k] v[j, k].
+    """
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("time must be finite")
-    w_delta = 0.5 * (p.omega_a - p.omega_b)
-    w_sigma = 0.5 * (p.omega_a + p.omega_b)
-    w_bs = np.sqrt(w_delta**2 + p.g_bs**2)
-    c2, s2 = (w_delta / w_bs, p.g_bs / w_bs) if w_bs > 0.0 else (0.0, 0.0)
-    chi = np.cos(w_bs * t) - 1j * c2 * np.sin(w_bs * t)
-    xi = -1j * s2 * np.sin(w_bs * t)
-    block = np.stack([np.stack([chi, xi], axis=-1), np.stack([xi, chi.conj()], axis=-1)], axis=-2)
-    return np.exp(-1j * w_sigma * t)[..., None, None] * block
+    nu, v = np.linalg.eigh(np.array([[p.omega_a, p.g_bs], [p.g_bs, p.omega_b]]))
+    table = (v.T[:, :, None] * v.T[:, None, :]).reshape(2, 4)
+    return (np.exp(-1j * np.multiply.outer(t, nu)) @ table).reshape(t.shape + (2, 2))
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:

@@ -68,9 +68,6 @@ class PerturbativeRegime:
         g = self.g_tilde
         return OscillatorParams(1.0, 1.0 + self.epsilon, g, g)
 
-    def kappas(self) -> tuple[float, float]:
-        return normal_mode_frequencies(self.params())
-
 
 def q_coefficients(regime: PerturbativeRegime) -> tuple[float, float, float, float]:
     """Exact q1..q4 from the determinant/cross-term combinations of the diagonalizer (alpha, beta).
@@ -107,7 +104,7 @@ def vacuum_perturbative_bures_sq(regime: PerturbativeRegime) -> float:
     """Matching lowest-order squared Bures distance for the vacuum."""
     _require_resonance(regime)
     g, tau = regime.g_tilde, regime.tau
-    kp, km = regime.kappas()
+    kp, km = normal_mode_frequencies(regime.params())
     return 0.5 * (np.sin(kp * tau) ** 2 + np.sin(km * tau) ** 2) * g**2
 
 

@@ -47,6 +47,7 @@ class InitialState:
             raise ValueError(f"occupations n_a, n_b need kind fock, got kind {self.kind!r}")
         if not np.isfinite(self.s):
             raise ValueError(f"squeezing s must be finite, got {self.s!r}")
+        _check_squeezing(self.s)  # here, so that no route does any work on an s out of range
 
     def factor(self) -> SymplecticMatrix:
         if self.kind == "vacuum":
@@ -63,8 +64,12 @@ def vacuum() -> SymplecticMatrix:
 
 def squeezed_pair(s: float) -> SymplecticMatrix:
     """Factor s0 of both modes squeezed by the same real parameter s (no squeezing phase)."""
-    if not abs(s) <= SQUEEZING_RANGE:
-        raise ValueError(f"|s| <= {SQUEEZING_RANGE} required, got {s}")
+    _check_squeezing(s)
     alpha0 = np.cosh(s) * np.eye(2, dtype=complex)
     beta0 = np.sinh(s) * np.eye(2, dtype=complex)
     return SymplecticMatrix(alpha0, beta0)
+
+
+def _check_squeezing(s: float):
+    if not abs(s) <= SQUEEZING_RANGE:
+        raise ValueError(f"|s| <= {SQUEEZING_RANGE} required, got {s}")

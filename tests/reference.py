@@ -2,11 +2,16 @@
 
 The package does not import this module.  It holds the routes that are off
 the production path: the scaling-and-squaring matrix exponential, the
-closed-form equal-couplings diagonalizer, the covariance-matrix layer (a
-state as sigma = s0 s0^dag, its symplectic eigenvalues, the general
-mixed-state Gaussian fidelity), the number-moment route to the vacuum
-fidelity, the closed and detuning-linear forms of the q coefficients, and
-one-call wrappers around the Fock oracle.
+closed-form RWA block (the rotation by omega_bs = sqrt(delta^2 + g_bs^2)
+times the common phase exp(-i omega_Sigma t)), the quartic formula for the
+normal-mode frequencies kappa_+-, the closed-form equal-couplings
+diagonalizer, the covariance-matrix layer (a state as sigma = s0 s0^dag, its
+symplectic eigenvalues, the general mixed-state Gaussian fidelity), the
+number-moment route to the vacuum fidelity, the closed and detuning-linear
+forms of the q coefficients, and one-call wrappers around the Fock oracle.
+No reference here calls the package route it checks: the RWA evolution and
+the diagonalizer rest on the closed forms, not on ``rwa_block`` or
+``normal_mode_frequencies``.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ from rwafidelity.dynamics import (
     colpa,
     effective_blocks,
     hamiltonian_matrix,
-    normal_mode_frequencies,
-    rwa_block,
 )
 from rwafidelity.fockoracle import FockOracle
 from rwafidelity.metrics import CROSS_CHECK_TOL, _trace, gaussian_grid
@@ -97,8 +100,41 @@ def evolution_via_exponential(p: OscillatorParams, t: float) -> SymplecticMatrix
     return SymplecticMatrix(s4[:2, :2], s4[:2, 2:])
 
 
+def closed_rwa_block(p: OscillatorParams, t) -> np.ndarray:
+    """exp(-i U t) for the passive block U, in closed form, stacked over the shape of t.
+
+    U = omega_Sigma I + delta sigma_z + g_bs sigma_x with omega_Sigma = (omega_a + omega_b)/2
+    and delta = (omega_a - omega_b)/2, so exp(-i U t) is the phase exp(-i omega_Sigma t)
+    times the rotation ((chi, xi), (xi, chi*)) by omega_bs = sqrt(delta^2 + g_bs^2).
+    """
+    t = np.asarray(t, dtype=float)
+    w_delta = 0.5 * (p.omega_a - p.omega_b)
+    w_sigma = 0.5 * (p.omega_a + p.omega_b)
+    w_bs = np.sqrt(w_delta**2 + p.g_bs**2)
+    c2, s2 = (w_delta / w_bs, p.g_bs / w_bs) if w_bs > 0.0 else (0.0, 0.0)
+    chi = np.cos(w_bs * t) - 1j * c2 * np.sin(w_bs * t)
+    xi = -1j * s2 * np.sin(w_bs * t)
+    block = np.stack([np.stack([chi, xi], axis=-1), np.stack([xi, chi.conj()], axis=-1)], axis=-2)
+    return np.exp(-1j * w_sigma * t)[..., None, None] * block
+
+
+def closed_normal_mode_frequencies(p: OscillatorParams) -> tuple[float, float]:
+    """(kappa_+, kappa_-) from the quartic formula: kappa^2 = (wa^2 + wb^2 + 2 dg^2 +- gamma)/2.
+
+    kappa_-^2 is a difference of nearly equal terms near the stability bound,
+    so it loses digits there: at (1, 2, 0, 1.414213) it is 1.8e-4 off.
+    """
+    wa2, wb2 = p.omega_a**2, p.omega_b**2
+    dg2 = p.g_bs**2 - p.g_sq**2
+    gamma2 = (wa2 - wb2) ** 2 + 8.0 * p.omega_a * p.omega_b * (p.g_bs**2 + p.g_sq**2) + 4.0 * (wa2 + wb2) * dg2
+    gamma = np.sqrt(gamma2)
+    kp2 = 0.5 * ((wa2 + wb2) + 2.0 * dg2 + gamma)
+    km2 = 0.5 * ((wa2 + wb2) + 2.0 * dg2 - gamma)
+    return float(np.sqrt(kp2)), float(np.sqrt(km2))
+
+
 def rwa_evolution(p: OscillatorParams, t: float) -> SymplecticMatrix:
-    return SymplecticMatrix(rwa_block(p, t), np.zeros((2, 2), dtype=complex))
+    return SymplecticMatrix(closed_rwa_block(p, t), np.zeros((2, 2), dtype=complex))
 
 
 def effective_evolution(p: OscillatorParams, t: float) -> SymplecticMatrix:
@@ -138,7 +174,7 @@ def diagonalize(p: OscillatorParams) -> NormalModes:
         raise ValueError("closed-form diagonalization requires g_bs == g_sq")
     if p.g_bs < 0:
         raise ValueError("closed-form diagonalization requires g >= 0")
-    kp, km = normal_mode_frequencies(p)
+    kp, km = closed_normal_mode_frequencies(p)
     th = _mixing_angle(p)
     c, s = np.cos(th), np.sin(th)
     wa, wb = p.omega_a, p.omega_b

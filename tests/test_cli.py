@@ -161,6 +161,20 @@ class TestRunScan:
         _, summary = run_scan(cfg)
         assert "outside-perturbative-family" in summary.regime_flags
 
+    @pytest.mark.parametrize("state", [InitialState("vacuum"), InitialState("squeezed", s=0.3)], ids=["vacuum", "squeezed"])
+    def test_negative_taus_mirror_the_positive_scan(self, tmp_path, state):
+        # every column, C2 included, is even in tau, and the window flag judges the largest |tau|:
+        # g^2 |tau| reaches the window at tau = -10 but not at the grid's end, -1
+        outputs = CORE_OUTPUTS + ("c2_prediction",)
+        p = OscillatorParams(1.0, 1.0, 0.12, 0.12)
+        negative, neg_summary = run_scan(make_config(tmp_path, params=p, initial_state=state, tau_start=-10.0, tau_end=-1.0, steps=10, outputs=outputs))
+        positive, pos_summary = run_scan(make_config(tmp_path, params=p, initial_state=state, tau_start=1.0, tau_end=10.0, steps=10, outputs=outputs))
+        assert negative["tau"] == [-tau for tau in reversed(positive["tau"])]
+        for name in outputs:
+            assert negative[name] == positive[name][::-1], name
+        assert neg_summary == pos_summary
+        assert neg_summary.regime_flags == ("g2tau-outside-window",)
+
 
 def stdlib_output(path, cfg, columns, summary):
     """What csv.writer with .17g strings, or json.dump(indent=2) plus a newline, writes for these columns."""
@@ -472,6 +486,19 @@ class TestMainExitCodes:
         assert f"validation error: {field}: expected a finite number" in capsys.readouterr().err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("command", ["fidelity-scan", "oracle-check"])
+    def test_out_of_range_squeezing_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        # the range is checked where the initial state is accepted, before the oracle or the grid runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started on an out-of-range squeezing")
+
+        monkeypatch.setattr(cli, "FockOracle", refuse)
+        monkeypatch.setattr(cli, "gaussian_grid", refuse)
+        out_path = tmp_path / "x.csv"
+        assert main([command, "--g", "0.05", "--squeezing", "11", "--steps", "3", "--cutoff", "40", "--output", str(out_path)]) == 2
+        assert capsys.readouterr().err == "validation error: |s| <= 10.0 required, got 11.0\n"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize(
         "flags, path, expected",
         [
@@ -583,6 +610,16 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         slope = float(out.split("fitted order of 1 - F in g:")[1].split("(")[0])
         assert slope == pytest.approx(2.0, abs=0.1)
+
+    def test_negative_taus_exit_0(self, tmp_path, capsys):
+        # the laws and the window flag are evaluated at |tau|, where PerturbativeRegime accepts them
+        assert main(["oracle-check", "--g", "0.05", "--tau-start", "-10", "--tau-end", "-1", "--steps", "5", "--output", str(tmp_path / "o.csv")]) == 0
+        assert main(["perturbative-compare", "--g", "0.1", "--tau-start", "-5", "--tau-end", "5", "--steps", "20"]) == 0
+        mirrored = capsys.readouterr().out.splitlines()[-3:]
+        assert main(["perturbative-compare", "--g", "0.1", "--tau-start", "0", "--tau-end", "5", "--steps", "20"]) == 0
+        positive = capsys.readouterr().out.splitlines()
+        assert mirrored[:2] == positive[:2]  # the same ladder and slope
+        assert mirrored[2].startswith("max |F_exact - F_perturbative| on the grid: ")
 
     def test_circuit_map_command(self, capsys):
         code = main(

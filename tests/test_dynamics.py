@@ -1,7 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import reference
 from reference import (
+    closed_rwa_block,
     covariance,
     diagonalize,
     effective_evolution,
@@ -140,6 +145,30 @@ class TestNormalModes:
             assert abs(km - vals[0]) < 1e-9 * max(1.0, kp)
             assert abs(kp - vals[-1]) < 1e-9 * max(1.0, kp)
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            OscillatorParams(1.0, 2.0, 0.0, 1.414213),  # kappa_- = 1.6e-6: the quartic is 1.8e-4 off here
+            OscillatorParams(1.0, 1.0, 0.4999, 0.4999),
+            OscillatorParams(1.0, 1.0, 0.0, 0.999999),
+            OscillatorParams(2.0, 0.5, 0.6, -0.39),
+            OscillatorParams(1.0, 1.3, -0.21, 0.13),
+            OscillatorParams(1.0, 2.0, 0.3, 0.0),
+            OscillatorParams(1.0, 1.0),
+        ],
+    )
+    def test_matches_high_precision_quartic(self, p):
+        # the quartic formula at 60 digits, from the float inputs: kappa_- to 1e-9 relative even
+        # where it is a millionth of kappa_+
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            wa, wb, g_bs, g_sq = (mp.mpf(x) for x in (p.omega_a, p.omega_b, p.g_bs, p.g_sq))
+            dg2 = g_bs**2 - g_sq**2
+            gamma = mp.sqrt((wa**2 - wb**2) ** 2 + 8 * wa * wb * (g_bs**2 + g_sq**2) + 4 * (wa**2 + wb**2) * dg2)
+            exact = [mp.sqrt((wa**2 + wb**2 + 2 * dg2 + sign * gamma) / 2) for sign in (1, -1)]
+            for got, want in zip(normal_mode_frequencies(p), exact, strict=True):
+                assert abs((got - want) / want) < 1e-9
+
 
 class TestDiagonalize:
     def test_uncoupled_resonant(self):
@@ -268,6 +297,34 @@ class TestRwaEvolution:
         u = rwa_block(OscillatorParams(1.0, 1.7, 0.3, 0.3), 11.0)
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
 
+    def test_matches_closed_form_and_exponential(self):
+        # the phase broadcast over the RWA modes against the closed rotation and exp(-i U t),
+        # relative to |t|: g_bs = 0 on and off resonance, negative g_bs, |t| up to 1e3
+        rng = np.random.default_rng(16)
+        params = [
+            OscillatorParams(1.0, 1.0),
+            OscillatorParams(1.0, 1.7),
+            OscillatorParams(1.7, 1.0, 0.0, 0.4),
+            OscillatorParams(1.0, 1.0, -0.3, 0.1),
+            OscillatorParams(1.0, 1.2, -0.4, 0.0),
+        ] + [random_params(rng) for _ in range(20)]
+        params += [OscillatorParams(p.omega_a, p.omega_b, -p.g_bs, p.g_sq) for p in params[5:15]]
+        ts = np.array([0.0, 1e-3, 0.7, -3.1, 25.0, -250.0, 1e3, -1e3])
+        for p in params:
+            u = rwa_block(p, ts)
+            passive = np.array([[p.omega_a, p.g_bs], [p.g_bs, p.omega_b]])
+            via_exp = np.array([mat_exp(passive, -1j * t) for t in ts])
+            scale = 1e-14 * np.maximum(1.0, np.abs(ts))[:, None, None]
+            assert np.all(np.abs(u - closed_rwa_block(p, ts)) <= scale), p
+            assert np.all(np.abs(u - via_exp) <= scale), p
+
+    def test_stacks_over_the_shape_of_t(self):
+        p = OscillatorParams(1.0, 1.3, 0.2, 0.1)
+        ts = np.linspace(0.0, 5.0, 6).reshape(2, 3)
+        u = rwa_block(p, ts)
+        assert u.shape == (2, 3, 2, 2) and rwa_block(p, 0.4).shape == (2, 2)
+        assert np.allclose(u[1, 2], rwa_block(p, ts[1, 2]), rtol=0.0, atol=1e-15)
+
 
 class TestEffectiveEvolution:
     def test_time_zero(self):
@@ -364,3 +421,16 @@ class TestBlockAlgebra:
             scale = np.abs(m[..., 0, 0] * m[..., 1, 1]) + np.abs(m[..., 0, 1] * m[..., 1, 0])
             assert np.shape(_det(m)) == m.shape[:-2]
             assert np.all(np.abs(_det(m) - np.linalg.det(m)) <= 1e-15 * scale)
+
+
+def test_references_do_not_call_the_routes_they_check():
+    # the RWA evolution and the closed diagonalizer rest on closed forms held in tests/reference.py
+    tree = ast.parse(Path(reference.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rwafidelity")
+        for alias in node.names
+    }
+    assert imported and not {"rwa_block", "normal_mode_frequencies"} & imported
+    assert not {"rwa_block", "normal_mode_frequencies"} & set(vars(reference))
