@@ -28,7 +28,14 @@ from .dynamics import (
 )
 from .fockoracle import MAX_CUTOFF, FockOracle, TruncationError
 from .metrics import gaussian_grid
-from .perturbation import PerturbativeRegime, c2_coefficient, convergence_order, ladder_regimes, vacuum_perturbative_fidelity
+from .perturbation import (
+    PerturbativeRegime,
+    c2_coefficient,
+    convergence_order,
+    ladder_regimes,
+    perturbative_family,
+    vacuum_perturbative_fidelity,
+)
 from .states import InitialState
 
 __all__ = [
@@ -83,9 +90,9 @@ def _typed(section: dict, name: str, kind: type, default):
     return value
 
 
-def _perturbative_family(p: OscillatorParams) -> bool:
-    """Resonant equal couplings with 0 < g/omega < 0.5, where the second-order laws apply."""
-    return p.equal_couplings and p.resonant and 0.0 < p.g_bs / p.omega_a < 0.5
+def _outside_family(what: str, p: OscillatorParams) -> list[str]:
+    """The refusal of what, which needs the resonant laws, when p is outside ``perturbative_family``; else none."""
+    return [] if perturbative_family(p) else [f"{what} needs resonant equal couplings with 0 < g/omega < 0.5"]
 
 
 @dataclass(frozen=True)
@@ -122,8 +129,8 @@ class ScanConfig:
             problems.append("format: must be csv or json")
         if not (1 <= self.cutoff <= MAX_CUTOFF):
             problems.append(f"oracle: cutoff must be in [1, {MAX_CUTOFF}]")
-        if "c2_prediction" in self.outputs and not _perturbative_family(self.params):
-            problems.append("outputs: c2_prediction needs resonant equal couplings with 0 < g/omega < 0.5")
+        if "c2_prediction" in self.outputs:
+            problems += _outside_family("outputs: c2_prediction", self.params)
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -202,18 +209,6 @@ class ScanSummary:
         return f"min_fidelity={fid:.12g} max_abs_delta_n={dn:.12g} regime_flags={flags}"
 
 
-def _tau_reach(cfg: ScanConfig) -> float:
-    """The grid's largest |tau|: every scan column, C2 and the vacuum law are even in tau."""
-    return max(abs(cfg.tau_start), abs(cfg.tau_end))
-
-
-def _regime_flags(cfg: ScanConfig) -> tuple[str, ...]:
-    if not _perturbative_family(cfg.params):
-        return ("outside-perturbative-family",)
-    g_tilde = cfg.params.g_bs / cfg.params.omega_a
-    return PerturbativeRegime(g_tilde=g_tilde, tau=_tau_reach(cfg), s=cfg.initial_state.s).flags
-
-
 def run_scan(cfg: ScanConfig) -> tuple[dict[str, list[float]], ScanSummary]:
     """Evaluate the grid, write the output file, and return the columns, in output order, plus summary."""
     p = cfg.params
@@ -231,17 +226,19 @@ def run_scan(cfg: ScanConfig) -> tuple[dict[str, list[float]], ScanSummary]:
         values["fidelity_oracle"], values["delta_n_oracle"] = point.fidelity, point.delta_n
     grid = gaussian_grid(cfg.initial_state.factor(), p, ts)
     values.update(delta_n=grid.delta_n, **vars(grid.report))
-    if "c2_prediction" in cfg.outputs:
-        g_tilde = p.g_bs / p.omega_a
-        c2 = c2_coefficient(PerturbativeRegime(g_tilde=g_tilde, tau=np.abs(taus), s=cfg.initial_state.s))
-        values["c2_prediction"] = 1.0 / np.sqrt(1.0 + c2 * g_tilde**2)
+    flags = ("outside-perturbative-family",)
+    if perturbative_family(p):
+        regime = PerturbativeRegime(g_tilde=p.g_bs / p.omega_a, tau=np.abs(taus), s=cfg.initial_state.s)
+        flags = regime.flags
+        if "c2_prediction" in cfg.outputs:
+            values["c2_prediction"] = 1.0 / np.sqrt(1.0 + c2_coefficient(regime) * regime.g_tilde**2)
     names = ["tau", *(name for name in KNOWN_OUTPUTS if name in cfg.outputs), *(ORACLE_OUTPUTS if cfg.oracle_enabled else ())]
     columns = {name: np.asarray(values[name]).tolist() for name in names}
 
     summary = ScanSummary(
         min_fidelity=min(columns["fidelity"]) if "fidelity" in columns else None,
         max_abs_delta_n=max(map(abs, columns["delta_n"])) if "delta_n" in columns else None,
-        regime_flags=_regime_flags(cfg),
+        regime_flags=flags,
     )
     _write_output(cfg, columns, summary)
     return columns, summary
@@ -373,7 +370,7 @@ def circuit_map(c: CircuitParams) -> FrameReport:
     min_freq = min((abs(nu) for _, nu in dropped), default=float("inf"))
     # detunings can sit at the same scale as the pump couplings: that is the
     # arbitrary-coupling regime this frame construction is built to reach
-    ratio = max(abs(params.g_bs), abs(params.g_sq)) / np.sqrt(omega_a * omega_b)
+    ratio = max(abs(params.g_bs), abs(params.g_sq)) / params.stability_bound
     return FrameReport(
         params=params,
         frame_shift_a=shift_a,
@@ -424,8 +421,8 @@ def _add_common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--oracle", action="store_true", default=None, help="add oracle columns to the scan")
 
 
-def _config_from_args(args) -> ScanConfig:
-    """The --config file (or the default scan) as a document, each given flag written into its field, parsed once."""
+def _document(args) -> dict:
+    """The --config file (or the default scan) as a config document, each given flag written into its field."""
     if args.config:
         with open(args.config) as fh:
             doc = ScanConfig.from_json(fh.read()).to_dict()
@@ -438,7 +435,7 @@ def _config_from_args(args) -> ScanConfig:
         if value is not None:
             section, _, key = path.rpartition(".")
             (doc[section] if section else doc)[key] = value
-    return ScanConfig.from_dict(doc)
+    return doc
 
 
 def _fmt_block(m: np.ndarray) -> str:
@@ -449,7 +446,7 @@ def _fmt_block(m: np.ndarray) -> str:
 
 
 def _cmd_validity(args) -> int:
-    cfg = _config_from_args(args)  # raises on instability
+    cfg = ScanConfig.from_dict(_document(args))  # raises on instability
     p = cfg.params
     kp, km = normal_mode_frequencies(p)
     print(f"params: omega_a={p.omega_a} omega_b={p.omega_b} g_bs={p.g_bs} g_sq={p.g_sq}")
@@ -460,9 +457,10 @@ def _cmd_validity(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    cfg = _config_from_args(args)
-    p = cfg.params
-    tau = cfg.tau_start
+    doc = _document(args)
+    # evolve reads one time, tau_grid.start, so the rest of the document is checked with the default grid
+    p = ScanConfig.from_dict({**doc, "tau_grid": {}}).params
+    tau = _field(doc["tau_grid"], "tau_grid", "start", float)
     t = tau / p.omega_a
     s = time_evolution(p, t)
     u = rwa_block(p, t)
@@ -477,7 +475,7 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_fidelity_scan(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = ScanConfig.from_dict(_document(args))
     _, summary = run_scan(cfg)
     print(f"wrote {cfg.output_path} ({cfg.fmt}, {cfg.steps} rows)")
     print(summary.line())
@@ -485,14 +483,15 @@ def _cmd_fidelity_scan(args) -> int:
 
 
 def _cmd_perturbative_compare(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = ScanConfig.from_dict(_document(args))
     p = cfg.params
-    if not (p.equal_couplings and p.resonant):
-        raise ConfigError("perturbative-compare needs resonant equal couplings")
+    if problems := _outside_family("perturbative-compare", p):
+        raise ConfigError("; ".join(problems))
     g = p.g_bs / p.omega_a
     s = cfg.initial_state.s
     ladder = [g, g / 2.0, g / 4.0]
-    slope = convergence_order(ladder_regimes(ladder, g_tau=g * _tau_reach(cfg), s=s))
+    # the ladder is sampled at the grid's largest |tau|: 1 - F is even in tau
+    slope = convergence_order(ladder_regimes(ladder, g_tau=g * max(abs(cfg.tau_start), abs(cfg.tau_end)), s=s))
     print(f"coupling ladder: {ladder}")
     print(f"fitted order of 1 - F in g: {slope:.3f} (expected 2)")
     if s == 0.0:
@@ -505,7 +504,7 @@ def _cmd_perturbative_compare(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = ScanConfig.from_dict(_document(args))
     columns, summary = run_scan(cfg)
     print(f"wrote {cfg.output_path} ({cfg.steps} rows, cutoff {cfg.cutoff})")
     for name in ("fidelity", "delta_n"):

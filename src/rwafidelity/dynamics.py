@@ -76,13 +76,17 @@ class OscillatorParams:
             object.__setattr__(self, name, float(value))
         if self.omega_a <= 0 or self.omega_b <= 0:
             raise ValueError("oscillator frequencies must be positive")
-        bound = np.sqrt(self.omega_a * self.omega_b)
-        if abs(self.g_bs) + abs(self.g_sq) >= bound * (1.0 - CRITICAL_MARGIN):
+        if abs(self.g_bs) + abs(self.g_sq) >= self.stability_bound * (1.0 - CRITICAL_MARGIN):
             raise UnstableParamsError(
                 f"couplings |g_bs|+|g_sq| = {abs(self.g_bs) + abs(self.g_sq):.6g} reach the "
                 f"critical coupling {critical_coupling(self):.6g} "
-                f"(stability bound sqrt(omega_a*omega_b) = {bound:.6g})"
+                f"(stability bound sqrt(omega_a*omega_b) = {self.stability_bound:.6g})"
             )
+
+    @property
+    def stability_bound(self) -> float:
+        """sqrt(omega_a*omega_b), taken as sqrt(omega_a)*sqrt(omega_b) so that no product over- or underflows."""
+        return np.sqrt(self.omega_a) * np.sqrt(self.omega_b)
 
     @property
     def equal_couplings(self) -> bool:
@@ -90,7 +94,9 @@ class OscillatorParams:
 
     @property
     def resonant(self) -> bool:
-        return abs(self.omega_a**2 - self.omega_b**2) < 1e-12
+        """1 - r^2 < 1e-12 for the frequency ratio r <= 1: a test in units of the frequencies that cannot overflow."""
+        r = min(self.omega_a, self.omega_b) / max(self.omega_a, self.omega_b)
+        return (1.0 - r) * (1.0 + r) < 1e-12
 
 
 def critical_coupling(p: OscillatorParams) -> float:
@@ -101,11 +107,10 @@ def critical_coupling(p: OscillatorParams) -> float:
     the larger coupling at the first boundary crossing.  Equal couplings give
     sqrt(wa*wb)/2, a single coupling gives sqrt(wa*wb).
     """
-    bound = np.sqrt(p.omega_a * p.omega_b)
     total = abs(p.g_bs) + abs(p.g_sq)
     if total == 0.0:
-        return bound / 2.0  # degenerate ray; quote the equal-couplings value
-    return bound * max(abs(p.g_bs), abs(p.g_sq)) / total
+        return p.stability_bound / 2.0  # degenerate ray; quote the equal-couplings value
+    return p.stability_bound * (max(abs(p.g_bs), abs(p.g_sq)) / total)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Small-coupling expansions on resonance and order-of-convergence fits.
 
-All quantities here are dimensionless: g_tilde = g/omega, tau = omega*t,
-epsilon = detuning/omega.  The expansion window is g_tilde*tau of order one
-with g_tilde^2*tau small; outside it the expansions are still evaluated but
-the regime is flagged, because the second-order truncation is then meaningless.
+All quantities here are dimensionless: g_tilde = g/omega, tau = omega*t.  The
+laws are derived for one family of parameters, ``perturbative_family``.  The
+expansion window is g_tilde*tau of order one with g_tilde^2*tau small; outside
+it the expansions are still evaluated but the regime is flagged, because the
+second-order truncation is then meaningless.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .metrics import gaussian_grid
 from .states import squeezed_pair, vacuum
 
 __all__ = [
+    "perturbative_family",
     "PerturbativeRegime",
     "q_coefficients",
     "vacuum_perturbative_fidelity",
@@ -31,9 +33,14 @@ __all__ = [
 WINDOW_G2TAU = 0.1
 
 
+def perturbative_family(p: OscillatorParams) -> bool:
+    """Whether the resonant laws apply: resonant frequencies (``p.resonant``), equal couplings, 0 < g/omega_a < 0.5."""
+    return p.resonant and p.equal_couplings and 0.0 < p.g_bs / p.omega_a < 0.5
+
+
 @dataclass(frozen=True)
 class PerturbativeRegime:
-    """One evaluation point of the small-coupling analysis.
+    """Evaluation points of the small-coupling analysis: the resonant point (1, 1, g_tilde, g_tilde) at tau.
 
     ``tau`` may also be an array: the resonant laws then broadcast over it,
     and the window flag judges its largest entry.
@@ -41,11 +48,11 @@ class PerturbativeRegime:
 
     g_tilde: float
     tau: float
-    epsilon: float = 0.0
     s: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.g_tilde < 0.5):
+        # not perturbative_family(self.params()): that refuses a g_tilde near 0.5 the family accepts off exact resonance
+        if not 0.0 < self.g_tilde < 0.5:
             raise ValueError("g_tilde must lie in (0, 0.5)")
         tau = np.asarray(self.tau, dtype=float)
         if not np.all(np.isfinite(tau)) or np.any(tau < 0):
@@ -53,30 +60,20 @@ class PerturbativeRegime:
 
     @property
     def flags(self) -> tuple[str, ...]:
-        out = []
-        if abs(self.epsilon) >= self.g_tilde:
-            out.append("detuning-exceeds-coupling")
-        if self.g_tilde**2 * np.max(self.tau) >= WINDOW_G2TAU:
-            out.append("g2tau-outside-window")
-        return tuple(out)
-
-    @property
-    def in_window(self) -> bool:
-        return not self.flags
+        return ("g2tau-outside-window",) if self.g_tilde**2 * np.max(self.tau) >= WINDOW_G2TAU else ()
 
     def params(self) -> OscillatorParams:
-        g = self.g_tilde
-        return OscillatorParams(1.0, 1.0 + self.epsilon, g, g)
+        return OscillatorParams(1.0, 1.0, self.g_tilde, self.g_tilde)
 
 
-def q_coefficients(regime: PerturbativeRegime) -> tuple[float, float, float, float]:
-    """Exact q1..q4 from the determinant/cross-term combinations of the diagonalizer (alpha, beta).
+def q_coefficients(p: OscillatorParams) -> tuple[float, float, float, float]:
+    """Exact q1..q4 of p from the determinant/cross-term combinations of the diagonalizer (alpha, beta).
 
     The diagonalizer rows for +kappa_+ and then +kappa_- are the rows of the
     Colpa factor U^T L^T for the two positive frequencies, scaled by
     lam^(-1/2).  The q's are squares, so the signs of the rows drop out.
     """
-    lam, _, right = _modes(regime.params())
+    lam, _, right = _modes(p)
     rows = right[[3, 2]] / np.sqrt(lam[[3, 2]])[:, None]
     al, be = rows[:, :2], rows[:, 2:]
     det_a = float(np.linalg.det(al))
@@ -90,11 +87,6 @@ def q_coefficients(regime: PerturbativeRegime) -> tuple[float, float, float, flo
     return q1, q2, q3, q4
 
 
-def _require_resonance(regime: PerturbativeRegime):
-    if regime.epsilon != 0.0:
-        raise ValueError("this expansion is derived on resonance (epsilon = 0)")
-
-
 def vacuum_perturbative_fidelity(regime: PerturbativeRegime) -> float:
     """Second-order fidelity law for an initial vacuum on resonance."""
     return 1.0 - vacuum_perturbative_bures_sq(regime)
@@ -102,7 +94,6 @@ def vacuum_perturbative_fidelity(regime: PerturbativeRegime) -> float:
 
 def vacuum_perturbative_bures_sq(regime: PerturbativeRegime) -> float:
     """Matching lowest-order squared Bures distance for the vacuum."""
-    _require_resonance(regime)
     g, tau = regime.g_tilde, regime.tau
     kp, km = normal_mode_frequencies(regime.params())
     return 0.5 * (np.sin(kp * tau) ** 2 + np.sin(km * tau) ** 2) * g**2
@@ -114,7 +105,6 @@ def c2_coefficient(regime: PerturbativeRegime) -> float:
     F^-2 = 1 + C2(tau, s) g^2 to cubic accuracy in the window; C2 at s = 0
     reduces to 1 - cos(2 tau) cos(2 g tau).
     """
-    _require_resonance(regime)
     g, tau, s = regime.g_tilde, regime.tau, regime.s
     gt = g * tau
     ch4_sh4 = np.cosh(s) ** 4 + np.sinh(s) ** 4
@@ -141,37 +131,30 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
 def ladder_regimes(
     g_values, g_tau: float, s: float = 0.0, samples: int = 9
 ) -> list[PerturbativeRegime]:
-    """Regimes on a coupling ladder at fixed g*tau, sampled across one beat.
+    """One regime per rung of a coupling ladder at fixed g*tau, its taus sampled across one beat.
 
     The fidelity deficit oscillates with cos(2 tau); sampling tau over a half
     period of that oscillation around the target tau = g_tau/g and taking the
     worst point gives a ladder constant stable enough for a slope fit.
     """
-    out = []
-    for g in g_values:
-        center = g_tau / g
-        for dt in np.linspace(-np.pi / 2.0, np.pi / 2.0, samples):
-            out.append(PerturbativeRegime(g_tilde=g, tau=max(center + dt, 0.0), s=s))
-    return out
+    beat = np.linspace(-np.pi / 2.0, np.pi / 2.0, samples)
+    return [PerturbativeRegime(g_tilde=g, tau=np.maximum(g_tau / g + beat, 0.0), s=s) for g in g_values]
 
 
 def convergence_order(regimes) -> float:
     """Fitted log-log slope of the fidelity deficit against the coupling.
 
+    Each regime is evaluated in one `gaussian_grid` call over its taus.
     Regimes sharing a g_tilde form one ladder rung; the rung value is the
     largest deficit 1 - F over the rung (robust against the oscillating
-    prefactor).  Regimes sharing their parameters and initial state are
-    evaluated in one `gaussian_grid` call over their taus.  Exact zeros are
-    excluded; at least three distinct couplings are required.
+    prefactor).  Exact zeros are excluded; at least three distinct couplings
+    are required.
     """
-    taus: dict[tuple[float, OscillatorParams, float], list] = {}
-    for regime in regimes:
-        taus.setdefault((regime.g_tilde, regime.params(), regime.s), []).append(regime.tau)
     rungs: dict[float, float] = {}
-    for (g, p, s), tau in taus.items():
-        factor = vacuum() if s == 0.0 else squeezed_pair(s)
-        deficit = float(np.max(1.0 - gaussian_grid(factor, p, np.hstack(tau)).report.fidelity))
-        rungs[g] = max(rungs.get(g, 0.0), deficit)
+    for regime in regimes:
+        factor = vacuum() if regime.s == 0.0 else squeezed_pair(regime.s)
+        deficit = float(np.max(1.0 - gaussian_grid(factor, regime.params(), regime.tau).report.fidelity))
+        rungs[regime.g_tilde] = max(rungs.get(regime.g_tilde, 0.0), deficit)
     ladder = sorted((g, d) for g, d in rungs.items() if d > 0.0)
     if len(ladder) < 3:
         raise ValueError("need at least three ladder couplings with nonzero deficit")

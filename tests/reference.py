@@ -11,7 +11,8 @@ number-moment route to the vacuum fidelity, the closed and detuning-linear
 forms of the q coefficients, and one-call wrappers around the Fock oracle.
 No reference here calls the package route it checks: the RWA evolution and
 the diagonalizer rest on the closed forms, not on ``rwa_block`` or
-``normal_mode_frequencies``.
+``normal_mode_frequencies``, and S_eff composes the closed RWA block with the
+matrix exponential, not ``effective_blocks``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from rwafidelity.dynamics import (
     _dagger,
     _mul,
     colpa,
-    effective_blocks,
     hamiltonian_matrix,
 )
 from rwafidelity.fockoracle import FockOracle
@@ -138,8 +138,12 @@ def rwa_evolution(p: OscillatorParams, t: float) -> SymplecticMatrix:
 
 
 def effective_evolution(p: OscillatorParams, t: float) -> SymplecticMatrix:
-    """S_eff(t) = S_RWA^dag(t) S(t): the identity iff the two evolutions coincide."""
-    return SymplecticMatrix(*(block[0] for block in effective_blocks(p, [t])))
+    """S_eff(t) = S_RWA^dag(t) S(t): the identity iff the two evolutions coincide.
+
+    Composed from the closed RWA block and the matrix exponential, not from the
+    package's ``effective_blocks``.
+    """
+    return inverse(rwa_evolution(p, t)) @ evolution_via_exponential(p, t)
 
 
 @dataclass(frozen=True)

@@ -231,7 +231,7 @@ def test_criterion_9_q_coefficients():
     residuals = {1: [], 2: [], 3: []}
     worst_closed = worst_q1 = 0.0
     for g in LADDER:
-        exact = np.array(q_coefficients(PerturbativeRegime(g, 1.0)))
+        exact = np.array(q_coefficients(OscillatorParams(1.0, 1.0, g, g)))
         closed = np.array(q_resonant_closed(g))
         worst_closed = max(worst_closed, float(np.max(np.abs(exact - closed))))
         worst_q1 = max(worst_q1, abs(exact[0] - 1.0))

@@ -160,6 +160,9 @@ class TestRunScan:
         cfg = make_config(tmp_path, params=OscillatorParams(1.0, 2.0, 0.1, 0.0))
         _, summary = run_scan(cfg)
         assert "outside-perturbative-family" in summary.regime_flags
+        # resonance is judged in units of the frequencies: a 2x detuning at omega 1e-7 is one too
+        _, summary = run_scan(make_config(tmp_path, params=OscillatorParams(1e-7, 2e-7, 1e-8, 1e-8)))
+        assert summary.regime_flags == ("outside-perturbative-family",)
 
     @pytest.mark.parametrize("state", [InitialState("vacuum"), InitialState("squeezed", s=0.3)], ids=["vacuum", "squeezed"])
     def test_negative_taus_mirror_the_positive_scan(self, tmp_path, state):
@@ -394,6 +397,41 @@ class TestMainExitCodes:
     def test_validity_critical_exit_2(self, capsys):
         assert main(["validity", "--omega-a", "1", "--omega-b", "1", "--g", "0.5"]) == 2
         assert "critical" in capsys.readouterr().err
+        # ten times the bound, where sqrt(omega_a*omega_b) would overflow to inf
+        assert main(["validity", "--omega-a", "1e200", "--omega-b", "1e200", "--g-bs", "1e201"]) == 2
+        assert "stability bound sqrt(omega_a*omega_b) = 1e+200" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_scan_at_extreme_frequency_scales(self, tmp_path, capsys, scale):
+        # neither the resonance test nor the stability bound forms a product of frequencies,
+        # so a scan scaled by 1e-200 or 1e200 gives the columns of the scan at omega = 1
+        columns = {}
+        for omega in (1.0, scale):
+            path = tmp_path / f"{omega!r}.csv"
+            argv = ["fidelity-scan", "--omega-a", repr(omega), "--omega-b", repr(omega), "--g", repr(0.1 * omega), "--squeezing", "0.3"]
+            assert main([*argv, "--tau-end", "2", "--steps", "21", "--output", str(path)]) == 0
+            assert capsys.readouterr().out.endswith("regime_flags=none\n")
+            columns[omega] = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_allclose(columns[scale], columns[1.0], rtol=0.0, atol=1e-12)
+
+    def test_evolve_reads_only_its_time(self, capsys):
+        # the default scan grid ends at tau 10, but evolve evaluates tau_grid.start alone
+        assert main(["evolve", "--g", "0.2", "--tau-start", "15"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("tau=15 (t=15)") and "rwa evolution block:" in out
+        assert main(["evolve", "--g", "0.2", "--tau-start", "nan"]) == 2
+        assert "tau_grid.start: expected a finite number" in capsys.readouterr().err
+
+    def test_family_refusal_is_one_message(self, tmp_path, capsys):
+        # a 2x detuning at omega 1e-7 is outside the perturbative family for the scan and for the comparison alike
+        doc = {"params": {"omega_a": 1e-7, "omega_b": 2e-7, "g_bs": 1e-8, "g_sq": 1e-8}, "outputs": ["fidelity", "c2_prediction"]}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        family = "needs resonant equal couplings with 0 < g/omega < 0.5"
+        assert main(["fidelity-scan", "--config", str(tmp_path / "cfg.json"), "--output", str(tmp_path / "scan.csv")]) == 2
+        assert f"validation error: outputs: c2_prediction {family}" in capsys.readouterr().err
+        assert main(["perturbative-compare", "--omega-a", "1e-7", "--omega-b", "2e-7", "--g", "1e-8"]) == 2
+        assert f"validation error: perturbative-compare {family}" in capsys.readouterr().err
+        assert not (tmp_path / "scan.csv").exists()
 
     def test_evolve_identity_at_time_zero(self, capsys):
         assert main(["evolve", "--omega-a", "1", "--omega-b", "1", "--g", "0.2", "--tau-start", "0"]) == 0

@@ -79,6 +79,16 @@ class TestParams:
     def test_accepts_just_below_critical(self):
         OscillatorParams(1.0, 1.0, 0.4999, 0.4999)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-7, 1e7, 1e200])
+    def test_resonance_and_stability_are_scale_free(self, scale):
+        # the model depends on frequency ratios only: no test may square or multiply two frequencies
+        assert OscillatorParams(scale, scale, 0.4 * scale, 0.4 * scale).resonant
+        assert not OscillatorParams(scale, 2.0 * scale, 0.1 * scale, 0.1 * scale).resonant
+        OscillatorParams(scale, scale, 0.0, (1.0 - 1e-8) * scale)
+        with pytest.raises(UnstableParamsError, match="stability bound"):
+            OscillatorParams(scale, scale, 10.0 * scale, 0.0)
+        assert critical_coupling(OscillatorParams(scale, 4.0 * scale, 0.3 * scale, 0.1 * scale)) == pytest.approx(1.5 * scale, rel=1e-15)
+
     @pytest.mark.parametrize("bad", ["1.0", None, 1j, float("nan"), float("inf")])
     def test_rejects_non_real_or_nonfinite(self, bad):
         with pytest.raises(ValueError, match="finite real number"):

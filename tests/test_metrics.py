@@ -107,6 +107,16 @@ class TestFidelityEff:
         assert rep.r_plus == pytest.approx(0.0, abs=1e-10)
         assert rep.r_minus == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-7, 1e7, 1e200])
+    def test_columns_are_scale_free(self, scale):
+        # scaling every frequency and coupling by lambda and every time by 1/lambda leaves each column as it is
+        taus = np.linspace(0.0, 30.0, 61)
+        base = gaussian_grid(squeezed_pair(0.4), OscillatorParams(1.0, 1.3, -0.21, 0.13), taus)
+        scaled = gaussian_grid(squeezed_pair(0.4), OscillatorParams(scale, 1.3 * scale, -0.21 * scale, 0.13 * scale), taus / scale)
+        for name in ("fidelity", "bures", "r_plus", "r_minus"):
+            np.testing.assert_allclose(getattr(scaled.report, name), getattr(base.report, name), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(scaled.delta_n, base.delta_n, rtol=0.0, atol=1e-12)
+
     def test_report_internal_relations(self):
         rng = np.random.default_rng(32)
         for _ in range(25):

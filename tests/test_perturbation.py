@@ -10,6 +10,7 @@ from rwafidelity.perturbation import (
     convergence_order,
     fit_loglog_slope,
     ladder_regimes,
+    perturbative_family,
     q_coefficients,
     vacuum_perturbative_bures_sq,
     vacuum_perturbative_fidelity,
@@ -26,10 +27,15 @@ class TestRegime:
         with pytest.raises(ValueError):
             PerturbativeRegime(0.5, 1.0)
 
+    def test_covers_the_family_up_to_its_edge(self):
+        # off exact resonance the family reaches a g_tilde whose resonant params (1, 1, g, g) are refused as unstable
+        g = 0.5 * (1.0 - 1e-9)
+        assert perturbative_family(OscillatorParams(1.0, 1.0 + 4e-13, g, g))
+        assert PerturbativeRegime(g, 1.0).flags == ("g2tau-outside-window",)
+
     def test_window_flags(self):
-        assert PerturbativeRegime(0.05, 1.0).in_window
-        assert "g2tau-outside-window" in PerturbativeRegime(0.1, 50.0).flags
-        assert "detuning-exceeds-coupling" in PerturbativeRegime(0.01, 1.0, epsilon=0.02).flags
+        assert PerturbativeRegime(0.05, 1.0).flags == ()
+        assert PerturbativeRegime(0.1, 50.0).flags == ("g2tau-outside-window",)
 
     def test_laws_broadcast_over_tau(self):
         # an array of taus gives what the per-tau loop gives; numpy's array
@@ -47,23 +53,23 @@ class TestRegime:
 class TestQCoefficients:
     def test_zero_coupling_limit(self):
         assert q_resonant_closed(0.0) == (1.0, 1.0, -1.0, -1.0)
-        got = q_coefficients(PerturbativeRegime(1e-8, 1.0))
+        got = q_coefficients(OscillatorParams(1.0, 1.0, 1e-8, 1e-8))
         assert got == pytest.approx((1.0, 1.0, -1.0, -1.0), abs=1e-9)
 
     def test_resonant_closed_forms_are_exact(self):
         for g in LADDER:
-            got = q_coefficients(PerturbativeRegime(g, 1.0))
+            got = q_coefficients(OscillatorParams(1.0, 1.0, g, g))
             assert got == pytest.approx(q_resonant_closed(g), abs=1e-12)
 
     def test_printed_value(self):
-        _, q2, _, _ = q_coefficients(PerturbativeRegime(0.1, 1.0))
+        _, q2, _, _ = q_coefficients(OscillatorParams(1.0, 1.0, 0.1, 0.1))
         assert q2 == pytest.approx(0.99 / np.sqrt(0.96), abs=1e-12)
         assert q2 == pytest.approx(1.0104145188980604, abs=1e-12)
 
     def test_taylor_residual_is_cubic(self):
         residuals = {2: [], 3: [], 4: []}
         for g in LADDER:
-            q = q_coefficients(PerturbativeRegime(g, 1.0))
+            q = q_coefficients(OscillatorParams(1.0, 1.0, g, g))
             taylor = (1.0, 1.0 + g**2, -1.0 - g**2 / 2.0, -1.0 - g**2 / 2.0)
             assert abs(q[0] - taylor[0]) < 1e-12
             for j in (1, 2, 3):
@@ -76,7 +82,7 @@ class TestQCoefficients:
         res = []
         eps_values = (1e-3, 5e-4, 2.5e-4)
         for eps in eps_values:
-            exact = np.array(q_coefficients(PerturbativeRegime(g, 1.0, epsilon=eps)))
+            exact = np.array(q_coefficients(OscillatorParams(1.0, 1.0 + eps, g, g)))
             linear = np.array(q_epsilon_linear(g, eps))
             res.append(np.max(np.abs(exact - linear)))
         slope = fit_loglog_slope(np.array(eps_values), np.array(res))
@@ -112,8 +118,9 @@ class TestVacuumLaw:
         assert d2 == pytest.approx(2.0 * (1.0 - np.sqrt(f)), abs=2.0 * regime.g_tilde**4)
 
     def test_requires_resonance(self):
-        with pytest.raises(ValueError):
-            vacuum_perturbative_fidelity(PerturbativeRegime(0.05, 1.0, epsilon=0.01))
+        # a regime is resonant by construction; a detuned point is outside the family the laws are asked for in
+        assert PerturbativeRegime(0.05, 1.0).params().resonant
+        assert not perturbative_family(OscillatorParams(1.0, 1.01, 0.05, 0.05))
 
 
 class TestC2:
@@ -165,13 +172,14 @@ class TestConvergenceOrder:
 
     @pytest.mark.parametrize("s", [0.0, 0.2])
     def test_matches_scalar_loop(self, s):
-        # one fidelity_eff call per regime: the loop the batched rungs replace
-        regimes = ladder_regimes(LADDER, g_tau=0.5, s=s) + [PerturbativeRegime(0.05, 3.0, epsilon=0.01, s=s)]
+        # one fidelity_eff call per tau: the loop the batched rungs replace; the last regime joins a rung
+        regimes = ladder_regimes(LADDER, g_tau=0.5, s=s) + [PerturbativeRegime(0.05, 3.0, s=s)]
         rungs = {}
         for regime in regimes:
             factor = vacuum() if regime.s == 0.0 else squeezed_pair(regime.s)
-            deficit = 1.0 - fidelity_eff(factor, regime.params(), regime.tau).fidelity
-            rungs[regime.g_tilde] = max(rungs.get(regime.g_tilde, 0.0), deficit)
+            for tau in np.atleast_1d(regime.tau):
+                deficit = 1.0 - fidelity_eff(factor, regime.params(), tau).fidelity
+                rungs[regime.g_tilde] = max(rungs.get(regime.g_tilde, 0.0), deficit)
         ladder = sorted(rungs.items())
         slope = fit_loglog_slope([g for g, _ in ladder], [d for _, d in ladder])
         assert abs(convergence_order(regimes) - slope) < 1e-12
