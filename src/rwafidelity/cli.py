@@ -26,6 +26,7 @@ from .dynamics import (
     rwa_block,
     time_evolution,
 )
+from .csvrows import csv_rows
 from .fockoracle import MAX_CUTOFF, FockOracle, TruncationError
 from .metrics import gaussian_grid
 from .perturbation import (
@@ -52,7 +53,10 @@ __all__ = [
 CORE_OUTPUTS = ("fidelity", "bures", "delta_n", "r_plus", "r_minus")
 KNOWN_OUTPUTS = CORE_OUTPUTS + ("c2_prediction",)
 ORACLE_OUTPUTS = ("fidelity_oracle", "delta_n_oracle")
-MAX_STEPS = 10**6  # rows are streamed, but every column is held as a list before writing
+MAX_STEPS = 10**6  # every column is held in memory, as a float array and as the list run_scan returns
+# CSV rows per csv_rows call: of 128 to 4096, 1024 formatted 2000 rows fastest on a 2-vCPU VM,
+# and its temporaries peak near 1 MB at the widest scan (9 columns, about 100 bytes per value)
+BLOCK_ROWS = 1024
 
 
 class ConfigError(ValueError):
@@ -233,14 +237,16 @@ def run_scan(cfg: ScanConfig) -> tuple[dict[str, list[float]], ScanSummary]:
         if "c2_prediction" in cfg.outputs:
             values["c2_prediction"] = 1.0 / np.sqrt(1.0 + c2_coefficient(regime) * regime.g_tilde**2)
     names = ["tau", *(name for name in KNOWN_OUTPUTS if name in cfg.outputs), *(ORACLE_OUTPUTS if cfg.oracle_enabled else ())]
-    columns = {name: np.asarray(values[name]).tolist() for name in names}
+    arrays = {name: np.asarray(values[name], dtype=float) for name in names}
+    columns = {name: column.tolist() for name, column in arrays.items()}
 
     summary = ScanSummary(
         min_fidelity=min(columns["fidelity"]) if "fidelity" in columns else None,
         max_abs_delta_n=max(map(abs, columns["delta_n"])) if "delta_n" in columns else None,
         regime_flags=flags,
     )
-    _write_output(cfg, columns, summary)
+    # the CSV writer formats the float arrays, the JSON writer the str of each listed float
+    _write_output(cfg, arrays if cfg.fmt == "csv" else columns, summary)
     return columns, summary
 
 
@@ -274,19 +280,24 @@ def _rewritten(path: str, newline: str | None = None):
                 fh.truncate()
 
 
-def _write_output(cfg: ScanConfig, columns: dict[str, list[float]], summary: ScanSummary):
-    """Stream the rows through one row template: the bytes of csv.writer and of json.dump(indent=2).
+def _write_output(cfg: ScanConfig, columns: dict, summary: ScanSummary):
+    """Stream the rows: the bytes of csv.writer with '%.17g' fields, and of json.dump(indent=2).
 
-    The output path is rewritten in place, not atomically and with no fsync: a
-    symlink is followed and keeps its target, a device or a pipe (/dev/null,
-    /dev/stdout) is accepted, and a writer that fails mid-stream leaves the rows
-    written so far and none of the previous file's bytes.
+    CSV rows are formatted BLOCK_ROWS at a time by csv_rows, from each column's
+    slice converted to floats; JSON rows through one row template, from the str
+    of each float of the column lists.  The output path is rewritten in place,
+    not atomically and with no fsync: a symlink is followed and keeps its target,
+    a device or a pipe (/dev/null, /dev/stdout) is accepted, and a writer that
+    fails mid-stream leaves the rows written so far (for CSV, those of the
+    blocks completed) and none of the previous file's bytes.
     """
     if cfg.fmt == "csv":
-        row = ",".join(["%.17g"] * len(columns)) + "\r\n"
+        values = list(columns.values())
         with _rewritten(cfg.output_path, newline="") as fh:
             fh.write(",".join(columns) + "\r\n")
-            fh.writelines(map(row.__mod__, zip(*columns.values())))
+            for start in range(0, len(values[0]), BLOCK_ROWS):
+                block = np.stack([np.asarray(v[start : start + BLOCK_ROWS], dtype=float) for v in values], axis=1)
+                fh.write(csv_rows(block))
     else:
         # str of a float is its repr, which is how json writes a finite float
         row = "    {\n" + ",\n".join(f"      {json.dumps(name)}: %s" for name in columns) + "\n    }"

@@ -70,11 +70,12 @@ __all__ = [
 TAIL_TOL = 1e-8
 MAX_CUTOFF = 96
 BOUND_CERT_TOL = 1e-6
-# Largest trajectory, in amplitude updates of one Chebyshev term (12 ns each on one core at
-# cutoffs 4 to 96, 5-9 ns measured), so the budget is about a minute.  A window's series costs,
-# per term, the sector's length plus TERM_OVERHEAD for the interpreter (9-10 us measured) plus
-# PRODUCT_COST per amplitude and time of the window for summing the term into every state
-# (0.06-0.08 measured at cutoffs 80 and 96).  Diagonalizing the RWA blocks costs about EIGH_COST
+# Largest trajectory, in amplitude updates of one Chebyshev term (12 ns each at cutoffs 4 to 96;
+# 1.3 ns real, 2.0 ns complex on a 2-vCPU VM, where a 3.8e9 estimate ran in 12 s).  A window's
+# series costs, per term, the sector's length plus TERM_OVERHEAD for the interpreter (9-10 us
+# measured) plus PRODUCT_COST per amplitude and time of the window for summing the term into every
+# state (16-term chunk products: 0.026-0.041 updates, 0.033-0.083 ns, at cutoffs 24, 40, 80 and 96,
+# real and complex, one BLAS thread).  Diagonalizing the RWA blocks costs about EIGH_COST
 # m^3 per block of m rows (0.1-0.8 measured, m = 25 to 97); each time costs the sector's length
 # plus PROJECTION_COST m per entry of the padded (blocks, m, m) stack (0.07-0.09 measured, m = 41
 # to 97).  A window holds at most WINDOW amplitudes of states, RWA eigenbasis amplitudes and
@@ -82,7 +83,7 @@ BOUND_CERT_TOL = 1e-6
 # buffer of CHUNK + 2 rows, so its memory is bounded whatever the grid.
 WORK_BUDGET = 4e9
 TERM_OVERHEAD = 800
-PRODUCT_COST = 0.08
+PRODUCT_COST = 0.04
 EIGH_COST = 0.5
 PROJECTION_COST = 0.08
 WINDOW = 2**16
@@ -423,15 +424,17 @@ class FockOracle:
         self.basis = FockBasis(cutoff)
         lo, hi = GridHamiltonian.build(p, self.basis, p.g_sq).spectral_bounds()
         self._centre, self._half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        # 2 (H - centre) / half: its Chebyshev recurrence is T_(k+1) = L T_k - T_(k-1).  Per parity
-        # it acts on real amplitudes, and its copy with each weight repeated acts on complex ones
-        # viewed as (real, imaginary) float pairs, whose shifts `_shifted` doubles by itself
-        scale = 2.0 / self._half
-        self._recurrences = []
-        for parity in (0, 1):
-            h = GridHamiltonian.build(p, self.basis, p.g_sq, parity)
-            weights = (h.diagonal - self._centre) * scale, h.bs * scale, h.sq * scale
-            self._recurrences.append((GridHamiltonian(*weights), GridHamiltonian(*(np.repeat(w, 2) for w in weights))))
+        self._recurrences = {}
+
+    def _recurrence(self, parity: int) -> tuple[GridHamiltonian, GridHamiltonian]:
+        """L = 2 (H - centre) / half on one parity sector, for T_(k+1) = L T_k - T_(k-1), built on first use:
+        on real amplitudes, and with each weight repeated (so `_shifted` doubles each shift) on complex ones
+        as (real, imaginary) float pairs."""
+        if parity not in self._recurrences:
+            h = GridHamiltonian.build(self.params, self.basis, self.params.g_sq, parity)
+            weights = [w * (2.0 / self._half) for w in (h.diagonal - self._centre, h.bs, h.sq)]
+            self._recurrences[parity] = GridHamiltonian(*weights), GridHamiltonian(*(np.repeat(w, 2) for w in weights))
+        return self._recurrences[parity]
 
     def _windows(self, ts: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
         """ts's positions in ascending order of time, its window edges in that order, and each window's anchor and terms.
@@ -503,7 +506,7 @@ class FockOracle:
         rows = CHUNK + 2
         flat, scratch = np.empty(rows * 2 * len(psi)), np.empty(2 * len(psi))
         kernels = []
-        for h in self._recurrences[parity]:
+        for h in self._recurrence(parity):
             buf = flat[: rows * len(h.diagonal)].reshape(rows, -1)
             kernels.append((buf, [h._shifted(*pair, scratch[: len(h.diagonal)]) for pair in zip(buf, buf[1:])], h))
         counts = np.diff(edges)

@@ -8,14 +8,16 @@ import subprocess
 import sys
 import time
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rwafidelity
-from rwafidelity import cli, dynamics
+from rwafidelity import cli, csvrows, dynamics
 from rwafidelity.cli import (
+    BLOCK_ROWS,
     CORE_OUTPUTS,
     MAX_STEPS,
     ORACLE_OUTPUTS,
@@ -195,8 +197,60 @@ def stdlib_output(path, cfg, columns, summary):
     return Path(path).read_bytes()
 
 
+def _row_major(values, names=("tau", *CORE_OUTPUTS)) -> dict[str, list[float]]:
+    """The values laid out row by row into the named columns, the last row padded with 1.0."""
+    values = np.concatenate([values, np.ones(-len(values) % len(names))])
+    return {name: values[k :: len(names)].tolist() for k, name in enumerate(names)}
+
+
+def _bit_patterns():
+    """10^5 random 64-bit patterns (NaNs, infinities and subnormals among them), and the special values."""
+    bits = np.random.default_rng(17).integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]
+    return np.concatenate([bits, special, bits[::997] * 0.0])
+
+
+def _log_uniform():
+    rng = np.random.default_rng(19)
+    return 10.0 ** rng.uniform(-30.0, 30.0, 60_000) * rng.choice([-1.0, 1.0], 60_000)
+
+
+def _ties():
+    """x with x 10^p exactly half-way between two 17-digit integers, for p = 16 - X in [1, 22].
+
+    x = j / 2^(p+1) with j odd gives x 10^p = 5^p j / 2, a half-integer.  p = 0 has
+    none: the doubles from 10^16 up are even integers.
+    """
+    rng = np.random.default_rng(23)
+    ties = []
+    for p in range(1, 23):
+        for j in rng.integers(-(-2 * 10**16 // 5**p), min(2 * 10**17 // 5**p, 2**53) - 1, 40):
+            x = (int(j) | 1) / 2 ** (p + 1)
+            scaled = Fraction(x) * 10**p
+            assert scaled.denominator == 2 and 10**16 <= scaled < 10**17, (p, x)
+            ties += [x, -x]
+    return np.array(ties + [1234567890123456.75])
+
+
+def _powers_of_ten():
+    """10^k and its neighbours one ulp either side, for k in [-30, 30], of both signs."""
+    powers = np.array([float(f"1e{k}") for k in range(-30, 31)])
+    near = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
+    return np.concatenate([near, -near])
+
+
+def _layout_edges():
+    """Values at X = -5, -4, 16 and 17, where %g changes notation, and with three-digit exponents."""
+    rng = np.random.default_rng(29)
+    exps = np.array([-5, -4, 16, 17, -100, -101, -279, -280, 100, 101, 279])
+    mantissas = np.concatenate([[1.0, 9.999999999999999, 1.5, 1.25], rng.uniform(1.0, 10.0, 40)])
+    edges = [1e-5, 9.9999999999999991e-5, 1e-4, 1e16, 9.9999999999999984e16, 1e17, 1.2345678901234567e16, 1e-280, 1e280]
+    return np.concatenate([(mantissas[:, None] * 10.0 ** exps).ravel(), edges, np.negative(edges)])
+
+
 class TestWriteOutput:
-    # the streamed row-template writer against the stdlib writers, kept here as the reference
+    # the streamed writers (CSV a block at a time by csvrows, JSON through a row template)
+    # against the stdlib writers, kept here as the reference
     # each column takes every other value: two 1.7e308 overflow its sum, with every value finite
     AWKWARD = [-0.0, 5e-324, 1e-300, 2.0, 1e16, 0.1, 1.0 / 3.0, -2.5e-17, 1.7e308, 1.7e308, 1.7e308, 1.7e308]
 
@@ -235,6 +289,50 @@ class TestWriteOutput:
             assert '"r_minus": NaN' in written and '"r_minus": -Infinity' in written and "nan" not in written
         else:
             assert ",nan" in written and ",-inf" in written
+
+    @pytest.mark.parametrize("corpus", [_bit_patterns, _log_uniform, _ties, _powers_of_ten, _layout_edges], ids=lambda f: f.__name__[1:])
+    def test_blockwise_kernel_writes_the_bytes_of_printf(self, tmp_path, corpus):
+        cfg = make_config(tmp_path, output_path=str(tmp_path / "new"))
+        columns = _row_major(corpus())
+        summary = ScanSummary(None, None, ())
+        _write_output(cfg, columns, summary)
+        assert (tmp_path / "new").read_bytes() == stdlib_output(tmp_path / "old", cfg, columns, summary)
+
+    def test_undecided_roundings_fall_back_to_printf(self, tmp_path, monkeypatch):
+        # with TIE = 1/2 every inexact rounding is undecided and goes through '%.17g': that
+        # of 1e-30 <= |x| < 1e30 outside 1e-6 <= |x| < 1e17, where 10^(16-X) is not a double
+        calls = []
+        printf = csvrows._printf
+        monkeypatch.setattr(csvrows, "TIE", 0.5)
+        monkeypatch.setattr(csvrows, "_printf", lambda value: calls.append(value) or printf(value))
+        cfg = make_config(tmp_path, output_path=str(tmp_path / "new"))
+        columns = _row_major(_log_uniform()[:6000])
+        summary = ScanSummary(None, None, ())
+        _write_output(cfg, columns, summary)
+        assert (tmp_path / "new").read_bytes() == stdlib_output(tmp_path / "old", cfg, columns, summary)
+        assert len(calls) > 3000
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, BLOCK_ROWS + 1], ids=["below", "at", "above", "two-blocks-above"])
+    def test_scan_across_a_block_boundary(self, tmp_path, extra):
+        cfg = make_config(tmp_path, initial_state=InitialState("squeezed", s=0.3), tau_end=40.0, steps=BLOCK_ROWS + extra)
+        columns, summary = run_scan(cfg)
+        assert Path(cfg.output_path).read_bytes() == stdlib_output(tmp_path / "old", cfg, columns, summary)
+
+    def test_benchmark_like_scans_never_fall_back(self, tmp_path, monkeypatch):
+        # 2001-point closed-route scans: resonant with the C2 column, and detuned
+        calls = []
+        printf = csvrows._printf
+        monkeypatch.setattr(csvrows, "_printf", lambda value: calls.append(value) or printf(value))
+        rng = np.random.default_rng(31)
+        for resonant in (True, False, True, False):
+            g = rng.uniform(0.01, 0.2)
+            params = OscillatorParams(1.0, 1.0 if resonant else rng.uniform(0.5, 1.5), g, g)
+            outputs = CORE_OUTPUTS + (("c2_prediction",) if resonant else ())
+            state = InitialState("squeezed", s=rng.uniform(0.0, 1.0))
+            cfg = make_config(tmp_path, params=params, initial_state=state, tau_end=10.0, steps=2001, outputs=outputs)
+            columns, summary = run_scan(cfg)
+            assert Path(cfg.output_path).read_bytes() == stdlib_output(tmp_path / "old", cfg, columns, summary)
+        assert calls == []
 
 
 class Unprintable(float):
@@ -286,19 +384,22 @@ class TestRewriteInPlace:
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert target.read_bytes() == fresh
 
-    @pytest.mark.parametrize("fmt, bad, error", [("csv", "x", TypeError), ("json", Unprintable(0.5), ValueError)], ids=["csv", "json"])
-    def test_failure_mid_stream_leaves_only_the_rows_written(self, tmp_path, fmt, bad, error):
+    @pytest.mark.parametrize("fmt, bad", [("csv", "x"), ("json", Unprintable(0.5))], ids=["csv", "json"])
+    def test_failure_mid_stream_leaves_only_the_rows_written(self, tmp_path, fmt, bad):
+        # a CSV block is converted to floats before any of its rows is formatted, so a
+        # bad value in the second block leaves the header and the first block's rows
         path = tmp_path / "out"
-        cfg = make_config(tmp_path, fmt=fmt, output_path=str(path), tau_end=2.0, steps=3)
+        steps, at = (BLOCK_ROWS + 3, BLOCK_ROWS + 1) if fmt == "csv" else (3, 1)
+        cfg = make_config(tmp_path, fmt=fmt, output_path=str(path), tau_end=2.0, steps=steps)
         columns, summary = run_scan(cfg)
         whole = path.read_bytes()
-        path.write_bytes(b"Z" * 100_000)
-        columns["fidelity"][1] = bad
-        with pytest.raises(error):
+        path.write_bytes(b"Z" * (2 * len(whole)))
+        columns["fidelity"][at] = bad
+        with pytest.raises(ValueError):
             _write_output(cfg, columns, summary)
         written = path.read_bytes()
         if fmt == "csv":
-            assert written == b"".join(whole.splitlines(keepends=True)[:2])
+            assert written == b"".join(whole.splitlines(keepends=True)[: 1 + BLOCK_ROWS])
         else:
             assert whole.startswith(written) and written.endswith(b"    }") and written.count(b'"tau":') == 1
 

@@ -593,14 +593,30 @@ class TestOracle:
         point = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 40).compare(InitialState("vacuum"), np.linspace(0, 1000, 101))
         assert point.tail_weight == 0.0
 
+    def test_builds_only_the_sectors_its_trajectories_use(self, monkeypatch):
+        built = []
+        build = GridHamiltonian.build.__func__
+        monkeypatch.setattr(GridHamiltonian, "build", classmethod(lambda cls, *args: built.append(args[3:]) or build(cls, *args)))
+        oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 24)
+        assert built == [()]  # the whole space's operator, for the spectral bounds
+        ts = np.linspace(0.0, 2.0, 5)
+        first = oracle.compare(InitialState("squeezed", s=0.2), ts)
+        oracle.compare(InitialState("vacuum"), ts)
+        assert built == [(), (0,)]
+        oracle.evolved_pair(InitialState("fock", n_a=1, n_b=0), 1.0)
+        assert built == [(), (0,), (1,)]
+        # the even sector's operators, built on first use, give the same points bit for bit
+        again = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 24).compare(InitialState("squeezed", s=0.2), ts)
+        assert np.array_equal(first.fidelity, again.fidelity) and np.array_equal(first.delta_n, again.delta_n)
+
     def test_work_budget_limit_on_a_long_fine_grid(self):
-        # windows of WINDOW amplitudes price each term into more times: 100001 times at cutoff 24
-        # are estimated at 3.7e9 updates to tau 45000 and 4.3e9 to tau 55000, which is refused
+        # 100001 times at cutoff 24 are estimated at 3.76e9 updates to tau 70000 and 4.16e9 to
+        # tau 80000, which is refused; the limit is near tau 76000
         oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 24)
         psi0 = fock_vector(oracle.basis, 0, 0)
-        oracle._trajectory(psi0, 0, np.linspace(0.0, 45000.0, 100001))
+        oracle._trajectory(psi0, 0, np.linspace(0.0, 70000.0, 100001))
         with pytest.raises(ValueError, match=re.escape(f"over the budget of {WORK_BUDGET:.3g}")):
-            oracle._trajectory(psi0, 0, np.linspace(0.0, 55000.0, 100001))
+            oracle._trajectory(psi0, 0, np.linspace(0.0, 80000.0, 100001))
 
     def test_one_miller_recurrence_per_run_of_windows(self, monkeypatch):
         calls = []
