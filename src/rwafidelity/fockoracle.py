@@ -34,9 +34,11 @@ state and its weight on the truncation boundary from that eigenbasis at all
 the times of a window at once.  Its cost does not grow with the time span, and
 <N> under it keeps its initial value exactly.  The truncation tail is checked
 at every time, and a `TruncationError` names the first time it fails.  The
-number of Chebyshev terms grows as (omega_a + omega_b) * cutoff * |time span|,
-and a request whose estimated work exceeds WORK_BUDGET is refused before any
-coefficient is built.
+number of Chebyshev terms grows as (omega_a + omega_b) * cutoff * |time span|.
+The work is estimated from the window plan alone, as each window's term bound
+times (sector length + TERM_OVERHEAD) plus one row of the plan per time, and a
+request over WORK_BUDGET is refused before any block is diagonalized or
+coefficient built.
 """
 
 from __future__ import annotations
@@ -70,22 +72,13 @@ __all__ = [
 TAIL_TOL = 1e-8
 MAX_CUTOFF = 96
 BOUND_CERT_TOL = 1e-6
-# Largest trajectory, in amplitude updates of one Chebyshev term (12 ns each at cutoffs 4 to 96;
-# 1.3 ns real, 2.0 ns complex on a 2-vCPU VM, where a 3.8e9 estimate ran in 12 s).  A window's
-# series costs, per term, the sector's length plus TERM_OVERHEAD for the interpreter (9-10 us
-# measured) plus PRODUCT_COST per amplitude and time of the window for summing the term into every
-# state (16-term chunk products: 0.026-0.041 updates, 0.033-0.083 ns, at cutoffs 24, 40, 80 and 96,
-# real and complex, one BLAS thread).  Diagonalizing the RWA blocks costs about EIGH_COST
-# m^3 per block of m rows (0.1-0.8 measured, m = 25 to 97); each time costs the sector's length
-# plus PROJECTION_COST m per entry of the padded (blocks, m, m) stack (0.07-0.09 measured, m = 41
-# to 97).  A window holds at most WINDOW amplitudes of states, RWA eigenbasis amplitudes and
-# coefficients, and forms its terms CHUNK at a time, CHUNK / 2 per parity and product, in a
-# buffer of CHUNK + 2 rows, so its memory is bounded whatever the grid.
+# Largest trajectory, in updates of the window plan: each window's term bound times the sector's
+# length plus TERM_OVERHEAD (a term's interpreter cost), and each time's row of `_windows`.  A
+# `compare` took 2.2-4.9 ns per update at cutoffs 1 to 96 (2-vCPU VM, one BLAS thread), so the
+# budget is at most about 20 s.  A window holds at most WINDOW amplitudes of states, RWA eigenbasis
+# amplitudes and coefficients, and forms its terms CHUNK at a time in a buffer of CHUNK + 2 rows.
 WORK_BUDGET = 4e9
 TERM_OVERHEAD = 800
-PRODUCT_COST = 0.04
-EIGH_COST = 0.5
-PROJECTION_COST = 0.08
 WINDOW = 2**16
 CHUNK = 32
 
@@ -227,8 +220,10 @@ class GridHamiltonian:
 
 
 def chebyshev_terms(ax):
-    """Miller's starting index int(|x| + 16 |x|^(1/3)) + 40, well past the turning point k = |x|: a bound on the terms kept."""
-    return (ax + 16.0 * np.cbrt(ax)).astype(int) + 40
+    """Miller's starting index floor(|x| + 16 |x|^(1/3)) + 40, well past the turning point k = |x|: a bound on the terms kept.
+
+    A float, so that the bound of a huge |x| cannot wrap as an integer would."""
+    return np.floor(ax + 16.0 * np.cbrt(ax)) + 40.0
 
 
 def chebyshev_coefficients(x) -> np.ndarray:
@@ -246,7 +241,7 @@ def chebyshev_coefficients(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     ax = np.abs(x).ravel()
     small = ax < 2.0**-26
-    tops = chebyshev_terms(ax[~small])
+    tops = chebyshev_terms(ax[~small]).astype(int)
     j = np.zeros((int(tops.max(initial=1)) + 2, ax.size))
     j[0, small], j[1, small] = 1.0, 0.5 * ax[small]
     if tops.size:
@@ -479,12 +474,9 @@ class FockOracle:
         psi = self.basis.sector(psi0, parity)
         n_a, n_b = number_blocks(self.basis, psi, parity)
         # each time of a window holds its state and its RWA eigenbasis amplitudes, padding and all
-        order, edges, anchors, terms = self._windows(ts, len(psi) + n_a.size)
-        work = (
-            float(np.sum(terms * (len(psi) + TERM_OVERHEAD + PRODUCT_COST * np.diff(edges) * len(psi))))
-            + EIGH_COST * float(np.sum(np.sum(n_a >= 0, axis=1).astype(float) ** 3))
-            + (len(psi) + PROJECTION_COST * n_a.size * n_a.shape[1]) * len(ts)
-        )
+        size = len(psi) + n_a.size
+        order, edges, anchors, terms = self._windows(ts, size)
+        work = float(np.sum(terms)) * (len(psi) + TERM_OVERHEAD) + len(ts) * size
         if not work <= WORK_BUDGET:
             msg = f"the oracle would need about {work:.3g} amplitude updates, over the budget of {WORK_BUDGET:.3g}"
             raise ValueError(f"{msg}; shorten the tau span or lower the cutoff")
@@ -618,11 +610,11 @@ def _density(psi: np.ndarray) -> np.ndarray:
 
 
 def fock_bound(n_a: int, n_b: int, g: float, omega: float, t: float) -> float:
-    """Resonant worst-case bound on ||(U - U_RWA)|n_a, n_b>||."""
+    """Resonant worst-case bound on ||(U - U_RWA)|n_a, n_b>||, even in g and t as the distance is."""
     if omega <= 0:
         raise ValueError("omega must be positive")
-    total = n_a + n_b
-    return 2.0 * (g / omega) * (total + 4) ** 2 * (1.0 + 6.0 * g * t * (total + 4))
+    total, g = n_a + n_b, abs(g)
+    return 2.0 * (g / omega) * (total + 4) ** 2 * (1.0 + 6.0 * g * abs(t) * (total + 4))
 
 
 @dataclass(frozen=True)

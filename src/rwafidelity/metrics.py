@@ -37,7 +37,6 @@ class FidelityReport:
 
     fidelity: float
     bures: float
-    angle: float
     r_plus: float
     r_minus: float
 
@@ -86,7 +85,7 @@ def gaussian_grid(factor: SymplecticMatrix, p: OscillatorParams, t) -> GaussianG
         raise ArithmeticError(f"fidelity routes disagree at t={t[i]:.17g}: {fid[i]} vs {fid_a[i]}")
     fid = np.minimum(fid, 1.0)
     root = np.sqrt(fid)
-    report = FidelityReport(fid, np.sqrt(2.0 * (1.0 - root)), 0.5 * np.arccos(root), *bloch_messiah(b_f))
+    report = FidelityReport(fid, np.sqrt(2.0 * (1.0 - root)), *bloch_messiah(b_f))
     return GaussianGrid(report, _delta_n(factor, a_eff, b_eff), a_f, b_f)
 
 

@@ -325,6 +325,16 @@ def frozen_propagation(self, psi, parity, ts, order, edges, anchors, terms):
         yield order[first:last], ts[order[first:last]], np.tile(psi.astype(complex), (last - first, 1))
 
 
+def forbid_work(monkeypatch):
+    """Make building a coefficient table or propagating fail, so a test sees what is refused before either."""
+
+    def no_work(*args):
+        raise AssertionError("built a coefficient table or propagated past the work budget")
+
+    monkeypatch.setattr(fockoracle, "chebyshev_coefficients", no_work)
+    monkeypatch.setattr(FockOracle, "_propagate", no_work)
+
+
 class TestWindows:
     # the full side sums one Chebyshev series per window of times; pinned against
     # chebyshev_propagate, which sums every time's own series from t = 0
@@ -568,12 +578,8 @@ class TestOracle:
         assert abs(a - b) < 1e-6
 
     def test_work_budget_refuses_before_propagating(self, monkeypatch):
-        def no_work(*args):
-            raise AssertionError("built a coefficient table or propagated past the work budget")
-
         oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 96)
-        monkeypatch.setattr(fockoracle, "chebyshev_coefficients", no_work)
-        monkeypatch.setattr(FockOracle, "_propagate", no_work)
+        forbid_work(monkeypatch)
         with pytest.raises(ValueError, match=re.escape(f"over the budget of {WORK_BUDGET:.3g}")):
             oracle.evolved_pair(InitialState("vacuum"), 1e5)
         with pytest.raises(ValueError, match=re.escape(f"over the budget of {WORK_BUDGET:.3g}")):
@@ -610,13 +616,31 @@ class TestOracle:
         assert np.array_equal(first.fidelity, again.fidelity) and np.array_equal(first.delta_n, again.delta_n)
 
     def test_work_budget_limit_on_a_long_fine_grid(self):
-        # 100001 times at cutoff 24 are estimated at 3.76e9 updates to tau 70000 and 4.16e9 to
-        # tau 80000, which is refused; the limit is near tau 76000
+        # 100001 times at cutoff 24 are estimated at 3.71e9 updates to tau 110000 and 4.19e9 to
+        # tau 125000, which is refused; the limit is near tau 119000
         oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 24)
         psi0 = fock_vector(oracle.basis, 0, 0)
-        oracle._trajectory(psi0, 0, np.linspace(0.0, 70000.0, 100001))
+        oracle._trajectory(psi0, 0, np.linspace(0.0, 110000.0, 100001))
         with pytest.raises(ValueError, match=re.escape(f"over the budget of {WORK_BUDGET:.3g}")):
-            oracle._trajectory(psi0, 0, np.linspace(0.0, 80000.0, 100001))
+            oracle._trajectory(psi0, 0, np.linspace(0.0, 125000.0, 100001))
+
+    def test_work_budget_charges_each_term_its_overhead(self, monkeypatch):
+        # at cutoff 1 a term updates 3 amplitudes, so the 1e8 terms to tau 1e8 are estimated at
+        # 8e10 updates with TERM_OVERHEAD and 3e8 without it; they would run for minutes
+        oracle, ts = FockOracle(OscillatorParams(1.0, 1.0, 1e-6, 1e-6), 1), np.linspace(0.0, 1e8, 3)
+        forbid_work(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(f"over the budget of {WORK_BUDGET:.3g}")):
+            oracle.compare(InitialState("vacuum"), ts)
+        monkeypatch.setattr(fockoracle, "TERM_OVERHEAD", 0)
+        monkeypatch.setattr(FockOracle, "_propagate", frozen_propagation)
+        assert oracle.compare(InitialState("vacuum"), ts).tail_weight == 0.0
+
+    @pytest.mark.parametrize("tau", [1e19, 1e300])
+    def test_work_budget_refuses_huge_finite_times(self, monkeypatch, tau):
+        # past 2^63 terms an integer term bound would wrap negative and admit the request
+        forbid_work(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(f"over the budget of {WORK_BUDGET:.3g}")):
+            FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 8).compare(InitialState("vacuum"), np.array([0.0, tau]))
 
     def test_one_miller_recurrence_per_run_of_windows(self, monkeypatch):
         calls = []
@@ -741,6 +765,14 @@ class TestFockBound:
     def test_doubling_g_at_fixed_gt(self):
         base = fock_bound(1, 1, 0.05, 1.0, 2.0)
         assert fock_bound(1, 1, 0.1, 1.0, 1.0) == pytest.approx(2.0 * base, abs=1e-12)
+
+    def test_bound_check_is_even_in_g_and_t(self):
+        # the distance is even in both, and so is the bound
+        results = [bound_check(1, 0, OscillatorParams(1.0, 1.0, g, g), t, 24) for g, t in ((0.05, 2.0), (-0.05, 2.0), (0.05, -2.0))]
+        assert results[0].satisfied and results[0].z_max == pytest.approx(10.0, abs=1e-12)
+        for res in results[1:]:
+            assert res.z_max == results[0].z_max and res.satisfied
+            assert res.z_exact == pytest.approx(results[0].z_exact, abs=1e-12)
 
     def test_bound_check_zero_coupling(self):
         res = bound_check(0, 0, OscillatorParams(1.0, 1.0), 1.0, 8)
