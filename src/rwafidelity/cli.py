@@ -2,7 +2,8 @@
 
 One JSON config document drives the scan subcommands; every field can also be
 overridden from flags.  Output is plot-ready CSV or JSON with a stable column
-order and 17-significant-digit floats so regenerated files diff cleanly.
+order and floats that read back exactly ('%.17g' in CSV, repr in JSON), so
+regenerated files diff cleanly.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .dynamics import (
     rwa_block,
     time_evolution,
 )
-from .csvrows import csv_rows
+from .floatrows import csv_rows, json_rows
 from .fockoracle import MAX_CUTOFF, FockOracle, TruncationError
 from .metrics import gaussian_grid
 from .perturbation import (
@@ -53,9 +54,9 @@ __all__ = [
 CORE_OUTPUTS = ("fidelity", "bures", "delta_n", "r_plus", "r_minus")
 KNOWN_OUTPUTS = CORE_OUTPUTS + ("c2_prediction",)
 ORACLE_OUTPUTS = ("fidelity_oracle", "delta_n_oracle")
-MAX_STEPS = 10**6  # every column is held in memory, as a float array and as the list run_scan returns
-# CSV rows per csv_rows call: of 128 to 4096, 1024 formatted 2000 rows fastest on a 2-vCPU VM,
-# and its temporaries peak near 1 MB at the widest scan (9 columns, about 100 bytes per value)
+MAX_STEPS = 10**6  # every column is held in memory as a float array before the rows are written
+# rows per csv_rows or json_rows call: of 128 to 4096, 1024 formatted 2000 CSV rows fastest on a 2-vCPU VM,
+# and the temporaries peak near 1.3 MB at the widest JSON scan (9 columns, about 140 bytes per value)
 BLOCK_ROWS = 1024
 
 
@@ -213,8 +214,8 @@ class ScanSummary:
         return f"min_fidelity={fid:.12g} max_abs_delta_n={dn:.12g} regime_flags={flags}"
 
 
-def run_scan(cfg: ScanConfig) -> tuple[dict[str, list[float]], ScanSummary]:
-    """Evaluate the grid, write the output file, and return the columns, in output order, plus summary."""
+def run_scan(cfg: ScanConfig) -> tuple[dict[str, np.ndarray], ScanSummary]:
+    """Evaluate the grid, write the output file, and return the float columns, in output order, plus summary."""
     p = cfg.params
     taus = np.linspace(cfg.tau_start, cfg.tau_end, cfg.steps)
     ts = taus / p.omega_a
@@ -237,24 +238,15 @@ def run_scan(cfg: ScanConfig) -> tuple[dict[str, list[float]], ScanSummary]:
         if "c2_prediction" in cfg.outputs:
             values["c2_prediction"] = 1.0 / np.sqrt(1.0 + c2_coefficient(regime) * regime.g_tilde**2)
     names = ["tau", *(name for name in KNOWN_OUTPUTS if name in cfg.outputs), *(ORACLE_OUTPUTS if cfg.oracle_enabled else ())]
-    arrays = {name: np.asarray(values[name], dtype=float) for name in names}
-    columns = {name: column.tolist() for name, column in arrays.items()}
+    columns = {name: np.asarray(values[name], dtype=float) for name in names}
 
     summary = ScanSummary(
-        min_fidelity=min(columns["fidelity"]) if "fidelity" in columns else None,
-        max_abs_delta_n=max(map(abs, columns["delta_n"])) if "delta_n" in columns else None,
+        min_fidelity=float(columns["fidelity"].min()) if "fidelity" in columns else None,
+        max_abs_delta_n=float(np.abs(columns["delta_n"]).max()) if "delta_n" in columns else None,
         regime_flags=flags,
     )
-    # the CSV writer formats the float arrays, the JSON writer the str of each listed float
-    _write_output(cfg, arrays if cfg.fmt == "csv" else columns, summary)
+    _write_output(cfg, columns, summary)
     return columns, summary
-
-
-def _json_values(column: list[float]) -> list:
-    """The column with each non-finite float replaced by json's spelling of it (NaN, Infinity, -Infinity)."""
-    if np.isfinite(sum(column)):
-        return column
-    return [v if np.isfinite(v) else json.dumps(v) for v in column]
 
 
 def _nested(value) -> str:
@@ -263,8 +255,8 @@ def _nested(value) -> str:
 
 
 @contextlib.contextmanager
-def _rewritten(path: str, newline: str | None = None):
-    """The file at path, opened for text writing like open(path, "w") but rewritten in place.
+def _rewritten(path: str):
+    """The file at path, opened for binary writing like open(path, "wb") but rewritten in place.
 
     Opening with O_TRUNC blocks on ext4 until the previous version of a recently
     written file is flushed (40-70 ms, even for a few hundred bytes), so the file is
@@ -272,7 +264,7 @@ def _rewritten(path: str, newline: str | None = None):
     the writer raises.  Devices and pipes, which cannot be truncated, are written as
     they are.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline=newline) as fh:
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         try:
             yield fh
         finally:
@@ -283,30 +275,29 @@ def _rewritten(path: str, newline: str | None = None):
 def _write_output(cfg: ScanConfig, columns: dict, summary: ScanSummary):
     """Stream the rows: the bytes of csv.writer with '%.17g' fields, and of json.dump(indent=2).
 
-    CSV rows are formatted BLOCK_ROWS at a time by csv_rows, from each column's
-    slice converted to floats; JSON rows through one row template, from the str
-    of each float of the column lists.  The output path is rewritten in place,
-    not atomically and with no fsync: a symlink is followed and keeps its target,
-    a device or a pipe (/dev/null, /dev/stdout) is accepted, and a writer that
-    fails mid-stream leaves the rows written so far (for CSV, those of the
-    blocks completed) and none of the previous file's bytes.
+    The rows are formatted BLOCK_ROWS at a time, by csv_rows or json_rows, from
+    each column's slice as floats.  The output path is rewritten in place, not
+    atomically and with no fsync: a symlink is followed and keeps its target, a
+    device or a pipe (/dev/null, /dev/stdout) is accepted, and a writer that
+    fails mid-stream leaves the rows of the blocks completed so far and none of
+    the previous file's bytes.
     """
-    if cfg.fmt == "csv":
-        values = list(columns.values())
-        with _rewritten(cfg.output_path, newline="") as fh:
-            fh.write(",".join(columns) + "\r\n")
-            for start in range(0, len(values[0]), BLOCK_ROWS):
-                block = np.stack([np.asarray(v[start : start + BLOCK_ROWS], dtype=float) for v in values], axis=1)
+    names, values = list(columns), list(columns.values())
+    blocks = (
+        np.stack([v[start : start + BLOCK_ROWS] for v in values], axis=1, dtype=float)
+        for start in range(0, len(values[0]), BLOCK_ROWS)
+    )
+    with _rewritten(cfg.output_path) as fh:
+        if cfg.fmt == "csv":
+            fh.write(",".join(names).encode() + b"\r\n")
+            for block in blocks:
                 fh.write(csv_rows(block))
-    else:
-        # str of a float is its repr, which is how json writes a finite float
-        row = "    {\n" + ",\n".join(f"      {json.dumps(name)}: %s" for name in columns) + "\n    }"
-        rows = zip(*map(_json_values, columns.values()))
-        with _rewritten(cfg.output_path) as fh:
-            fh.write(f'{{\n  "config": {_nested(cfg.to_dict())},\n  "rows": [\n')
-            fh.write(row % next(rows))
-            fh.writelines(map((",\n" + row).__mod__, rows))
-            fh.write(f'\n  ],\n  "summary": {_nested(asdict(summary))}\n}}\n')
+        else:
+            fh.write(f'{{\n  "config": {_nested(cfg.to_dict())},\n  "rows": [\n'.encode())
+            fh.write(json_rows(next(blocks), names))
+            for block in blocks:
+                fh.write(b",\n" + json_rows(block, names))
+            fh.write(f'\n  ],\n  "summary": {_nested(asdict(summary))}\n}}\n'.encode())
 
 
 # -- superconducting-circuit frame mapper ---------------------------------
@@ -520,7 +511,7 @@ def _cmd_oracle_check(args) -> int:
     print(f"wrote {cfg.output_path} ({cfg.steps} rows, cutoff {cfg.cutoff})")
     for name in ("fidelity", "delta_n"):
         if name in columns:
-            worst = max(abs(x - y) for x, y in zip(columns[name], columns[f"{name}_oracle"]))
+            worst = np.max(np.abs(columns[name] - columns[f"{name}_oracle"]))
             print(f"max |{name} - oracle| = {worst:.3e}")
     print(summary.line())
     return 0

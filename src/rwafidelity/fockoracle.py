@@ -449,7 +449,8 @@ class FockOracle:
         def terms(first: np.ndarray, count: np.ndarray) -> np.ndarray:
             # t is sorted, so the times farthest from the anchor are at the ends
             reach = np.maximum(np.abs(t[first] - anchor[first]), np.abs(t[first + count - 1] - anchor[first]))
-            return chebyshev_terms(self._half * reach)
+            with np.errstate(over="ignore"):  # a span past the largest double is refused at inf terms
+                return chebyshev_terms(self._half * reach)
 
         first = np.arange(len(t))
         fit, most = np.ones(len(t), dtype=int), np.minimum(max(WINDOW // size, 1), len(t) - first)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import rwafidelity
-from rwafidelity import cli, csvrows, dynamics
+from rwafidelity import cli, dynamics, floatrows
 from rwafidelity.cli import (
     BLOCK_ROWS,
     CORE_OUTPUTS,
@@ -134,7 +134,15 @@ class TestRunScan:
             parsed = list(csv.DictReader(fh))
         for row, ref in zip(parsed, columns["fidelity"]):
             assert float(row["fidelity"]) == ref
-        assert {name: [float(row[name]) for row in parsed] for name in columns} == columns
+        assert {name: [float(row[name]) for row in parsed] for name in columns} == {name: c.tolist() for name, c in columns.items()}
+
+    def test_columns_are_float_arrays_and_the_summary_python_floats(self, tmp_path):
+        columns, summary = run_scan(make_config(tmp_path, oracle_enabled=True, cutoff=24))
+        assert list(columns) == ["tau", *CORE_OUTPUTS, *ORACLE_OUTPUTS]
+        assert all(type(c) is np.ndarray and c.dtype == np.float64 and c.shape == (6,) for c in columns.values())
+        assert type(summary.min_fidelity) is float and type(summary.max_abs_delta_n) is float
+        assert summary.min_fidelity == min(columns["fidelity"].tolist())
+        assert summary.max_abs_delta_n == max(map(abs, columns["delta_n"].tolist()))
 
     def test_json_output_embeds_config(self, tmp_path):
         path = tmp_path / "scan.json"
@@ -174,9 +182,9 @@ class TestRunScan:
         p = OscillatorParams(1.0, 1.0, 0.12, 0.12)
         negative, neg_summary = run_scan(make_config(tmp_path, params=p, initial_state=state, tau_start=-10.0, tau_end=-1.0, steps=10, outputs=outputs))
         positive, pos_summary = run_scan(make_config(tmp_path, params=p, initial_state=state, tau_start=1.0, tau_end=10.0, steps=10, outputs=outputs))
-        assert negative["tau"] == [-tau for tau in reversed(positive["tau"])]
+        assert negative["tau"].tolist() == [-tau for tau in reversed(positive["tau"].tolist())]
         for name in outputs:
-            assert negative[name] == positive[name][::-1], name
+            assert negative[name].tolist() == positive[name][::-1].tolist(), name
         assert neg_summary == pos_summary
         assert neg_summary.regime_flags == ("g2tau-outside-window",)
 
@@ -239,6 +247,25 @@ def _powers_of_ten():
     return np.concatenate([near, -near])
 
 
+def _repr_edges():
+    """Where repr differs from %.17g: powers of two (an asymmetric rounding interval) and their
+    neighbours, the notation edges X = -5 and 16, integral values, -0, and short decimals."""
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    near = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
+    edges = np.array([1e16, 1e-5, 1e-4, 1e15])
+    edges = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
+    integral = [1.0, 2.0, 3.0, 10.0, 1e15, 123456789.0, 999999999999999.0, 9007199254740992.0, 9999999999999998.0, 0.0, -0.0]
+    rng = np.random.default_rng(37)
+    short = []
+    for digits in (15, 16):
+        for mantissa, exp in zip(rng.integers(10 ** (digits - 1), 10**digits, 3000), rng.integers(-40, 40, 3000)):
+            text = f"{mantissa}e{exp}"
+            if Fraction(repr(float(text))) == Fraction(text):
+                short.append(float(text))
+    assert len(short) > 4000 and max(len(repr(x).split("e")[0].replace(".", "").strip("0")) for x in short) == 16
+    return np.concatenate([near, -near, edges, -edges, integral, short])
+
+
 def _layout_edges():
     """Values at X = -5, -4, 16 and 17, where %g changes notation, and with three-digit exponents."""
     rng = np.random.default_rng(29)
@@ -249,9 +276,8 @@ def _layout_edges():
 
 
 class TestWriteOutput:
-    # the streamed writers (CSV a block at a time by csvrows, JSON through a row template)
-    # against the stdlib writers, kept here as the reference
-    # each column takes every other value: two 1.7e308 overflow its sum, with every value finite
+    # the streamed writers (a block at a time by floatrows' csv_rows and json_rows) against
+    # the stdlib writers, kept here as the reference; each column takes every other value
     AWKWARD = [-0.0, 5e-324, 1e-300, 2.0, 1e16, 0.1, 1.0 / 3.0, -2.5e-17, 1.7e308, 1.7e308, 1.7e308, 1.7e308]
 
     def columns(self, names):
@@ -290,27 +316,36 @@ class TestWriteOutput:
         else:
             assert ",nan" in written and ",-inf" in written
 
-    @pytest.mark.parametrize("corpus", [_bit_patterns, _log_uniform, _ties, _powers_of_ten, _layout_edges], ids=lambda f: f.__name__[1:])
-    def test_blockwise_kernel_writes_the_bytes_of_printf(self, tmp_path, corpus):
-        cfg = make_config(tmp_path, output_path=str(tmp_path / "new"))
+    @pytest.mark.parametrize(
+        "corpus, fmt",
+        [
+            pytest.param(corpus, fmt, id=corpus.__name__[1:] + suffix)
+            for fmt, suffix in (("csv", ""), ("json", "-json"))
+            for corpus in (_bit_patterns, _log_uniform, _ties, _powers_of_ten, _layout_edges, _repr_edges)
+        ],
+    )
+    def test_blockwise_kernel_writes_the_bytes_of_printf(self, tmp_path, corpus, fmt):
+        # CSV fields are '%.17g', JSON values repr (json.dump's spelling)
+        cfg = make_config(tmp_path, output_path=str(tmp_path / "new"), fmt=fmt)
         columns = _row_major(corpus())
         summary = ScanSummary(None, None, ())
         _write_output(cfg, columns, summary)
         assert (tmp_path / "new").read_bytes() == stdlib_output(tmp_path / "old", cfg, columns, summary)
 
     def test_undecided_roundings_fall_back_to_printf(self, tmp_path, monkeypatch):
-        # with TIE = 1/2 every inexact rounding is undecided and goes through '%.17g': that
-        # of 1e-30 <= |x| < 1e30 outside 1e-6 <= |x| < 1e17, where 10^(16-X) is not a double
-        calls = []
-        printf = csvrows._printf
-        monkeypatch.setattr(csvrows, "TIE", 0.5)
-        monkeypatch.setattr(csvrows, "_printf", lambda value: calls.append(value) or printf(value))
-        cfg = make_config(tmp_path, output_path=str(tmp_path / "new"))
+        # with TIE = 1/2 every inexact rounding is undecided and goes through '%.17g' or repr:
+        # that of 1e-30 <= |x| < 1e30 outside 1e-6 <= |x| < 1e17, where 10^(16-X) is not a double
+        monkeypatch.setattr(floatrows, "TIE", 0.5)
         columns = _row_major(_log_uniform()[:6000])
         summary = ScanSummary(None, None, ())
-        _write_output(cfg, columns, summary)
-        assert (tmp_path / "new").read_bytes() == stdlib_output(tmp_path / "old", cfg, columns, summary)
-        assert len(calls) > 3000
+        for fmt, fallback in ("csv", "_printf"), ("json", "_repr"):
+            calls = []
+            formatted = getattr(floatrows, fallback)
+            monkeypatch.setattr(floatrows, fallback, lambda value: calls.append(value) or formatted(value))
+            cfg = make_config(tmp_path, output_path=str(tmp_path / "new"), fmt=fmt)
+            _write_output(cfg, columns, summary)
+            assert (tmp_path / "new").read_bytes() == stdlib_output(tmp_path / "old", cfg, columns, summary), fmt
+            assert len(calls) > 3000, fmt
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, BLOCK_ROWS + 1], ids=["below", "at", "above", "two-blocks-above"])
     def test_scan_across_a_block_boundary(self, tmp_path, extra):
@@ -321,8 +356,8 @@ class TestWriteOutput:
     def test_benchmark_like_scans_never_fall_back(self, tmp_path, monkeypatch):
         # 2001-point closed-route scans: resonant with the C2 column, and detuned
         calls = []
-        printf = csvrows._printf
-        monkeypatch.setattr(csvrows, "_printf", lambda value: calls.append(value) or printf(value))
+        printf = floatrows._printf
+        monkeypatch.setattr(floatrows, "_printf", lambda value: calls.append(value) or printf(value))
         rng = np.random.default_rng(31)
         for resonant in (True, False, True, False):
             g = rng.uniform(0.01, 0.2)
@@ -334,12 +369,20 @@ class TestWriteOutput:
             assert Path(cfg.output_path).read_bytes() == stdlib_output(tmp_path / "old", cfg, columns, summary)
         assert calls == []
 
-
-class Unprintable(float):
-    """A float that json's spelling (str) rejects, where %.17g formats it as a float."""
-
-    def __str__(self):
-        raise ValueError("unprintable")
+    def test_benchmark_like_json_scans_never_fall_back(self, tmp_path, monkeypatch):
+        # 2001-point general-coupling JSON scans: unequal couplings of either sign, one of them zero on two draws in three
+        calls = []
+        formatted = floatrows._repr
+        monkeypatch.setattr(floatrows, "_repr", lambda value: calls.append(value) or formatted(value))
+        rng = np.random.default_rng(41)
+        for k in range(6):
+            g_bs, g_sq = (0.0 if k % 3 == j else rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 0.25) for j in (2, 1))
+            params = OscillatorParams(1.0, 1.0 if rng.random() < 0.5 else rng.uniform(0.5, 1.5), g_bs, g_sq)
+            state = InitialState("squeezed", s=rng.uniform(0.0, 1.0))
+            cfg = make_config(tmp_path, params=params, initial_state=state, tau_end=10.0, steps=2001, fmt="json")
+            columns, summary = run_scan(cfg)
+            assert Path(cfg.output_path).read_bytes() == stdlib_output(tmp_path / "old", cfg, columns, summary)
+        assert calls == []
 
 
 class TestRewriteInPlace:
@@ -384,24 +427,35 @@ class TestRewriteInPlace:
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert target.read_bytes() == fresh
 
-    @pytest.mark.parametrize("fmt, bad", [("csv", "x"), ("json", Unprintable(0.5))], ids=["csv", "json"])
-    def test_failure_mid_stream_leaves_only_the_rows_written(self, tmp_path, fmt, bad):
-        # a CSV block is converted to floats before any of its rows is formatted, so a
-        # bad value in the second block leaves the header and the first block's rows
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failure_mid_stream_leaves_only_the_rows_written(self, tmp_path, monkeypatch, fmt):
+        # a block's rows are written once all of them are formatted, so a kernel that fails
+        # on the second block leaves the header and the first block's rows, complete
         path = tmp_path / "out"
-        steps, at = (BLOCK_ROWS + 3, BLOCK_ROWS + 1) if fmt == "csv" else (3, 1)
-        cfg = make_config(tmp_path, fmt=fmt, output_path=str(path), tau_end=2.0, steps=steps)
+        cfg = make_config(tmp_path, fmt=fmt, output_path=str(path), tau_end=2.0, steps=BLOCK_ROWS + 3)
         columns, summary = run_scan(cfg)
         whole = path.read_bytes()
         path.write_bytes(b"Z" * (2 * len(whole)))
-        columns["fidelity"][at] = bad
-        with pytest.raises(ValueError):
+        kernel, blocks = getattr(cli, f"{fmt}_rows"), []
+
+        def failing(block, *names):
+            blocks.append(len(block))
+            if len(blocks) == 2:
+                raise ValueError("the second block")
+            return kernel(block, *names)
+
+        monkeypatch.setattr(cli, f"{fmt}_rows", failing)
+        with pytest.raises(ValueError, match="the second block"):
             _write_output(cfg, columns, summary)
         written = path.read_bytes()
+        assert blocks == [BLOCK_ROWS, 3]
         if fmt == "csv":
             assert written == b"".join(whole.splitlines(keepends=True)[: 1 + BLOCK_ROWS])
         else:
-            assert whole.startswith(written) and written.endswith(b"    }") and written.count(b'"tau":') == 1
+            # everything before the separator that opens row BLOCK_ROWS + 1
+            opens = [m.start() for m in re.finditer(rb",\n    \{\n", whole)]
+            assert len(opens) == BLOCK_ROWS + 2
+            assert written == whole[: opens[BLOCK_ROWS - 1]]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_output_is_opened_without_o_trunc(self, tmp_path, monkeypatch, fmt):
@@ -707,6 +761,15 @@ class TestMainExitCodes:
         assert code == 2
         assert time.perf_counter() - start < 1.0
         assert "budget" in capsys.readouterr().err
+
+    def test_oracle_span_past_the_largest_double_is_refused_without_a_warning(self, tmp_path, capsys):
+        # half the spectrum's width times the span overflows to inf terms, over the budget; a
+        # RuntimeWarning would be raised here (warnings are errors), or printed from the console script
+        code = main(["oracle-check", "--cutoff", "96", "--tau-end", "1e307", "--steps", "3", "--output", str(tmp_path / "oc.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "would need about inf amplitude updates, over the budget" in err and "RuntimeWarning" not in err
+        assert not (tmp_path / "oc.csv").exists()
 
     def test_oracle_budget_refused_before_the_gaussian_grid(self, tmp_path, capsys, monkeypatch):
         # the grid of a million taus costs seconds; a request the oracle refuses must not pay for it
