@@ -119,6 +119,11 @@ class ScanConfig:
         problems = []
         if not self.tau_end > self.tau_start:
             problems.append("tau_grid: end must exceed start")
+        # in Python floats an overflow is a silent inf; in linspace and in taus / omega_a it warns first
+        elif not np.isfinite(self.tau_end - self.tau_start):
+            problems.append("tau_grid: end - start must be a finite number")
+        elif not np.isfinite(max(abs(self.tau_start), abs(self.tau_end)) / self.params.omega_a):
+            problems.append("tau_grid: the times tau / omega_a must be finite numbers")
         if self.steps < 2:
             problems.append("tau_grid: steps must be at least 2")
         elif self.steps > MAX_STEPS:

@@ -9,9 +9,11 @@ A 4x4 symplectic matrix is stored by its 2x2 blocks (alpha, beta); the full
 matrix is ((alpha, beta), (beta*, alpha*)).  The beam-splitter-only evolution
 is block diagonal (beta = 0); a nonzero beta block signals squeezing.
 
-Both evolutions are phase broadcasts over a whole array of times: S(t) and
+Every evolution is a phase broadcast over a whole array of times.  S(t) and
 kappa_+- come from Colpa's bosonic diagonalization of the Hamiltonian matrix
-(``colpa``), the RWA block from the RWA modes, the eigenpairs of its passive block U.
+(``colpa``), the RWA block from the RWA modes, the eigenpairs of its passive
+block U.  ``mode_table`` joins both into one real 8x8 table of S_RWA^dag S,
+read at points exp(-i w t) of the mode torus (``mode_phases``).
 """
 
 from __future__ import annotations
@@ -32,12 +34,13 @@ __all__ = [
     "critical_coupling",
     "rwa_block",
     "colpa",
+    "mode_table",
+    "mode_phases",
     "evolution_blocks",
     "time_evolution",
     "SYMPLECTIC_TOL",
 ]
 
-_I2 = np.eye(2)
 _SIGMA = np.array([1.0, 1.0, -1.0, -1.0])
 OMEGA = -1j * np.diag(_SIGMA)
 
@@ -123,12 +126,12 @@ class SymplecticMatrix:
     def __post_init__(self):
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=complex))
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=complex))
-        defect = self.bogoliubov_defect()
-        if not defect <= _defect_limit(self.alpha, self.beta):
+        defect, limit = bogoliubov_defects(self.alpha, self.beta)
+        if not defect <= limit:
             raise ValueError(f"blocks violate the Bogoliubov identities (defect {defect:.3e})")
 
     def bogoliubov_defect(self) -> float:
-        return float(bogoliubov_defects(self.alpha, self.beta))
+        return float(bogoliubov_defects(self.alpha, self.beta)[0])
 
     @property
     def matrix(self) -> np.ndarray:
@@ -136,7 +139,8 @@ class SymplecticMatrix:
         return np.block([[a, b], [b.conj(), a.conj()]])
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
-        return SymplecticMatrix(*compose(self.alpha, self.beta, other.alpha, other.beta))
+        m = self.matrix @ other.matrix
+        return SymplecticMatrix(m[:2, :2], m[:2, 2:])
 
     @staticmethod
     def identity() -> "SymplecticMatrix":
@@ -156,39 +160,24 @@ def normal_mode_frequencies(p: OscillatorParams) -> tuple[float, float]:
     return float(lam[3]), float(lam[2])
 
 
-def rwa_block(p: OscillatorParams, t) -> np.ndarray:
-    """The unitary 2x2 block exp(-i U t) of the beam-splitter-only evolution, stacked over the shape of t.
-
-    The phase broadcast of ``evolution_blocks`` over the RWA modes U = v diag(nu) v^T of the passive
-    block U = ((omega_a, g_bs), (g_bs, omega_b)): the phases exp(-i nu_k t) times the table v[i, k] v[j, k].
-    """
+def _times(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("time must be finite")
-    nu, v = np.linalg.eigh(np.array([[p.omega_a, p.g_bs], [p.g_bs, p.omega_b]]))
+    return t
+
+
+def _rwa_modes(p: OscillatorParams) -> tuple[np.ndarray, np.ndarray]:
+    """RWA modes (nu, v), nu ascending: the passive block U = ((omega_a, g_bs), (g_bs, omega_b)) = v diag(nu) v^T."""
+    return np.linalg.eigh(np.array([[p.omega_a, p.g_bs], [p.g_bs, p.omega_b]]))
+
+
+def rwa_block(p: OscillatorParams, t) -> np.ndarray:
+    """exp(-i U t), the RWA evolution's unitary block, stacked over the shape of t: exp(-i nu_k t) times v[i, k] v[j, k]."""
+    t = _times(t)
+    nu, v = _rwa_modes(p)
     table = (v.T[:, :, None] * v.T[:, None, :]).reshape(2, 4)
     return (np.exp(-1j * np.multiply.outer(t, nu)) @ table).reshape(t.shape + (2, 2))
-
-
-def _dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
-
-
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of (stacked) 2x2 blocks, written out entrywise; a single block broadcasts against a stack.
-
-    ``@`` on a stack of 2x2 blocks costs one BLAS call per block, an order of
-    magnitude more than these four entrywise sums.
-    """
-    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
-    c00 = a00 * b00 + a01 * b10
-    out = np.empty(np.shape(c00) + (2, 2), dtype=c00.dtype)
-    out[..., 0, 0] = c00
-    out[..., 0, 1] = a00 * b01 + a01 * b11
-    out[..., 1, 0] = a10 * b00 + a11 * b10
-    out[..., 1, 1] = a10 * b01 + a11 * b11
-    return out
 
 
 def _det(m: np.ndarray) -> np.ndarray:
@@ -196,27 +185,21 @@ def _det(m: np.ndarray) -> np.ndarray:
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
-def compose(a1: np.ndarray, b1: np.ndarray, a2: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks of the product of two symplectic matrices given by (stacked) blocks."""
-    return _mul(a1, a2) + _mul(b1, b2.conj()), _mul(a1, b2) + _mul(b1, a2.conj())
-
-
-def bogoliubov_defects(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Largest entry of a a^dag - b b^dag - I and a b^T - b a^T, per (stacked) block pair."""
-    d1 = np.abs(_mul(alpha, _dagger(alpha)) - _mul(beta, _dagger(beta)) - _I2).max(axis=(-2, -1))
-    d2 = np.abs(_mul(alpha, beta.swapaxes(-1, -2)) - _mul(beta, alpha.swapaxes(-1, -2))).max(axis=(-2, -1))
-    return np.maximum(d1, d2)
-
-
-def _defect_limit(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Largest accepted Bogoliubov defect, relative to the squared block norms."""
-    return SYMPLECTIC_TOL * np.maximum(1.0, (np.abs(alpha) ** 2 + np.abs(beta) ** 2).sum(axis=(-2, -1)))
+def bogoliubov_defects(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Defect and limit per (stacked) block pair: the largest entry of a a^dag - b b^dag - I (Hermitian,
+    so three entries) and of a b^T - b a^T (diagonal exactly zero, so one), against the squared norms."""
+    a2, b2 = np.abs(alpha) ** 2, np.abs(beta) ** 2
+    h01 = (alpha[..., 0, :] * alpha[..., 1, :].conj() - beta[..., 0, :] * beta[..., 1, :].conj()).sum(axis=-1)
+    k01 = (alpha[..., 0, :] * beta[..., 1, :] - beta[..., 0, :] * alpha[..., 1, :]).sum(axis=-1)
+    h_diag = np.abs((a2 - b2).sum(axis=-1) - 1.0).max(axis=-1)
+    defect = np.maximum(h_diag, np.maximum(np.abs(h01), np.abs(k01)))
+    return defect, SYMPLECTIC_TOL * np.maximum(1.0, (a2 + b2).sum(axis=(-2, -1)))
 
 
 def check_bogoliubov(alpha: np.ndarray, beta: np.ndarray, t: np.ndarray, what: str):
     """Raise ArithmeticError, an internal failure, at the first t whose computed blocks break the identities."""
-    defect = bogoliubov_defects(alpha, beta)
-    bad = np.flatnonzero(~(defect <= _defect_limit(alpha, beta)))
+    defect, limit = bogoliubov_defects(alpha, beta)
+    bad = np.flatnonzero(~(defect <= limit))
     if bad.size:
         i = bad[0]
         raise ArithmeticError(f"{what} violates the Bogoliubov identities at t={t[i]:.17g} (defect {defect[i]:.3e})")
@@ -232,7 +215,7 @@ def colpa(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Raises ``numpy.linalg.LinAlgError`` when m is not positive definite.
     """
     low = np.linalg.cholesky(m)
-    lam, u = np.linalg.eigh(_dagger(low) @ (_SIGMA[:, None] * low))
+    lam, u = np.linalg.eigh(low.conj().T @ (_SIGMA[:, None] * low))
     return low, lam, u
 
 
@@ -249,22 +232,16 @@ def _modes(p: OscillatorParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def evolution_blocks(p: OscillatorParams, t) -> tuple[np.ndarray, np.ndarray]:
     """Blocks (alpha, beta) of S(t) = exp(Omega H t), stacked over a 1-D array of times.
 
-    With the real factors of ``colpa(H)``, H = L L^T and L^T Sigma L =
-    U diag(lam) U^T, S(t) = L^-T U diag(exp(-i lam t)) U^T L^T for any stable
-    couplings.  U diag(.) U^T is a function of L^T Sigma L, so degenerate
-    spectra need no special case.
+    The phase broadcast over the normal modes of ``_modes``, for any stable couplings:
+    S(t)[i, j] = sum_k left[i, k] exp(-i lam_k t) right[k, j], one (n, 4) @ (4, 8) product.
+    left diag(.) right is a function of L^T Sigma L, so degenerate spectra need no special case.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(np.isfinite(t)):
-        raise ValueError("time must be finite")
+    t = np.atleast_1d(_times(t))
     lam, left, right = _modes(p)
-    # S(t)[i, j] for the top block row i < 2 is sum_k left[i, k] right[k, j] exp(-i lam_k t):
-    # one (n, 4) @ (4, 8) product of the phases with the table of left[i, k] right[k, j]
     table = (left[:2].T[:, :, None] * right[:, None, :]).reshape(4, 8)
     s = (np.exp(-1j * np.multiply.outer(t, lam)) @ table).reshape(-1, 2, 4)
-    alpha, beta = s[..., :2], s[..., 2:]
-    check_bogoliubov(alpha, beta, t, "S(t)")
-    return alpha, beta
+    check_bogoliubov(s[..., :2], s[..., 2:], t, "S(t)")
+    return s[..., :2], s[..., 2:]
 
 
 def time_evolution(p: OscillatorParams, t: float) -> SymplecticMatrix:
@@ -272,8 +249,19 @@ def time_evolution(p: OscillatorParams, t: float) -> SymplecticMatrix:
     return SymplecticMatrix(*(block[0] for block in evolution_blocks(p, [t])))
 
 
-def effective_blocks(p: OscillatorParams, t) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks of S_eff(t) = S_RWA^dag(t) S(t), stacked over a 1-D array of times."""
-    alpha, beta = evolution_blocks(p, t)
-    u_dag = _dagger(rwa_block(p, t))
-    return _mul(u_dag, alpha), _mul(u_dag, beta)
+def mode_table(p: OscillatorParams) -> tuple[np.ndarray, np.ndarray]:
+    """Torus frequencies w = (kappa_-, kappa_+, -nu_0, -nu_1) and the real 8x8 table of S_RWA^dag S.
+
+    Column 4 i + j is entry (i, j) of the top block row (alpha, beta); row 4 l + k goes with
+    the phase exp(-i (lam_k - nu_l) t), lam being ``_modes``'s and nu, v the RWA modes':
+    table[4 l + k, 4 i + j] = v[i, l] (v^T left[:2])[l, k] right[k, j].
+    """
+    lam, left, right = _modes(p)
+    nu, v = _rwa_modes(p)
+    table = np.einsum("il,lk,kj->lkij", v, v.T @ left[:2], right).reshape(8, 8)
+    return np.array([lam[2], lam[3], -nu[0], -nu[1]]), table
+
+
+def mode_phases(w: np.ndarray, t) -> np.ndarray:
+    """The points exp(-i w t) of the mode torus, (4, n), at a 1-D array of times."""
+    return np.exp(-1j * np.multiply.outer(w, _times(t)))

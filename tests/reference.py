@@ -12,7 +12,7 @@ forms of the q coefficients, and one-call wrappers around the Fock oracle.
 No reference here calls the package route it checks: the RWA evolution and
 the diagonalizer rest on the closed forms, not on ``rwa_block`` or
 ``normal_mode_frequencies``, and S_eff composes the closed RWA block with the
-matrix exponential, not ``effective_blocks``.
+matrix exponential, not the package's mode table.
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ from rwafidelity.dynamics import (
     OMEGA,
     OscillatorParams,
     SymplecticMatrix,
-    _dagger,
-    _mul,
     colpa,
     hamiltonian_matrix,
 )
 from rwafidelity.fockoracle import FockOracle
-from rwafidelity.metrics import CROSS_CHECK_TOL, _trace, gaussian_grid
+from rwafidelity.metrics import CROSS_CHECK_TOL, gaussian_grid
 from rwafidelity.states import InitialState, vacuum
 
 # -- matrix exponential --------------------------------------------------------
@@ -141,7 +139,7 @@ def effective_evolution(p: OscillatorParams, t: float) -> SymplecticMatrix:
     """S_eff(t) = S_RWA^dag(t) S(t): the identity iff the two evolutions coincide.
 
     Composed from the closed RWA block and the matrix exponential, not from the
-    package's ``effective_blocks``.
+    package's ``mode_table``.
     """
     return inverse(rwa_evolution(p, t)) @ evolution_via_exponential(p, t)
 
@@ -364,11 +362,8 @@ def number_moments(a_block: np.ndarray, b_block: np.ndarray) -> tuple[float, flo
     """
     a = np.asarray(a_block, dtype=complex)
     b = np.asarray(b_block, dtype=complex)
-    dn = float(_trace(_mul(_dagger(b), b)))
-    dn2 = float(
-        _trace(_mul(_mul(_mul(a, _dagger(a)), b), _dagger(b)))
-        + _trace(_mul(_mul(_mul(b, a.T), b.conj()), _dagger(a)))
-    ) + dn**2
+    dn = float(np.real(np.trace(b.conj().T @ b)))
+    dn2 = float(np.real(np.trace(a @ a.conj().T @ b @ b.conj().T) + np.trace(b @ a.T @ b.conj() @ a.conj().T))) + dn**2
     return dn, dn2
 
 

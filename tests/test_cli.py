@@ -240,6 +240,20 @@ def _ties():
     return np.array(ties + [1234567890123456.75])
 
 
+def _near_repr_tie(x: float, margin: Fraction) -> bool:
+    """Whether |x| 10^p, scaled into [10^16, 10^17), lies within margin of a tie between two 16- or
+    15-digit candidates (an odd multiple of 5 or 50) that both read back: half an ulp of x spans
+    more than half their spacing.  Exact, for a p with 10^p not a double (p < 0 or p > 22)."""
+    a = abs(x)
+    p = 16 - int(np.floor(np.log10(a)))
+    scaled = Fraction(a) * Fraction(10) ** p
+    p += (scaled < 10**16) - (scaled >= 10**17)
+    scaled = Fraction(a) * Fraction(10) ** p
+    half = Fraction(float(np.spacing(a))) * Fraction(10) ** p / 2
+    near = any(abs(scaled % unit - Fraction(unit, 2)) < margin and half > Fraction(unit, 2) for unit in (10, 100))
+    return near and not 0 <= p <= 22
+
+
 def _powers_of_ten():
     """10^k and its neighbours one ulp either side, for k in [-30, 30], of both signs."""
     powers = np.array([float(f"1e{k}") for k in range(-30, 31)])
@@ -346,6 +360,23 @@ class TestWriteOutput:
             _write_output(cfg, columns, summary)
             assert (tmp_path / "new").read_bytes() == stdlib_output(tmp_path / "old", cfg, columns, summary), fmt
             assert len(calls) > 3000, fmt
+
+    def test_json_near_tie_falls_back_to_repr(self, tmp_path, monkeypatch):
+        # a 15- or 16-digit rounding within TIE of a tie between two candidates that both read back
+        # is left to repr.  No corpus comes that close at TIE = 2^-40, so TIE is raised to 2^-4:
+        # then 20 of these 20000 log-uniform values lie within TIE/2 of such a tie, and 1950 of
+        # them fall back for any reason (114 at the default TIE)
+        monkeypatch.setattr(floatrows, "TIE", 2.0**-4)
+        calls = []
+        formatted = floatrows._repr
+        monkeypatch.setattr(floatrows, "_repr", lambda value: calls.append(value) or formatted(value))
+        values = _log_uniform()[:20000]
+        ties = [x for x in values if _near_repr_tie(x, Fraction(floatrows.TIE) / 2)]
+        cfg = make_config(tmp_path, output_path=str(tmp_path / "new"), fmt="json")
+        columns, summary = _row_major(values), ScanSummary(None, None, ())
+        _write_output(cfg, columns, summary)
+        assert (tmp_path / "new").read_bytes() == stdlib_output(tmp_path / "old", cfg, columns, summary)
+        assert len(ties) >= 10 and set(ties) <= set(calls)
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, BLOCK_ROWS + 1], ids=["below", "at", "above", "two-blocks-above"])
     def test_scan_across_a_block_boundary(self, tmp_path, extra):
@@ -646,18 +677,27 @@ class TestMainExitCodes:
         assert "validation error" in err and field in err
 
     def test_internal_consistency_failure_exit_1(self, tmp_path, capsys, monkeypatch):
-        # a corrupted RWA block breaks the Bogoliubov identities of S_f: an
-        # internal numerical failure, reported as a runtime error
-        rwa_block = dynamics.rwa_block
-        monkeypatch.setattr(dynamics, "rwa_block", lambda p, t: (1.0 + 1e-6) * rwa_block(p, t))
+        # a corrupted RWA half of the mode table breaks the Bogoliubov identities of S_eff:
+        # an internal numerical failure, reported as a runtime error
+        rwa_modes = dynamics._rwa_modes
+        monkeypatch.setattr(dynamics, "_rwa_modes", lambda p: (rwa_modes(p)[0], (1.0 + 1e-6) * rwa_modes(p)[1]))
         code = main(["fidelity-scan", "--g", "0.05", "--tau-end", "4", "--steps", "5", "--output", str(tmp_path / "x.csv")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "runtime error" in err and "t=0 " in err
+        assert "runtime error: S_eff violates" in err and "t=0 " in err
+
+    def test_corrupted_normal_modes_exit_1(self, tmp_path, capsys, monkeypatch):
+        # the twin: the normal-mode half of the table, scaled by 1 + 1e-6
+        modes = dynamics._modes
+        monkeypatch.setattr(dynamics, "_modes", lambda p: (lambda lam, left, right: (lam, (1.0 + 1e-6) * left, right))(*modes(p)))
+        code = main(["fidelity-scan", "--g", "0.05", "--tau-end", "4", "--steps", "5", "--output", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "runtime error: S_eff violates" in err and "t=0 " in err
 
     def test_nan_rwa_block_exit_1(self, tmp_path, capsys, monkeypatch):
-        # NaN fails every internal check instead of passing it into the output
-        monkeypatch.setattr(dynamics, "rwa_block", lambda p, t: np.full((np.size(t), 2, 2), np.nan))
+        # NaN in the RWA modes fails every internal check instead of passing it into the output
+        monkeypatch.setattr(dynamics, "_rwa_modes", lambda p: (np.ones(2), np.full((2, 2), np.nan)))
         code = main(["fidelity-scan", "--g", "0.05", "--tau-end", "4", "--steps", "5", "--output", str(tmp_path / "x.csv")])
         assert code == 1
         err = capsys.readouterr().err
@@ -677,6 +717,23 @@ class TestMainExitCodes:
         out_path = tmp_path / "x.csv"
         assert main([command, *flags, "--steps", "3", "--output", str(out_path)]) == 2
         assert f"validation error: {field}: expected a finite number" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["fidelity-scan", "oracle-check"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--tau-start=-1e308", "--tau-end", "1e308"], "tau_grid: end - start must be a finite number"),
+            (["--omega-a", "1e-200", "--omega-b", "1e-200", "--g", "1e-201", "--tau-end", "1e200"], "tau_grid: the times tau / omega_a must be finite numbers"),
+        ],
+        ids=["span", "times"],
+    )
+    def test_overflowing_tau_grid_exit_2(self, tmp_path, capsys, command, flags, message):
+        # refused where the grid is accepted, before linspace or the division by omega_a overflows
+        # (and warns, which this suite turns into an error)
+        out_path = tmp_path / "x.csv"
+        assert main([command, *flags, "--steps", "3", "--output", str(out_path)]) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
         assert not out_path.exists()
 
     @pytest.mark.parametrize("command", ["fidelity-scan", "oracle-check"])

@@ -23,7 +23,7 @@ from rwafidelity.dynamics import (
     SymplecticMatrix,
     UnstableParamsError,
     _det,
-    _mul,
+    bogoliubov_defects,
     check_bogoliubov,
     critical_coupling,
     evolution_blocks,
@@ -411,19 +411,22 @@ class TestSymplecticMatrix:
 
 
 class TestBlockAlgebra:
-    # the explicit 2x2 product and determinant against numpy, relative to the
+    # the entrywise determinant and Bogoliubov defects against numpy, relative to the
     # size of the terms that each entry sums
     @staticmethod
     def blocks(rng, *shape):
         return rng.normal(size=(*shape, 2, 2)) + 1j * rng.normal(size=(*shape, 2, 2))
 
-    def test_product_matches_matmul_and_broadcasts(self):
+    def test_defects_match_matmul(self):
         rng = np.random.default_rng(11)
-        stack, other, one, single = self.blocks(rng, 200), self.blocks(rng, 200), self.blocks(rng), self.blocks(rng)
-        for a, b in ((stack, other), (one, single), (one, stack), (stack, one)):
-            got = _mul(a, b)
-            assert got.shape == np.broadcast_shapes(a.shape, b.shape)
-            assert np.all(np.abs(got - np.matmul(a, b)) <= 1e-15 * (np.abs(a) @ np.abs(b)))
+        for a, b in ((self.blocks(rng, 200), self.blocks(rng, 200)), (self.blocks(rng), self.blocks(rng))):
+            h = a @ a.conj().swapaxes(-1, -2) - b @ b.conj().swapaxes(-1, -2) - np.eye(2)
+            k = a @ b.swapaxes(-1, -2) - b @ a.swapaxes(-1, -2)
+            dense = np.maximum(np.abs(h).max(axis=(-2, -1)), np.abs(k).max(axis=(-2, -1)))
+            defect, limit = bogoliubov_defects(a, b)
+            norms = (np.abs(a) ** 2 + np.abs(b) ** 2).sum(axis=(-2, -1))
+            assert defect.shape == a.shape[:-2] and np.all(np.abs(defect - dense) <= 1e-14 * norms)
+            assert np.allclose(limit, 1e-10 * norms, rtol=1e-14, atol=0.0)
 
     def test_determinant_matches_linalg(self):
         rng = np.random.default_rng(12)

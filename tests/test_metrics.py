@@ -21,6 +21,7 @@ from rwafidelity.dynamics import (
     rwa_block,
     time_evolution,
 )
+from rwafidelity import metrics
 from rwafidelity.metrics import bloch_messiah, delta_n, fidelity_eff, gaussian_grid
 from rwafidelity.states import InitialState, squeezed_pair, vacuum
 
@@ -359,3 +360,71 @@ class TestCrossCheckLimits:
         a_f[..., 0, 1] *= 1.0 + 1e-8
         assert np.max(np.abs(a_f[..., 0, 1])) < 2e-3
         check_bogoliubov(a_f, grid.b_f, ts, "S_f")
+
+
+class TestGridChecksFire:
+    """Each internal check of `gaussian_grid` raises ArithmeticError and names the first failing t."""
+
+    P = OscillatorParams(1.0, 1.0, 0.1, 0.1)
+
+    def test_s_f_check(self):
+        # a factor that is not symplectic (its checks bypassed): S_eff is exact, but
+        # S_f = I + alpha0^dag X s0 - beta0^T X* s0' is not, once X != 0, so first at t = 0.5
+        factor = object.__new__(SymplecticMatrix)
+        object.__setattr__(factor, "alpha", 1.5 * np.eye(2, dtype=complex))
+        object.__setattr__(factor, "beta", np.zeros((2, 2), dtype=complex))
+        with pytest.raises(ArithmeticError, match="^S_f violates the Bogoliubov identities at t=0.5 "):
+            gaussian_grid(factor, self.P, [0.0, 0.5, 1.0])
+
+    def test_fidelity_cross_check(self, monkeypatch):
+        # the B route off by 1e-6 relative: the A route 1/|det A_f| disagrees from t = 0 on
+        gram_report = metrics._gram_report
+        monkeypatch.setattr(metrics, "_gram_report", lambda b: (lambda f, *r: ((1.0 + 1e-6) * f, *r))(*gram_report(b)))
+        with pytest.raises(ArithmeticError, match="^fidelity routes disagree at t=0: "):
+            gaussian_grid(squeezed_pair(0.3), self.P, [0.0, 0.5])
+
+
+class TestHighPrecisionSweep:
+    """The mode-table route against a 60-digit reference over random draws of the stable domain."""
+
+    @staticmethod
+    def reference(mpmath, p: OscillatorParams, s: float, t: float) -> list[float]:
+        """(F, bures, r_+, r_-, delta_n) from s0^-1 S_RWA^-1 S s0, with S = expm, S_RWA from the RWA modes."""
+        with mpmath.workdps(60):
+            c, sh = mpmath.cosh(s), mpmath.sinh(s)
+            s0 = mpmath.matrix([[c, 0, sh, 0], [0, c, 0, sh], [sh, 0, c, 0], [0, sh, 0, c]])
+            s0_inv = mpmath.matrix([[c, 0, -sh, 0], [0, c, 0, -sh], [-sh, 0, c, 0], [0, -sh, 0, c]])
+            full = mpmath.expm(mpmath.matrix((OMEGA @ hamiltonian_matrix(p)).tolist()) * t)
+            nu, v = mpmath.eigsy(mpmath.matrix([[p.omega_a, p.g_bs], [p.g_bs, p.omega_b]]))
+            u_inv = v * mpmath.diag([mpmath.expj(nu[k] * t) for k in range(2)]) * v.T
+            rwa_inv = mpmath.zeros(4, 4)
+            rwa_inv[:2, :2], rwa_inv[2:, 2:] = u_inv, u_inv.conjugate()
+            b = (s0_inv * rwa_inv * full * s0)[0:2, 2:4]
+            fid = 1 / mpmath.sqrt(mpmath.re(mpmath.det(mpmath.eye(2) + b.H * b)))
+            sv = mpmath.svd_c(b, compute_uv=False)
+            # the RWA evolution is passive, so the surplus is |beta(S s0)|^2 - |beta0|^2
+            beta = (full * s0)[0:2, 2:4]
+            dn = sum(abs(beta[i, j]) ** 2 for i in range(2) for j in range(2)) - 2 * sh**2
+            bures = mpmath.sqrt(2 * (1 - mpmath.sqrt(fid)))
+            return [float(x) for x in (fid, bures, mpmath.asinh(max(sv)), mpmath.asinh(min(sv)), dn)]
+
+    def test_random_draws_stay_in_the_envelope(self):
+        # 40 draws: couplings 1e-4 to 1 (relative) below |g_bs|+|g_sq| = sqrt(wa*wb), |s| <= 8, t from
+        # 1e-2 to 1e4.  Worst relative errors on these draws, stacked 2x2 route / mode-table route:
+        # F 6.8e-12 / 7.8e-12, bures 6.9e-13 / 6.9e-13, r_+ 1.9e-13 / 2.1e-13, r_- 2.3e-11 / 2.3e-11,
+        # delta_n 1.5e-10 / 1.3e-10.  Each bound is twice the first, rounded up to a 1-2-5 step
+        mpmath = pytest.importorskip("mpmath")
+        bounds = {"fidelity": 2e-11, "bures": 2e-12, "r_plus": 5e-13, "r_minus": 5e-11, "delta_n": 5e-10}
+        rng = np.random.default_rng(0)
+        worst = dict.fromkeys(bounds, 0.0)
+        for _ in range(40):
+            wb = rng.uniform(0.5, 2.0)
+            total = (1.0 - 10.0 ** rng.uniform(-4.0, 0.0)) * np.sqrt(wb)
+            share, (sign_bs, sign_sq) = rng.uniform(), rng.choice([-1.0, 1.0], 2)
+            p = OscillatorParams(1.0, wb, sign_bs * share * total, sign_sq * (1.0 - share) * total)
+            s, t = rng.uniform(-8.0, 8.0), 10.0 ** rng.uniform(-2.0, 4.0)
+            grid = gaussian_grid(squeezed_pair(s), p, [t])
+            got = [*(getattr(grid.report, name)[0] for name in list(bounds)[:4]), grid.delta_n[0]]
+            for name, g, r in zip(bounds, got, self.reference(mpmath, p, s, t)):
+                worst[name] = max(worst[name], abs(g - r) / abs(r))
+        assert all(worst[name] <= bound for name, bound in bounds.items()), worst
