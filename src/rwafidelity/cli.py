@@ -100,6 +100,21 @@ def _outside_family(what: str, p: OscillatorParams) -> list[str]:
     return [] if perturbative_family(p) else [f"{what} needs resonant equal couplings with 0 < g/omega < 0.5"]
 
 
+def _time_problems(p: OscillatorParams, tau: float) -> list[str]:
+    """The refusal of times up to |tau| / omega_a, or of their mode phases, that overflow a double; else none.
+
+    kappa_+-, nu_0 and nu_1 are at most max(omega_a, omega_b) + |g_bs| + |g_sq|, so every phase
+    w t is finite where that bound times |t| is; each term is formed on its own, since the
+    stability bound keeps |g_bs| + |g_sq| below max(omega_a, omega_b) and so finite.
+    """
+    t = abs(tau) / p.omega_a
+    if not np.isfinite(t):
+        return ["tau_grid: the times tau / omega_a must be finite numbers"]
+    if not np.isfinite(max(p.omega_a, p.omega_b) * t + (abs(p.g_bs) + abs(p.g_sq)) * t):
+        return ["tau_grid: the mode phases (max(omega_a, omega_b) + |g_bs| + |g_sq|) tau / omega_a must be finite numbers"]
+    return []
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Everything one fidelity scan needs; serializes to a flat JSON document."""
@@ -122,8 +137,8 @@ class ScanConfig:
         # in Python floats an overflow is a silent inf; in linspace and in taus / omega_a it warns first
         elif not np.isfinite(self.tau_end - self.tau_start):
             problems.append("tau_grid: end - start must be a finite number")
-        elif not np.isfinite(max(abs(self.tau_start), abs(self.tau_end)) / self.params.omega_a):
-            problems.append("tau_grid: the times tau / omega_a must be finite numbers")
+        else:
+            problems += _time_problems(self.params, max(abs(self.tau_start), abs(self.tau_end)))
         if self.steps < 2:
             problems.append("tau_grid: steps must be at least 2")
         elif self.steps > MAX_STEPS:
@@ -468,6 +483,8 @@ def _cmd_evolve(args) -> int:
     # evolve reads one time, tau_grid.start, so the rest of the document is checked with the default grid
     p = ScanConfig.from_dict({**doc, "tau_grid": {}}).params
     tau = _field(doc["tau_grid"], "tau_grid", "start", float)
+    if problems := _time_problems(p, tau):
+        raise ConfigError("; ".join(problems))
     t = tau / p.omega_a
     s = time_evolution(p, t)
     u = rwa_block(p, t)

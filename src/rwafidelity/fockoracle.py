@@ -11,14 +11,14 @@ rounding (about 1e-14), not exactly.
 The requested times are sorted and cut into windows.  One series is expanded
 per window, from t = 0 for the first and from the last time of the window
 before for the others: its terms T_k psi are formed once, CHUNK at a time, and
-each chunk is summed into the state at every time of the window by one matrix
-product per parity of k.  A window takes times while their states, RWA
-eigenbasis amplitudes and coefficients fit in WINDOW amplitudes, so a fine
-grid pays the series' fixed tail of terms once per window, not once per time.
-The first window runs on a real state, a later one on its complex state's
-(real, imaginary) float pairs under a copy of H with each weight repeated.
-The term buffers are set up once per trajectory, and the Chebyshev
-coefficients of a run of windows come from one Miller recurrence.
+each chunk is summed into the states of the window's times whose series still
+runs, by one matrix product per parity of k.  A window takes times while their
+states, RWA eigenbasis amplitudes and coefficients fit in WINDOW amplitudes,
+so a fine grid pays the series' fixed tail of terms once per window, not once
+per time.  The first window runs on a real state, a later one on its complex
+state's (real, imaginary) float pairs under a copy of H with each weight
+repeated.  A run of windows takes its coefficients from one Miller recurrence,
+and a window's RWA phases are rotations by its few distinct time steps.
 
 Both couplings change n_a + n_b by 0 or 2 (a'b keeps it, a'b' raises it by
 2), so H conserves its parity, and every initial state here (a Fock state,
@@ -231,40 +231,42 @@ def chebyshev_coefficients(x) -> np.ndarray:
 
     A scalar x gives one row; an array of x gives one row per entry, each cut
     at its own length and zero-padded to the longest, all from one recurrence.
-    a_k = (2 - delta_k0) (-i)^k J_k(x), so a_k is real for even k and imaginary
-    for odd k.  J_k(|x|) comes from Miller's backward recurrence J_(k-1) =
-    (2k/|x|) J_k - J_(k+1), each entry started at its own `chebyshev_terms`
-    from 2^-900, so that it cannot overflow, and normalized by J_0 + 2 sum_k
-    J_2k = 1; J_k(-x) = (-1)^k J_k(x).  Below |x| = 2^-26, J_0 = 1 and J_1 =
-    |x|/2 to double precision and J_2 < eps, so those are set directly.
+    a_k = (2 - delta_k0) (-i sign x)^k J_k(|x|) is real for even k and imaginary
+    for odd k, and goes straight into that part of the output.  J_k(|x|) comes
+    from Miller's backward recurrence J_(k-1) = (2k/|x|) J_k - J_(k+1), each
+    entry started at its own `chebyshev_terms` from 2^-900, so that it cannot
+    overflow, and normalized by J_0 + 2 sum_k J_2k = 1.  Below |x| = 2^-26, J_0 =
+    1 and J_1 = |x|/2 to double precision and J_2 < eps: those are set directly.
     """
     x = np.asarray(x, dtype=float)
     ax = np.abs(x).ravel()
     small = ax < 2.0**-26
-    tops = chebyshev_terms(ax[~small]).astype(int)
+    # a small column starts at k = 0, which the recurrence never reaches, and steps by 0: it stays zero
+    tops = np.where(small, 0.0, chebyshev_terms(ax)).astype(int)
+    starts = {}
+    for col, top in enumerate(tops.tolist()):
+        starts.setdefault(top, []).append(col)
     j = np.zeros((int(tops.max(initial=1)) + 2, ax.size))
+    # lists of row views: indexing a list is cheaper than slicing the array in this loop
+    rows, ratios = list(j), list(np.multiply.outer(np.arange(len(j)), 2.0 / np.where(small, np.inf, ax)))
+    for k in range(len(j) - 2, 0, -1):
+        if k in starts:
+            rows[k][starts[k]] = 2.0**-900
+        np.multiply(ratios[k], rows[k], out=rows[k - 1])
+        np.subtract(rows[k - 1], rows[k + 1], out=rows[k - 1])
+    # a running sum adds each column in order whatever the table's width (np.sum adds a lone
+    # column pairwise), so a column's normalization is the one it would have in a table alone
+    j /= np.where(small, 1.0, j[0] + 2.0 * np.cumsum(j[2::2], axis=0)[-1])
     j[0, small], j[1, small] = 1.0, 0.5 * ax[small]
-    if tops.size:
-        starts = {}
-        for col, top in enumerate(tops.tolist()):
-            starts.setdefault(top, []).append(col)
-        miller = np.zeros((len(j), tops.size))
-        # lists of row views: indexing a list is cheaper than slicing the array in this loop
-        rows, ratios = list(miller), list(np.multiply.outer(np.arange(len(j)), 2.0 / ax[~small]))
-        for k in range(len(j) - 2, 0, -1):
-            if k in starts:
-                rows[k][starts[k]] = 2.0**-900
-            np.multiply(ratios[k], rows[k], out=rows[k - 1])
-            np.subtract(rows[k - 1], rows[k + 1], out=rows[k - 1])
-        # a running sum adds each column in order whatever the table's width (np.sum adds a lone
-        # column pairwise), so a column's normalization is the one it would have in a table alone
-        j[:, ~small] = miller / (miller[0] + 2.0 * np.cumsum(miller[2::2], axis=0)[-1])
-    above = np.abs(j) >= np.finfo(float).eps
-    kept = len(j) - np.argmax(above[::-1], axis=0)
-    k = np.arange(kept.max())[:, None]
-    phase = np.array([1.0, -1j, -1.0, 1j])[(k * np.sign(x).ravel().astype(int)) % 4]
-    a = np.where(k < kept, np.where(k == 0, 1.0, 2.0) * j[: len(k)], 0.0) * phase
-    return a.T.reshape(x.shape + (len(k),))
+    kept = len(j) - np.argmax(np.abs(j)[::-1] >= np.finfo(float).eps, axis=0)
+    k, j = np.arange(kept.max()), j[: kept.max()]
+    np.copyto(j, 0.0, where=k[:, None] >= kept)
+    # (2 - delta_k0) (-1)^floor(k/2), exact factors: (-i)^k is that sign at even k and -i times it at odd k
+    signs = np.where(k % 4 < 2, 2.0, -2.0) - (k == 0)
+    a = np.zeros(j.shape, complex)
+    np.multiply(j[0::2], signs[0::2, None], out=a.real[0::2])
+    np.multiply(j[1::2], -signs[1::2, None] * np.sign(x).ravel(), out=a.imag[1::2])
+    return a.T.reshape(x.shape + (len(j),))
 
 
 def fock_vector(basis: FockBasis, n_a: int, n_b: int) -> np.ndarray:
@@ -364,8 +366,7 @@ class RwaBlocks:
         blocks[:, rows, rows] = diagonal - mean[:, None]
         off = np.where(valid[:, 1:], p.g_bs * np.sqrt((n_a[:, :-1] + 1.0) * n_b[:, :-1]), 0.0)
         blocks[:, rows[1:], rows[:-1]] = blocks[:, rows[:-1], rows[1:]] = off
-        energies = np.zeros(n_a.shape)
-        vecs = np.zeros(blocks.shape)
+        energies, vecs = np.zeros(n_a.shape), np.zeros(blocks.shape)
         for b, size in enumerate(sizes):
             energies[b, :size], vecs[b, :size, :size] = np.linalg.eigh(blocks[b, :size, :size])
         self.energies = (energies + mean[:, None])[valid]  # of the blocks' entries only, as is c
@@ -381,22 +382,22 @@ class RwaBlocks:
     def coefficients(self, ts: np.ndarray) -> np.ndarray:
         """Eigenbasis amplitudes e^(-i E t) c, a (blocks, m, times) stack, zero in the padding.
 
-        The phases are formed on the blocks' entries only and scattered into the stack.
+        Formed on the blocks' entries at the first time and once per distinct step, then a running
+        product of those rotations, whose error grows with the number of times a window bounds.
         """
-        phase = np.multiply.outer(self.energies, ts)
-        coef = np.empty(phase.shape, complex)
-        np.cos(phase, out=coef.real)
-        np.negative(np.sin(phase, out=phase), out=coef.imag)
-        coef *= self.c[:, None]
+        steps, which = np.unique(np.diff(ts), return_inverse=True)
+        rotation = np.exp(-1j * np.multiply.outer(self.energies, np.concatenate((ts[:1], steps))))
+        coef = rotation[:, np.concatenate(([0], 1 + which))]
+        coef[:, 0] *= self.c
         stack = np.zeros(self.valid.shape + ts.shape, complex)
-        stack[self.valid] = coef
+        stack[self.valid] = np.cumprod(coef, axis=1, out=coef)
         return stack
 
     def overlap(self, coef: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """<psi_rwa|psi> per time, for RWA eigenbasis amplitudes coef and rows psi of sector amplitudes."""
         # both parts of psi go through one real product, times side by side on the trailing axis
         proj = np.matmul(self.vecs_t, psi.T[self.index].view(float)).view(complex)
-        return np.einsum("bkt,bkt->t", coef.conj(), proj)
+        return np.einsum("bkt,bkt->t", coef, np.conjugate(proj, out=proj)).conj()
 
     def boundary_weight(self, coef: np.ndarray) -> np.ndarray:
         """Weight of the RWA state on the truncation boundary, per time."""
@@ -531,11 +532,15 @@ class FockOracle:
         to row j + 1 (steps[j]), and the recurrence operator: the real one for
         a real psi, the interleaved copy, on float pairs, for a complex psi.
         The terms T_k psi are formed CHUNK at a time in the buffer, whose last
-        two rows seed the next chunk, and each chunk is summed into every row
-        by one product per parity of k (a_k is real for even k, else imaginary).
+        two rows seed the next chunk, and each chunk is summed by one product
+        per parity of k (a_k is real for even k, else imaginary) into the rows
+        from the first whose running maximum of lengths passes its first k:
+        rows run in ascending |x|, so those are the ones still running, and a
+        first window across t = 0, whose lengths fall and then rise, sums more.
         """
         terms, steps, h = kernel
         weights = np.ascontiguousarray(a.real[:, 0::2]), np.ascontiguousarray(a.imag[:, 1::2])
+        lengths = np.maximum.accumulate(a.shape[1] - np.argmax(a[:, ::-1] != 0.0, axis=1))
         real = not np.iscomplexobj(psi)
         part = np.empty((len(a), terms.shape[1]))
         states[...] = 0.0
@@ -551,17 +556,19 @@ class FockOracle:
             if cur is steps[-1][1] or k + 1 == a.shape[1]:
                 # rows 2, 4, ... of the buffer hold the even terms from T_start, rows 3, 5, ... the
                 # odd ones, whose sum is imaginary: i (x + i y) = -y + i x
+                live = int(np.searchsorted(lengths, start, side="right"))
+                out, sums = states[live:], part[live:]
                 for w, first in zip(weights, (2, 3)):
                     block = terms[first : k - start + 3 : 2]
-                    np.matmul(w[:, start // 2 : start // 2 + len(block)], block, out=part)
+                    np.matmul(w[live:, start // 2 : start // 2 + len(block)], block, out=sums)
                     if real:
-                        dest = states.real if first == 2 else states.imag
-                        np.add(dest, part, out=dest)
+                        dest = out.real if first == 2 else out.imag
+                        np.add(dest, sums, out=dest)
                     elif first == 2:
-                        np.add(states, part.view(complex), out=states)
+                        np.add(out, sums.view(complex), out=out)
                     else:
-                        np.subtract(states.real, part.view(complex).imag, out=states.real)
-                        np.add(states.imag, part.view(complex).real, out=states.imag)
+                        np.subtract(out.real, sums.view(complex).imag, out=out.real)
+                        np.add(out.imag, sums.view(complex).real, out=out.imag)
                 terms[:2] = terms[-2:]
                 start = k + 1
 
@@ -589,10 +596,11 @@ class FockOracle:
 
         def measure(t: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             """Worst truncation tail, fidelity and delta_n at each time of a window."""
-            coef = rwa.coefficients(t)
             density = _density(states)
-            tails = np.maximum(np.sum(density[:, edge], axis=1), rwa.boundary_weight(coef))
-            return tails, np.abs(rwa.overlap(coef, states)) ** 2, np.sum(n * density, axis=1) - n_rwa
+            tails, d_n = np.sum(density[:, edge], axis=1), np.sum(n * density, axis=1) - n_rwa
+            del density  # before the RWA side's temporaries, which it would otherwise sit under
+            coef = rwa.coefficients(t)
+            return np.maximum(tails, rwa.boundary_weight(coef)), np.abs(rwa.overlap(coef, states)) ** 2, d_n
 
         for where, t, states in windows:
             tails, fid[where], d_n[where] = measure(t, states)
@@ -644,8 +652,7 @@ def bound_check(n_a: int, n_b: int, p: OscillatorParams, t: float, cutoff: int) 
         raise ValueError(f"the certification doubles the cutoff, so it must be at most {MAX_CUTOFF // 2}")
     z_max = fock_bound(n_a, n_b, p.g_bs, p.omega_a, t)
     if p.g_sq == 0.0:
-        # equal couplings, so H is its own RWA and U = U_RWA exactly; the two
-        # propagation routes would disagree by rounding
+        # equal couplings, so H is its own RWA and U = U_RWA exactly; two propagations would differ by rounding
         return BoundCheckResult(z_exact=0.0, z_max=z_max, satisfied=True)
     z_base = _propagation_distance(p, n_a, n_b, t, cutoff)
     z_doubled = _propagation_distance(p, n_a, n_b, t, 2 * cutoff)

@@ -37,6 +37,7 @@ from rwafidelity.states import InitialState
 
 
 PARAMS_DOC = {"params": {"omega_a": 1.0, "omega_b": 1.0}}
+PHASE_OVERFLOW = "tau_grid: the mode phases (max(omega_a, omega_b) + |g_bs| + |g_sq|) tau / omega_a must be finite numbers"
 
 
 def make_config(tmp_path, **overrides):
@@ -608,6 +609,15 @@ class TestMainExitCodes:
         assert main(["evolve", "--g", "0.2", "--tau-start", "nan"]) == 2
         assert "tau_grid.start: expected a finite number" in capsys.readouterr().err
 
+    def test_evolve_refuses_an_overflowing_phase(self, capsys):
+        # t = 1e308 is a double, but omega_b t is not: refused before S(t) is formed, with no numpy warning
+        assert main(["evolve", "--omega-b", "10", "--g", "0.05", "--tau-start", "1e308"]) == 2
+        assert capsys.readouterr().err == f"validation error: {PHASE_OVERFLOW}\n"
+        assert main(["evolve", "--omega-a", "1e-200", "--omega-b", "1e-200", "--g", "1e-201", "--tau-start=-1e200"]) == 2
+        assert capsys.readouterr().err == "validation error: tau_grid: the times tau / omega_a must be finite numbers\n"
+        # the bound's terms are formed apart, so frequencies near the largest double still run
+        assert main(["evolve", "--omega-a", "1.5e308", "--omega-b", "1.5e308", "--g", "1e307", "--tau-start", "2"]) == 0
+
     def test_family_refusal_is_one_message(self, tmp_path, capsys):
         # a 2x detuning at omega 1e-7 is outside the perturbative family for the scan and for the comparison alike
         doc = {"params": {"omega_a": 1e-7, "omega_b": 2e-7, "g_bs": 1e-8, "g_sq": 1e-8}, "outputs": ["fidelity", "c2_prediction"]}
@@ -725,8 +735,9 @@ class TestMainExitCodes:
         [
             (["--tau-start=-1e308", "--tau-end", "1e308"], "tau_grid: end - start must be a finite number"),
             (["--omega-a", "1e-200", "--omega-b", "1e-200", "--g", "1e-201", "--tau-end", "1e200"], "tau_grid: the times tau / omega_a must be finite numbers"),
+            (["--omega-b", "10", "--g", "0.05", "--tau-end", "1e308"], PHASE_OVERFLOW),
         ],
-        ids=["span", "times"],
+        ids=["span", "times", "phases"],
     )
     def test_overflowing_tau_grid_exit_2(self, tmp_path, capsys, command, flags, message):
         # refused where the grid is accepted, before linspace or the division by omega_a overflows

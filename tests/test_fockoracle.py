@@ -473,6 +473,22 @@ class TestRwaBlocks:
             got = basis.from_sector(rwa.amplitudes(coef[..., i : i + 1], len(sector)), 0)
             assert np.max(np.abs(got - ref)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "ts",
+        [np.linspace(0.3, 40.0, 20000), np.sort(np.random.default_rng(7).uniform(-30.0, 40.0, 500)), np.array([7.3])],
+        ids=["uniform-20000", "non-uniform", "one-time"],
+    )
+    def test_rotated_phases_match_direct_sin_cos(self, ts):
+        # sin and cos at the first time and per distinct step, then a running product; a grid that
+        # starts away from t = 0 fails if the product is seeded with any phase but the first time's
+        p, basis = PARAMS["mixed-sign"], FockBasis(12)
+        sector = basis.sector(squeezed_vector(basis, 0.2)[0], 0)
+        rwa = fockoracle.RwaBlocks(p, basis, *fockoracle.number_blocks(basis, sector, 0), sector)
+        phase = np.multiply.outer(rwa.energies, ts)
+        coef = rwa.coefficients(ts)
+        assert coef.shape == rwa.valid.shape + ts.shape and np.all(coef[~rwa.valid] == 0.0)
+        assert np.max(np.abs(coef[rwa.valid] - rwa.c[:, None] * (np.cos(phase) - 1j * np.sin(phase)))) < 2e-12
+
     @pytest.mark.parametrize("cutoff", [12, 13])
     @pytest.mark.parametrize("n_a, n_b", [(0, 0), (3, 2), (5, 8), (12, 12)])
     def test_fock_input_stays_in_its_block(self, cutoff, n_a, n_b):
@@ -712,6 +728,22 @@ class TestOracle:
         assert not complex_psi and times == 11
         # one product per parity and chunk; every chunk but the last sums 16 terms of each parity
         assert len(products) == 2 * math.ceil(terms / fockoracle.CHUNK) and min(products[:-2]) >= 16
+
+    def test_chunks_sum_only_the_rows_still_running(self, monkeypatch):
+        # 11 times to tau 10 at cutoff 80 are one real window of about 970 terms; the row of t = 0
+        # ends after one term and that of tau 9 near 870, so the last chunk sums tau 10's row alone
+        rows, matmul = [], np.matmul
+
+        def counted(x, y, **kwargs):
+            if "out" in kwargs:  # _expand's chunk products; the RWA side passes no out
+                rows.append(len(x))
+            return matmul(x, y, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 80).compare(InitialState("vacuum"), np.linspace(0.0, 10.0, 11))
+        assert len(rows) > 40 and rows[:2] == [11, 11] and max(rows[-2:]) <= 2
+        # one product per parity and chunk, over rows that only ever drop out
+        assert rows[0::2] == rows[1::2] and rows[0::2] == sorted(rows[0::2], reverse=True)
 
     def test_complex_window_term_buffer_is_bounded_at_cutoff_96(self, monkeypatch):
         buffers, expand = [], FockOracle._expand
