@@ -12,10 +12,12 @@ import argparse
 import contextlib
 import functools
 import json
+import operator
 import os
 import stat
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,35 +66,58 @@ class ConfigError(ValueError):
     """Invalid scan configuration, with field-level diagnostics."""
 
 
-def _section(doc: dict, name: str) -> dict:
-    """The optional object doc[name]; a ConfigError names it when it is not an object."""
-    value = doc.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name}: expected an object, got {type(value).__name__}")
-    return value
+def _at(doc: dict, path: str) -> tuple[dict, str]:
+    """The object holding config path [section.]key in doc, and key; a ConfigError names a section that is not one."""
+    section, _, key = path.rpartition(".")
+    holder = doc.get(section, {}) if section else doc
+    if not isinstance(holder, dict):
+        raise ConfigError(f"{section}: expected an object, got {type(holder).__name__}")
+    return holder, key
 
 
-def _field(section: dict, where: str, key: str, kind, default=None):
-    """section[key] as a finite JSON number, integral when kind is int; default=None makes the field required."""
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"{where}: missing field {key!r}")
-        return default
-    value = section[key]
+def _read(doc: dict, path: str, kind: type, default=None):
+    """The field at config path of doc: a finite JSON number, integral when kind is int, or else
+    already a kind (nothing is converted); default=None makes the field required."""
+    section, key = _at(doc, path)
+    if key not in section and default is None:
+        raise ConfigError(f"{path.rpartition('.')[0]}: missing field {key!r}")
+    value = section.get(key, default)
     # the bound rejects nan, +-inf and integers too large for a float
     number = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-    if not number or (kind is int and not float(value).is_integer()):
-        expected = "an integer" if kind is int else "a finite number"
-        raise ConfigError(f"{where}.{key}: expected {expected}, got {value!r}")
+    if not {float: number, int: number and float(value).is_integer()}.get(kind, isinstance(value, kind)):
+        expected = {int: "an integer", float: "a finite number"}.get(kind, f"a {kind.__name__}")
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
     return kind(value)
 
 
-def _typed(section: dict, name: str, kind: type, default):
-    """The field at config path name ([section.]key), which must already be a kind: nothing is converted."""
-    value = section.get(name.rsplit(".", 1)[-1], default)
-    if not isinstance(value, kind):
-        raise ConfigError(f"{name}: expected a {kind.__name__}, got {value!r}")
-    return value
+class ScanField(NamedTuple):
+    """A scalar field of the scan document: config path, JSON type, ScanConfig attribute, and the flag that overwrites it."""
+
+    path: str
+    kind: type
+    attr: str  # params.<name> is a field of the OscillatorParams
+    flag: str
+    options: dict = {}  # the flag's further add_argument options
+
+    def read(self, doc: dict):
+        owner, _, name = self.attr.rpartition(".")
+        return _read(doc, self.path, self.kind, getattr(OscillatorParams if owner else ScanConfig, name, None))
+
+
+# In document order; initial_state and outputs, not scalars, are read apart
+SCAN_FIELDS = (
+    ScanField("params.omega_a", float, "params.omega_a", "--omega-a"),
+    ScanField("params.omega_b", float, "params.omega_b", "--omega-b"),
+    ScanField("params.g_bs", float, "params.g_bs", "--g-bs"),
+    ScanField("params.g_sq", float, "params.g_sq", "--g-sq"),
+    ScanField("tau_grid.start", float, "tau_start", "--tau-start"),
+    ScanField("tau_grid.end", float, "tau_end", "--tau-end"),
+    ScanField("tau_grid.steps", int, "steps", "--steps"),
+    ScanField("oracle.enabled", bool, "oracle_enabled", "--oracle", {"help": "add oracle columns to the scan"}),
+    ScanField("oracle.cutoff", int, "cutoff", "--cutoff"),
+    ScanField("output_path", str, "output_path", "--output", {"help": "output file path"}),
+    ScanField("format", str, "fmt", "--format", {"choices": ["csv", "json"]}),
+)
 
 
 def _outside_family(what: str, p: OscillatorParams) -> list[str]:
@@ -164,49 +189,30 @@ class ScanConfig:
         state: dict = {"kind": self.initial_state.kind}
         if self.initial_state.kind == "squeezed":
             state["s"] = self.initial_state.s
-        return {
-            "params": asdict(self.params),
-            "initial_state": state,
-            "tau_grid": {"start": self.tau_start, "end": self.tau_end, "steps": self.steps},
-            "outputs": list(self.outputs),
-            "oracle": {"enabled": self.oracle_enabled, "cutoff": self.cutoff},
-            "output_path": self.output_path,
-            "format": self.fmt,
-        }
+        doc = {"params": {}, "initial_state": state, "tau_grid": {}, "outputs": list(self.outputs), "oracle": {}}
+        for field in SCAN_FIELDS:
+            section, key = _at(doc, field.path)
+            section[key] = operator.attrgetter(field.attr)(self)
+        return doc
 
     @staticmethod
     def from_dict(doc: dict) -> "ScanConfig":
         if not isinstance(doc, dict):
             raise ConfigError(f"config: the top-level value must be an object, got {type(doc).__name__}")
-        pdoc = _section(doc, "params")
-        params = OscillatorParams(
-            omega_a=_field(pdoc, "params", "omega_a", float),
-            omega_b=_field(pdoc, "params", "omega_b", float),
-            g_bs=_field(pdoc, "params", "g_bs", float, OscillatorParams.g_bs),
-            g_sq=_field(pdoc, "params", "g_sq", float, OscillatorParams.g_sq),
-        )
-        sdoc = doc.get("initial_state")
-        sdoc = {"kind": sdoc} if isinstance(sdoc, str) else _section(doc, "initial_state")
-        initial = InitialState(
-            kind=sdoc.get("kind", ScanConfig.initial_state.kind), s=_field(sdoc, "initial_state", "s", float, InitialState.s)
-        )
-        grid = _section(doc, "tau_grid")
-        oracle = _section(doc, "oracle")
+        own = [field for field in SCAN_FIELDS if "." not in field.attr]
+        # params first, so that an unstable pair is reported before the fields that follow
+        params = OscillatorParams(**{f.attr.partition(".")[2]: f.read(doc) for f in SCAN_FIELDS if "." in f.attr})
+        if isinstance(doc.get("initial_state"), str):
+            doc = {**doc, "initial_state": {"kind": doc["initial_state"]}}
+        kind = _at(doc, "initial_state.kind")[0].get("kind", ScanConfig.initial_state.kind)
+        initial = InitialState(kind=kind, s=_read(doc, "initial_state.s", float, InitialState.s))
+        for field in own:
+            _at(doc, field.path)  # the sections are checked before outputs, their fields after it
         outputs = doc.get("outputs", ScanConfig.outputs)
         if not isinstance(outputs, (list, tuple)):
             raise ConfigError(f"outputs: expected a list, got {type(outputs).__name__}")
-        return ScanConfig(
-            params=params,
-            initial_state=initial,
-            tau_start=_field(grid, "tau_grid", "start", float, ScanConfig.tau_start),
-            tau_end=_field(grid, "tau_grid", "end", float, ScanConfig.tau_end),
-            steps=_field(grid, "tau_grid", "steps", int, ScanConfig.steps),
-            outputs=tuple(outputs),
-            oracle_enabled=_typed(oracle, "oracle.enabled", bool, ScanConfig.oracle_enabled),
-            cutoff=_field(oracle, "oracle", "cutoff", int, ScanConfig.cutoff),
-            output_path=_typed(doc, "output_path", str, ScanConfig.output_path),
-            fmt=_typed(doc, "format", str, ScanConfig.fmt),
-        )
+        values = {field.attr: field.read(doc) for field in own}
+        return ScanConfig(params=params, initial_state=initial, outputs=tuple(outputs), **values)
 
     @staticmethod
     def from_json(text: str) -> "ScanConfig":
@@ -407,40 +413,13 @@ def circuit_map(c: CircuitParams) -> FrameReport:
 # -- argument parsing -------------------------------------------------------
 
 
-# The config-document field each flag overwrites, in writing order: --g comes
-# before --g-bs and --g-sq so that either overrides one of the pair.
-_FLAG_FIELDS = (
-    ("output", "output_path"),
-    ("fmt", "format"),
-    ("omega_a", "params.omega_a"),
-    ("omega_b", "params.omega_b"),
-    ("g", "params.g_bs"),
-    ("g", "params.g_sq"),
-    ("g_bs", "params.g_bs"),
-    ("g_sq", "params.g_sq"),
-    ("tau_start", "tau_grid.start"),
-    ("tau_end", "tau_grid.end"),
-    ("steps", "tau_grid.steps"),
-    ("cutoff", "oracle.cutoff"),
-    ("oracle", "oracle.enabled"),
-)
-
-
 def _add_common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--output", help="output file path")
-    sub.add_argument("--format", choices=["csv", "json"], dest="fmt")
-    sub.add_argument("--omega-a", type=float)
-    sub.add_argument("--omega-b", type=float)
     sub.add_argument("--g", type=float, help="sets both couplings equal")
-    sub.add_argument("--g-bs", type=float)
-    sub.add_argument("--g-sq", type=float)
     sub.add_argument("--squeezing", type=float, help="initial squeezed-pair parameter; omit for vacuum")
-    sub.add_argument("--tau-start", type=float)
-    sub.add_argument("--tau-end", type=float)
-    sub.add_argument("--steps", type=int)
-    sub.add_argument("--cutoff", type=int)
-    sub.add_argument("--oracle", action="store_true", default=None, help="add oracle columns to the scan")
+    for field in SCAN_FIELDS:
+        how = {"action": "store_true", "default": None} if field.kind is bool else {"type": field.kind}
+        sub.add_argument(field.flag, **how, **field.options)
 
 
 def _document(args) -> dict:
@@ -452,11 +431,13 @@ def _document(args) -> dict:
         doc = ScanConfig(params=OscillatorParams(1.0, 1.0, 0.05, 0.05)).to_dict()
     if args.squeezing is not None:
         doc["initial_state"] = {"kind": "squeezed", "s": args.squeezing} if args.squeezing != 0.0 else {"kind": "vacuum"}
-    for dest, path in _FLAG_FIELDS:
-        value = getattr(args, dest)
+    if args.g is not None:  # written first, so that --g-bs or --g-sq overrides one of the pair
+        doc["params"].update(g_bs=args.g, g_sq=args.g)
+    for field in SCAN_FIELDS:
+        value = getattr(args, field.flag[2:].replace("-", "_"))  # argparse's own dest
         if value is not None:
-            section, _, key = path.rpartition(".")
-            (doc[section] if section else doc)[key] = value
+            section, key = _at(doc, field.path)
+            section[key] = value
     return doc
 
 
@@ -482,7 +463,7 @@ def _cmd_evolve(args) -> int:
     doc = _document(args)
     # evolve reads one time, tau_grid.start, so the rest of the document is checked with the default grid
     p = ScanConfig.from_dict({**doc, "tau_grid": {}}).params
-    tau = _field(doc["tau_grid"], "tau_grid", "start", float)
+    tau = _read(doc, "tau_grid.start", float)
     if problems := _time_problems(p, tau):
         raise ConfigError("; ".join(problems))
     t = tau / p.omega_a
@@ -540,15 +521,7 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_circuit_map(args) -> int:
-    circuit = CircuitParams(
-        epsilon_a=args.epsilon_a,
-        epsilon_b=args.epsilon_b,
-        pump_sq_amp=args.pump_sq_amp,
-        pump_sq_freq=args.pump_sq_freq,
-        pump_bs_amp=args.pump_bs_amp,
-        pump_bs_freq=args.pump_bs_freq,
-    )
-    report = circuit_map(circuit)
+    report = circuit_map(CircuitParams(**{f.name: getattr(args, f.name) for f in fields(CircuitParams)}))
     p = report.params
     print(f"frame shifts: mode a {report.frame_shift_a:.12g}, mode b {report.frame_shift_b:.12g}")
     print(f"effective params: omega_a={p.omega_a:.12g} omega_b={p.omega_b:.12g} g_bs={p.g_bs:.12g} g_sq={p.g_sq:.12g}")
@@ -585,12 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(fn=fn)
     subs.choices["oracle-check"].set_defaults(oracle=True)
     sub = subs.add_parser("circuit-map", help="map a pumped circuit to effective oscillator parameters")
-    sub.add_argument("--epsilon-a", type=float, required=True)
-    sub.add_argument("--epsilon-b", type=float, required=True)
-    sub.add_argument("--pump-sq-amp", type=float, default=0.0)
-    sub.add_argument("--pump-sq-freq", type=float, default=0.0)
-    sub.add_argument("--pump-bs-amp", type=float, default=0.0)
-    sub.add_argument("--pump-bs-freq", type=float, default=0.0)
+    for f in fields(CircuitParams):
+        need = {"required": True} if f.default is MISSING else {"default": f.default}
+        sub.add_argument("--" + f.name.replace("_", "-"), type=float, **need)
     sub.set_defaults(fn=_cmd_circuit_map)
     return parser
 

@@ -130,9 +130,6 @@ class SymplecticMatrix:
         if not defect <= limit:
             raise ValueError(f"blocks violate the Bogoliubov identities (defect {defect:.3e})")
 
-    def bogoliubov_defect(self) -> float:
-        return float(bogoliubov_defects(self.alpha, self.beta)[0])
-
     @property
     def matrix(self) -> np.ndarray:
         a, b = self.alpha, self.beta
@@ -235,11 +232,14 @@ def evolution_blocks(p: OscillatorParams, t) -> tuple[np.ndarray, np.ndarray]:
     The phase broadcast over the normal modes of ``_modes``, for any stable couplings:
     S(t)[i, j] = sum_k left[i, k] exp(-i lam_k t) right[k, j], one (n, 4) @ (4, 8) product.
     left diag(.) right is a function of L^T Sigma L, so degenerate spectra need no special case.
+    The phases of -kappa_+- are the conjugates of those of kappa_+-, as in ``grid_at``: lam's
+    computed pairs are not exact negatives, and at long times their phases would drift apart.
     """
     t = np.atleast_1d(_times(t))
     lam, left, right = _modes(p)
     table = (left[:2].T[:, :, None] * right[:, None, :]).reshape(4, 8)
-    s = (np.exp(-1j * np.multiply.outer(t, lam)) @ table).reshape(-1, 2, 4)
+    phases = mode_phases(lam[2:], t)
+    s = (np.concatenate([phases[::-1].conj(), phases]).T @ table).reshape(-1, 2, 4)
     check_bogoliubov(s[..., :2], s[..., 2:], t, "S(t)")
     return s[..., :2], s[..., 2:]
 

@@ -1,6 +1,7 @@
 import csv
 import importlib
 import json
+import operator
 import os
 import pkgutil
 import re
@@ -21,6 +22,7 @@ from rwafidelity.cli import (
     CORE_OUTPUTS,
     MAX_STEPS,
     ORACLE_OUTPUTS,
+    SCAN_FIELDS,
     CircuitParams,
     ConfigError,
     ScanConfig,
@@ -82,6 +84,57 @@ class TestScanConfig:
     def test_rejects_bad_json(self):
         with pytest.raises(ConfigError):
             ScanConfig.from_json("{not json")
+
+    def test_to_dict_key_order(self, tmp_path):
+        # the JSON output's config block is written in this order
+        doc = make_config(tmp_path, initial_state=InitialState("squeezed", s=0.2)).to_dict()
+        assert list(doc) == ["params", "initial_state", "tau_grid", "outputs", "oracle", "output_path", "format"]
+        assert list(doc["params"]) == ["omega_a", "omega_b", "g_bs", "g_sq"]
+        assert list(doc["initial_state"]) == ["kind", "s"]
+        assert list(doc["tau_grid"]) == ["start", "end", "steps"]
+        assert list(doc["oracle"]) == ["enabled", "cutoff"]
+
+
+# a value for each scalar field's flag, none of them the field's value in the config it overwrites
+FLAG_VALUES = {
+    "params.omega_a": 1.25,
+    "params.omega_b": 0.75,
+    "params.g_bs": 0.02,
+    "params.g_sq": 0.03,
+    "tau_grid.start": 0.5,
+    "tau_grid.end": 3.0,
+    "tau_grid.steps": 4,
+    "oracle.enabled": True,
+    "oracle.cutoff": 16,
+    "output_path": "flagged.json",
+    "format": "json",
+}
+EXPECTED = {float: "a finite number", int: "an integer", bool: "a bool", str: "a str"}
+
+
+class TestScanFields:
+    # each row of the schema: its flag, its place in the document and its ScanConfig attribute
+    @pytest.mark.parametrize("field", SCAN_FIELDS, ids=lambda field: field.path)
+    def test_flag_lands_at_its_path_and_attribute(self, tmp_path, monkeypatch, field):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(make_config(tmp_path, cutoff=12).to_json())
+        value = FLAG_VALUES[field.path]
+        flag = [field.flag] if field.kind is bool else [field.flag, str(value)]
+        assert main(["fidelity-scan", "--config", "cfg.json", "--format", "json", "--output", "flagged.json", *flag]) == 0
+        config = json.loads((tmp_path / "flagged.json").read_text())["config"]
+        section, _, key = field.path.rpartition(".")
+        assert (config[section] if section else config)[key] == value
+        assert operator.attrgetter(field.attr)(ScanConfig.from_dict(config)) == value
+
+    @pytest.mark.parametrize("field", SCAN_FIELDS, ids=lambda field: field.path)
+    def test_wrong_type_exit_2(self, tmp_path, capsys, field):
+        doc = make_config(tmp_path).to_dict()
+        section, _, key = field.path.rpartition(".")
+        (doc[section] if section else doc)[key] = [1]
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        assert main(["fidelity-scan", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert capsys.readouterr().err == f"validation error: {field.path}: expected {EXPECTED[field.kind]}, got [1]\n"
+        assert not (tmp_path / "scan.csv").exists()
 
 
 class TestRunScan:
@@ -609,6 +662,13 @@ class TestMainExitCodes:
         assert main(["evolve", "--g", "0.2", "--tau-start", "nan"]) == 2
         assert "tau_grid.start: expected a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau", ["1e10", "1e12", "1e16"])
+    def test_evolve_at_long_times(self, capsys, tau):
+        # S(t) passes its own Bogoliubov check wherever the mode phases are finite
+        assert main(["evolve", "--omega-b", "10", "--g", "0.05", "--tau-start", tau]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(f"tau={float(tau):.12g} ") and err == ""
+
     def test_evolve_refuses_an_overflowing_phase(self, capsys):
         # t = 1e308 is a double, but omega_b t is not: refused before S(t) is formed, with no numpy warning
         assert main(["evolve", "--omega-b", "10", "--g", "0.05", "--tau-start", "1e308"]) == 2
@@ -898,6 +958,19 @@ class TestMainExitCodes:
         assert code == 0
         out = capsys.readouterr().out
         assert "effective params" in out and "dropped oscillatory terms" in out
+
+    def test_circuit_map_requires_epsilon_a(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["circuit-map", "--epsilon-b", "5.5"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --epsilon-a" in capsys.readouterr().err
+
+    def test_circuit_map_pumps_default_to_zero(self, capsys):
+        argv = ["circuit-map", "--epsilon-a", "6", "--epsilon-b", "5.5"]
+        args = build_parser().parse_args(argv)
+        assert (args.pump_sq_amp, args.pump_sq_freq, args.pump_bs_amp, args.pump_bs_freq) == (0.0, 0.0, 0.0, 0.0)
+        assert main(argv) == 0
+        assert "dropped oscillatory terms: none (pumps off)" in capsys.readouterr().out
 
     def test_circuit_map_unstable_exit_2(self, capsys):
         code = main(

@@ -285,6 +285,23 @@ class TestEvolutionBlocks:
         with pytest.raises(ValueError, match="finite"):
             evolution_blocks(OscillatorParams(1.0, 1.0, 0.1, 0.2), [0.0, np.inf])
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            OscillatorParams(1.0, 10.0, 0.05, 0.05),
+            OscillatorParams(1.0, 1.3, -0.21, 0.13),
+            OscillatorParams(1.0, 2.0, 0.0, 1.414213),
+        ],
+        ids=["detuned", "general", "near-bound"],
+    )
+    def test_bogoliubov_identities_hold_at_long_times(self, p):
+        # the phases of -kappa_+- are the conjugates of those of kappa_+-: exponentiating the computed
+        # negatives, which are not exact, drifts the pairs apart and broke the identities from t ~ 1e8
+        ts = 10.0 ** np.arange(17)
+        alpha, beta = evolution_blocks(p, ts)
+        defect, _ = bogoliubov_defects(alpha, beta)
+        assert np.all(defect < 1e-11), defect
+
 
 class TestRwaEvolution:
     def test_time_zero(self):
