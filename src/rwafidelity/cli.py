@@ -17,7 +17,8 @@ import os
 import stat
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
-from typing import NamedTuple
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,9 +54,6 @@ __all__ = [
     "main",
 ]
 
-CORE_OUTPUTS = ("fidelity", "bures", "delta_n", "r_plus", "r_minus")
-KNOWN_OUTPUTS = CORE_OUTPUTS + ("c2_prediction",)
-ORACLE_OUTPUTS = ("fidelity_oracle", "delta_n_oracle")
 MAX_STEPS = 10**6  # every column is held in memory as a float array before the rows are written
 # rows per csv_rows or json_rows call: of 128 to 4096, 1024 formatted 2000 CSV rows fastest on a 2-vCPU VM,
 # and the temporaries peak near 1.3 MB at the widest JSON scan (9 columns, about 140 bytes per value)
@@ -66,10 +64,13 @@ class ConfigError(ValueError):
     """Invalid scan configuration, with field-level diagnostics."""
 
 
-def _at(doc: dict, path: str) -> tuple[dict, str]:
-    """The object holding config path [section.]key in doc, and key; a ConfigError names a section that is not one."""
+def _at(doc: dict, path: str, create: bool = False) -> tuple[dict, str]:
+    """The object holding config path [section.]key in doc, and key; create adds a missing section, and a ConfigError
+    names a top level or section that is not an object."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config: the top-level value must be an object, got {type(doc).__name__}")
     section, _, key = path.rpartition(".")
-    holder = doc.get(section, {}) if section else doc
+    holder = (doc.setdefault if create else doc.get)(section, {}) if section else doc
     if not isinstance(holder, dict):
         raise ConfigError(f"{section}: expected an object, got {type(holder).__name__}")
     return holder, key
@@ -120,9 +121,42 @@ SCAN_FIELDS = (
 )
 
 
+class ScanOutput(NamedTuple):
+    """An output column: its name, what it needs, and its values read from the scan's grid, regime and oracle point."""
+
+    name: str
+    needs: str  # "" nothing, "family" perturbative_family, "oracle" oracle.enabled, which writes it unrequested
+    read: Callable[[SimpleNamespace], np.ndarray]  # regime is None outside perturbative_family, point without the oracle
+
+
+# In file order, after tau; the "oracle" row x_oracle is the oracle's value of column x
+OUTPUTS = (
+    ScanOutput("fidelity", "", operator.attrgetter("grid.report.fidelity")),
+    ScanOutput("bures", "", operator.attrgetter("grid.report.bures")),
+    ScanOutput("delta_n", "", operator.attrgetter("grid.delta_n")),
+    ScanOutput("r_plus", "", operator.attrgetter("grid.report.r_plus")),
+    ScanOutput("r_minus", "", operator.attrgetter("grid.report.r_minus")),
+    ScanOutput("c2_prediction", "family", lambda scan: 1.0 / np.sqrt(1.0 + c2_coefficient(scan.regime) * scan.regime.g_tilde**2)),
+    ScanOutput("fidelity_oracle", "oracle", operator.attrgetter("point.fidelity")),
+    ScanOutput("delta_n_oracle", "oracle", operator.attrgetter("point.delta_n")),
+)
+# The ScanSummary fields, in its order: the column each reduces, and how; None when that column is not written
+STATISTICS = {
+    "min_fidelity": ("fidelity", np.min),
+    "max_abs_delta_n": ("delta_n", lambda column: np.abs(column).max()),
+}
+CORE_OUTPUTS = tuple(out.name for out in OUTPUTS if not out.needs)
+ORACLE_OUTPUTS = tuple(out.name for out in OUTPUTS if out.needs == "oracle")
+
+
 def _outside_family(what: str, p: OscillatorParams) -> list[str]:
     """The refusal of what, which needs the resonant laws, when p is outside ``perturbative_family``; else none."""
     return [] if perturbative_family(p) else [f"{what} needs resonant equal couplings with 0 < g/omega < 0.5"]
+
+
+def _unscannable(kind: str) -> list[str]:
+    """The refusal of an initial state kind that has no Gaussian factor; else none."""
+    return [] if kind in ("vacuum", "squeezed") else ["initial_state: scans accept vacuum or squeezed only"]
 
 
 def _time_problems(p: OscillatorParams, tau: float) -> list[str]:
@@ -168,19 +202,19 @@ class ScanConfig:
             problems.append("tau_grid: steps must be at least 2")
         elif self.steps > MAX_STEPS:
             problems.append(f"tau_grid: steps must be at most {MAX_STEPS}")
-        for name in self.outputs:
-            if name not in KNOWN_OUTPUTS:
+        for name in self.outputs:  # compared, not hashed: an entry may be any JSON value
+            if name not in [out.name for out in OUTPUTS if out.needs != "oracle"]:
                 problems.append(f"outputs: unrecognized quantity {name!r}")
-        if self.initial_state.kind not in ("vacuum", "squeezed"):
-            problems.append("initial_state: scans accept vacuum or squeezed only")
-        elif self.initial_state.kind == "vacuum" and self.initial_state.s != 0.0:
+        problems += _unscannable(self.initial_state.kind)
+        if self.initial_state.kind == "vacuum" and self.initial_state.s != 0.0:
             problems.append("initial_state: s needs kind squeezed")
         if self.fmt not in ("csv", "json"):
             problems.append("format: must be csv or json")
         if not (1 <= self.cutoff <= MAX_CUTOFF):
             problems.append(f"oracle: cutoff must be in [1, {MAX_CUTOFF}]")
-        if "c2_prediction" in self.outputs:
-            problems += _outside_family("outputs: c2_prediction", self.params)
+        for out in OUTPUTS:
+            if out.needs == "family" and out.name in self.outputs:
+                problems += _outside_family(f"outputs: {out.name}", self.params)
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -197,14 +231,14 @@ class ScanConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ScanConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config: the top-level value must be an object, got {type(doc).__name__}")
         own = [field for field in SCAN_FIELDS if "." not in field.attr]
         # params first, so that an unstable pair is reported before the fields that follow
         params = OscillatorParams(**{f.attr.partition(".")[2]: f.read(doc) for f in SCAN_FIELDS if "." in f.attr})
         if isinstance(doc.get("initial_state"), str):
             doc = {**doc, "initial_state": {"kind": doc["initial_state"]}}
-        kind = _at(doc, "initial_state.kind")[0].get("kind", ScanConfig.initial_state.kind)
+        kind = _read(doc, "initial_state.kind", str, ScanConfig.initial_state.kind)
+        if problems := _unscannable(kind):  # before InitialState, whose refusal names no config path
+            raise ConfigError("; ".join(problems))
         initial = InitialState(kind=kind, s=_read(doc, "initial_state.s", float, InitialState.s))
         for field in own:
             _at(doc, field.path)  # the sections are checked before outputs, their fields after it
@@ -214,30 +248,19 @@ class ScanConfig:
         values = {field.attr: field.read(doc) for field in own}
         return ScanConfig(params=params, initial_state=initial, outputs=tuple(outputs), **values)
 
-    @staticmethod
-    def from_json(text: str) -> "ScanConfig":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return ScanConfig.from_dict(doc)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 @dataclass(frozen=True)
 class ScanSummary:
-    """Scan statistics; a statistic is None when its column was not requested."""
+    """Scan statistics, one field per entry of STATISTICS; a statistic is None when its column was not requested."""
 
     min_fidelity: float | None
     max_abs_delta_n: float | None
     regime_flags: tuple[str, ...]
 
     def line(self) -> str:
-        flags = ",".join(self.regime_flags) if self.regime_flags else "none"
-        fid, dn = (float("nan") if x is None else x for x in (self.min_fidelity, self.max_abs_delta_n))
-        return f"min_fidelity={fid:.12g} max_abs_delta_n={dn:.12g} regime_flags={flags}"
+        stats = {name: getattr(self, name) for name in STATISTICS}
+        text = " ".join(f"{name}={float('nan') if x is None else x:.12g}" for name, x in stats.items())
+        return f"{text} regime_flags={','.join(self.regime_flags) or 'none'}"
 
 
 def run_scan(cfg: ScanConfig) -> tuple[dict[str, np.ndarray], ScanSummary]:
@@ -245,7 +268,7 @@ def run_scan(cfg: ScanConfig) -> tuple[dict[str, np.ndarray], ScanSummary]:
     p = cfg.params
     taus = np.linspace(cfg.tau_start, cfg.tau_end, cfg.steps)
     ts = taus / p.omega_a
-    values = {"tau": taus}
+    point = None
     if cfg.oracle_enabled:
         # first, so that a request over the oracle's work budget is refused before the grid is paid for
         try:
@@ -254,23 +277,15 @@ def run_scan(cfg: ScanConfig) -> tuple[dict[str, np.ndarray], ScanSummary]:
             if exc.index is None:
                 raise
             raise TruncationError(exc.reason, exc.index, f"tau = {taus[exc.index]:.6g}") from exc
-        values["fidelity_oracle"], values["delta_n_oracle"] = point.fidelity, point.delta_n
     grid = gaussian_grid(cfg.initial_state.factor(), p, ts)
-    values.update(delta_n=grid.delta_n, **vars(grid.report))
-    flags = ("outside-perturbative-family",)
-    if perturbative_family(p):
-        regime = PerturbativeRegime(g_tilde=p.g_bs / p.omega_a, tau=np.abs(taus), s=cfg.initial_state.s)
-        flags = regime.flags
-        if "c2_prediction" in cfg.outputs:
-            values["c2_prediction"] = 1.0 / np.sqrt(1.0 + c2_coefficient(regime) * regime.g_tilde**2)
-    names = ["tau", *(name for name in KNOWN_OUTPUTS if name in cfg.outputs), *(ORACLE_OUTPUTS if cfg.oracle_enabled else ())]
-    columns = {name: np.asarray(values[name], dtype=float) for name in names}
-
-    summary = ScanSummary(
-        min_fidelity=float(columns["fidelity"].min()) if "fidelity" in columns else None,
-        max_abs_delta_n=float(np.abs(columns["delta_n"]).max()) if "delta_n" in columns else None,
-        regime_flags=flags,
-    )
+    family = perturbative_family(p)
+    regime = PerturbativeRegime(g_tilde=p.g_bs / p.omega_a, tau=np.abs(taus), s=cfg.initial_state.s) if family else None
+    flags = regime.flags if family else ("outside-perturbative-family",)
+    scan = SimpleNamespace(grid=grid, regime=regime, point=point)
+    written = (out for out in OUTPUTS if out.name in cfg.outputs or out.needs == "oracle" and cfg.oracle_enabled)
+    columns = {"tau": taus, **{out.name: np.asarray(out.read(scan), dtype=float) for out in written}}
+    stats = (float(reduce(columns[name])) if name in columns else None for name, reduce in STATISTICS.values())
+    summary = ScanSummary(*stats, flags)
     _write_output(cfg, columns, summary)
     return columns, summary
 
@@ -423,29 +438,26 @@ def _add_common_flags(sub: argparse.ArgumentParser):
 
 
 def _document(args) -> dict:
-    """The --config file (or the default scan) as a config document, each given flag written into its field."""
+    """The --config file (or the default scan) as parsed, each given flag written into it; checked once, by from_dict."""
+    doc = {"params": {"omega_a": 1.0, "omega_b": 1.0, "g_bs": 0.05, "g_sq": 0.05}}
     if args.config:
         with open(args.config) as fh:
-            doc = ScanConfig.from_json(fh.read()).to_dict()
-    else:
-        doc = ScanConfig(params=OscillatorParams(1.0, 1.0, 0.05, 0.05)).to_dict()
-    if args.squeezing is not None:
-        doc["initial_state"] = {"kind": "squeezed", "s": args.squeezing} if args.squeezing != 0.0 else {"kind": "vacuum"}
-    if args.g is not None:  # written first, so that --g-bs or --g-sq overrides one of the pair
-        doc["params"].update(g_bs=args.g, g_sq=args.g)
-    for field in SCAN_FIELDS:
-        value = getattr(args, field.flag[2:].replace("-", "_"))  # argparse's own dest
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    state = None if args.squeezing is None else {"kind": "squeezed", "s": args.squeezing} if args.squeezing != 0.0 else {"kind": "vacuum"}
+    # --g is written first, so that --g-bs or --g-sq overrides one of the pair; args holds each flag at argparse's dest
+    flags = [("initial_state", state), ("params.g_bs", args.g), ("params.g_sq", args.g)]
+    for path, value in flags + [(f.path, getattr(args, f.flag[2:].replace("-", "_"))) for f in SCAN_FIELDS]:
         if value is not None:
-            section, key = _at(doc, field.path)
+            section, key = _at(doc, path, create=True)
             section[key] = value
     return doc
 
 
 def _fmt_block(m: np.ndarray) -> str:
-    lines = []
-    for row in m:
-        lines.append("  [" + ", ".join(f"{z.real:+.12g}{z.imag:+.12g}j" for z in row) + "]")
-    return "\n".join(lines)
+    return "\n".join("  [" + ", ".join(f"{z.real:+.12g}{z.imag:+.12g}j" for z in row) + "]" for row in m)
 
 
 def _cmd_validity(args) -> int:
@@ -461,28 +473,27 @@ def _cmd_validity(args) -> int:
 
 def _cmd_evolve(args) -> int:
     doc = _document(args)
-    # evolve reads one time, tau_grid.start, so the rest of the document is checked with the default grid
-    p = ScanConfig.from_dict({**doc, "tau_grid": {}}).params
-    tau = _read(doc, "tau_grid.start", float)
+    # evolve reads one time, tau_grid.start, so the rest of the document (an object) is checked with the default grid
+    p = ScanConfig.from_dict({**_at(doc, "tau_grid")[0], "tau_grid": {}}).params
+    tau = _read(doc, "tau_grid.start", float, ScanConfig.tau_start)
     if problems := _time_problems(p, tau):
         raise ConfigError("; ".join(problems))
     t = tau / p.omega_a
     s = time_evolution(p, t)
-    u = rwa_block(p, t)
     print(f"tau={tau:.12g} (t={t:.12g})")
-    print("full evolution block A(t):")
-    print(_fmt_block(s.alpha))
-    print("full evolution block B(t):")
-    print(_fmt_block(s.beta))
-    print("rwa evolution block:")
-    print(_fmt_block(u))
+    print(f"full evolution block A(t):\n{_fmt_block(s.alpha)}")
+    print(f"full evolution block B(t):\n{_fmt_block(s.beta)}")
+    print(f"rwa evolution block:\n{_fmt_block(rwa_block(p, t))}")
     return 0
 
 
-def _cmd_fidelity_scan(args) -> int:
+def _cmd_scan(args) -> int:
     cfg = ScanConfig.from_dict(_document(args))
-    _, summary = run_scan(cfg)
-    print(f"wrote {cfg.output_path} ({cfg.fmt}, {cfg.steps} rows)")
+    columns, summary = run_scan(cfg)
+    print(args.wrote.format(cfg=cfg))
+    for out in OUTPUTS if args.compare else ():
+        if out.needs == "oracle" and (name := out.name.removesuffix("_oracle")) in columns:
+            print(f"max |{name} - oracle| = {np.max(np.abs(columns[name] - columns[out.name])):.3e}")
     print(summary.line())
     return 0
 
@@ -505,18 +516,6 @@ def _cmd_perturbative_compare(args) -> int:
         law = vacuum_perturbative_fidelity(PerturbativeRegime(g_tilde=g, tau=np.abs(taus)))
         worst = float(np.max(np.abs(exact - law)))
         print(f"max |F_exact - F_perturbative| on the grid: {worst:.3e}")
-    return 0
-
-
-def _cmd_oracle_check(args) -> int:
-    cfg = ScanConfig.from_dict(_document(args))
-    columns, summary = run_scan(cfg)
-    print(f"wrote {cfg.output_path} ({cfg.steps} rows, cutoff {cfg.cutoff})")
-    for name in ("fidelity", "delta_n"):
-        if name in columns:
-            worst = np.max(np.abs(columns[name] - columns[f"{name}_oracle"]))
-            print(f"max |{name} - oracle| = {worst:.3e}")
-    print(summary.line())
     return 0
 
 
@@ -549,14 +548,15 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn, helptext in (
         ("validity", _cmd_validity, "check parameter stability and print normal modes"),
         ("evolve", _cmd_evolve, "print the evolution blocks at one time"),
-        ("fidelity-scan", _cmd_fidelity_scan, "scan fidelity and related quantities over a tau grid"),
+        ("fidelity-scan", _cmd_scan, "scan fidelity and related quantities over a tau grid"),
         ("perturbative-compare", _cmd_perturbative_compare, "fit the small-coupling convergence order"),
-        ("oracle-check", _cmd_oracle_check, "compare against the truncated Fock-space oracle"),
+        ("oracle-check", _cmd_scan, "compare against the truncated Fock-space oracle"),
     ):
         sub = subs.add_parser(name, help=helptext)
         _add_common_flags(sub)
         sub.set_defaults(fn=fn)
-    subs.choices["oracle-check"].set_defaults(oracle=True)
+    subs.choices["fidelity-scan"].set_defaults(wrote="wrote {cfg.output_path} ({cfg.fmt}, {cfg.steps} rows)", compare=False)
+    subs.choices["oracle-check"].set_defaults(oracle=True, wrote="wrote {cfg.output_path} ({cfg.steps} rows, cutoff {cfg.cutoff})", compare=True)
     sub = subs.add_parser("circuit-map", help="map a pumped circuit to effective oscillator parameters")
     for f in fields(CircuitParams):
         need = {"required": True} if f.default is MISSING else {"default": f.default}

@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,7 +64,7 @@ def _subprocess_env(*paths: str) -> dict:
 class TestScanConfig:
     def test_json_roundtrip(self, tmp_path):
         cfg = make_config(tmp_path, initial_state=InitialState("squeezed", s=0.2), oracle_enabled=True, cutoff=24)
-        assert ScanConfig.from_json(cfg.to_json()) == cfg
+        assert ScanConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_validation_messages(self, tmp_path):
         with pytest.raises(ConfigError, match="steps"):
@@ -81,9 +81,10 @@ class TestScanConfig:
         assert (cfg.steps, cfg.cutoff) == (101, 24)
         assert isinstance(cfg.steps, int) and isinstance(cfg.cutoff, int)
 
-    def test_rejects_bad_json(self):
-        with pytest.raises(ConfigError):
-            ScanConfig.from_json("{not json")
+    def test_rejects_bad_json(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text("{not json")
+        assert main(["fidelity-scan", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert capsys.readouterr().err.startswith("validation error: config is not valid JSON: Expecting property name")
 
     def test_to_dict_key_order(self, tmp_path):
         # the JSON output's config block is written in this order
@@ -117,7 +118,7 @@ class TestScanFields:
     @pytest.mark.parametrize("field", SCAN_FIELDS, ids=lambda field: field.path)
     def test_flag_lands_at_its_path_and_attribute(self, tmp_path, monkeypatch, field):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "cfg.json").write_text(make_config(tmp_path, cutoff=12).to_json())
+        (tmp_path / "cfg.json").write_text(json.dumps(make_config(tmp_path, cutoff=12).to_dict()))
         value = FLAG_VALUES[field.path]
         flag = [field.flag] if field.kind is bool else [field.flag, str(value)]
         assert main(["fidelity-scan", "--config", "cfg.json", "--format", "json", "--output", "flagged.json", *flag]) == 0
@@ -134,6 +135,59 @@ class TestScanFields:
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
         assert main(["fidelity-scan", "--config", str(tmp_path / "cfg.json")]) == 2
         assert capsys.readouterr().err == f"validation error: {field.path}: expected {EXPECTED[field.kind]}, got [1]\n"
+        assert not (tmp_path / "scan.csv").exists()
+
+
+FAMILY = "needs resonant equal couplings with 0 < g/omega < 0.5"
+
+
+class TestOutputTable:
+    # each row of cli.OUTPUTS, checked by what it needs, and each entry of cli.STATISTICS
+    def scan(self, tmp_path, outputs, *flags, fmt="csv"):
+        (tmp_path / "cfg.json").write_text(json.dumps({**PARAMS_DOC, "outputs": outputs}))
+        argv = ["fidelity-scan", "--config", str(tmp_path / "cfg.json"), *flags, "--steps", "3", "--cutoff", "12"]
+        return main([*argv, "--format", fmt, "--output", str(tmp_path / f"scan.{fmt}")])
+
+    def header(self, tmp_path):
+        return (tmp_path / "scan.csv").read_text().splitlines()[0].split(",")
+
+    def test_header_follows_row_order(self, tmp_path):
+        requestable = [out.name for out in cli.OUTPUTS if out.needs != "oracle"]
+        assert self.scan(tmp_path, requestable[::-1], "--g", "0.05", "--oracle") == 0
+        assert self.header(tmp_path) == ["tau", *(out.name for out in cli.OUTPUTS)]
+
+    @pytest.mark.parametrize("out", cli.OUTPUTS, ids=operator.attrgetter("name"))
+    def test_row_is_written_as_it_needs(self, tmp_path, capsys, out):
+        if out.needs == "oracle":
+            assert self.scan(tmp_path, [out.name], "--g", "0.05") == 2
+            assert capsys.readouterr().err == f"validation error: outputs: unrecognized quantity {out.name!r}\n"
+            assert self.scan(tmp_path, [], "--g", "0.05", "--oracle") == 0
+            assert self.header(tmp_path) == ["tau", *ORACLE_OUTPUTS] and out.name in ORACLE_OUTPUTS
+            return
+        # a detuned scan is outside perturbative_family
+        assert self.scan(tmp_path, [out.name], "--omega-b", "1.3", "--g", "0.05") == (2 if out.needs == "family" else 0)
+        if out.needs == "family":
+            assert capsys.readouterr().err == f"validation error: outputs: {out.name} {FAMILY}\n"
+        assert self.scan(tmp_path, [out.name], "--g", "0.05") == 0
+        assert self.header(tmp_path) == ["tau", out.name]
+
+    def test_summary_fields_follow_the_statistics(self):
+        assert [f.name for f in fields(ScanSummary)] == [*cli.STATISTICS, "regime_flags"]
+
+    @pytest.mark.parametrize("name", cli.STATISTICS)
+    def test_statistic_is_null_without_its_column(self, tmp_path, name):
+        column, reduce = cli.STATISTICS[name]
+        assert self.scan(tmp_path, [n for n in CORE_OUTPUTS if n != column], fmt="json") == 0
+        assert json.loads((tmp_path / "scan.json").read_text())["summary"][name] is None
+        assert self.scan(tmp_path, [column], "--squeezing", "0.3", fmt="json") == 0
+        doc = json.loads((tmp_path / "scan.json").read_text())
+        assert doc["summary"][name] == float(reduce(np.array([row[column] for row in doc["rows"]])))
+
+    @pytest.mark.parametrize("entry", [[1], {"a": 1}], ids=["list", "object"])
+    def test_unhashable_output_entry_exit_2(self, tmp_path, capsys, entry):
+        # entries are compared with the row names, never hashed, so any JSON value is refused by name
+        assert self.scan(tmp_path, ["fidelity", entry]) == 2
+        assert capsys.readouterr().err == f"validation error: outputs: unrecognized quantity {entry!r}\n"
         assert not (tmp_path / "scan.csv").exists()
 
 
@@ -724,6 +778,9 @@ class TestMainExitCodes:
             ({**PARAMS_DOC, "tau_grid": {"end": float("nan")}}, "tau_grid.end: expected a finite number, got nan"),
             ({"params": {"omega_a": 10**400, "omega_b": 1.0}}, "params.omega_a"),
             ({**PARAMS_DOC, "initial_state": {"kind": "vacuum", "s": 0.5}}, "initial_state: s needs kind squeezed"),
+            ({**PARAMS_DOC, "initial_state": {"kind": 5}}, "initial_state.kind: expected a str, got 5"),
+            ({**PARAMS_DOC, "initial_state": {"kind": None}}, "initial_state.kind: expected a str, got None"),
+            ({**PARAMS_DOC, "initial_state": {"kind": "foo"}}, "initial_state: scans accept vacuum or squeezed only"),
         ],
         ids=[
             "null-field",
@@ -737,14 +794,42 @@ class TestMainExitCodes:
             "nan-literal",
             "int-beyond-float",
             "vacuum-with-s",
+            "int-kind",
+            "null-kind",
+            "unknown-kind",
         ],
     )
-    def test_malformed_config_exit_2(self, tmp_path, capsys, doc, field):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(doc))
-        assert main(["fidelity-scan", "--config", str(cfg_path), "--output", str(tmp_path / "x.csv")]) == 2
+    def test_malformed_config_exit_2(self, tmp_path, monkeypatch, capsys, doc, field):
+        # the file alone: a flag would overwrite its field first (--output repairs "output_path": null)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        assert main(["fidelity-scan", "--config", "cfg.json"]) == 2
         err = capsys.readouterr().err
         assert "validation error" in err and field in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize(
+        "doc, flags, complete",
+        [
+            ({"params": {"omega_a": 1}}, ["--omega-b", "1"], {"params": {"omega_a": 1, "omega_b": 1}}),
+            (
+                {"params": {"omega_a": 1, "omega_b": 1, "g_bs": 0.7, "g_sq": 0.7}},
+                ["--g", "0.1"],
+                {"params": {"omega_a": 1, "omega_b": 1, "g_bs": 0.1, "g_sq": 0.1}},
+            ),
+        ],
+        ids=["partial", "unstable"],
+    )
+    def test_flag_completes_or_repairs_the_config(self, tmp_path, capsys, doc, flags, complete):
+        # the flags are written into the file's document, which is then checked once, like a complete file
+        out_path = tmp_path / "scan.json"
+        written = []
+        for name, config, extra in ("flagged", doc, flags), ("complete", complete, []):
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+            argv = ["fidelity-scan", "--config", str(tmp_path / f"{name}.json"), *extra, "--format", "json", "--output", str(out_path)]
+            assert main(argv) == 0
+            written.append((out_path.read_bytes(), capsys.readouterr()))
+        assert written[0] == written[1]
 
     def test_internal_consistency_failure_exit_1(self, tmp_path, capsys, monkeypatch):
         # a corrupted RWA half of the mode table breaks the Bogoliubov identities of S_eff:
@@ -834,7 +919,7 @@ class TestMainExitCodes:
     )
     def test_flag_overwrites_one_config_field(self, tmp_path, flags, path, expected):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(make_config(tmp_path, initial_state=InitialState("squeezed", s=0.2)).to_json())
+        cfg_path.write_text(json.dumps(make_config(tmp_path, initial_state=InitialState("squeezed", s=0.2)).to_dict()))
         out_path = tmp_path / "out.json"
         assert main(["fidelity-scan", "--config", str(cfg_path), *flags, "--format", "json", "--output", str(out_path)]) == 0
         doc = json.loads(out_path.read_text())
@@ -870,18 +955,39 @@ class TestMainExitCodes:
         out_path = tmp_path / "from_cfg.csv"
         cfg = make_config(tmp_path, output_path=str(out_path), steps=3)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(cfg.to_json())
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
         assert main(["fidelity-scan", "--config", str(cfg_path)]) == 0
         assert out_path.exists()
 
-    def test_oracle_check(self, tmp_path, capsys):
-        out_path = str(tmp_path / "oc.csv")
-        code = main(
-            ["oracle-check", "--omega-a", "1", "--omega-b", "1", "--g", "0.05", "--tau-end", "3", "--steps", "4", "--cutoff", "24", "--output", out_path]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "max |fidelity - oracle|" in out
+    @pytest.mark.parametrize(
+        "command, outputs, flags",
+        [
+            ("fidelity-scan", CORE_OUTPUTS, []),
+            ("fidelity-scan", CORE_OUTPUTS, ["--oracle"]),
+            ("oracle-check", CORE_OUTPUTS, []),
+            ("oracle-check", ["delta_n"], []),
+            ("oracle-check", [], []),
+        ],
+        ids=["scan", "scan-oracle", "oracle-check", "oracle-check-delta-n", "oracle-check-no-outputs"],
+    )
+    def test_scan_stdout(self, tmp_path, monkeypatch, capsys, command, outputs, flags):
+        # the whole stdout, from the columns written: the wrote line, oracle-check's (and only its)
+        # distance of fidelity and delta_n from the oracle, where written, and the summary
+        monkeypatch.chdir(tmp_path)
+        doc = {"params": {"omega_a": 1.0, "omega_b": 1.0, "g_bs": 0.05, "g_sq": 0.05}, "outputs": list(outputs)}
+        (tmp_path / "cfg.json").write_text(json.dumps({**doc, "tau_grid": {"end": 2.0, "steps": 3}, "oracle": {"cutoff": 24}}))
+        assert main([command, "--config", "cfg.json", *flags]) == 0
+        with open("scan.csv", newline="") as fh:
+            columns = {name: np.array(values, dtype=float) for name, *values in zip(*csv.reader(fh))}
+        lines = ["wrote scan.csv (3 rows, cutoff 24)" if command == "oracle-check" else "wrote scan.csv (csv, 3 rows)"]
+        for name in ("fidelity", "delta_n") if command == "oracle-check" else ():
+            if name in columns:
+                lines.append(f"max |{name} - oracle| = {np.max(np.abs(columns[name] - columns[name + '_oracle'])):.3e}")
+        fid = min(columns["fidelity"]) if "fidelity" in columns else float("nan")
+        dn = max(abs(columns["delta_n"])) if "delta_n" in columns else float("nan")
+        lines.append(f"min_fidelity={fid:.12g} max_abs_delta_n={dn:.12g} regime_flags=none")
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+        assert list(columns) == ["tau", *outputs, *(ORACLE_OUTPUTS if command == "oracle-check" or flags else ())]
 
     def test_oracle_check_over_work_budget_exit_2(self, tmp_path, capsys):
         start = time.perf_counter()
@@ -925,14 +1031,6 @@ class TestMainExitCodes:
         assert main(["fidelity-scan", "--steps", str(MAX_STEPS + 1), "--output", str(tmp_path / "out.csv")]) == 2
         assert f"tau_grid: steps must be at most {MAX_STEPS}" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
-
-    def test_oracle_check_without_fidelity_column(self, tmp_path, capsys):
-        cfg = make_config(tmp_path, outputs=("delta_n",), tau_end=2.0, steps=3, cutoff=24)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(cfg.to_json())
-        assert main(["oracle-check", "--config", str(cfg_path)]) == 0
-        out = capsys.readouterr().out
-        assert "max |delta_n - oracle|" in out and "max |fidelity - oracle|" not in out
 
     def test_perturbative_compare_slope(self, capsys):
         code = main(["perturbative-compare", "--omega-a", "1", "--omega-b", "1", "--g", "0.1", "--tau-end", "5", "--steps", "6"])
