@@ -22,9 +22,9 @@ and a window's RWA phases are rotations by its few distinct time steps.
 
 Both couplings change n_a + n_b by 0 or 2 (a'b keeps it, a'b' raises it by
 2), so H conserves its parity, and every initial state here (a Fock state,
-the vacuum, the squeezed pair) lies in one parity sector.  Only that sector
-is propagated, so a Chebyshev term touches half the basis; the other half
-stays exactly zero, and `evolved_pair` returns it as zeros.
+the vacuum, the squeezed pair) lies in one parity sector.  Amplitudes live on
+that sector alone (`FockBasis`), so a Chebyshev term touches half the basis,
+and `evolved_pair` returns sector amplitudes.
 
 The RWA copy keeps only a'b + ab', which conserves N = n_a + n_b itself, so it
 is solved, not propagated: `RwaBlocks` diagonalizes once each tridiagonal
@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -93,83 +92,42 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Two-mode number basis truncated at a per-mode occupation cutoff."""
+    """The parity sectors of the two-mode number basis truncated at a per-mode occupation cutoff.
+
+    Laid out with an odd row stride, cutoff + 1 or cutoff + 2 past a dead
+    column n_b = cutoff + 1, the flat index n_a stride + n_b has the parity of
+    n_a + n_b, so a sector is every second entry of that grid, dead column
+    included.  The dead column holds no state, and every weight on it is zero.
+    """
 
     cutoff: int
 
     def __post_init__(self):
+        if isinstance(self.cutoff, bool) or not isinstance(self.cutoff, (int, np.integer)):
+            raise ValueError(f"cutoff must be an integer, got {self.cutoff!r}")
         if not (1 <= self.cutoff <= MAX_CUTOFF):
             raise ValueError(f"cutoff must be in [1, {MAX_CUTOFF}]")
 
     @property
-    def dim(self) -> int:
-        return (self.cutoff + 1) ** 2
-
-    def index(self, n_a: int, n_b: int) -> int:
-        c = self.cutoff
-        if not (0 <= n_a <= c and 0 <= n_b <= c):
-            raise ValueError(f"occupation ({n_a}, {n_b}) outside cutoff {c}")
-        return n_a * (c + 1) + n_b
-
-    def occupations(self, idx):
-        """(n_a, n_b) of a flat index, or of an array of them."""
-        return divmod(idx, self.cutoff + 1)
-
-    # built once per basis and shared by every vector on it, hence read-only
-    @cached_property
-    def number_vector(self) -> np.ndarray:
-        n = np.add(*self.occupations(np.arange(self.dim))).astype(float)
-        n.flags.writeable = False
-        return n
-
-    @cached_property
-    def boundary_mask(self) -> np.ndarray:
-        mask = np.maximum(*self.occupations(np.arange(self.dim))) == self.cutoff
-        mask.flags.writeable = False
-        return mask
-
-    @property
     def stride(self) -> int:
-        """Odd row stride of the sector layout: cutoff + 1, or cutoff + 2 past a dead column n_b = cutoff + 1."""
         return self.cutoff + 1 + self.cutoff % 2
 
-    def parity(self, amplitudes: np.ndarray) -> int:
-        """Parity of n_a + n_b shared by every nonzero amplitude."""
-        occupied = self.number_vector[np.flatnonzero(amplitudes)] % 2
-        if not occupied.size or np.any(occupied != occupied[0]):
-            raise ValueError("the amplitudes do not lie in one parity sector of n_a + n_b")
-        return int(occupied[0])
+    def occupations(self, parity: int) -> tuple[np.ndarray, np.ndarray]:
+        """(n_a, n_b) of each entry of the sector of the given parity of n_a + n_b; n_b = cutoff + 1 on the dead column."""
+        return divmod(np.arange(parity, (self.cutoff + 1) * self.stride, 2), self.stride)
 
-    def sector(self, values: np.ndarray, parity: int) -> np.ndarray:
-        """Entries of a basis array with n_a + n_b of the given parity, in sector order.
-
-        Laid out with row stride `stride`, the flat index n_a stride + n_b has the
-        parity of n_a + n_b, so the sector is every second entry; the dead column
-        is zero (False for a mask).
-        """
-        c = self.cutoff
-        grid = np.zeros((c + 1, self.stride), dtype=values.dtype)
-        grid[:, : c + 1] = values.reshape(c + 1, c + 1)
-        return grid.ravel()[parity::2].copy()
-
-    def from_sector(self, values: np.ndarray, parity: int) -> np.ndarray:
-        """The basis array of sector entries, exactly zero off the sector."""
-        c = self.cutoff
-        grid = np.zeros((c + 1) * self.stride, dtype=values.dtype)
-        grid[parity::2] = values
-        return grid.reshape(c + 1, self.stride)[:, : c + 1].ravel()
+    def position(self, n_a, n_b):
+        """Entry of (n_a, n_b) in its sector, or an array of them."""
+        return (n_a * self.stride + n_b) // 2
 
 
 @dataclass(frozen=True, eq=False)
 class GridHamiltonian:
-    """H = wa n_a + wb n_b + g_bs (a'b + ab') + g_sq (a'b' + ab) on flat amplitudes.
+    """H = wa n_a + wb n_b + g_bs (a'b + ab') + g_sq (a'b' + ab) on the amplitudes of a parity sector.
 
-    The amplitudes are those of the basis or of one parity sector.  A
-    coupling links k to k + d through weights H[k + d, k] that are zero where
-    the shift leaves the grid; d is the number of entries the weights lack.  On
-    the basis (index n_a (cutoff+1) + n_b) d is cutoff for a'b and cutoff + 2
-    for a'b'; on a sector (FockBasis.sector) they are (stride - 1) / 2 and
-    (stride + 1) / 2.
+    A coupling links k to k + d through weights H[k + d, k] that are zero
+    where the shift leaves the grid; d is the number of entries the weights
+    lack, (stride - 1) / 2 for a'b and (stride + 1) / 2 for a'b'.
     """
 
     diagonal: np.ndarray  # H[k, k]
@@ -177,21 +135,14 @@ class GridHamiltonian:
     sq: np.ndarray  # H[k + d, k] of a'b'
 
     @classmethod
-    def build(cls, p: OscillatorParams, basis: FockBasis, g_sq: float, parity: int | None = None) -> "GridHamiltonian":
-        """H with g_sq in place of p.g_sq; g_sq = 0 is the RWA.
-
-        On the whole basis, or on the sector of the given parity of n_a + n_b.
-        """
+    def build(cls, p: OscillatorParams, basis: FockBasis, g_sq: float, parity: int) -> "GridHamiltonian":
+        """H with g_sq in place of p.g_sq on the sector of the given parity of n_a + n_b; g_sq = 0 is the RWA."""
         c = basis.cutoff
-        n_a, n_b = basis.occupations(np.arange(basis.dim))
+        n_a, n_b = basis.occupations(parity)
         up = np.sqrt(n_a + 1.0) * (n_a < c)
-        diagonal = p.omega_a * n_a + p.omega_b * n_b
-        bs, sq = p.g_bs * up * np.sqrt(n_b), g_sq * (up * np.sqrt(n_b + 1.0) * (n_b < c))
-        d_bs, d_sq = c, c + 2
-        if parity is not None:
-            diagonal, bs, sq = (basis.sector(v, parity) for v in (diagonal, bs, sq))
-            d_bs, d_sq = basis.stride // 2, basis.stride // 2 + 1
-        return cls(diagonal, bs[:-d_bs], sq[:-d_sq])
+        weights = p.omega_a * n_a + p.omega_b * n_b, p.g_bs * up * np.sqrt(n_b), g_sq * (up * np.sqrt(n_b + 1.0) * (n_b < c))
+        diagonal, bs, sq = (np.where(n_b <= c, w, 0.0) for w in weights)  # zero on the dead column
+        return cls(diagonal, bs[: -(basis.stride // 2)], sq[: -(basis.stride // 2 + 1)])
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
         dtype = np.result_type(self.diagonal, psi)
@@ -270,8 +221,11 @@ def chebyshev_coefficients(x) -> np.ndarray:
 
 
 def fock_vector(basis: FockBasis, n_a: int, n_b: int) -> np.ndarray:
-    amp = np.zeros(basis.dim)
-    amp[basis.index(n_a, n_b)] = 1.0
+    """Amplitudes of |n_a, n_b> on its sector."""
+    if not (0 <= n_a <= basis.cutoff and 0 <= n_b <= basis.cutoff):
+        raise ValueError(f"occupation ({n_a}, {n_b}) outside cutoff {basis.cutoff}")
+    amp = np.zeros(len(basis.occupations((n_a + n_b) % 2)[0]))
+    amp[basis.position(n_a, n_b)] = 1.0
     return amp
 
 
@@ -290,19 +244,20 @@ def squeezed_mode_amplitudes(s: float, cutoff: int) -> np.ndarray:
 
 
 def squeezed_vector(basis: FockBasis, s: float) -> tuple[np.ndarray, float]:
-    """Amplitudes of the truncated squeezed-pair state and the discarded weight before renormalization."""
+    """Amplitudes of the truncated squeezed-pair state on the even sector and the discarded weight before renormalization."""
     mode = squeezed_mode_amplitudes(s, basis.cutoff)
-    amp = np.kron(mode, mode)
-    weight = float(np.sum(amp**2))
+    # summed on the product's (n_a, n_b) grid, so that its rounding does not hang on the sector layout
+    weight = float(np.sum(np.outer(mode, mode) ** 2))
     discarded = 1.0 - weight
     if discarded > TAIL_TOL:
         raise TruncationError(f"initial squeezed state loses weight {discarded:.3e} at cutoff {basis.cutoff}")
-    amp /= math.sqrt(weight)
-    return amp, discarded
+    n_a, n_b = basis.occupations(0)
+    mode = np.append(mode, 0.0)  # zero on the dead column
+    return mode[n_a] * mode[n_b] / math.sqrt(weight), discarded
 
 
 def initial_vector(basis: FockBasis, initial: InitialState) -> tuple[np.ndarray, float]:
-    """Amplitudes of the initial state and their discarded weight; the vacuum is |0, 0>."""
+    """Amplitudes of the initial state on its sector, of parity n_a + n_b, and their discarded weight; the vacuum is |0, 0>."""
     if initial.kind == "squeezed":
         return squeezed_vector(basis, initial.s)
     return fock_vector(basis, initial.n_a, initial.n_b), 0.0
@@ -332,7 +287,7 @@ def number_blocks(basis: FockBasis, psi: np.ndarray, parity: int) -> tuple[np.nd
     n_a = np.maximum(total - c, 0) + np.arange(c + 1)
     valid = n_a <= np.minimum(total, c)
     n_a, n_b = np.where(valid, n_a, -1), np.where(valid, total - n_a, -1)
-    weight = np.sum(np.abs(np.where(valid, psi[(n_a * basis.stride + n_b) // 2], 0.0)) ** 2, axis=1)
+    weight = np.sum(np.abs(np.where(valid, psi[basis.position(n_a, n_b)], 0.0)) ** 2, axis=1)
     kept = weight > np.finfo(float).eps ** 2 / len(weight)
     width = int(valid[kept].sum(axis=1).max())
     return n_a[kept, :width], n_b[kept, :width]
@@ -355,7 +310,7 @@ class RwaBlocks:
         """Blocks (n_a, n_b) from `number_blocks`; psi0 holds the sector amplitudes at t = 0."""
         self.valid = valid = n_a >= 0
         # padding reads sector position 0, always through a zero entry of V
-        self.index = np.where(valid, (n_a * basis.stride + n_b) // 2, 0)
+        self.index = np.where(valid, basis.position(n_a, n_b), 0)
         sizes = valid.sum(axis=1)
         # each block is diagonalized about its mean energy, since eigh's error scales with
         # the norm it sees and E t reaches thousands of radians
@@ -418,19 +373,16 @@ class FockOracle:
     def __init__(self, p: OscillatorParams, cutoff: int):
         self.params = p
         self.basis = FockBasis(cutoff)
-        lo, hi = GridHamiltonian.build(p, self.basis, p.g_sq).spectral_bounds()
-        self._centre, self._half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        self._recurrences = {}
-
-    def _recurrence(self, parity: int) -> tuple[GridHamiltonian, GridHamiltonian]:
-        """L = 2 (H - centre) / half on one parity sector, for T_(k+1) = L T_k - T_(k-1), built on first use:
-        on real amplitudes, and with each weight repeated (so `_shifted` doubles each shift) on complex ones
-        as (real, imaginary) float pairs."""
-        if parity not in self._recurrences:
-            h = GridHamiltonian.build(self.params, self.basis, self.params.g_sq, parity)
+        sectors = [GridHamiltonian.build(p, self.basis, p.g_sq, parity) for parity in (0, 1)]
+        # every row of H is a row of one sector, so these are the whole basis's Gershgorin bounds
+        lo, hi = zip(*(h.spectral_bounds() for h in sectors))
+        self._centre, self._half = 0.5 * (max(hi) + min(lo)), 0.5 * (max(hi) - min(lo))
+        # per sector, L = 2 (H - centre) / half for T_(k+1) = L T_k - T_(k-1): on real amplitudes, and with
+        # each weight repeated (so `_shifted` doubles each shift) on complex ones as (real, imaginary) float pairs
+        self._recurrences = []
+        for h in sectors:
             weights = [w * (2.0 / self._half) for w in (h.diagonal - self._centre, h.bs, h.sq)]
-            self._recurrences[parity] = GridHamiltonian(*weights), GridHamiltonian(*(np.repeat(w, 2) for w in weights))
-        return self._recurrences[parity]
+            self._recurrences.append((GridHamiltonian(*weights), GridHamiltonian(*(np.repeat(w, 2) for w in weights))))
 
     def _windows(self, ts: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
         """ts's positions in ascending order of time, its window edges in that order, and each window's anchor and terms.
@@ -465,15 +417,16 @@ class FockOracle:
         first, count = np.array(edges[:-1], dtype=int), np.diff(edges)
         return order, np.array(edges), anchor[first], terms(first, count)
 
-    def _trajectory(self, psi0: np.ndarray, parity: int, ts: np.ndarray) -> tuple[RwaBlocks, Iterator[tuple]]:
-        """psi0's RWA blocks, and per window of ts its (positions, times, sector states under the full H).
+    def _trajectory(self, psi: np.ndarray, parity: int, ts: np.ndarray) -> tuple[RwaBlocks, Iterator[tuple]]:
+        """psi's RWA blocks, and per window of ts its (positions, times, sector states under the full H).
+
+        psi holds the amplitudes of the sector of the given parity.
 
         Raises ValueError, before any block is diagonalized or coefficient
         built, if a time is not finite or the work is over WORK_BUDGET.
         """
         if not np.all(np.isfinite(ts)):
             raise ValueError("the oracle's times must be finite")
-        psi = self.basis.sector(psi0, parity)
         n_a, n_b = number_blocks(self.basis, psi, parity)
         # each time of a window holds its state and its RWA eigenbasis amplitudes, padding and all
         size = len(psi) + n_a.size
@@ -500,7 +453,7 @@ class FockOracle:
         rows = CHUNK + 2
         flat, scratch = np.empty(rows * 2 * len(psi)), np.empty(2 * len(psi))
         kernels = []
-        for h in self._recurrence(parity):
+        for h in self._recurrences[parity]:
             buf = flat[: rows * len(h.diagonal)].reshape(rows, -1)
             kernels.append((buf, [h._shifted(*pair, scratch[: len(h.diagonal)]) for pair in zip(buf, buf[1:])], h))
         counts = np.diff(edges)
@@ -573,26 +526,24 @@ class FockOracle:
                 start = k + 1
 
     def evolved_pair(self, initial: InitialState, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """Amplitudes (full, rwa) on the basis at time t and the initial state's discarded weight."""
+        """Amplitudes (full, rwa) on the initial state's sector at time t and its discarded weight."""
         psi0, discarded = initial_vector(self.basis, initial)
-        parity = self.basis.parity(psi0)
-        rwa, windows = self._trajectory(psi0, parity, np.array([t], dtype=float))
+        rwa, windows = self._trajectory(psi0, (initial.n_a + initial.n_b) % 2, np.array([t], dtype=float))
         ((_, times, states),) = windows
-        psi_rwa = rwa.amplitudes(rwa.coefficients(times), states.shape[1])
-        return self.basis.from_sector(states[0], parity), self.basis.from_sector(psi_rwa, parity), discarded
+        return states[0], rwa.amplitudes(rwa.coefficients(times), states.shape[1]), discarded
 
     def compare(self, initial: InitialState, ts) -> OraclePoint:
         """Oracle outputs over an array of times, or float fields for a scalar t."""
         psi0, tail = initial_vector(self.basis, initial)
-        parity = self.basis.parity(psi0)
-        edge = np.flatnonzero(self.basis.sector(self.basis.boundary_mask, parity))
-        n = self.basis.sector(self.basis.number_vector, parity)
+        parity, c = (initial.n_a + initial.n_b) % 2, self.basis.cutoff
+        n_a, n_b = self.basis.occupations(parity)
+        edge, n = np.flatnonzero(np.maximum(n_a, n_b) == c), np.where(n_b <= c, n_a + n_b, 0.0)
         times = np.asarray(ts, dtype=float)
         fid, d_n = np.empty(times.size), np.empty(times.size)
         rwa, windows = self._trajectory(psi0, parity, times.ravel())
         # H_RWA commutes with N, so <N> keeps its initial value exactly, truncation included;
         # summed as the full side is, so that delta_n is exactly 0 at t = 0
-        n_rwa = np.sum(n * _density(self.basis.sector(psi0, parity)))
+        n_rwa = np.sum(n * _density(psi0))
 
         def measure(t: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             """Worst truncation tail, fidelity and delta_n at each time of a window."""
@@ -620,8 +571,10 @@ def _density(psi: np.ndarray) -> np.ndarray:
 
 def fock_bound(n_a: int, n_b: int, g: float, omega: float, t: float) -> float:
     """Resonant worst-case bound on ||(U - U_RWA)|n_a, n_b>||, even in g and t as the distance is."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if n_a < 0 or n_b < 0:
+        raise ValueError("occupations n_a, n_b must be nonnegative")
+    if not (math.isfinite(g) and math.isfinite(t) and 0 < omega < math.inf):
+        raise ValueError("g and t must be finite and omega finite and positive")
     total, g = n_a + n_b, abs(g)
     return 2.0 * (g / omega) * (total + 4) ** 2 * (1.0 + 6.0 * g * abs(t) * (total + 4))
 
@@ -633,8 +586,8 @@ class BoundCheckResult:
     satisfied: bool
 
 
-def _propagation_distance(p: OscillatorParams, n_a: int, n_b: int, t: float, cutoff: int) -> float:
-    psi_full, psi_rwa, _ = FockOracle(p, cutoff).evolved_pair(InitialState("fock", n_a=n_a, n_b=n_b), t)
+def _propagation_distance(p: OscillatorParams, initial: InitialState, t: float, cutoff: int) -> float:
+    psi_full, psi_rwa, _ = FockOracle(p, cutoff).evolved_pair(initial, t)
     return float(np.linalg.norm(psi_full - psi_rwa))
 
 
@@ -644,6 +597,8 @@ def bound_check(n_a: int, n_b: int, p: OscillatorParams, t: float, cutoff: int) 
     The distance is recomputed at double the cutoff; a shift beyond the
     certification tolerance means the truncation is too small.
     """
+    initial = InitialState("fock", n_a=n_a, n_b=n_b)
+    FockBasis(cutoff)  # with the occupations, refused before any work whatever the couplings
     if not p.resonant:
         raise ValueError("the bound is derived on resonance")
     if not p.equal_couplings:
@@ -654,8 +609,8 @@ def bound_check(n_a: int, n_b: int, p: OscillatorParams, t: float, cutoff: int) 
     if p.g_sq == 0.0:
         # equal couplings, so H is its own RWA and U = U_RWA exactly; two propagations would differ by rounding
         return BoundCheckResult(z_exact=0.0, z_max=z_max, satisfied=True)
-    z_base = _propagation_distance(p, n_a, n_b, t, cutoff)
-    z_doubled = _propagation_distance(p, n_a, n_b, t, 2 * cutoff)
+    z_base = _propagation_distance(p, initial, t, cutoff)
+    z_doubled = _propagation_distance(p, initial, t, 2 * cutoff)
     if abs(z_doubled - z_base) > BOUND_CERT_TOL:
         raise TruncationError(f"doubling the cutoff moves the distance by {abs(z_doubled - z_base):.3e}; raise the cutoff")
     return BoundCheckResult(z_exact=z_doubled, z_max=z_max, satisfied=z_doubled <= z_max)

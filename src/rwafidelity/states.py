@@ -41,6 +41,8 @@ class InitialState:
     def __post_init__(self):
         if self.kind not in ("vacuum", "squeezed", "fock"):
             raise ValueError(f"unknown initial state kind {self.kind!r}")
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in (self.n_a, self.n_b)):
+            raise ValueError(f"occupations n_a, n_b must be integers, got {self.n_a!r}, {self.n_b!r}")
         if self.kind == "fock" and (self.n_a < 0 or self.n_b < 0):
             raise ValueError("fock occupations must be nonnegative")
         if self.kind != "fock" and (self.n_a or self.n_b):

@@ -8,7 +8,9 @@ normal-mode frequencies kappa_+-, the closed-form equal-couplings
 diagonalizer, the covariance-matrix layer (a state as sigma = s0 s0^dag, its
 symplectic eigenvalues, the general mixed-state Gaussian fidelity), the
 number-moment route to the vacuum fidelity, the closed and detuning-linear
-forms of the q coefficients, and one-call wrappers around the Fock oracle.
+forms of the q coefficients, one-call wrappers around the Fock oracle, and
+the lift of its parity-sector amplitudes to the whole number basis, the
+layout of the dense references.
 No reference here calls the package route it checks: the RWA evolution and
 the diagonalizer rest on the closed forms, not on ``rwa_block`` or
 ``normal_mode_frequencies``, and S_eff composes the closed RWA block with the
@@ -28,7 +30,7 @@ from rwafidelity.dynamics import (
     colpa,
     hamiltonian_matrix,
 )
-from rwafidelity.fockoracle import FockOracle
+from rwafidelity.fockoracle import FockBasis, FockOracle
 from rwafidelity.metrics import CROSS_CHECK_TOL, gaussian_grid
 from rwafidelity.states import InitialState, vacuum
 
@@ -404,7 +406,7 @@ def q_epsilon_linear(g: float, eps: float) -> tuple[float, float, float, float]:
     )
 
 
-# -- Fock oracle, one time per call ------------------------------------------------------
+# -- Fock oracle: one time per call, and its amplitudes on the whole basis --------------
 
 
 def oracle_fidelity(p: OscillatorParams, initial: InitialState, t: float, cutoff: int) -> float:
@@ -415,3 +417,15 @@ def oracle_fidelity(p: OscillatorParams, initial: InitialState, t: float, cutoff
 def oracle_delta_n(p: OscillatorParams, initial: InitialState, t: float, cutoff: int) -> float:
     """Excitation surplus of the full over the RWA propagation."""
     return FockOracle(p, cutoff).compare(initial, t).delta_n
+
+
+def full_basis(basis: FockBasis, values: np.ndarray, parity: int) -> np.ndarray:
+    """Sector values along the last axis, lifted to the whole basis |n_a, n_b> at flat index n_a (cutoff + 1) + n_b.
+
+    Zero off the sector; the dead column of an odd cutoff is dropped.
+    """
+    n_a, n_b = basis.occupations(parity)
+    live = n_b <= basis.cutoff
+    out = np.zeros(values.shape[:-1] + ((basis.cutoff + 1) ** 2,), dtype=values.dtype)
+    out[..., n_a[live] * (basis.cutoff + 1) + n_b[live]] = values[..., live]
+    return out

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from reference import oracle_delta_n, oracle_fidelity
+from reference import full_basis, oracle_delta_n, oracle_fidelity
 from rwafidelity import fockoracle
 from rwafidelity.dynamics import OscillatorParams
 from rwafidelity.fockoracle import (
@@ -19,40 +19,78 @@ from rwafidelity.fockoracle import (
     chebyshev_coefficients,
     fock_bound,
     fock_vector,
+    initial_vector,
     squeezed_mode_amplitudes,
     squeezed_vector,
 )
 from rwafidelity.metrics import delta_n, fidelity_eff
 from rwafidelity.states import InitialState, squeezed_pair, vacuum
 
+# the dense references live on the whole basis |n_a, n_b>, flat index n_a (cutoff + 1) + n_b; the
+# oracle's sector amplitudes reach them through reference.full_basis
+
+
+def full_index(basis, n_a, n_b):
+    return n_a * (basis.cutoff + 1) + n_b
+
+
+def full_occupations(basis):
+    """(n_a, n_b) of every entry of the whole basis."""
+    return divmod(np.arange((basis.cutoff + 1) ** 2), basis.cutoff + 1)
+
+
+def full_boundary(basis):
+    return np.maximum(*full_occupations(basis)) == basis.cutoff
+
+
+def sector_number(basis, parity):
+    """n_a + n_b on the sector, 0 on the dead column, as the oracle weighs it."""
+    n_a, n_b = basis.occupations(parity)
+    return np.where(n_b <= basis.cutoff, n_a + n_b, 0)
+
+
+def parity_of(initial):
+    return (initial.n_a + initial.n_b) % 2
+
 
 def build_hamiltonian(p, basis, variant="full"):
     """Dense reference H on the truncated basis, filled entry by entry."""
     c = basis.cutoff
     g_sq = 0.0 if variant == "rwa" else p.g_sq
-    h = np.zeros((basis.dim, basis.dim))
+    h = np.zeros(((c + 1) ** 2,) * 2)
     for n_a in range(c + 1):
         for n_b in range(c + 1):
-            k = basis.index(n_a, n_b)
+            k = full_index(basis, n_a, n_b)
             h[k, k] = p.omega_a * n_a + p.omega_b * n_b
             if n_a < c and n_b > 0:
-                j = basis.index(n_a + 1, n_b - 1)
+                j = full_index(basis, n_a + 1, n_b - 1)
                 h[j, k] = h[k, j] = p.g_bs * math.sqrt((n_a + 1) * n_b)
             if n_a < c and n_b < c:
-                j = basis.index(n_a + 1, n_b + 1)
+                j = full_index(basis, n_a + 1, n_b + 1)
                 h[j, k] = h[k, j] = g_sq * math.sqrt((n_a + 1) * (n_b + 1))
     return h
 
 
+def sector_matrix(p, basis, g_sq, parity):
+    """The production operator on one sector as a matrix: column k is H applied to sector vector k."""
+    h = GridHamiltonian.build(p, basis, g_sq, parity)
+    return h(np.eye(len(h.diagonal))).T
+
+
 def materialized(p, basis, variant="full"):
-    """The production operator as a matrix: column k is H applied to basis vector k."""
+    """The production operator as a matrix on the whole basis, one parity sector at a time."""
     g_sq = 0.0 if variant == "rwa" else p.g_sq
-    return GridHamiltonian.build(p, basis, g_sq)(np.eye(basis.dim)).T
+    return sum(full_basis(basis, full_basis(basis, sector_matrix(p, basis, g_sq, parity), parity).T, parity) for parity in (0, 1))
 
 
 def dense_propagate(h, amplitudes, t):
     energies, modes = np.linalg.eigh(h)
     return modes @ (np.exp(-1j * energies * t) * (modes.T @ amplitudes))
+
+
+def full_initial(basis, initial):
+    """The initial state's amplitudes on the whole basis."""
+    return full_basis(basis, initial_vector(basis, initial)[0], parity_of(initial))
 
 
 PARAMS = {
@@ -72,54 +110,70 @@ INPUTS = {
 
 class TestBasis:
     def test_dimension(self):
-        assert FockBasis(5).dim == 36
+        # an even cutoff's stride is cutoff + 1; an odd one's adds a dead column of cutoff + 1 entries
+        for cutoff, sizes in ((4, (13, 12)), (5, (21, 21))):
+            basis = FockBasis(cutoff)
+            assert tuple(len(basis.occupations(parity)[0]) for parity in (0, 1)) == sizes
+            assert sum(sizes) == (cutoff + 1) ** 2 + cutoff % 2 * (cutoff + 1)
 
     def test_index_roundtrip(self):
         basis = FockBasis(7)
-        seen = set()
         for na in range(8):
             for nb in range(8):
-                idx = basis.index(na, nb)
-                assert basis.occupations(idx) == (na, nb)
-                seen.add(idx)
-        assert seen == set(range(basis.dim))
+                n_a, n_b = basis.occupations((na + nb) % 2)
+                k = basis.position(na, nb)
+                assert (n_a[k], n_b[k]) == (na, nb)
+        for parity in (0, 1):
+            n_a, n_b = basis.occupations(parity)
+            assert np.array_equal(basis.position(n_a, n_b), np.arange(len(n_a)))
 
     def test_occupation_bounds(self):
-        with pytest.raises(ValueError):
-            FockBasis(3).index(4, 0)
+        with pytest.raises(ValueError, match="outside cutoff 3"):
+            fock_vector(FockBasis(3), 4, 0)
 
     def test_cutoff_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be in"):
             FockBasis(0)
+        # a float or a bool would be read as a cutoff it is not, or fail in a slice
+        for bad in (8.0, 8.5, True, "8", np.float64(8.0)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                FockBasis(bad)
+            with pytest.raises(ValueError, match="must be an integer"):
+                FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), bad)
+        assert FockBasis(np.int64(8)).stride == 9
 
-    def test_masks_built_once_and_read_only(self):
-        basis = FockBasis(4)
-        assert basis.number_vector is basis.number_vector
-        assert basis.boundary_mask is basis.boundary_mask
-        assert basis.number_vector[basis.index(3, 4)] == 7.0
-        assert basis.boundary_mask.sum() == 2 * 4 + 1
-        for arr in (basis.number_vector, basis.boundary_mask):
-            with pytest.raises(ValueError):
-                arr[0] = 1
-
-    @pytest.mark.parametrize("cutoff", [1, 6, 7])
+    @pytest.mark.parametrize("cutoff", [1, 2, 6, 7])
     def test_sectors_split_the_basis(self, cutoff):
+        # the two sectors hold each (n_a, n_b) of the basis once, with the parity of n_a + n_b,
+        # and the dead column of an odd cutoff, which no weight of H touches
         basis = FockBasis(cutoff)
-        values = np.random.default_rng(cutoff).normal(size=basis.dim)
-        parity = basis.number_vector % 2
-        halves = [basis.from_sector(basis.sector(values, p), p) for p in (0, 1)]
-        for p, half in enumerate(halves):
-            assert np.array_equal(half[parity == p], values[parity == p])
-            assert np.all(half[parity != p] == 0.0)
-            assert len(basis.sector(values, p)) == ((cutoff + 1) * basis.stride - p + 1) // 2
+        seen = []
+        for parity in (0, 1):
+            n_a, n_b = basis.occupations(parity)
+            live = n_b <= cutoff
+            assert np.all((n_a + n_b) % 2 == parity) and np.all(n_b[~live] == cutoff + 1)
+            assert np.sum(~live) == cutoff % 2 * (cutoff + 1) // 2
+            seen += list(zip(n_a[live].tolist(), n_b[live].tolist()))
+            for p in PARAMS.values():
+                for g_sq in (p.g_sq, 0.0):
+                    h = sector_matrix(p, basis, g_sq, parity)
+                    assert np.all(h[~live] == 0.0) and np.all(h[:, ~live] == 0.0)
+        assert sorted(seen) == [(na, nb) for na in range(cutoff + 1) for nb in range(cutoff + 1)]
         assert basis.stride % 2 == 1
 
     def test_parity_of_amplitudes(self):
+        # an initial state's amplitudes live on the sector of its n_a + n_b, the even one but for a Fock state
         basis = FockBasis(7)
-        assert basis.parity(fock_vector(basis, 2, 3)) == 1
-        assert basis.parity(squeezed_vector(basis, 0.05)[0]) == 0
-        with pytest.raises(ValueError, match="one parity sector"):
-            basis.parity(fock_vector(basis, 1, 1) + fock_vector(basis, 1, 0))
+        for initial in (InitialState("fock", n_a=2, n_b=3), InitialState("fock", n_a=0, n_b=4), InitialState("vacuum")):
+            amp, discarded = initial_vector(basis, initial)
+            assert len(amp) == len(basis.occupations(parity_of(initial))[0]) and discarded == 0.0
+            want = np.zeros((basis.cutoff + 1) ** 2)
+            want[full_index(basis, initial.n_a, initial.n_b)] = 1.0
+            assert np.array_equal(full_basis(basis, amp, parity_of(initial)), want)
+        # the squeezed pair, bit for bit the renormalized product of its modes on the whole basis
+        amp, _ = squeezed_vector(basis, 0.05)
+        pair = np.kron(*[squeezed_mode_amplitudes(0.05, basis.cutoff)] * 2)
+        assert np.array_equal(full_basis(basis, amp, 0), pair / math.sqrt(np.sum(pair**2)))
 
 
 class TestHamiltonian:
@@ -127,7 +181,7 @@ class TestHamiltonian:
         basis = FockBasis(3)
         h = materialized(OscillatorParams(1.0, 2.0), basis)
         assert np.allclose(h, np.diag(np.diag(h)))
-        assert h[basis.index(2, 1), basis.index(2, 1)] == pytest.approx(4.0)
+        assert h[full_index(basis, 2, 1), full_index(basis, 2, 1)] == pytest.approx(4.0)
 
     def test_hermitian(self):
         h = materialized(OscillatorParams(1.0, 1.3, 0.2, 0.1), FockBasis(6))
@@ -136,17 +190,17 @@ class TestHamiltonian:
     def test_pair_creation_element(self):
         basis = FockBasis(3)
         h = materialized(OscillatorParams(1.0, 1.0, 0.1, 0.1), basis)
-        assert h[basis.index(1, 1), basis.index(0, 0)] == pytest.approx(0.1)
+        assert h[full_index(basis, 1, 1), full_index(basis, 0, 0)] == pytest.approx(0.1)
 
     def test_beam_splitter_element(self):
         basis = FockBasis(3)
         h = materialized(OscillatorParams(1.0, 1.0, 0.1, 0.1), basis)
-        assert h[basis.index(2, 1), basis.index(1, 2)] == pytest.approx(0.1 * math.sqrt(2 * 2))
+        assert h[full_index(basis, 2, 1), full_index(basis, 1, 2)] == pytest.approx(0.1 * math.sqrt(2 * 2))
 
     def test_rwa_commutes_with_number(self):
         basis = FockBasis(6)
         h = materialized(OscillatorParams(1.0, 1.0, 0.3, 0.3), basis, variant="rwa")
-        n_op = np.diag(basis.number_vector)
+        n_op = np.diag(np.add(*full_occupations(basis)).astype(float))
         assert np.max(np.abs(h @ n_op - n_op @ h)) < 1e-12
 
     @pytest.mark.parametrize("name", PARAMS)
@@ -164,12 +218,13 @@ class TestHamiltonian:
         refs = build_hamiltonian(p, basis), build_hamiltonian(p, basis, "rwa")
         rng = np.random.default_rng(cutoff)
         for parity in (0, 1):
-            copies = [basis.sector(rng.normal(size=basis.dim), parity) for _ in refs]
+            dead = basis.occupations(parity)[1] > cutoff
+            # random on the dead column too, which H neither reads nor writes
+            copies = [rng.normal(size=len(dead)) for _ in refs]
             pair = [GridHamiltonian.build(p, basis, g_sq, parity)(v) for g_sq, v in zip((p.g_sq, 0.0), copies)]
             for got, ref, v in zip(pair, refs, copies):
-                assert np.max(np.abs(basis.from_sector(got, parity) - ref @ basis.from_sector(v, parity))) < 1e-14
-                # the dead column of an odd cutoff stays empty
-                assert np.array_equal(basis.sector(basis.from_sector(got, parity), parity), got)
+                assert np.max(np.abs(full_basis(basis, got, parity) - ref @ full_basis(basis, v, parity))) < 1e-14
+                assert np.all(got[dead] == 0.0)
 
     @pytest.mark.parametrize("cutoff", [12, 13])
     def test_interleaved_copy_acts_on_complex_amplitudes(self, cutoff):
@@ -184,9 +239,15 @@ class TestHamiltonian:
 
     @pytest.mark.parametrize("name", PARAMS)
     def test_gershgorin_bounds_contain_spectrum(self, name):
-        basis = FockBasis(8)
-        lo, hi = GridHamiltonian.build(PARAMS[name], basis, PARAMS[name].g_sq).spectral_bounds()
-        energies = np.linalg.eigvalsh(build_hamiltonian(PARAMS[name], basis))
+        # the oracle's interval spans both sectors' Gershgorin intervals, which make up the whole basis's
+        p, basis = PARAMS[name], FockBasis(8)
+        oracle = FockOracle(p, basis.cutoff)
+        lo, hi = oracle._centre - oracle._half, oracle._centre + oracle._half
+        h = build_hamiltonian(p, basis)
+        radius = np.sum(np.abs(h), axis=1) - np.abs(np.diag(h))
+        assert lo == pytest.approx(np.min(np.diag(h) - radius), rel=1e-14, abs=1e-14)
+        assert hi == pytest.approx(np.max(np.diag(h) + radius), rel=1e-14)
+        energies = np.linalg.eigvalsh(h)
         assert lo <= energies[0] and energies[-1] <= hi
 
 
@@ -216,16 +277,17 @@ class TestPropagation:
         oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.1, 0.1), 4)
         psi = fock_vector(oracle.basis, 1, 2)
         full, rwa, _ = oracle.evolved_pair(InitialState("fock", n_a=1, n_b=2), 0.0)
+        assert full.shape == rwa.shape == psi.shape
         assert np.allclose(full, psi, atol=1e-14)
         assert np.allclose(rwa, psi, atol=1e-14)
 
     def test_diagonal_hamiltonian_rotates_phases(self):
         p = OscillatorParams(1.0, 2.0)
         oracle = FockOracle(p, 12)
-        psi, _ = squeezed_vector(oracle.basis, 0.1)
+        psi = full_initial(oracle.basis, InitialState("squeezed", s=0.1))
         full, _, _ = oracle.evolved_pair(InitialState("squeezed", s=0.1), 1.3)
         expected = psi * np.exp(-1j * np.diag(build_hamiltonian(p, oracle.basis)) * 1.3)
-        assert np.allclose(full, expected, atol=1e-12)
+        assert np.allclose(full_basis(oracle.basis, full, 0), expected, atol=1e-12)
 
     def test_norm_preserved(self):
         oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.2, 0.2), 12)
@@ -241,16 +303,14 @@ class TestPropagation:
         ts = np.array([-2.5, 0.0, 0.7, 3.0])
         for cutoff in (12, 13):
             oracle = FockOracle(p, cutoff)
-            psi0 = fock_vector(oracle.basis, initial.n_a, initial.n_b)
-            if kind == "squeezed":
-                psi0, _ = squeezed_vector(oracle.basis, initial.s)
+            psi0 = full_initial(oracle.basis, initial)
             h_full, h_rwa = build_hamiltonian(p, oracle.basis), build_hamiltonian(p, oracle.basis, "rwa")
-            n = oracle.basis.number_vector
+            n = np.add(*full_occupations(oracle.basis))
             grid = oracle.compare(initial, ts)
             for i, t in enumerate(ts):
                 ref_full = dense_propagate(h_full, psi0, t)
                 ref_rwa = dense_propagate(h_rwa, psi0, t)
-                full, rwa, _ = oracle.evolved_pair(initial, t)
+                full, rwa = (full_basis(oracle.basis, amp, parity_of(initial)) for amp in oracle.evolved_pair(initial, t)[:2])
                 assert np.max(np.abs(full - ref_full)) < 1e-12
                 assert np.max(np.abs(rwa - ref_rwa)) < 1e-12
                 ref_fid = abs(np.vdot(ref_rwa, ref_full)) ** 2
@@ -261,12 +321,14 @@ class TestPropagation:
     @pytest.mark.parametrize("cutoff", [12, 13])
     @pytest.mark.parametrize("n_a, n_b", [(1, 1), (1, 0)])
     def test_off_sector_amplitudes_are_exactly_zero(self, cutoff, n_a, n_b):
+        # the amplitudes are those of the sector, and its dead column, at an odd cutoff, stays exactly zero
         oracle = FockOracle(PARAMS["mixed-sign"], cutoff)
         full, rwa, _ = oracle.evolved_pair(InitialState("fock", n_a=n_a, n_b=n_b), 2.0)
-        off = oracle.basis.number_vector % 2 != (n_a + n_b) % 2
+        dead = oracle.basis.occupations((n_a + n_b) % 2)[1] > cutoff
+        assert np.sum(dead) == cutoff % 2 * (cutoff + 1) // 2
         for amp in (full, rwa):
-            assert amp.shape == (oracle.basis.dim,)
-            assert np.all(amp[off] == 0.0)
+            assert amp.shape == dead.shape
+            assert np.all(amp[dead] == 0.0)
             assert abs(np.linalg.norm(amp) - 1.0) < 1e-12
         assert np.count_nonzero(full) > np.count_nonzero(rwa) > 1
 
@@ -274,7 +336,7 @@ class TestPropagation:
         p = OscillatorParams(1.0, 1.0, 0.3, 0.3)
         oracle = FockOracle(p, 14)
         _, out, _ = oracle.evolved_pair(InitialState("fock", n_a=2, n_b=1), 5.0)
-        assert np.real(np.vdot(out, oracle.basis.number_vector * out)) == pytest.approx(3.0, abs=1e-10)
+        assert np.real(np.vdot(out, sector_number(oracle.basis, 1) * out)) == pytest.approx(3.0, abs=1e-10)
 
     def test_grid_compare_matches_scalar_calls(self):
         oracle = FockOracle(OscillatorParams(1.0, 1.2, -0.1, 0.08), 16)
@@ -345,17 +407,14 @@ class TestWindows:
         ts = np.concatenate([np.linspace(-6.0, 30.0, 300), [0.0, 4.5, 4.5, -6.0, 30.0, 60.0]])
         ts = ts[rng.permutation(len(ts))]
         oracle = FockOracle(p, cutoff)
-        psi0 = squeezed_vector(oracle.basis, 0.2)[0] if kind == "squeezed" else fock_vector(oracle.basis, 2, 1)
-        parity = oracle.basis.parity(psi0)
-        assert parity == (0 if kind == "squeezed" else 1)
-        sector = oracle.basis.sector(psi0, parity)
-        assert len(oracle._windows(ts, len(sector))[1]) > 3
+        psi0, parity = (squeezed_vector(oracle.basis, 0.2)[0], 0) if kind == "squeezed" else (fock_vector(oracle.basis, 2, 1), 1)
+        assert len(oracle._windows(ts, len(psi0))[1]) > 3
         _, windows = oracle._trajectory(psi0, parity, ts)
-        got = np.empty((len(ts), len(sector)), dtype=complex)
+        got = np.empty((len(ts), len(psi0)), dtype=complex)
         for where, times, states in windows:
             assert np.array_equal(times, ts[where]) and np.all(np.diff(times) >= 0.0)
             got[where] = states
-        ref = chebyshev_propagate(GridHamiltonian.build(p, oracle.basis, p.g_sq, parity), sector, ts)
+        ref = chebyshev_propagate(GridHamiltonian.build(p, oracle.basis, p.g_sq, parity), psi0, ts)
         assert np.max(np.abs(got - ref)) < 1e-12
 
     @pytest.mark.parametrize("cutoff", [12, 13])
@@ -364,7 +423,7 @@ class TestWindows:
         # a complex start state runs every window, the first too, through the interleaved copy
         p, rng = PARAMS["detuned"], np.random.default_rng(cutoff + parity)
         oracle = FockOracle(p, cutoff)
-        n = len(oracle.basis.sector(oracle.basis.number_vector, parity))
+        n = len(oracle.basis.occupations(parity)[0])
         psi = rng.normal(size=n) + 1j * rng.normal(size=n)
         psi /= np.linalg.norm(psi)
         ts = np.concatenate([np.linspace(-8.0, 30.0, 800), [3.3, 3.3]])[rng.permutation(802)]
@@ -379,7 +438,7 @@ class TestWindows:
     @pytest.mark.parametrize("cutoff", [4, 24, 96])
     def test_windows_are_full_and_fit(self, cutoff):
         oracle, rng = FockOracle(PARAMS["equal"], cutoff), np.random.default_rng(cutoff)
-        size = len(oracle.basis.sector(oracle.basis.number_vector, 0))
+        size = len(oracle.basis.occupations(0)[0])
         ts = np.concatenate([rng.uniform(-5.0, 40.0, 3000), [7.0] * 5, [1e-300, 0.0, 60.0, 400.0]])
         order, edges, anchors, terms = oracle._windows(ts, size)
         t = ts[order]
@@ -402,7 +461,7 @@ class TestWindows:
         oracle = FockOracle(p, cutoff)
         ts = np.linspace(-3.0, 25.0, 400)
         grid = oracle.compare(initial, ts)
-        n = oracle.basis.number_vector
+        n = sector_number(oracle.basis, 0)
         for i in (0, 117, 250, 399):
             full, rwa, _ = oracle.evolved_pair(initial, ts[i])
             assert abs(abs(np.vdot(rwa, full)) ** 2 - grid.fidelity[i]) < 1e-12
@@ -412,7 +471,7 @@ class TestWindows:
     def test_truncation_error_names_the_first_failing_time(self, cutoff):
         p, ts = OscillatorParams(1.0, 1.0, 0.3, 0.3), np.linspace(0.0, 10.0, 41)
         oracle = FockOracle(p, cutoff)
-        psi0, mask = fock_vector(oracle.basis, 1, 0), oracle.basis.boundary_mask
+        psi0, mask = full_initial(oracle.basis, InitialState("fock", n_a=1, n_b=0)), full_boundary(oracle.basis)
         h_full, h_rwa = build_hamiltonian(p, oracle.basis), build_hamiltonian(p, oracle.basis, "rwa")
         tails = [max(np.sum(np.abs(dense_propagate(h, psi0, t)[mask]) ** 2) for h in (h_full, h_rwa)) for t in ts]
         first = ts[np.argmax(np.array(tails) > fockoracle.TAIL_TOL)]
@@ -442,19 +501,16 @@ class TestRwaBlocks:
         for cutoff in (12, 13):
             oracle = FockOracle(p, cutoff)
             rwa = [oracle.evolved_pair(initial, t)[1] for t in ts]
-            psi0 = squeezed_vector(oracle.basis, initial.s)[0] if kind == "squeezed" else fock_vector(oracle.basis, initial.n_a, initial.n_b)
-            parity = oracle.basis.parity(psi0)
-            h = GridHamiltonian.build(p, oracle.basis, 0.0, parity)
-            ref = chebyshev_propagate(h, oracle.basis.sector(psi0, parity), ts)
+            h = GridHamiltonian.build(p, oracle.basis, 0.0, parity_of(initial))
+            ref = chebyshev_propagate(h, initial_vector(oracle.basis, initial)[0], ts)
             for got, want in zip(rwa, ref):
-                assert np.max(np.abs(got - oracle.basis.from_sector(want, parity))) < 1e-12
+                assert np.max(np.abs(got - want)) < 1e-12
 
     @pytest.mark.parametrize("cutoff", [12, 13])
     def test_time_major_projection_matches_dense(self, cutoff):
         # squeezed input: blocks of 1 to cutoff + 1 rows, so the stack is mostly padding at its ends
         p, basis = PARAMS["mixed-sign"], FockBasis(cutoff)
-        psi0, _ = squeezed_vector(basis, 0.2)
-        sector = basis.sector(psi0, 0)
+        sector, _ = squeezed_vector(basis, 0.2)
         n_a, n_b = fockoracle.number_blocks(basis, sector, 0)
         sizes = np.sum(n_a >= 0, axis=1)
         assert sizes[0] == 1 and len(set(sizes.tolist())) > 5
@@ -464,13 +520,13 @@ class TestRwaBlocks:
         psi = rng.normal(size=(len(ts), len(sector))) + 1j * rng.normal(size=(len(ts), len(sector)))
         coef = rwa.coefficients(ts)
         assert coef.shape == n_a.shape + ts.shape and np.all(coef[n_a < 0] == 0.0)
-        h_rwa, mask = build_hamiltonian(p, basis, "rwa"), basis.boundary_mask
+        h_rwa, mask, psi0 = build_hamiltonian(p, basis, "rwa"), full_boundary(basis), full_basis(basis, sector, 0)
         overlap, boundary = rwa.overlap(coef, psi), rwa.boundary_weight(coef)
         for i, t in enumerate(ts):
             ref = dense_propagate(h_rwa, psi0, t)
-            assert abs(overlap[i] - np.vdot(ref, basis.from_sector(psi[i], 0))) < 1e-12
+            assert abs(overlap[i] - np.vdot(ref, full_basis(basis, psi[i], 0))) < 1e-12
             assert abs(boundary[i] - np.sum(np.abs(ref[mask]) ** 2)) < 1e-14
-            got = basis.from_sector(rwa.amplitudes(coef[..., i : i + 1], len(sector)), 0)
+            got = full_basis(basis, rwa.amplitudes(coef[..., i : i + 1], len(sector)), 0)
             assert np.max(np.abs(got - ref)) < 1e-12
 
     @pytest.mark.parametrize(
@@ -482,7 +538,7 @@ class TestRwaBlocks:
         # sin and cos at the first time and per distinct step, then a running product; a grid that
         # starts away from t = 0 fails if the product is seeded with any phase but the first time's
         p, basis = PARAMS["mixed-sign"], FockBasis(12)
-        sector = basis.sector(squeezed_vector(basis, 0.2)[0], 0)
+        sector, _ = squeezed_vector(basis, 0.2)
         rwa = fockoracle.RwaBlocks(p, basis, *fockoracle.number_blocks(basis, sector, 0), sector)
         phase = np.multiply.outer(rwa.energies, ts)
         coef = rwa.coefficients(ts)
@@ -493,7 +549,7 @@ class TestRwaBlocks:
     @pytest.mark.parametrize("n_a, n_b", [(0, 0), (3, 2), (5, 8), (12, 12)])
     def test_fock_input_stays_in_its_block(self, cutoff, n_a, n_b):
         oracle = FockOracle(PARAMS["mixed-sign"], cutoff)
-        n = oracle.basis.number_vector
+        n = sector_number(oracle.basis, (n_a + n_b) % 2)
         for t in (-40.0, 0.3, 7.0, 150.0):
             _, rwa, _ = oracle.evolved_pair(InitialState("fock", n_a=n_a, n_b=n_b), t)
             assert np.all(rwa[n != n_a + n_b] == 0.0)
@@ -503,7 +559,7 @@ class TestRwaBlocks:
     def test_block_weights_conserved(self, cutoff):
         oracle = FockOracle(PARAMS["equal"], cutoff)
         psi0, _ = squeezed_vector(oracle.basis, 0.2)
-        n = oracle.basis.number_vector.astype(int)
+        n = sector_number(oracle.basis, 0)
         weights0 = np.bincount(n, weights=np.abs(psi0) ** 2)
         for t in (-60.0, 1.1, 200.0):
             _, rwa, _ = oracle.evolved_pair(InitialState("squeezed", s=0.2), t)
@@ -513,8 +569,7 @@ class TestRwaBlocks:
         # here the RWA state holds more weight on the boundary than the full one
         p, initial, t = OscillatorParams(1.0, 1.0, 0.3, 0.3), InitialState("fock", n_a=6, n_b=6), 1.0
         oracle = FockOracle(p, 8)
-        psi0 = fock_vector(oracle.basis, 6, 6)
-        mask = oracle.basis.boundary_mask
+        psi0, mask = full_initial(oracle.basis, initial), full_boundary(oracle.basis)
         tails = [np.sum(np.abs(dense_propagate(build_hamiltonian(p, oracle.basis, v), psi0, t)[mask]) ** 2) for v in ("full", "rwa")]
         assert tails[1] > 2.0 * tails[0]
         with pytest.raises(TruncationError, match=f"truncation tail {tails[1]:.3e} exceeds"):
@@ -615,19 +670,18 @@ class TestOracle:
         point = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 40).compare(InitialState("vacuum"), np.linspace(0, 1000, 101))
         assert point.tail_weight == 0.0
 
-    def test_builds_only_the_sectors_its_trajectories_use(self, monkeypatch):
+    def test_builds_each_sector_once_at_set_up(self, monkeypatch):
         built = []
         build = GridHamiltonian.build.__func__
         monkeypatch.setattr(GridHamiltonian, "build", classmethod(lambda cls, *args: built.append(args[3:]) or build(cls, *args)))
         oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 24)
-        assert built == [()]  # the whole space's operator, for the spectral bounds
+        assert built == [(0,), (1,)]  # both sectors' operators, whose Gershgorin intervals bound H's spectrum
         ts = np.linspace(0.0, 2.0, 5)
         first = oracle.compare(InitialState("squeezed", s=0.2), ts)
         oracle.compare(InitialState("vacuum"), ts)
-        assert built == [(), (0,)]
         oracle.evolved_pair(InitialState("fock", n_a=1, n_b=0), 1.0)
-        assert built == [(), (0,), (1,)]
-        # the even sector's operators, built on first use, give the same points bit for bit
+        assert built == [(0,), (1,)]
+        # a fresh oracle's operators give the same points bit for bit
         again = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 24).compare(InitialState("squeezed", s=0.2), ts)
         assert np.array_equal(first.fidelity, again.fidelity) and np.array_equal(first.delta_n, again.delta_n)
 
@@ -669,7 +723,7 @@ class TestOracle:
         ts = np.linspace(0.0, 10.0, 401)
         oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 24)
         oracle.compare(InitialState("vacuum"), ts)
-        sector = oracle.basis.sector(fock_vector(oracle.basis, 0, 0), 0)
+        sector = fock_vector(oracle.basis, 0, 0)
         order, edges, anchors, terms = oracle._windows(ts, len(sector) + fockoracle.number_blocks(oracle.basis, sector, 0)[0].size)
         # the tables hold every time once, in window order, each from its own window's anchor
         assert np.array_equal(np.concatenate(calls), oracle._half * (ts[order] - np.repeat(anchors, np.diff(edges))))
@@ -697,7 +751,7 @@ class TestOracle:
         monkeypatch.setattr(FockOracle, "_expand", staticmethod(spy))
         oracle, ts = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 12), np.linspace(0.0, 10.0, 200)
         psi0 = fock_vector(oracle.basis, 0, 0)
-        order, edges, anchors, _ = oracle._windows(ts, len(oracle.basis.sector(psi0, 0)) + 1)
+        order, edges, anchors, _ = oracle._windows(ts, len(psi0) + 1)
         assert np.diff(edges).tolist() == [199, 1]
         for _ in oracle._trajectory(psi0, 0, ts)[1]:
             pass
@@ -756,7 +810,7 @@ class TestOracle:
         monkeypatch.setattr(FockOracle, "_expand", staticmethod(spy))
         oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 96)
         oracle.compare(InitialState("vacuum"), np.linspace(0.0, 10.0, 41))
-        size = len(oracle.basis.sector(oracle.basis.number_vector, 0))
+        size = len(oracle.basis.occupations(0)[0])
         assert buffers
         for terms in buffers:
             # CHUNK + 2 rows of float pairs, whatever the grid; the real kernel shares the allocation
@@ -847,3 +901,26 @@ class TestFockBound:
         assert not p.resonant
         with pytest.raises(ValueError, match="on resonance"):
             bound_check(0, 0, p, 1.0, 8)
+
+    def test_refuses_negative_occupations_and_nonfinite_inputs(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fock_bound(-3, 0, 0.05, 1.0, 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            fock_bound(0, -1, 0.05, 1.0, 1.0)
+        bad = ((np.nan, 1.0, 1.0), (np.inf, 1.0, 1.0), (0.05, np.inf, 1.0), (0.05, np.nan, 1.0), (0.05, 1.0, np.nan), (0.05, 1.0, -np.inf))
+        for g, omega, t in bad:
+            with pytest.raises(ValueError, match="finite"):
+                fock_bound(0, 0, g, omega, t)
+        with pytest.raises(ValueError, match="positive"):
+            fock_bound(0, 0, 0.05, 0.0, 1.0)
+
+    @pytest.mark.parametrize("g_sq", [0.05, 0.0])
+    def test_bound_check_refuses_non_integer_cutoff_and_occupations(self, g_sq):
+        # refused before any work, also where equal couplings with g_sq = 0 need no propagation
+        p = OscillatorParams(1.0, 1.0, g_sq, g_sq)
+        for cutoff in (10.5, 10.0, True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                bound_check(0, 0, p, 1.0, cutoff)
+        for n_a, n_b in ((1.5, 0), (0, True)):
+            with pytest.raises(ValueError, match="must be integers"):
+                bound_check(n_a, n_b, p, 1.0, 8)

@@ -185,3 +185,12 @@ class TestInitialState:
         with pytest.raises(ValueError, match="need kind fock"):
             InitialState("squeezed", s=0.2, n_b=1)
         assert InitialState("fock", n_a=2).n_a == 2
+
+    @pytest.mark.parametrize("kind", ["fock", "vacuum"])
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, np.float64(2.0), "1"])
+    def test_occupations_must_be_integers(self, kind, bad):
+        # a float or bool occupation would index the number basis as something it is not
+        for occupations in ({"n_a": bad}, {"n_b": bad}):
+            with pytest.raises(ValueError, match="must be integers"):
+                InitialState(kind, **occupations)
+        assert InitialState("fock", n_a=np.int64(3)).n_a == 3
