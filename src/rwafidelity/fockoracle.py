@@ -12,10 +12,10 @@ The requested times are sorted and cut into windows.  One series is expanded
 per window, from t = 0 for the first and from the last time of the window
 before for the others: its terms T_k psi are formed once, CHUNK at a time, and
 each chunk is summed into the states of the window's times whose series still
-runs, by one matrix product per parity of k.  A window takes times while their
-states, RWA eigenbasis amplitudes and coefficients fit in WINDOW amplitudes,
-so a fine grid pays the series' fixed tail of terms once per window, not once
-per time.  The first window runs on a real state, a later one on its complex
+runs, by one matrix product per parity of k and per CHUNK // 2 times.  A window
+takes times while their states, RWA eigenbasis amplitudes and coefficients fit
+in WINDOW amplitudes, so a fine grid pays the series' fixed tail of terms once
+per window.  The first window runs on a real state, a later one on its complex
 state's (real, imaginary) float pairs under a copy of H with each weight
 repeated.  A run of windows takes its coefficients from one Miller recurrence,
 and a window's RWA phases are rotations by its few distinct time steps.
@@ -29,11 +29,13 @@ and `evolved_pair` returns sector amplitudes.
 The RWA copy keeps only a'b + ab', which conserves N = n_a + n_b itself, so it
 is solved, not propagated: `RwaBlocks` diagonalizes once each tridiagonal
 block of fixed N that carries the initial state's weight (one block for the
-vacuum or a Fock state), and reads the RWA state, its overlap with the full
-state and its weight on the truncation boundary from that eigenbasis at all
-the times of a window at once.  Its cost does not grow with the time span, and
-<N> under it keeps its initial value exactly.  The truncation tail is checked
-at every time, and a `TruncationError` names the first time it fails.  The
+vacuum or a Fock state), holds each at its own size, and reads the RWA state,
+its overlap with the full state and its weight on the truncation boundary
+from that eigenbasis at all the times of a window at once.  Its cost does not
+grow with the time span, and <N> under it keeps its initial value exactly.
+The tails and <N> of the full side are summed over the window's states, which
+become their densities in place.  The truncation tail is checked at every
+time, and a `TruncationError` names the first time it fails.  The
 number of Chebyshev terms grows as (omega_a + omega_b) * cutoff * |time span|.
 The work is estimated from the window plan alone, as each window's term bound
 times (sector length + TERM_OVERHEAD) plus one row of the plan per time, and a
@@ -75,7 +77,8 @@ BOUND_CERT_TOL = 1e-6
 # length plus TERM_OVERHEAD (a term's interpreter cost), and each time's row of `_windows`.  A
 # `compare` took 2.2-4.9 ns per update at cutoffs 1 to 96 (2-vCPU VM, one BLAS thread), so the
 # budget is at most about 20 s.  A window holds at most WINDOW amplitudes of states, RWA eigenbasis
-# amplitudes and coefficients, and forms its terms CHUNK at a time in a buffer of CHUNK + 2 rows.
+# amplitudes and coefficients, forms its terms CHUNK at a time in a buffer of CHUNK + 2 rows, and
+# sums each chunk into its states CHUNK // 2 of them at a time.
 WORK_BUDGET = 4e9
 TERM_OVERHEAD = 800
 WINDOW = 2**16
@@ -205,11 +208,13 @@ def chebyshev_coefficients(x) -> np.ndarray:
             rows[k][starts[k]] = 2.0**-900
         np.multiply(ratios[k], rows[k], out=rows[k - 1])
         np.subtract(rows[k - 1], rows[k + 1], out=rows[k - 1])
+    del rows, ratios  # before the table, which would otherwise sit on top of them
     # a running sum adds each column in order whatever the table's width (np.sum adds a lone
     # column pairwise), so a column's normalization is the one it would have in a table alone
     j /= np.where(small, 1.0, j[0] + 2.0 * np.cumsum(j[2::2], axis=0)[-1])
     j[0, small], j[1, small] = 1.0, 0.5 * ax[small]
-    kept = len(j) - np.argmax(np.abs(j)[::-1] >= np.finfo(float).eps, axis=0)
+    eps = np.finfo(float).eps
+    kept = len(j) - np.argmax(((j >= eps) | (j <= -eps))[::-1], axis=0)
     k, j = np.arange(kept.max()), j[: kept.max()]
     np.copyto(j, 0.0, where=k[:, None] >= kept)
     # (2 - delta_k0) (-1)^floor(k/2), exact factors: (-i)^k is that sign at even k and -i times it at odd k
@@ -273,24 +278,23 @@ class OraclePoint:
 
 
 def number_blocks(basis: FockBasis, psi: np.ndarray, parity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Occupations (n_a, n_b) of the blocks of fixed N = n_a + n_b that carry psi's weight.
+    """Occupations (n_a, n_b) of the entries of the blocks of fixed N = n_a + n_b that carry psi's weight.
 
-    psi holds the amplitudes of the sector of the given parity.  One row per
-    block, n_a rising from max(0, N - cutoff) to min(N, cutoff); rows are
-    padded with -1 to the longest block.  Blocks whose weight is at most
-    eps^2 / (number of blocks) are left out: together they hold at most eps^2,
-    and U_RWA keeps the weight of each block, so the RWA state they omit has
-    norm at most eps at every time.
+    psi holds the amplitudes of the sector of the given parity.  Each kept
+    block holds its own entries, n_a rising from max(0, N - cutoff) to
+    min(N, cutoff), and the blocks follow one another in ascending N.  Blocks
+    whose weight is at most eps^2 / (number of blocks) are left out: together
+    they hold at most eps^2, and U_RWA keeps the weight of each block, so the
+    RWA state they omit has norm at most eps at every time.
     """
     c = basis.cutoff
     total = np.arange(parity, 2 * c + 1, 2)[:, None]
     n_a = np.maximum(total - c, 0) + np.arange(c + 1)
     valid = n_a <= np.minimum(total, c)
-    n_a, n_b = np.where(valid, n_a, -1), np.where(valid, total - n_a, -1)
+    n_a, n_b = np.where(valid, n_a, 0), np.where(valid, total - n_a, 0)
     weight = np.sum(np.abs(np.where(valid, psi[basis.position(n_a, n_b)], 0.0)) ** 2, axis=1)
-    kept = weight > np.finfo(float).eps ** 2 / len(weight)
-    width = int(valid[kept].sum(axis=1).max())
-    return n_a[kept, :width], n_b[kept, :width]
+    kept = valid & (weight > np.finfo(float).eps ** 2 / len(weight))[:, None]
+    return n_a[kept], n_b[kept]
 
 
 class RwaBlocks:
@@ -300,70 +304,68 @@ class RwaBlocks:
     tridiagonal blocks, one per N: diagonal omega_a n_a + omega_b n_b,
     off-diagonal g_bs sqrt((n_a + 1) n_b).  Each block that `number_blocks`
     keeps is diagonalized once, H_N = V_N diag(E_N) V_N^T, and then
-    psi_rwa,N(t) = V_N e^(-i E_N t) c_N with c_N = V_N^T psi0,N at any t.  The blocks sit in
-    one zero-padded (blocks, m, m) stack, and the times of a window are the
-    trailing axis of what it multiplies, so a window costs one batched product
-    per quantity, not a loop over blocks or times.
+    psi_rwa,N(t) = V_N e^(-i E_N t) c_N with c_N = V_N^T psi0,N at any t.  The
+    energies and eigenbasis amplitudes are flat over the kept entries, with no
+    padding, and the times of a window are their trailing axis: a window costs
+    one product per block for the overlap and one for the boundary weight.
     """
 
     def __init__(self, p: OscillatorParams, basis: FockBasis, n_a: np.ndarray, n_b: np.ndarray, psi0: np.ndarray):
-        """Blocks (n_a, n_b) from `number_blocks`; psi0 holds the sector amplitudes at t = 0."""
-        self.valid = valid = n_a >= 0
-        # padding reads sector position 0, always through a zero entry of V
-        self.index = np.where(valid, basis.position(n_a, n_b), 0)
-        sizes = valid.sum(axis=1)
-        # each block is diagonalized about its mean energy, since eigh's error scales with
-        # the norm it sees and E t reaches thousands of radians
-        diagonal = np.where(valid, p.omega_a * n_a + p.omega_b * n_b, 0.0)
-        mean = diagonal.sum(axis=1) / sizes
-        rows = np.arange(n_a.shape[1])
-        blocks = np.zeros(n_a.shape + rows.shape)
-        blocks[:, rows, rows] = diagonal - mean[:, None]
-        off = np.where(valid[:, 1:], p.g_bs * np.sqrt((n_a[:, :-1] + 1.0) * n_b[:, :-1]), 0.0)
-        blocks[:, rows[1:], rows[:-1]] = blocks[:, rows[:-1], rows[1:]] = off
-        energies, vecs = np.zeros(n_a.shape), np.zeros(blocks.shape)
-        for b, size in enumerate(sizes):
-            energies[b, :size], vecs[b, :size, :size] = np.linalg.eigh(blocks[b, :size, :size])
-        self.energies = (energies + mean[:, None])[valid]  # of the blocks' entries only, as is c
-        self.vecs_t = np.ascontiguousarray(vecs.transpose(0, 2, 1))  # V^T, the hot product's operand
-        self.c = np.matmul(self.vecs_t, psi0[self.index][..., None])[..., 0][valid]
-        # rows on the truncation boundary, n_a = cutoff or n_b = cutoff: at most two per block, its
-        # first and last, so each block's are two rows of V, zero where the block has fewer
-        edge = valid & (np.maximum(n_a, n_b) == basis.cutoff)
-        ends = np.argsort(~edge, axis=1, kind="stable")[:, :2]
-        on_edge = np.take_along_axis(edge, ends, axis=1)[..., None]
-        self.edge_vecs = np.where(on_edge, np.take_along_axis(vecs, ends[..., None], axis=1), 0.0)
+        """Entries (n_a, n_b) of the blocks from `number_blocks`; psi0 holds the sector amplitudes at t = 0."""
+        self.index, total = basis.position(n_a, n_b), n_a + n_b
+        starts = np.flatnonzero(np.diff(total, prepend=-1)).tolist()
+        self.bounds = list(zip(starts, starts[1:] + [len(total)]))
+        diagonal = p.omega_a * n_a + p.omega_b * n_b
+        off = p.g_bs * np.sqrt((n_a[:-1] + 1.0) * n_b[:-1])  # between entries j and j + 1 of one block
+        # rows on the truncation boundary, n_a = cutoff or n_b = cutoff: at most a block's first and
+        # last, all in the blocks of N >= cutoff, which come last; one row of edge_vecs each
+        edge = np.maximum(n_a, n_b) == basis.cutoff
+        row, self.edge_from = np.cumsum(edge) - 1, int(np.searchsorted(total, basis.cutoff))
+        self.edge_vecs = np.zeros((np.count_nonzero(edge), len(total) - self.edge_from))
+        self.energies, self.c, self.vecs_t = np.empty(len(total)), np.empty(len(total)), []
+        for s, e in self.bounds:
+            # each block is diagonalized about its mean energy, since eigh's error scales with
+            # the norm it sees and E t reaches thousands of radians
+            mean = np.mean(diagonal[s:e])
+            energies, vecs = np.linalg.eigh(np.diag(diagonal[s:e] - mean) + np.diag(off[s : e - 1], -1), UPLO="L")
+            self.energies[s:e] = energies + mean
+            self.vecs_t.append(np.ascontiguousarray(vecs.T))  # V^T, the hot product's operand
+            self.c[s:e] = self.vecs_t[-1] @ psi0[self.index[s:e]]
+            for j in np.flatnonzero(edge[s:e]):
+                self.edge_vecs[row[s + j], s - self.edge_from : e - self.edge_from] = vecs[j]
 
     def coefficients(self, ts: np.ndarray) -> np.ndarray:
-        """Eigenbasis amplitudes e^(-i E t) c, a (blocks, m, times) stack, zero in the padding.
+        """Eigenbasis amplitudes e^(-i E t) c, one row per kept entry and one column per time.
 
-        Formed on the blocks' entries at the first time and once per distinct step, then a running
-        product of those rotations, whose error grows with the number of times a window bounds.
+        Formed at the first time and once per distinct step, then a running product of those
+        rotations, whose error grows with the number of times a window bounds.
         """
         steps, which = np.unique(np.diff(ts), return_inverse=True)
         rotation = np.exp(-1j * np.multiply.outer(self.energies, np.concatenate((ts[:1], steps))))
-        coef = rotation[:, np.concatenate(([0], 1 + which))]
+        coef = np.take(rotation, np.concatenate(([0], 1 + which)), axis=1)
         coef[:, 0] *= self.c
-        stack = np.zeros(self.valid.shape + ts.shape, complex)
-        stack[self.valid] = np.cumprod(coef, axis=1, out=coef)
-        return stack
+        return np.cumprod(coef, axis=1, out=coef)
 
     def overlap(self, coef: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """<psi_rwa|psi> per time, for RWA eigenbasis amplitudes coef and rows psi of sector amplitudes."""
-        # both parts of psi go through one real product, times side by side on the trailing axis
-        proj = np.matmul(self.vecs_t, psi.T[self.index].view(float)).view(complex)
-        return np.einsum("bkt,bkt->t", coef, np.conjugate(proj, out=proj)).conj()
+        # the blocks' entries of psi, gathered once and projected in place, block by block; both parts
+        # go through one real product per block, times side by side on the trailing axis
+        proj = psi.T[self.index]
+        rows = proj.view(float)
+        for (s, e), vecs_t in zip(self.bounds, self.vecs_t):
+            rows[s:e] = vecs_t @ rows[s:e]
+        return np.einsum("kt,kt->t", coef, np.conjugate(proj, out=proj)).conj()
 
     def boundary_weight(self, coef: np.ndarray) -> np.ndarray:
         """Weight of the RWA state on the truncation boundary, per time."""
-        edge = np.matmul(self.edge_vecs, coef.view(float)).reshape(-1, coef.shape[-1], 2)
+        edge = np.matmul(self.edge_vecs, coef[self.edge_from :].view(float)).reshape(-1, coef.shape[-1], 2)
         return np.einsum("ktc,ktc->t", edge, edge)
 
     def amplitudes(self, coef: np.ndarray, size: int) -> np.ndarray:
-        """Sector amplitudes of the RWA state at one time, for a (blocks, m, 1) coef, exactly zero outside its blocks."""
+        """Sector amplitudes of the RWA state at one time, for a one-column coef, exactly zero outside its blocks."""
         out = np.zeros(size, dtype=complex)
-        rwa = np.matmul(self.vecs_t.transpose(0, 2, 1), coef.view(float)).view(complex)
-        out[self.index[self.valid]] = rwa[self.valid, 0]
+        for (s, e), vecs_t in zip(self.bounds, self.vecs_t):
+            out[self.index[s:e]] = (vecs_t.T @ coef[s:e].view(float)).view(complex)[:, 0]
         return out
 
 
@@ -428,7 +430,7 @@ class FockOracle:
         if not np.all(np.isfinite(ts)):
             raise ValueError("the oracle's times must be finite")
         n_a, n_b = number_blocks(self.basis, psi, parity)
-        # each time of a window holds its state and its RWA eigenbasis amplitudes, padding and all
+        # each time of a window holds its state and its RWA eigenbasis amplitudes, one per kept entry
         size = len(psi) + n_a.size
         order, edges, anchors, terms = self._windows(ts, size)
         work = float(np.sum(terms)) * (len(psi) + TERM_OVERHEAD) + len(ts) * size
@@ -484,18 +486,18 @@ class FockOracle:
         kernel is a buffer of terms, the `_shifted` arguments from its row j
         to row j + 1 (steps[j]), and the recurrence operator: the real one for
         a real psi, the interleaved copy, on float pairs, for a complex psi.
-        The terms T_k psi are formed CHUNK at a time in the buffer, whose last
-        two rows seed the next chunk, and each chunk is summed by one product
-        per parity of k (a_k is real for even k, else imaginary) into the rows
-        from the first whose running maximum of lengths passes its first k:
-        rows run in ascending |x|, so those are the ones still running, and a
-        first window across t = 0, whose lengths fall and then rise, sums more.
+        The terms T_k psi are formed CHUNK at a time in the buffer, whose last two rows seed
+        the next chunk, and each chunk is summed by one product per parity of k (a_k is real
+        for even k, else imaginary) and per CHUNK // 2 rows, so that the sums take no more room
+        than the terms they add, into the rows from the first whose running maximum of lengths
+        passes its first k: rows run in ascending |x|, so those are the ones still running, and
+        a first window across t = 0, whose lengths fall and then rise, sums more.
         """
         terms, steps, h = kernel
         weights = np.ascontiguousarray(a.real[:, 0::2]), np.ascontiguousarray(a.imag[:, 1::2])
         lengths = np.maximum.accumulate(a.shape[1] - np.argmax(a[:, ::-1] != 0.0, axis=1))
         real = not np.iscomplexobj(psi)
-        part = np.empty((len(a), terms.shape[1]))
+        part = np.empty((min(len(a), CHUNK // 2), terms.shape[1]))
         states[...] = 0.0
         start = 0
         for k in range(a.shape[1]):
@@ -509,19 +511,19 @@ class FockOracle:
             if cur is steps[-1][1] or k + 1 == a.shape[1]:
                 # rows 2, 4, ... of the buffer hold the even terms from T_start, rows 3, 5, ... the
                 # odd ones, whose sum is imaginary: i (x + i y) = -y + i x
-                live = int(np.searchsorted(lengths, start, side="right"))
-                out, sums = states[live:], part[live:]
-                for w, first in zip(weights, (2, 3)):
-                    block = terms[first : k - start + 3 : 2]
-                    np.matmul(w[live:, start // 2 : start // 2 + len(block)], block, out=sums)
-                    if real:
-                        dest = out.real if first == 2 else out.imag
-                        np.add(dest, sums, out=dest)
-                    elif first == 2:
-                        np.add(out, sums.view(complex), out=out)
-                    else:
-                        np.subtract(out.real, sums.view(complex).imag, out=out.real)
-                        np.add(out.imag, sums.view(complex).real, out=out.imag)
+                for top in range(int(np.searchsorted(lengths, start, side="right")), len(a), len(part)):
+                    out, sums = states[top : top + len(part)], part[: len(a) - top]
+                    for w, first in zip(weights, (2, 3)):
+                        block = terms[first : k - start + 3 : 2]
+                        np.matmul(w[top : top + len(part), start // 2 : start // 2 + len(block)], block, out=sums)
+                        if real:
+                            dest = out.real if first == 2 else out.imag
+                            np.add(dest, sums, out=dest)
+                        elif first == 2:
+                            np.add(out, sums.view(complex), out=out)
+                        else:
+                            np.subtract(out.real, sums.view(complex).imag, out=out.real)
+                            np.add(out.imag, sums.view(complex).real, out=out.imag)
                 terms[:2] = terms[-2:]
                 start = k + 1
 
@@ -541,20 +543,22 @@ class FockOracle:
         times = np.asarray(ts, dtype=float)
         fid, d_n = np.empty(times.size), np.empty(times.size)
         rwa, windows = self._trajectory(psi0, parity, times.ravel())
+
+        def number(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """Tail and <N> of each row of states, whose real parts become their densities."""
+            re, im = states.real, states.imag
+            density = np.add(np.multiply(re, re, out=re), np.multiply(im, im, out=im), out=re)
+            return np.sum(density[:, edge], axis=1), np.sum(np.multiply(n, density, out=density), axis=1)
+
         # H_RWA commutes with N, so <N> keeps its initial value exactly, truncation included;
         # summed as the full side is, so that delta_n is exactly 0 at t = 0
-        n_rwa = np.sum(n * _density(psi0))
-
-        def measure(t: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """Worst truncation tail, fidelity and delta_n at each time of a window."""
-            density = _density(states)
-            tails, d_n = np.sum(density[:, edge], axis=1), np.sum(n * density, axis=1) - n_rwa
-            del density  # before the RWA side's temporaries, which it would otherwise sit under
-            coef = rwa.coefficients(t)
-            return np.maximum(tails, rwa.boundary_weight(coef)), np.abs(rwa.overlap(coef, states)) ** 2, d_n
-
+        n_rwa = number(psi0.astype(complex)[None])[1][0]
         for where, t, states in windows:
-            tails, fid[where], d_n[where] = measure(t, states)
+            coef = rwa.coefficients(t)
+            boundary, fid[where] = rwa.boundary_weight(coef), np.abs(rwa.overlap(coef, states)) ** 2
+            del coef  # before the next window's propagation, which it would otherwise sit under
+            tails, n_full = number(states)  # after the overlap, since it overwrites the states
+            tails, d_n[where] = np.maximum(tails, boundary), n_full - n_rwa
             if np.any(tails > TAIL_TOL):
                 first = int(np.argmax(tails > TAIL_TOL))
                 msg = f"truncation tail {tails[first]:.3e} exceeds {TAIL_TOL} at cutoff {self.basis.cutoff}"
@@ -563,10 +567,6 @@ class FockOracle:
         if times.ndim == 0:
             return OraclePoint(fidelity=float(fid[0]), delta_n=float(d_n[0]), tail_weight=tail)
         return OraclePoint(fidelity=fid.reshape(times.shape), delta_n=d_n.reshape(times.shape), tail_weight=tail)
-
-
-def _density(psi: np.ndarray) -> np.ndarray:
-    return psi.real**2 + psi.imag**2
 
 
 def fock_bound(n_a: int, n_b: int, g: float, omega: float, t: float) -> float:

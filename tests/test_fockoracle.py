@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -508,19 +509,49 @@ class TestRwaBlocks:
 
     @pytest.mark.parametrize("cutoff", [12, 13])
     def test_time_major_projection_matches_dense(self, cutoff):
-        # squeezed input: blocks of 1 to cutoff + 1 rows, so the stack is mostly padding at its ends
+        # squeezed input: blocks of 1 to cutoff + 1 rows, each held at its own size
         p, basis = PARAMS["mixed-sign"], FockBasis(cutoff)
         sector, _ = squeezed_vector(basis, 0.2)
         n_a, n_b = fockoracle.number_blocks(basis, sector, 0)
-        sizes = np.sum(n_a >= 0, axis=1)
+        sizes = np.unique(n_a + n_b, return_counts=True)[1]
         assert sizes[0] == 1 and len(set(sizes.tolist())) > 5
         rwa = fockoracle.RwaBlocks(p, basis, n_a, n_b, sector)
         ts = np.array([-40.0, 0.0, 0.9, 2.5, 130.0])
         rng = np.random.default_rng(cutoff)
         psi = rng.normal(size=(len(ts), len(sector))) + 1j * rng.normal(size=(len(ts), len(sector)))
         coef = rwa.coefficients(ts)
-        assert coef.shape == n_a.shape + ts.shape and np.all(coef[n_a < 0] == 0.0)
+        assert coef.shape == (sizes.sum(),) + ts.shape and np.all(n_a >= 0) and np.all(n_b >= 0)
         h_rwa, mask, psi0 = build_hamiltonian(p, basis, "rwa"), full_boundary(basis), full_basis(basis, sector, 0)
+        overlap, boundary = rwa.overlap(coef, psi), rwa.boundary_weight(coef)
+        for i, t in enumerate(ts):
+            ref = dense_propagate(h_rwa, psi0, t)
+            assert abs(overlap[i] - np.vdot(ref, full_basis(basis, psi[i], 0))) < 1e-12
+            assert abs(boundary[i] - np.sum(np.abs(ref[mask]) ** 2)) < 1e-14
+            got = full_basis(basis, rwa.amplitudes(coef[..., i : i + 1], len(sector)), 0)
+            assert np.max(np.abs(got - ref)) < 1e-12
+
+    @pytest.mark.parametrize("cutoff", [12, 13])
+    @pytest.mark.parametrize("name", ["mixed-sign", "detuned"])
+    def test_holds_each_kept_block_at_its_own_size(self, name, cutoff):
+        # the blocks of n_a + n_b that carry weight, read off the dense reference, and one amplitude per
+        # time for each of their entries: nothing for the blocks left out, no padding for the others
+        p, basis = PARAMS[name], FockBasis(cutoff)
+        sector, _ = squeezed_vector(basis, 0.2)
+        psi0, total = full_basis(basis, sector, 0), np.add(*full_occupations(basis))
+        weights = {n: np.sum(psi0[total == n] ** 2) for n in range(0, 2 * cutoff + 1, 2)}
+        kept = [n for n, w in weights.items() if w > np.finfo(float).eps ** 2 / len(weights)]
+        sizes = [min(n, cutoff) - max(0, n - cutoff) + 1 for n in kept]
+        assert kept[-1] > cutoff  # blocks with boundary rows among them
+        n_a, n_b = fockoracle.number_blocks(basis, sector, 0)
+        assert (n_a + n_b).tolist() == np.repeat(kept, sizes).tolist()
+        assert n_a.tolist() == [a for n, m in zip(kept, sizes) for a in range(max(0, n - cutoff), max(0, n - cutoff) + m)]
+        rwa = fockoracle.RwaBlocks(p, basis, n_a, n_b, sector)
+        ts = np.array([-40.0, 0.0, 0.9, 130.0])
+        rng = np.random.default_rng(cutoff)
+        psi = rng.normal(size=(len(ts), len(sector))) + 1j * rng.normal(size=(len(ts), len(sector)))
+        coef = rwa.coefficients(ts)
+        assert coef.shape == (sum(sizes), len(ts))
+        h_rwa, mask = build_hamiltonian(p, basis, "rwa"), full_boundary(basis)
         overlap, boundary = rwa.overlap(coef, psi), rwa.boundary_weight(coef)
         for i, t in enumerate(ts):
             ref = dense_propagate(h_rwa, psi0, t)
@@ -542,8 +573,8 @@ class TestRwaBlocks:
         rwa = fockoracle.RwaBlocks(p, basis, *fockoracle.number_blocks(basis, sector, 0), sector)
         phase = np.multiply.outer(rwa.energies, ts)
         coef = rwa.coefficients(ts)
-        assert coef.shape == rwa.valid.shape + ts.shape and np.all(coef[~rwa.valid] == 0.0)
-        assert np.max(np.abs(coef[rwa.valid] - rwa.c[:, None] * (np.cos(phase) - 1j * np.sin(phase)))) < 2e-12
+        assert coef.shape == rwa.energies.shape + ts.shape == rwa.c.shape + ts.shape
+        assert np.max(np.abs(coef - rwa.c[:, None] * (np.cos(phase) - 1j * np.sin(phase)))) < 2e-12
 
     @pytest.mark.parametrize("cutoff", [12, 13])
     @pytest.mark.parametrize("n_a, n_b", [(0, 0), (3, 2), (5, 8), (12, 12)])
@@ -833,6 +864,20 @@ class TestOracle:
         _, windows = oracle._trajectory(psi0, 0, ts)
         assert sum(len(where) for where, _, _ in windows) == len(ts)
         assert len(sizes) > 100 and max(sizes) <= fockoracle.WINDOW
+
+    def test_peak_memory_of_a_squeezed_dense_grid(self):
+        # a window holds its states, a run's coefficient table, chunk sums of CHUNK // 2 rows and the
+        # RWA amplitudes of the kept entries alone: the traced peak is 2.52-2.54 MB (numpy 2.4, Python
+        # 3.11), where RWA blocks padded to the widest one, chunk sums of every row and fresh density
+        # temporaries took it to 3.29-3.31 MB
+        oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 40)
+        tracemalloc.start()
+        try:
+            oracle.compare(InitialState("squeezed", s=0.2), np.linspace(0.0, 10.0, 201))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.8e6
 
     def test_fidelity_bounded(self):
         p = OscillatorParams(1.0, 1.0, 0.2, 0.2)
