@@ -73,7 +73,7 @@ class OscillatorParams:
     def __post_init__(self):
         for name in ("omega_a", "omega_b", "g_bs", "g_sq"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
             # a Python float, so integer arguments cannot give integer arrays downstream
             object.__setattr__(self, name, float(value))

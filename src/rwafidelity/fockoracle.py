@@ -30,13 +30,14 @@ The RWA copy keeps only a'b + ab', which conserves N = n_a + n_b itself, so it
 is solved, not propagated: `RwaBlocks` diagonalizes once each tridiagonal
 block of fixed N that carries the initial state's weight (one block for the
 vacuum or a Fock state), holds each at its own size, and reads the RWA state,
-its overlap with the full state and its weight on the truncation boundary
-from that eigenbasis at all the times of a window at once.  Its cost does not
-grow with the time span, and <N> under it keeps its initial value exactly.
-The tails and <N> of the full side are summed over the window's states, which
-become their densities in place.  The truncation tail is checked at every
-time, and a `TruncationError` names the first time it fails.  The
-number of Chebyshev terms grows as (omega_a + omega_b) * cutoff * |time span|.
+its overlap with the full state and, from each block's own first and last
+rows, its weight on the truncation boundary from that eigenbasis at all the
+times of a window at once.  Its cost does not grow with the time span, and <N>
+under it keeps its initial value exactly.  The tails and <N> of the full side
+are summed over the window's states, which become their densities in place.
+The truncation tail is checked at every time, and a `TruncationError` names
+the first time it fails.  The number of Chebyshev terms grows as (omega_a +
+omega_b) * cutoff * |time span|.
 The work is estimated from the window plan alone, as each window's term bound
 times (sector length + TERM_OVERHEAD) plus one row of the plan per time, and a
 request over WORK_BUDGET is refused before any block is diagonalized or
@@ -180,17 +181,17 @@ def chebyshev_terms(ax):
     return np.floor(ax + 16.0 * np.cbrt(ax)) + 40.0
 
 
-def chebyshev_coefficients(x) -> np.ndarray:
-    """a_k with exp(-i x y) = sum_k a_k T_k(y) on [-1, 1], cut where |J_k(x)| drops below eps.
+def chebyshev_coefficients(x) -> tuple[np.ndarray, np.ndarray]:
+    """Real b_k and kept lengths of a_k with exp(-i x y) = sum_k a_k T_k(y) on [-1, 1], cut where |J_k(x)| drops below eps.
 
-    A scalar x gives one row; an array of x gives one row per entry, each cut
-    at its own length and zero-padded to the longest, all from one recurrence.
-    a_k = (2 - delta_k0) (-i sign x)^k J_k(|x|) is real for even k and imaginary
-    for odd k, and goes straight into that part of the output.  J_k(|x|) comes
-    from Miller's backward recurrence J_(k-1) = (2k/|x|) J_k - J_(k+1), each
-    entry started at its own `chebyshev_terms` from 2^-900, so that it cannot
-    overflow, and normalized by J_0 + 2 sum_k J_2k = 1.  Below |x| = 2^-26, J_0 =
-    1 and J_1 = |x|/2 to double precision and J_2 < eps: those are set directly.
+    a_k = (2 - delta_k0) (-i sign x)^k J_k(|x|) is b_k for even k and i b_k for
+    odd k.  b[0] holds the even k and b[1] the odd k, a row per entry of x each;
+    an entry keeps the terms up to one past its last |J_k| >= eps, its length,
+    and is zero past them.  J_k(|x|) comes from Miller's backward recurrence
+    J_(k-1) = (2k/|x|) J_k - J_(k+1), each entry started at its own
+    `chebyshev_terms` from 2^-900, so that it cannot overflow, and normalized by
+    J_0 + 2 sum_k J_2k = 1.  Below |x| = 2^-26, J_0 = 1 and J_1 = |x|/2 to
+    double precision and J_2 < eps: those are set directly.
     """
     x = np.asarray(x, dtype=float)
     ax = np.abs(x).ravel()
@@ -219,10 +220,10 @@ def chebyshev_coefficients(x) -> np.ndarray:
     np.copyto(j, 0.0, where=k[:, None] >= kept)
     # (2 - delta_k0) (-1)^floor(k/2), exact factors: (-i)^k is that sign at even k and -i times it at odd k
     signs = np.where(k % 4 < 2, 2.0, -2.0) - (k == 0)
-    a = np.zeros(j.shape, complex)
-    np.multiply(j[0::2], signs[0::2, None], out=a.real[0::2])
-    np.multiply(j[1::2], -signs[1::2, None] * np.sign(x).ravel(), out=a.imag[1::2])
-    return a.T.reshape(x.shape + (len(j),))
+    b = np.zeros((2, ax.size, (len(j) + 1) // 2))  # an odd length leaves the odd half's last column 0
+    np.multiply(j[0::2], signs[0::2, None], out=b[0].T)
+    np.multiply(j[1::2], -signs[1::2, None] * np.sign(x).ravel(), out=b[1].T[: len(j) // 2])
+    return b.reshape((2,) + x.shape + b.shape[-1:]), kept.reshape(x.shape)
 
 
 def fock_vector(basis: FockBasis, n_a: int, n_b: int) -> np.ndarray:
@@ -307,7 +308,8 @@ class RwaBlocks:
     psi_rwa,N(t) = V_N e^(-i E_N t) c_N with c_N = V_N^T psi0,N at any t.  The
     energies and eigenbasis amplitudes are flat over the kept entries, with no
     padding, and the times of a window are their trailing axis: a window costs
-    one product per block for the overlap and one for the boundary weight.
+    one product per block for the overlap, and one per block of N >= cutoff on
+    its first and last rows of V_N (n_b, n_a = cutoff) for the boundary weight.
     """
 
     def __init__(self, p: OscillatorParams, basis: FockBasis, n_a: np.ndarray, n_b: np.ndarray, psi0: np.ndarray):
@@ -317,12 +319,7 @@ class RwaBlocks:
         self.bounds = list(zip(starts, starts[1:] + [len(total)]))
         diagonal = p.omega_a * n_a + p.omega_b * n_b
         off = p.g_bs * np.sqrt((n_a[:-1] + 1.0) * n_b[:-1])  # between entries j and j + 1 of one block
-        # rows on the truncation boundary, n_a = cutoff or n_b = cutoff: at most a block's first and
-        # last, all in the blocks of N >= cutoff, which come last; one row of edge_vecs each
-        edge = np.maximum(n_a, n_b) == basis.cutoff
-        row, self.edge_from = np.cumsum(edge) - 1, int(np.searchsorted(total, basis.cutoff))
-        self.edge_vecs = np.zeros((np.count_nonzero(edge), len(total) - self.edge_from))
-        self.energies, self.c, self.vecs_t = np.empty(len(total)), np.empty(len(total)), []
+        self.energies, self.c, self.vecs_t, self.edges = np.empty(len(total)), np.empty(len(total)), [], []
         for s, e in self.bounds:
             # each block is diagonalized about its mean energy, since eigh's error scales with
             # the norm it sees and E t reaches thousands of radians
@@ -331,8 +328,8 @@ class RwaBlocks:
             self.energies[s:e] = energies + mean
             self.vecs_t.append(np.ascontiguousarray(vecs.T))  # V^T, the hot product's operand
             self.c[s:e] = self.vecs_t[-1] @ psi0[self.index[s:e]]
-            for j in np.flatnonzero(edge[s:e]):
-                self.edge_vecs[row[s + j], s - self.edge_from : e - self.edge_from] = vecs[j]
+            if total[s] >= basis.cutoff:
+                self.edges.append((s, e, self.vecs_t[-1].T[:: max(e - s - 1, 1)]))  # one row if N = 2 cutoff
 
     def coefficients(self, ts: np.ndarray) -> np.ndarray:
         """Eigenbasis amplitudes e^(-i E t) c, one row per kept entry and one column per time.
@@ -358,8 +355,11 @@ class RwaBlocks:
 
     def boundary_weight(self, coef: np.ndarray) -> np.ndarray:
         """Weight of the RWA state on the truncation boundary, per time."""
-        edge = np.matmul(self.edge_vecs, coef[self.edge_from :].view(float)).reshape(-1, coef.shape[-1], 2)
-        return np.einsum("ktc,ktc->t", edge, edge)
+        weight = np.zeros(coef.shape[-1])
+        for s, e, rows in self.edges:
+            edge = np.matmul(rows, coef[s:e].view(float)).reshape(len(rows), -1, 2)
+            weight += np.einsum("ktc,ktc->t", edge, edge)
+        return weight
 
     def amplitudes(self, coef: np.ndarray, size: int) -> np.ndarray:
         """Sector amplitudes of the RWA state at one time, for a one-column coef, exactly zero outside its blocks."""
@@ -471,36 +471,33 @@ class FockOracle:
                         break
                     run += 1
                 start, end = first, edges[run]
-                table = chebyshev_coefficients(self._half * dts[start:end])
-            a = table[first - start : last - start]
-            out = states[: last - first]
-            self._expand(kernels[np.iscomplexobj(psi)], psi, a[:, : np.flatnonzero(np.any(a, axis=0))[-1] + 1], out)
+                table, kept = chebyshev_coefficients(self._half * dts[start:end])
+            out, rows = states[: last - first], slice(first - start, last - start)
+            self._expand(kernels[np.iscomplexobj(psi)], psi, table[:, rows], kept[rows], out)
             out *= np.exp(-1j * self._centre * dts[first:last])[:, None]
             psi = out[-1].copy()
             yield order[first:last], ts[order[first:last]], out
 
     @staticmethod
-    def _expand(kernel: tuple, psi: np.ndarray, a: np.ndarray, states: np.ndarray) -> None:
-        """Rows sum_k a_k T_k psi into states, one per row of the coefficient table a.
+    def _expand(kernel: tuple, psi: np.ndarray, table: np.ndarray, kept: np.ndarray, states: np.ndarray) -> None:
+        """Rows sum_k a_k T_k psi into states, one per row of a `chebyshev_coefficients` table and its kept lengths.
 
         kernel is a buffer of terms, the `_shifted` arguments from its row j
         to row j + 1 (steps[j]), and the recurrence operator: the real one for
         a real psi, the interleaved copy, on float pairs, for a complex psi.
         The terms T_k psi are formed CHUNK at a time in the buffer, whose last two rows seed
-        the next chunk, and each chunk is summed by one product per parity of k (a_k is real
-        for even k, else imaginary) and per CHUNK // 2 rows, so that the sums take no more room
-        than the terms they add, into the rows from the first whose running maximum of lengths
-        passes its first k: rows run in ascending |x|, so those are the ones still running, and
-        a first window across t = 0, whose lengths fall and then rise, sums more.
+        the next chunk, and each chunk is summed by one product per half of the table (a_k is
+        real for even k, else imaginary) and per CHUNK // 2 rows, so that the sums take no more
+        room than the terms they add, into the rows from the first whose running maximum of
+        kept lengths passes its first k: rows run in ascending |x|, so those are the ones still
+        running, and a first window across t = 0, whose lengths fall and then rise, sums more.
         """
         terms, steps, h = kernel
-        weights = np.ascontiguousarray(a.real[:, 0::2]), np.ascontiguousarray(a.imag[:, 1::2])
-        lengths = np.maximum.accumulate(a.shape[1] - np.argmax(a[:, ::-1] != 0.0, axis=1))
-        real = not np.iscomplexobj(psi)
-        part = np.empty((min(len(a), CHUNK // 2), terms.shape[1]))
+        lengths, real = np.maximum.accumulate(kept), not np.iscomplexobj(psi)
+        part = np.empty((min(len(kept), CHUNK // 2), terms.shape[1]))
         states[...] = 0.0
-        start = 0
-        for k in range(a.shape[1]):
+        start, count = 0, int(lengths[-1])
+        for k in range(count):
             prev, cur, couplings = steps[k - start + 1]
             if k == 0:
                 cur[:] = psi.view(float)
@@ -508,12 +505,12 @@ class FockOracle:
                 np.multiply(h._apply(prev, cur, couplings), 0.5, out=cur)
             else:
                 np.subtract(h._apply(prev, cur, couplings), steps[k - start][0], out=cur)
-            if cur is steps[-1][1] or k + 1 == a.shape[1]:
+            if cur is steps[-1][1] or k + 1 == count:
                 # rows 2, 4, ... of the buffer hold the even terms from T_start, rows 3, 5, ... the
                 # odd ones, whose sum is imaginary: i (x + i y) = -y + i x
-                for top in range(int(np.searchsorted(lengths, start, side="right")), len(a), len(part)):
-                    out, sums = states[top : top + len(part)], part[: len(a) - top]
-                    for w, first in zip(weights, (2, 3)):
+                for top in range(int(np.searchsorted(lengths, start, side="right")), len(kept), len(part)):
+                    out, sums = states[top : top + len(part)], part[: len(kept) - top]
+                    for w, first in zip(table, (2, 3)):
                         block = terms[first : k - start + 3 : 2]
                         np.matmul(w[top : top + len(part), start // 2 : start // 2 + len(block)], block, out=sums)
                         if real:
@@ -571,8 +568,7 @@ class FockOracle:
 
 def fock_bound(n_a: int, n_b: int, g: float, omega: float, t: float) -> float:
     """Resonant worst-case bound on ||(U - U_RWA)|n_a, n_b>||, even in g and t as the distance is."""
-    if n_a < 0 or n_b < 0:
-        raise ValueError("occupations n_a, n_b must be nonnegative")
+    InitialState("fock", n_a=n_a, n_b=n_b)  # refuses a bool, non-integer or negative occupation
     if not (math.isfinite(g) and math.isfinite(t) and 0 < omega < math.inf):
         raise ValueError("g and t must be finite and omega finite and positive")
     total, g = n_a + n_b, abs(g)

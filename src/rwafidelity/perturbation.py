@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import OscillatorParams, _modes, normal_mode_frequencies
 from .metrics import gaussian_grid
-from .states import squeezed_pair, vacuum
+from .states import _check_squeezing, squeezed_pair, vacuum
 
 __all__ = [
     "perturbative_family",
@@ -57,6 +57,7 @@ class PerturbativeRegime:
         tau = np.asarray(self.tau, dtype=float)
         if not np.all(np.isfinite(tau)) or np.any(tau < 0):
             raise ValueError("tau must be finite and nonnegative")
+        object.__setattr__(self, "s", _check_squeezing(self.s))
 
     @property
     def flags(self) -> tuple[str, ...]:

@@ -9,6 +9,8 @@ constructor takes first moments.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +49,8 @@ class InitialState:
             raise ValueError("fock occupations must be nonnegative")
         if self.kind != "fock" and (self.n_a or self.n_b):
             raise ValueError(f"occupations n_a, n_b need kind fock, got kind {self.kind!r}")
-        if not np.isfinite(self.s):
-            raise ValueError(f"squeezing s must be finite, got {self.s!r}")
-        _check_squeezing(self.s)  # here, so that no route does any work on an s out of range
+        # here, so that no route does any work on an s out of range, and kept as a float
+        object.__setattr__(self, "s", _check_squeezing(self.s))
 
     def factor(self) -> SymplecticMatrix:
         if self.kind == "vacuum":
@@ -66,12 +67,20 @@ def vacuum() -> SymplecticMatrix:
 
 def squeezed_pair(s: float) -> SymplecticMatrix:
     """Factor s0 of both modes squeezed by the same real parameter s (no squeezing phase)."""
-    _check_squeezing(s)
+    s = _check_squeezing(s)
     alpha0 = np.cosh(s) * np.eye(2, dtype=complex)
     beta0 = np.sinh(s) * np.eye(2, dtype=complex)
     return SymplecticMatrix(alpha0, beta0)
 
 
-def _check_squeezing(s: float):
+def _check_squeezing(s: float) -> float:
+    """s as a float, refused unless a finite real number within SQUEEZING_RANGE.
+
+    A bool is refused, since numpy takes cosh and tanh of one in float16; a
+    float32 is widened, since its cosh and sinh would miss the Bogoliubov identity.
+    """
+    if isinstance(s, bool) or not isinstance(s, numbers.Real) or not abs(s) < math.inf:
+        raise ValueError(f"squeezing s must be a finite real number, got {s!r}")
     if not abs(s) <= SQUEEZING_RANGE:
         raise ValueError(f"|s| <= {SQUEEZING_RANGE} required, got {s}")
+    return float(s)

@@ -89,10 +89,12 @@ class TestParams:
             OscillatorParams(scale, scale, 10.0 * scale, 0.0)
         assert critical_coupling(OscillatorParams(scale, 4.0 * scale, 0.3 * scale, 0.1 * scale)) == pytest.approx(1.5 * scale, rel=1e-15)
 
-    @pytest.mark.parametrize("bad", ["1.0", None, 1j, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", ["1.0", None, 1j, float("nan"), float("inf"), True, False])
     def test_rejects_non_real_or_nonfinite(self, bad):
         with pytest.raises(ValueError, match="finite real number"):
             OscillatorParams(1.0, 1.0, bad, 0.0)
+        with pytest.raises(ValueError, match="finite real number"):
+            OscillatorParams(bad, 1.0)
 
 
 class TestCriticalCoupling:

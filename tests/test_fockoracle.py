@@ -54,6 +54,14 @@ def parity_of(initial):
     return (initial.n_a + initial.n_b) % 2
 
 
+def assembled(x):
+    """The complex a_k of chebyshev_coefficients(x): a_k = b_k for even k and i b_k for odd k, up to the longest kept length."""
+    (even, odd), kept = chebyshev_coefficients(x)
+    a = np.zeros(even.shape[:-1] + (2 * even.shape[-1],), dtype=complex)
+    a[..., 0::2], a[..., 1::2] = even, 1j * odd
+    return a[..., : kept.max()]
+
+
 def build_hamiltonian(p, basis, variant="full"):
     """Dense reference H on the truncated basis, filled entry by entry."""
     c = basis.cutoff
@@ -256,7 +264,7 @@ class TestChebyshev:
     def test_coefficients_match_bessel(self):
         special = pytest.importorskip("scipy.special")
         for x in (0.0, 1e-9, 0.3, 5.0, -12.5, 90.0, 700.0):
-            coeffs = chebyshev_coefficients(x)
+            coeffs = assembled(x)
             k = np.arange(len(coeffs))
             ref = np.where(k == 0, 1.0, 2.0) * (-1j) ** k * special.jv(k, x)
             assert np.max(np.abs(coeffs - ref)) < 1e-15 * (10.0 + abs(x)), x
@@ -268,9 +276,24 @@ class TestChebyshev:
     @pytest.mark.parametrize("x", [0.0, 0.2, -3.0, 40.0, -250.0])
     def test_series_sums_to_exponential(self, x):
         y = np.linspace(-1.0, 1.0, 101)
-        coeffs = chebyshev_coefficients(x)
+        coeffs = assembled(x)
         got = np.polynomial.chebyshev.chebval(y, coeffs)
         assert np.max(np.abs(got - np.exp(-1j * x * y))) < 1e-15 * (10.0 + abs(x))
+
+    def test_table_is_real_and_carries_each_rows_kept_length(self):
+        # |J_k| = |b_k| / (2 - delta_k0); a row keeps its terms up to one past its last |J_k| >= eps,
+        # is zero past them, and is the table its own entry of x gets alone
+        x = np.array([[0.0, 1e-9, -0.3], [5.0, -12.5, 700.0]])
+        table, kept = chebyshev_coefficients(x)
+        assert table.dtype == float and kept.shape == x.shape
+        assert table.shape == (2,) + x.shape + ((kept.max() + 1) // 2,)
+        k = np.arange(2 * table.shape[-1])
+        bessel = np.abs(np.stack(tuple(table), axis=-1).reshape(x.shape + k.shape)) / np.where(k == 0, 1.0, 2.0)
+        for i in np.ndindex(x.shape):
+            assert kept[i] == np.flatnonzero(bessel[i] >= np.finfo(float).eps)[-1] + 1
+            assert not np.any(bessel[i][kept[i] :])
+            alone, length = chebyshev_coefficients(x[i])
+            assert length == kept[i] and np.array_equal(table[(slice(None),) + i][:, : alone.shape[-1]], alone)
 
 
 class TestPropagation:
@@ -369,10 +392,7 @@ def chebyshev_propagate(h, psi0, ts):
     centre, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     eye = np.eye(len(h.diagonal))
     scaled = (h(eye).T - centre * eye) / half
-    coeffs = [chebyshev_coefficients(half * t) for t in ts]
-    a = np.zeros((len(ts), max(map(len, coeffs))), dtype=complex)
-    for row, c in zip(a, coeffs):
-        row[: len(c)] = c
+    a = assembled(half * np.asarray(ts))
     # T_k(scaled) psi0, with the real and imaginary parts of psi0 side by side
     terms = np.empty((a.shape[1], len(psi0), 2))
     terms[0] = np.asarray(psi0, dtype=complex).view(float).reshape(-1, 2)
@@ -587,6 +607,17 @@ class TestRwaBlocks:
             assert abs(np.sum(np.abs(rwa) ** 2) - 1.0) < 1e-14
 
     @pytest.mark.parametrize("cutoff", [12, 13])
+    def test_single_entry_corner_block_is_one_boundary_row(self, cutoff):
+        # |c, c> is the whole block N = 2 cutoff, whose one entry is both its first and its last row
+        p, basis = PARAMS["mixed-sign"], FockBasis(cutoff)
+        psi0 = fock_vector(basis, cutoff, cutoff)
+        n_a, n_b = fockoracle.number_blocks(basis, psi0, 0)
+        assert n_a.tolist() == n_b.tolist() == [cutoff]
+        rwa = fockoracle.RwaBlocks(p, basis, n_a, n_b, psi0)
+        boundary = rwa.boundary_weight(rwa.coefficients(np.array([-40.0, 0.0, 0.9, 130.0])))
+        assert np.max(np.abs(boundary - 1.0)) < 1e-14
+
+    @pytest.mark.parametrize("cutoff", [12, 13])
     def test_block_weights_conserved(self, cutoff):
         oracle = FockOracle(PARAMS["equal"], cutoff)
         psi0, _ = squeezed_vector(oracle.basis, 0.2)
@@ -775,9 +806,9 @@ class TestOracle:
         # of its own; the last window holds one time, a table of one column
         seen, expand = [], FockOracle._expand
 
-        def spy(kernel, psi, a, states):
-            seen.append(a.copy())
-            expand(kernel, psi, a, states)
+        def spy(kernel, psi, table, kept, states):
+            seen.append((table.copy(), kept.copy()))
+            expand(kernel, psi, table, kept, states)
 
         monkeypatch.setattr(FockOracle, "_expand", staticmethod(spy))
         oracle, ts = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 12), np.linspace(0.0, 10.0, 200)
@@ -787,8 +818,11 @@ class TestOracle:
         for _ in oracle._trajectory(psi0, 0, ts)[1]:
             pass
         assert len(seen) == len(edges) - 1
-        for a, first, last, anchor in zip(seen, edges[:-1], edges[1:], anchors):
-            assert np.array_equal(a, chebyshev_coefficients(oracle._half * (ts[order[first:last]] - anchor)))
+        for (table, kept), first, last, anchor in zip(seen, edges[:-1], edges[1:], anchors):
+            own, own_kept = chebyshev_coefficients(oracle._half * (ts[order[first:last]] - anchor))
+            # the run's table may be wider, with zeros past the window's own
+            assert np.array_equal(kept, own_kept) and not np.any(table[..., own.shape[-1] :])
+            assert np.array_equal(table[..., : own.shape[-1]], own)
 
     @pytest.mark.parametrize("s", [0.0, 0.2])
     def test_sparse_cutoff_80_grid_runs_as_one_real_series(self, monkeypatch, s):
@@ -796,9 +830,9 @@ class TestOracle:
         # on float pairs and no second series tail is paid
         seen, products, expand, matmul = [], [], FockOracle._expand, np.matmul
 
-        def spy(kernel, psi, a, states):
-            seen.append((np.iscomplexobj(psi), a.shape))
-            expand(kernel, psi, a, states)
+        def spy(kernel, psi, table, kept, states):
+            seen.append((np.iscomplexobj(psi), (len(kept), int(kept.max()))))
+            expand(kernel, psi, table, kept, states)
 
         def counted(x, y, **kwargs):
             if "out" in kwargs:  # _expand's chunk products; the RWA side passes no out
@@ -833,10 +867,10 @@ class TestOracle:
     def test_complex_window_term_buffer_is_bounded_at_cutoff_96(self, monkeypatch):
         buffers, expand = [], FockOracle._expand
 
-        def spy(kernel, psi, a, states):
+        def spy(kernel, psi, table, kept, states):
             if np.iscomplexobj(psi):
                 buffers.append(kernel[0])
-            expand(kernel, psi, a, states)
+            expand(kernel, psi, table, kept, states)
 
         monkeypatch.setattr(FockOracle, "_expand", staticmethod(spy))
         oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 96)
@@ -853,12 +887,12 @@ class TestOracle:
         sizes = []
 
         def counted(x):
-            table = chebyshev_coefficients(x)
+            table, kept = chebyshev_coefficients(x)
             sizes.append(table.size)
-            return table
+            return table, kept
 
         monkeypatch.setattr(fockoracle, "chebyshev_coefficients", counted)
-        monkeypatch.setattr(FockOracle, "_expand", staticmethod(lambda kernel, psi, a, states: states.fill(0.0)))
+        monkeypatch.setattr(FockOracle, "_expand", staticmethod(lambda kernel, psi, table, kept, states: states.fill(0.0)))
         oracle, ts = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 8), np.linspace(0.0, 100.0, 200_000)
         psi0, _ = squeezed_vector(oracle.basis, 0.1)
         _, windows = oracle._trajectory(psi0, 0, ts)
@@ -866,10 +900,10 @@ class TestOracle:
         assert len(sizes) > 100 and max(sizes) <= fockoracle.WINDOW
 
     def test_peak_memory_of_a_squeezed_dense_grid(self):
-        # a window holds its states, a run's coefficient table, chunk sums of CHUNK // 2 rows and the
-        # RWA amplitudes of the kept entries alone: the traced peak is 2.52-2.54 MB (numpy 2.4, Python
-        # 3.11), where RWA blocks padded to the widest one, chunk sums of every row and fresh density
-        # temporaries took it to 3.29-3.31 MB
+        # a window holds its states, a run's real coefficient table, chunk sums of CHUNK // 2 rows and
+        # the RWA amplitudes of the kept entries alone: the traced peak is 2.30 MB (numpy 2.4, Python
+        # 3.11), where a complex table with its real halves copied took it to 2.52 MB, and RWA blocks
+        # padded to the widest one, chunk sums of every row and fresh density temporaries to 3.29 MB
         oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 40)
         tracemalloc.start()
         try:
@@ -878,6 +912,19 @@ class TestOracle:
         finally:
             tracemalloc.stop()
         assert peak < 2.8e6
+
+    def test_peak_memory_of_a_wide_squeezed_state_at_cutoff_96(self):
+        # s = 1.2 keeps 97 RWA blocks, 49 of them with rows on the truncation boundary; each keeps its own
+        # one or two rows of V: the traced peak is 6.95 MB (numpy 2.4, Python 3.11), and the bound fails
+        # one dense matrix of those rows over every entry of the 49 blocks with a complex table (8.86 MB)
+        oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 96)
+        tracemalloc.start()
+        try:
+            oracle.compare(InitialState("squeezed", s=1.2), np.linspace(0.0, 10.0, 11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.9e6
 
     def test_fidelity_bounded(self):
         p = OscillatorParams(1.0, 1.0, 0.2, 0.2)
@@ -946,6 +993,11 @@ class TestFockBound:
         assert not p.resonant
         with pytest.raises(ValueError, match="on resonance"):
             bound_check(0, 0, p, 1.0, 8)
+
+    @pytest.mark.parametrize("n_a, n_b", [(1.5, 0), (True, 0), (0, 2.0), (0, "1")])
+    def test_refuses_non_integer_occupations(self, n_a, n_b):
+        with pytest.raises(ValueError, match="must be integers"):
+            fock_bound(n_a, n_b, 0.1, 1.0, 1.0)
 
     def test_refuses_negative_occupations_and_nonfinite_inputs(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -27,6 +27,12 @@ class TestRegime:
         with pytest.raises(ValueError):
             PerturbativeRegime(0.5, 1.0)
 
+    @pytest.mark.parametrize("s", [float("nan"), 11.0, True, 0.3 + 0j])
+    def test_squeezing_is_checked_as_the_initial_state_checks_it(self, s):
+        with pytest.raises(ValueError, match="finite real number|required"):
+            PerturbativeRegime(0.05, 1.0, s=s)
+        assert type(PerturbativeRegime(0.05, 1.0, s=np.float32(0.5)).s) is float
+
     def test_covers_the_family_up_to_its_edge(self):
         # off exact resonance the family reaches a g_tilde whose resonant params (1, 1, g, g) are refused as unstable
         g = 0.5 * (1.0 - 1e-9)

@@ -67,6 +67,21 @@ class TestSqueezedPair:
         with pytest.raises(ValueError, match="finite"):
             InitialState("squeezed", s=s)
 
+    @pytest.mark.parametrize("s", [True, np.bool_(False), 0.3 + 0j, np.complex128(0.3), "0.5", None, np.array(0.5)])
+    def test_rejects_non_real(self, s):
+        # numpy takes cosh and tanh of a bool in float16, which misses the Bogoliubov identities
+        for make in (squeezed_pair, lambda s: InitialState("squeezed", s=s)):
+            with pytest.raises(ValueError, match="must be a finite real number"):
+                make(s)
+
+    @pytest.mark.parametrize("s", [np.float32(0.5), np.int64(1), 1])
+    def test_keeps_a_real_number_as_a_float(self, s):
+        # a float32 s would give cosh and sinh in float32, off the identity cosh^2 - sinh^2 = 1 by 2.5e-07
+        initial = InitialState("squeezed", s=s)
+        assert type(initial.s) is float and initial.s == float(s)
+        assert initial.factor().matrix.dtype == complex
+        assert np.array_equal(initial.factor().matrix, squeezed_pair(float(s)).matrix)
+
 
 class TestThermal:
     def test_symplectic_eigenvalues(self):
