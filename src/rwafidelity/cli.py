@@ -31,7 +31,7 @@ from .dynamics import (
     time_evolution,
 )
 from .floatrows import csv_rows, json_rows
-from .fockoracle import MAX_CUTOFF, FockOracle, TruncationError
+from .fockoracle import FockBasis, FockOracle, TruncationError
 from .metrics import gaussian_grid
 from .perturbation import (
     PerturbativeRegime,
@@ -206,12 +206,12 @@ class ScanConfig:
             if name not in [out.name for out in OUTPUTS if out.needs != "oracle"]:
                 problems.append(f"outputs: unrecognized quantity {name!r}")
         problems += _unscannable(self.initial_state.kind)
-        if self.initial_state.kind == "vacuum" and self.initial_state.s != 0.0:
-            problems.append("initial_state: s needs kind squeezed")
         if self.fmt not in ("csv", "json"):
             problems.append("format: must be csv or json")
-        if not (1 <= self.cutoff <= MAX_CUTOFF):
-            problems.append(f"oracle: cutoff must be in [1, {MAX_CUTOFF}]")
+        try:
+            FockBasis(self.cutoff)
+        except ValueError as exc:
+            problems.append(f"oracle: {exc}")
         for out in OUTPUTS:
             if out.needs == "family" and out.name in self.outputs:
                 problems += _outside_family(f"outputs: {out.name}", self.params)
@@ -237,9 +237,13 @@ class ScanConfig:
         if isinstance(doc.get("initial_state"), str):
             doc = {**doc, "initial_state": {"kind": doc["initial_state"]}}
         kind = _read(doc, "initial_state.kind", str, ScanConfig.initial_state.kind)
-        if problems := _unscannable(kind):  # before InitialState, whose refusal names no config path
+        if problems := _unscannable(kind):  # before InitialState, so that a kind no scan takes is named as such
             raise ConfigError("; ".join(problems))
-        initial = InitialState(kind=kind, s=_read(doc, "initial_state.s", float, InitialState.s))
+        s = _read(doc, "initial_state.s", float, InitialState.s)
+        try:
+            initial = InitialState(kind=kind, s=s)
+        except ValueError as exc:
+            raise ConfigError(f"initial_state: {exc}") from exc
         for field in own:
             _at(doc, field.path)  # the sections are checked before outputs, their fields after it
         outputs = doc.get("outputs", ScanConfig.outputs)

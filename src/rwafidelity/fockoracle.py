@@ -68,18 +68,16 @@ __all__ = [
     "bound_check",
     "BoundCheckResult",
     "TAIL_TOL",
-    "MAX_CUTOFF",
 ]
 
 TAIL_TOL = 1e-8
-MAX_CUTOFF = 96
 BOUND_CERT_TOL = 1e-6
-# Largest trajectory, in updates of the window plan: each window's term bound times the sector's
-# length plus TERM_OVERHEAD (a term's interpreter cost), and each time's row of `_windows`.  A
-# `compare` took 2.2-4.9 ns per update at cutoffs 1 to 96 (2-vCPU VM, one BLAS thread), so the
-# budget is at most about 20 s.  A window holds at most WINDOW amplitudes of states, RWA eigenbasis
-# amplitudes and coefficients, forms its terms CHUNK at a time in a buffer of CHUNK + 2 rows, and
-# sums each chunk into its states CHUNK // 2 of them at a time.
+# Largest trajectory, in updates of the window plan: each window's term bound times the sector's length plus
+# TERM_OVERHEAD (a term's interpreter cost), and each time's row of `_windows`.  A `compare` took 2.2-4.9 ns
+# per update at cutoffs 1 to 96 (2-vCPU VM, one BLAS thread), and 2.4 times that at 360, so the budget is at
+# most about 20 s, or 50 s at 360.  A window holds at most WINDOW amplitudes of states, RWA eigenbasis
+# amplitudes and coefficients, and a cutoff is admitted while one state of its parity sector fits (to 360);
+# terms are formed CHUNK at a time in a buffer of CHUNK + 2 rows, and summed CHUNK // 2 states at a time.
 WORK_BUDGET = 4e9
 TERM_OVERHEAD = 800
 WINDOW = 2**16
@@ -109,8 +107,9 @@ class FockBasis:
     def __post_init__(self):
         if isinstance(self.cutoff, bool) or not isinstance(self.cutoff, (int, np.integer)):
             raise ValueError(f"cutoff must be an integer, got {self.cutoff!r}")
-        if not (1 <= self.cutoff <= MAX_CUTOFF):
-            raise ValueError(f"cutoff must be in [1, {MAX_CUTOFF}]")
+        object.__setattr__(self, "cutoff", int(self.cutoff))  # so that the sector's size cannot wrap
+        if not (1 <= self.cutoff and (self.cutoff + 1) * self.stride <= 2 * WINDOW):
+            raise ValueError(f"cutoff must be at least 1 with a parity sector of at most WINDOW = {WINDOW} amplitudes, got {self.cutoff}")
 
     @property
     def stride(self) -> int:
@@ -239,14 +238,12 @@ def squeezed_mode_amplitudes(s: float, cutoff: int) -> np.ndarray:
     """Number-basis amplitudes of a single squeezed mode with +sinh(s) pair moment.
 
     Matches the factor of states.squeezed_pair, beta0 = sinh(s) I: <a^2> = sinh(2s)/2,
-    so the even amplitudes carry (+tanh s)^k.
+    so the even amplitudes carry (+tanh s)^(k/2).
     """
-    amp = np.zeros(cutoff + 1)
-    th = np.tanh(s)
-    for k in range(0, cutoff + 1, 2):
-        half = k // 2
-        amp[k] = th**half * math.sqrt(math.factorial(k)) / (2.0**half * math.factorial(half))
-    return amp / math.sqrt(math.cosh(s))
+    amp, k = np.zeros(cutoff + 1), np.arange(2, cutoff + 1, 2)
+    # a running product amp[k] = amp[k - 2] tanh(s) sqrt((k - 1) / k), since sqrt(k!) overflows a double from k = 171
+    amp[::2] = np.cumprod(np.concatenate(([1.0 / math.sqrt(math.cosh(s))], math.tanh(s) * np.sqrt((k - 1.0) / k))))
+    return amp
 
 
 def squeezed_vector(basis: FockBasis, s: float) -> tuple[np.ndarray, float]:
@@ -582,11 +579,6 @@ class BoundCheckResult:
     satisfied: bool
 
 
-def _propagation_distance(p: OscillatorParams, initial: InitialState, t: float, cutoff: int) -> float:
-    psi_full, psi_rwa, _ = FockOracle(p, cutoff).evolved_pair(initial, t)
-    return float(np.linalg.norm(psi_full - psi_rwa))
-
-
 def bound_check(n_a: int, n_b: int, p: OscillatorParams, t: float, cutoff: int) -> BoundCheckResult:
     """Exact propagation distance against the analytic bound, on resonance.
 
@@ -599,14 +591,15 @@ def bound_check(n_a: int, n_b: int, p: OscillatorParams, t: float, cutoff: int) 
         raise ValueError("the bound is derived on resonance")
     if not p.equal_couplings:
         raise ValueError("the bound compares equal couplings against their RWA")
-    if 2 * cutoff > MAX_CUTOFF:
-        raise ValueError(f"the certification doubles the cutoff, so it must be at most {MAX_CUTOFF // 2}")
+    try:
+        FockBasis(2 * cutoff)
+    except ValueError as exc:
+        raise ValueError(f"the certification doubles the cutoff, and {exc}") from exc
     z_max = fock_bound(n_a, n_b, p.g_bs, p.omega_a, t)
     if p.g_sq == 0.0:
         # equal couplings, so H is its own RWA and U = U_RWA exactly; two propagations would differ by rounding
         return BoundCheckResult(z_exact=0.0, z_max=z_max, satisfied=True)
-    z_base = _propagation_distance(p, initial, t, cutoff)
-    z_doubled = _propagation_distance(p, initial, t, 2 * cutoff)
+    z_base, z_doubled = (float(np.linalg.norm(np.subtract(*FockOracle(p, c).evolved_pair(initial, t)[:2]))) for c in (cutoff, 2 * cutoff))
     if abs(z_doubled - z_base) > BOUND_CERT_TOL:
         raise TruncationError(f"doubling the cutoff moves the distance by {abs(z_doubled - z_base):.3e}; raise the cutoff")
     return BoundCheckResult(z_exact=z_doubled, z_max=z_max, satisfied=z_doubled <= z_max)

@@ -32,7 +32,8 @@ class InitialState:
     """Tagged initial-state choice shared by the scan harness and the oracle.
 
     ``vacuum`` and ``squeezed`` have Gaussian factors; ``fock`` exists only
-    for the brute-force number-basis route, and alone takes occupations.
+    for the brute-force number-basis route, and alone takes occupations, as
+    ``squeezed`` alone takes a nonzero s.
     """
 
     kind: str
@@ -51,6 +52,8 @@ class InitialState:
             raise ValueError(f"occupations n_a, n_b need kind fock, got kind {self.kind!r}")
         # here, so that no route does any work on an s out of range, and kept as a float
         object.__setattr__(self, "s", _check_squeezing(self.s))
+        if self.kind != "squeezed" and self.s != 0.0:
+            raise ValueError(f"s needs kind squeezed, got kind {self.kind!r}")
 
     def factor(self) -> SymplecticMatrix:
         if self.kind == "vacuum":

@@ -902,7 +902,16 @@ class TestMainExitCodes:
         monkeypatch.setattr(cli, "gaussian_grid", refuse)
         out_path = tmp_path / "x.csv"
         assert main([command, "--g", "0.05", "--squeezing", "11", "--steps", "3", "--cutoff", "40", "--output", str(out_path)]) == 2
-        assert capsys.readouterr().err == "validation error: |s| <= 10.0 required, got 11.0\n"
+        assert capsys.readouterr().err == "validation error: initial_state: |s| <= 10.0 required, got 11.0\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["fidelity-scan", "oracle-check"])
+    def test_cutoff_beyond_the_window_exit_2(self, tmp_path, capsys, command):
+        # the cutoff is admitted by FockBasis's own rule, a sector state within WINDOW amplitudes: 360 at most
+        out_path = tmp_path / "x.csv"
+        assert main([command, "--steps", "3", "--cutoff", "361", "--output", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: oracle: cutoff must be at least 1") and err.count("\n") == 1
         assert not out_path.exists()
 
     @pytest.mark.parametrize(

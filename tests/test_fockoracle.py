@@ -9,7 +9,8 @@ from reference import full_basis, oracle_delta_n, oracle_fidelity
 from rwafidelity import fockoracle
 from rwafidelity.dynamics import OscillatorParams
 from rwafidelity.fockoracle import (
-    MAX_CUTOFF,
+    TAIL_TOL,
+    WINDOW,
     WORK_BUDGET,
     BoundCheckResult,
     FockBasis,
@@ -141,8 +142,12 @@ class TestBasis:
             fock_vector(FockBasis(3), 4, 0)
 
     def test_cutoff_guard(self):
-        with pytest.raises(ValueError, match="must be in"):
-            FockBasis(0)
+        # a cutoff is admitted while a state of its parity sector fits in WINDOW amplitudes, (cutoff + 1)
+        # stride <= 2 WINDOW: 361 x 361 entries at cutoff 360, 362 x 363 at 361
+        assert len(FockBasis(360).occupations(0)[0]) <= WINDOW
+        for bad in (0, 361, 362, 2**70, np.int64(2**62)):
+            with pytest.raises(ValueError, match=f"must be at least 1 with a parity sector of at most WINDOW = {WINDOW} amplitudes, got {bad}"):
+                FockBasis(bad)
         # a float or a bool would be read as a cutoff it is not, or fail in a slice
         for bad in (8.0, 8.5, True, "8", np.float64(8.0)):
             with pytest.raises(ValueError, match="must be an integer"):
@@ -659,6 +664,19 @@ class TestSqueezedInput:
         c = squeezed_mode_amplitudes(0.3, 21)
         assert np.allclose(c[1::2], 0.0)
 
+    @pytest.mark.parametrize("s", [0.2, 1.2, 1.5, -1.8])
+    def test_amplitudes_match_closed_form_to_the_largest_cutoff(self, s):
+        # tanh(s)^(k/2) sqrt(k!) / (2^(k/2) (k/2)! sqrt(cosh s)) at 50 digits; sqrt(k!) alone
+        # overflows a double from k = 171, so the running product is checked past it, to cutoff 360
+        mpmath = pytest.importorskip("mpmath")
+        c = squeezed_mode_amplitudes(s, 360)
+        with mpmath.workdps(50):
+            th, root = mpmath.tanh(s), mpmath.sqrt(mpmath.cosh(s))
+            ref = [th**h * mpmath.sqrt(mpmath.factorial(2 * h)) / (2**h * mpmath.factorial(h) * root) for h in range(181)]
+            worst = max(abs((mpmath.mpf(float(x)) - r) / r) for x, r in zip(c[::2], ref))
+        assert worst <= 2e-14
+        assert np.all(c[1::2] == 0.0)
+
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
             squeezed_vector(FockBasis(10), 2.0)
@@ -933,6 +951,28 @@ class TestOracle:
             assert oracle.compare(InitialState("vacuum"), t).fidelity <= 1.0 + 1e-10
 
 
+class TestTruncationCheckLimits:
+    """What the oracle's truncation check can and cannot see.
+
+    The check bounds the weight on the truncation boundary by TAIL_TOL, not
+    the error that the truncation leaves in <N>: a documented limit, recorded
+    here with numbers.
+    """
+
+    def test_a_passing_tail_check_leaves_delta_n_off_by_2e_5(self):
+        # vacuum at g = 0.48, tau <= 10: at cutoff 96 every tail is at most TAIL_TOL, yet delta_n misses
+        # the Gaussian route by 1.98e-5 (the same at 101 or 1001 times); cutoff 140 brings that to
+        # 2.8e-8, so the Gaussian side is right.  If the check ever bounds delta_n to 1e-5, compare
+        # raises at cutoff 96 and this test fails, on purpose
+        p = OscillatorParams(1.0, 1.0, 0.48, 0.48)
+        ts = np.linspace(0.0, 10.0, 11)
+        ref = np.array([delta_n(vacuum(), p, t) for t in ts])
+        coarse, fine = (FockOracle(p, cutoff).compare(InitialState("vacuum"), ts) for cutoff in (96, 140))
+        assert coarse.tail_weight <= TAIL_TOL
+        assert np.max(np.abs(coarse.delta_n - ref)) == pytest.approx(1.98e-5, rel=0.01)
+        assert np.max(np.abs(fine.delta_n - ref)) < 1e-7
+
+
 class TestFockBound:
     def test_printed_value(self):
         assert fock_bound(0, 0, 0.1, 1.0, 1.0) == pytest.approx(10.88, abs=1e-12)
@@ -976,10 +1016,11 @@ class TestFockBound:
         assert 0.95 <= slope <= 1.05
 
     def test_rejects_cutoff_beyond_doubling(self):
+        # the doubled cutoff must be one FockBasis admits: 360 is, 362 is not
         p = OscillatorParams(1.0, 1.0, 0.05, 0.05)
         with pytest.raises(ValueError, match="doubles the cutoff"):
-            bound_check(0, 0, p, 1.0, MAX_CUTOFF // 2 + 1)
-        assert bound_check(0, 0, p, 0.5, MAX_CUTOFF // 2).satisfied
+            bound_check(0, 0, p, 1.0, 181)
+        assert bound_check(0, 0, p, 0.5, 180).satisfied
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -201,6 +201,16 @@ class TestInitialState:
             InitialState("squeezed", s=0.2, n_b=1)
         assert InitialState("fock", n_a=2).n_a == 2
 
+    @pytest.mark.parametrize("kind, occupations", [("vacuum", {}), ("fock", {"n_a": 1})])
+    def test_squeezing_needs_kind_squeezed(self, kind, occupations):
+        # a vacuum with s would have the identity factor, and a Fock state with s would propagate |1, 0>
+        with pytest.raises(ValueError, match=f"s needs kind squeezed, got kind {kind!r}"):
+            InitialState(kind, s=0.5, **occupations)
+        # a non-number s is refused first, as on every kind
+        with pytest.raises(ValueError, match="must be a finite real number"):
+            InitialState(kind, s="0.5", **occupations)
+        assert InitialState(kind, s=0.0, **occupations).s == 0.0
+
     @pytest.mark.parametrize("kind", ["fock", "vacuum"])
     @pytest.mark.parametrize("bad", [1.5, 1.0, True, np.float64(2.0), "1"])
     def test_occupations_must_be_integers(self, kind, bad):
