@@ -1,9 +1,9 @@
 """Command-line harness: parameter scans, oracle checks, and the circuit mapper.
 
-One JSON config document drives the scan subcommands; every field can also be
-overridden from flags.  Output is plot-ready CSV or JSON with a stable column
-order and floats that read back exactly ('%.17g' in CSV, repr in JSON), so
-regenerated files diff cleanly.
+One JSON config document drives every subcommand but circuit-map, and each
+takes the flags of the fields it reads.  Output is plot-ready CSV or JSON with
+a stable column order and floats that read back exactly ('%.17g' in CSV, repr
+in JSON), so regenerated files diff cleanly.
 """
 
 from __future__ import annotations
@@ -121,6 +121,11 @@ SCAN_FIELDS = (
 )
 
 
+def _params(doc: dict) -> OscillatorParams:
+    """The parameter point of doc, from its params fields alone."""
+    return OscillatorParams(**{f.attr.partition(".")[2]: f.read(doc) for f in SCAN_FIELDS if "." in f.attr})
+
+
 class ScanOutput(NamedTuple):
     """An output column: its name, what it needs, and its values read from the scan's grid, regime and oracle point."""
 
@@ -233,9 +238,7 @@ class ScanConfig:
     def from_dict(doc: dict) -> "ScanConfig":
         own = [field for field in SCAN_FIELDS if "." not in field.attr]
         # params first, so that an unstable pair is reported before the fields that follow
-        params = OscillatorParams(**{f.attr.partition(".")[2]: f.read(doc) for f in SCAN_FIELDS if "." in f.attr})
-        if isinstance(doc.get("initial_state"), str):
-            doc = {**doc, "initial_state": {"kind": doc["initial_state"]}}
+        params = _params(doc)
         kind = _read(doc, "initial_state.kind", str, ScanConfig.initial_state.kind)
         if problems := _unscannable(kind):  # before InitialState, so that a kind no scan takes is named as such
             raise ConfigError("; ".join(problems))
@@ -401,8 +404,7 @@ def circuit_map(c: CircuitParams) -> FrameReport:
 
     op_phase = {"ab+": -(shift_a - shift_b), "a+b": shift_a - shift_b, "ab": -(shift_a + shift_b), "a+b+": shift_a + shift_b}
     kept = {("bs", "ab+", +1), ("bs", "a+b", -1), ("sq", "ab", +1), ("sq", "a+b+", -1)}
-    dropped = []
-    warnings = []
+    dropped, warnings = [], []
     for pump, freq, amp in (("bs", c.pump_bs_freq, c.pump_bs_amp), ("sq", c.pump_sq_freq, c.pump_sq_amp)):
         if amp == 0.0:
             continue
@@ -410,7 +412,7 @@ def circuit_map(c: CircuitParams) -> FrameReport:
             for sign in (+1, -1):
                 if (pump, op, sign) in kept:
                     continue
-                nu = phase + sign * freq
+                nu = phase + sign * freq + 0.0  # a zero frequency is +0, not -0
                 dropped.append((f"{pump}-pump {op}", float(nu)))
                 if abs(nu) < 1e-9 * max(c.epsilon_a, c.epsilon_b):
                     warnings.append(f"dropped term {pump}-pump {op} is static; the frame reduction is invalid")
@@ -432,11 +434,13 @@ def circuit_map(c: CircuitParams) -> FrameReport:
 # -- argument parsing -------------------------------------------------------
 
 
-def _add_common_flags(sub: argparse.ArgumentParser):
+def _add_common_flags(sub: argparse.ArgumentParser, reads: tuple[str, ...]):
+    """--config, --g, and the flag of each field under an entry of reads (a path or "section."); --squeezing if it has initial_state."""
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--g", type=float, help="sets both couplings equal")
-    sub.add_argument("--squeezing", type=float, help="initial squeezed-pair parameter; omit for vacuum")
-    for field in SCAN_FIELDS:
+    if "initial_state" in reads:
+        sub.add_argument("--squeezing", type=float, help="initial squeezed-pair parameter; omit for vacuum")
+    for field in filter(lambda field: field.path.startswith(reads), SCAN_FIELDS):
         how = {"action": "store_true", "default": None} if field.kind is bool else {"type": field.kind}
         sub.add_argument(field.flag, **how, **field.options)
 
@@ -450,10 +454,11 @@ def _document(args) -> dict:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    state = None if args.squeezing is None else {"kind": "squeezed", "s": args.squeezing} if args.squeezing != 0.0 else {"kind": "vacuum"}
+    s = getattr(args, "squeezing", None)  # a flag the subcommand does not take reads as absent
+    state = None if s is None else {"kind": "squeezed", "s": s} if s != 0.0 else {"kind": "vacuum"}
     # --g is written first, so that --g-bs or --g-sq overrides one of the pair; args holds each flag at argparse's dest
     flags = [("initial_state", state), ("params.g_bs", args.g), ("params.g_sq", args.g)]
-    for path, value in flags + [(f.path, getattr(args, f.flag[2:].replace("-", "_"))) for f in SCAN_FIELDS]:
+    for path, value in flags + [(f.path, getattr(args, f.flag[2:].replace("-", "_"), None)) for f in SCAN_FIELDS]:
         if value is not None:
             section, key = _at(doc, path, create=True)
             section[key] = value
@@ -465,8 +470,7 @@ def _fmt_block(m: np.ndarray) -> str:
 
 
 def _cmd_validity(args) -> int:
-    cfg = ScanConfig.from_dict(_document(args))  # raises on instability
-    p = cfg.params
+    p = _params(_document(args))  # raises on instability
     kp, km = normal_mode_frequencies(p)
     print(f"params: omega_a={p.omega_a} omega_b={p.omega_b} g_bs={p.g_bs} g_sq={p.g_sq}")
     print(f"normal modes: kappa_plus={kp:.12g} kappa_minus={km:.12g}")
@@ -477,8 +481,7 @@ def _cmd_validity(args) -> int:
 
 def _cmd_evolve(args) -> int:
     doc = _document(args)
-    # evolve reads one time, tau_grid.start, so the rest of the document (an object) is checked with the default grid
-    p = ScanConfig.from_dict({**_at(doc, "tau_grid")[0], "tau_grid": {}}).params
+    p = _params(doc)  # evolve reads the parameter point and one time, tau_grid.start
     tau = _read(doc, "tau_grid.start", float, ScanConfig.tau_start)
     if problems := _time_problems(p, tau):
         raise ConfigError("; ".join(problems))
@@ -549,15 +552,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantify the accuracy of the rotating wave approximation for two coupled oscillators.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, fn, helptext in (
-        ("validity", _cmd_validity, "check parameter stability and print normal modes"),
-        ("evolve", _cmd_evolve, "print the evolution blocks at one time"),
-        ("fidelity-scan", _cmd_scan, "scan fidelity and related quantities over a tau grid"),
-        ("perturbative-compare", _cmd_perturbative_compare, "fit the small-coupling convergence order"),
-        ("oracle-check", _cmd_scan, "compare against the truncated Fock-space oracle"),
+    oracle_check = ("params.", "initial_state", "tau_grid.", "oracle.cutoff", "output_path", "format")
+    for name, fn, reads, helptext in (
+        ("validity", _cmd_validity, ("params.",), "check parameter stability and print normal modes"),
+        ("evolve", _cmd_evolve, ("params.", "tau_grid.start"), "print the evolution blocks at one time"),
+        ("fidelity-scan", _cmd_scan, (*oracle_check, "oracle.enabled"), "scan fidelity and related quantities over a tau grid"),
+        ("perturbative-compare", _cmd_perturbative_compare, ("params.", "initial_state", "tau_grid."), "fit the small-coupling convergence order"),
+        ("oracle-check", _cmd_scan, oracle_check, "compare against the truncated Fock-space oracle"),
     ):
         sub = subs.add_parser(name, help=helptext)
-        _add_common_flags(sub)
+        _add_common_flags(sub, reads)
         sub.set_defaults(fn=fn)
     subs.choices["fidelity-scan"].set_defaults(wrote="wrote {cfg.output_path} ({cfg.fmt}, {cfg.steps} rows)", compare=False)
     subs.choices["oracle-check"].set_defaults(oracle=True, wrote="wrote {cfg.output_path} ({cfg.steps} rows, cutoff {cfg.cutoff})", compare=True)

@@ -138,12 +138,12 @@ class GridHamiltonian:
     sq: np.ndarray  # H[k + d, k] of a'b'
 
     @classmethod
-    def build(cls, p: OscillatorParams, basis: FockBasis, g_sq: float, parity: int) -> "GridHamiltonian":
-        """H with g_sq in place of p.g_sq on the sector of the given parity of n_a + n_b; g_sq = 0 is the RWA."""
+    def build(cls, p: OscillatorParams, basis: FockBasis, parity: int) -> "GridHamiltonian":
+        """H of p on the sector of the given parity of n_a + n_b; p with g_sq = 0 gives the RWA."""
         c = basis.cutoff
         n_a, n_b = basis.occupations(parity)
         up = np.sqrt(n_a + 1.0) * (n_a < c)
-        weights = p.omega_a * n_a + p.omega_b * n_b, p.g_bs * up * np.sqrt(n_b), g_sq * (up * np.sqrt(n_b + 1.0) * (n_b < c))
+        weights = p.omega_a * n_a + p.omega_b * n_b, p.g_bs * up * np.sqrt(n_b), p.g_sq * (up * np.sqrt(n_b + 1.0) * (n_b < c))
         diagonal, bs, sq = (np.where(n_b <= c, w, 0.0) for w in weights)  # zero on the dead column
         return cls(diagonal, bs[: -(basis.stride // 2)], sq[: -(basis.stride // 2 + 1)])
 
@@ -372,7 +372,7 @@ class FockOracle:
     def __init__(self, p: OscillatorParams, cutoff: int):
         self.params = p
         self.basis = FockBasis(cutoff)
-        sectors = [GridHamiltonian.build(p, self.basis, p.g_sq, parity) for parity in (0, 1)]
+        sectors = [GridHamiltonian.build(p, self.basis, parity) for parity in (0, 1)]
         # every row of H is a row of one sector, so these are the whole basis's Gershgorin bounds
         lo, hi = zip(*(h.spectral_bounds() for h in sectors))
         self._centre, self._half = 0.5 * (max(hi) + min(lo)), 0.5 * (max(hi) - min(lo))

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib
 import json
@@ -136,6 +137,58 @@ class TestScanFields:
         assert main(["fidelity-scan", "--config", str(tmp_path / "cfg.json")]) == 2
         assert capsys.readouterr().err == f"validation error: {field.path}: expected {EXPECTED[field.kind]}, got [1]\n"
         assert not (tmp_path / "scan.csv").exists()
+
+
+PARAMS_FLAGS = {"--config", "--g", "--omega-a", "--omega-b", "--g-bs", "--g-sq"}
+GRID_FLAGS = {"--tau-start", "--tau-end", "--steps"}
+ORACLE_CHECK_FLAGS = PARAMS_FLAGS | GRID_FLAGS | {"--squeezing", "--cutoff", "--output", "--format"}
+# each subcommand's flags: those of the document fields it reads, and circuit-map's CircuitParams fields
+SUBCOMMAND_FLAGS = {
+    "validity": PARAMS_FLAGS,
+    "evolve": PARAMS_FLAGS | {"--tau-start"},
+    "fidelity-scan": ORACLE_CHECK_FLAGS | {"--oracle"},
+    "perturbative-compare": PARAMS_FLAGS | GRID_FLAGS | {"--squeezing"},
+    "oracle-check": ORACLE_CHECK_FLAGS,
+    "circuit-map": {"--" + f.name.replace("_", "-") for f in fields(CircuitParams)},
+}
+
+
+class TestSubcommandFlags:
+    def test_each_subcommand_takes_the_flags_of_the_fields_it_reads(self):
+        subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+        flags = {name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"} for name, sub in subs.items()}
+        assert flags == SUBCOMMAND_FLAGS
+        assert {name: len(taken) for name, taken in flags.items()} == {
+            "validity": 6, "evolve": 7, "fidelity-scan": 14, "perturbative-compare": 10, "oracle-check": 13, "circuit-map": 6
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["validity", "--steps", "1"], ["validity", "--cutoff", "0"], ["evolve", "--format", "json"],
+         ["perturbative-compare", "--output", "x.csv"], ["oracle-check", "--oracle"]],
+        ids=" ".join,
+    )
+    def test_a_flag_of_a_field_not_read_exit_2(self, tmp_path, monkeypatch, capsys, argv):
+        # argparse refuses it and exits; main does not catch that exit
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["validity", "evolve"])
+    def test_validity_and_evolve_read_only_the_parameter_point(self, tmp_path, capsys, command):
+        # fields they do not read, each invalid, change nothing; evolve reads tau_grid.start alone of its section
+        read = {"params": {"omega_a": 1.0, "omega_b": 1.2, "g_bs": 0.1, "g_sq": 0.05}, "tau_grid": {"start": 1.5}}
+        unread = {**read, "tau_grid": {"start": 1.5, "steps": 1}, "outputs": "fidelity", "oracle": {"cutoff": 0}, "format": "xml"}
+        printed = []
+        for name, doc in ("unread", unread), ("read", read):
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            assert main([command, "--config", str(tmp_path / f"{name}.json")]) == 0
+            printed.append(capsys.readouterr())
+        assert printed[0] == printed[1] and printed[0].err == ""
+        assert printed[0].out.startswith("tau=1.5 " if command == "evolve" else "params: omega_a=1.0 omega_b=1.2 ")
 
 
 FAMILY = "needs resonant equal couplings with 0 < g/omega < 0.5"
@@ -781,6 +834,10 @@ class TestMainExitCodes:
             ({**PARAMS_DOC, "initial_state": {"kind": 5}}, "initial_state.kind: expected a str, got 5"),
             ({**PARAMS_DOC, "initial_state": {"kind": None}}, "initial_state.kind: expected a str, got None"),
             ({**PARAMS_DOC, "initial_state": {"kind": "foo"}}, "initial_state: scans accept vacuum or squeezed only"),
+            ({**PARAMS_DOC, "initial_state": "vacuum"}, "initial_state: expected an object, got str"),
+            ({"params": {"omega_b": 1.0}}, "params: missing field 'omega_a'"),
+            ({**PARAMS_DOC, "format": "xml"}, "format: must be csv or json"),
+            ({**PARAMS_DOC, "outputs": "fidelity"}, "outputs: expected a list, got str"),
         ],
         ids=[
             "null-field",
@@ -797,6 +854,10 @@ class TestMainExitCodes:
             "int-kind",
             "null-kind",
             "unknown-kind",
+            "string-state",
+            "missing-field",
+            "unknown-format",
+            "string-outputs",
         ],
     )
     def test_malformed_config_exit_2(self, tmp_path, monkeypatch, capsys, doc, field):
@@ -1036,6 +1097,13 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert re.search(r"truncation tail \S+ exceeds \S+ at cutoff 10 \(first at tau = 1\)$", err.strip()), err
 
+    def test_truncated_initial_state_exit_1(self, tmp_path, capsys):
+        # the initial state's own loss belongs to no tau, so it is reported as the oracle words it
+        flags = ["--g", "0.05", "--squeezing", "1.5", "--tau-end", "2", "--steps", "3", "--cutoff", "96"]
+        assert main(["oracle-check", *flags, "--output", str(tmp_path / "oc.csv")]) == 1
+        assert capsys.readouterr().err == "runtime error: initial squeezed state loses weight 2.082e-05 at cutoff 96\n"
+        assert not (tmp_path / "oc.csv").exists()
+
     def test_steps_cap_exit_2(self, tmp_path, capsys):
         assert main(["fidelity-scan", "--steps", str(MAX_STEPS + 1), "--output", str(tmp_path / "out.csv")]) == 2
         assert f"tau_grid: steps must be at most {MAX_STEPS}" in capsys.readouterr().err
@@ -1078,6 +1146,24 @@ class TestMainExitCodes:
         assert (args.pump_sq_amp, args.pump_sq_freq, args.pump_bs_amp, args.pump_bs_freq) == (0.0, 0.0, 0.0, 0.0)
         assert main(argv) == 0
         assert "dropped oscillatory terms: none (pumps off)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--epsilon-a", "-1"], "lab-frame oscillator frequencies must be positive"), (["--pump-bs-freq", "-1"], "pump frequencies must be nonnegative")],
+        ids=["epsilon", "pump-frequency"],
+    )
+    def test_circuit_params_refusals_exit_2(self, capsys, flags, message):
+        assert main(["circuit-map", "--epsilon-a", "6", "--epsilon-b", "5.5", *flags]) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+
+    def test_circuit_map_static_terms_warn(self, capsys):
+        # a beam-splitter pump at frequency 0 leaves its six dropped terms static, each printed as +0
+        assert main(["circuit-map", "--epsilon-a", "6", "--epsilon-b", "5.5", "--pump-bs-amp", "0.3", "--pump-bs-freq", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        dropped = lines[lines.index("dropped oscillatory terms (frequency):") + 1 :][:6]
+        assert [line.rpartition(": ")[2] for line in dropped] == ["+0"] * 6
+        warnings = [line for line in lines if line.startswith("warning: ")]
+        assert len(warnings) == 6 and all(w.endswith(" is static; the frame reduction is invalid") for w in warnings)
 
     def test_circuit_map_unstable_exit_2(self, capsys):
         code = main(

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,16 +82,16 @@ def build_hamiltonian(p, basis, variant="full"):
     return h
 
 
-def sector_matrix(p, basis, g_sq, parity):
+def sector_matrix(p, basis, parity):
     """The production operator on one sector as a matrix: column k is H applied to sector vector k."""
-    h = GridHamiltonian.build(p, basis, g_sq, parity)
+    h = GridHamiltonian.build(p, basis, parity)
     return h(np.eye(len(h.diagonal))).T
 
 
 def materialized(p, basis, variant="full"):
     """The production operator as a matrix on the whole basis, one parity sector at a time."""
-    g_sq = 0.0 if variant == "rwa" else p.g_sq
-    return sum(full_basis(basis, full_basis(basis, sector_matrix(p, basis, g_sq, parity), parity).T, parity) for parity in (0, 1))
+    q = replace(p, g_sq=0.0) if variant == "rwa" else p
+    return sum(full_basis(basis, full_basis(basis, sector_matrix(q, basis, parity), parity).T, parity) for parity in (0, 1))
 
 
 def dense_propagate(h, amplitudes, t):
@@ -169,8 +170,8 @@ class TestBasis:
             assert np.sum(~live) == cutoff % 2 * (cutoff + 1) // 2
             seen += list(zip(n_a[live].tolist(), n_b[live].tolist()))
             for p in PARAMS.values():
-                for g_sq in (p.g_sq, 0.0):
-                    h = sector_matrix(p, basis, g_sq, parity)
+                for q in (p, replace(p, g_sq=0.0)):
+                    h = sector_matrix(q, basis, parity)
                     assert np.all(h[~live] == 0.0) and np.all(h[:, ~live] == 0.0)
         assert sorted(seen) == [(na, nb) for na in range(cutoff + 1) for nb in range(cutoff + 1)]
         assert basis.stride % 2 == 1
@@ -235,7 +236,7 @@ class TestHamiltonian:
             dead = basis.occupations(parity)[1] > cutoff
             # random on the dead column too, which H neither reads nor writes
             copies = [rng.normal(size=len(dead)) for _ in refs]
-            pair = [GridHamiltonian.build(p, basis, g_sq, parity)(v) for g_sq, v in zip((p.g_sq, 0.0), copies)]
+            pair = [GridHamiltonian.build(q, basis, parity)(v) for q, v in zip((p, replace(p, g_sq=0.0)), copies)]
             for got, ref, v in zip(pair, refs, copies):
                 assert np.max(np.abs(full_basis(basis, got, parity) - ref @ full_basis(basis, v, parity))) < 1e-14
                 assert np.all(got[dead] == 0.0)
@@ -246,7 +247,7 @@ class TestHamiltonian:
         p, basis = PARAMS["mixed-sign"], FockBasis(cutoff)
         rng = np.random.default_rng(cutoff)
         for parity in (0, 1):
-            h = GridHamiltonian.build(p, basis, p.g_sq, parity)
+            h = GridHamiltonian.build(p, basis, parity)
             pair = GridHamiltonian(*(np.repeat(w, 2) for w in (h.diagonal, h.bs, h.sq)))
             psi = rng.normal(size=len(h.diagonal)) + 1j * rng.normal(size=len(h.diagonal))
             assert np.array_equal(pair(psi.view(float)).view(complex), h(psi))
@@ -440,7 +441,7 @@ class TestWindows:
         for where, times, states in windows:
             assert np.array_equal(times, ts[where]) and np.all(np.diff(times) >= 0.0)
             got[where] = states
-        ref = chebyshev_propagate(GridHamiltonian.build(p, oracle.basis, p.g_sq, parity), psi0, ts)
+        ref = chebyshev_propagate(GridHamiltonian.build(p, oracle.basis, parity), psi0, ts)
         assert np.max(np.abs(got - ref)) < 1e-12
 
     @pytest.mark.parametrize("cutoff", [12, 13])
@@ -458,7 +459,7 @@ class TestWindows:
         got = np.empty((len(ts), n), dtype=complex)
         for where, times, states in oracle._propagate(psi, parity, ts, order, edges, anchors, terms):
             got[where] = states
-        ref = chebyshev_propagate(GridHamiltonian.build(p, oracle.basis, p.g_sq, parity), psi, ts)
+        ref = chebyshev_propagate(GridHamiltonian.build(p, oracle.basis, parity), psi, ts)
         assert np.max(np.abs(got - ref)) < 1e-12
 
     @pytest.mark.parametrize("cutoff", [4, 24, 96])
@@ -527,7 +528,7 @@ class TestRwaBlocks:
         for cutoff in (12, 13):
             oracle = FockOracle(p, cutoff)
             rwa = [oracle.evolved_pair(initial, t)[1] for t in ts]
-            h = GridHamiltonian.build(p, oracle.basis, 0.0, parity_of(initial))
+            h = GridHamiltonian.build(replace(p, g_sq=0.0), oracle.basis, parity_of(initial))
             ref = chebyshev_propagate(h, initial_vector(oracle.basis, initial)[0], ts)
             for got, want in zip(rwa, ref):
                 assert np.max(np.abs(got - want)) < 1e-12
@@ -753,7 +754,7 @@ class TestOracle:
     def test_builds_each_sector_once_at_set_up(self, monkeypatch):
         built = []
         build = GridHamiltonian.build.__func__
-        monkeypatch.setattr(GridHamiltonian, "build", classmethod(lambda cls, *args: built.append(args[3:]) or build(cls, *args)))
+        monkeypatch.setattr(GridHamiltonian, "build", classmethod(lambda cls, *args: built.append(args[2:]) or build(cls, *args)))
         oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 24)
         assert built == [(0,), (1,)]  # both sectors' operators, whose Gershgorin intervals bound H's spectrum
         ts = np.linspace(0.0, 2.0, 5)
@@ -1021,6 +1022,13 @@ class TestFockBound:
         with pytest.raises(ValueError, match="doubles the cutoff"):
             bound_check(0, 0, p, 1.0, 181)
         assert bound_check(0, 0, p, 0.5, 180).satisfied
+
+    def test_refuses_a_cutoff_that_doubling_moves(self):
+        # at cutoff 2 the distance at g = 0.3, t = 5 moves by 8.4e-3 when the cutoff doubles; at 16 it does not
+        p = OscillatorParams(1.0, 1.0, 0.3, 0.3)
+        with pytest.raises(TruncationError, match=r"^doubling the cutoff moves the distance by 8\.388e-03; raise the cutoff$"):
+            bound_check(0, 0, p, 5.0, 2)
+        assert bound_check(0, 0, p, 5.0, 16).satisfied
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -95,6 +95,14 @@ class TestQCoefficients:
         assert slope >= 1.9
 
 
+    def test_slope_fit_refusals(self):
+        with pytest.raises(ValueError, match="^at least two points are needed for a slope$"):
+            fit_loglog_slope([0.1], [0.01])
+        for x, y in (([0.1, 0.0], [0.01, 0.001]), ([0.1, 0.05], [0.01, -0.001])):
+            with pytest.raises(ValueError, match="^slope fit requires positive data$"):
+                fit_loglog_slope(x, y)
+
+
 class TestVacuumLaw:
     def test_tiny_coupling_is_unity(self):
         regime = PerturbativeRegime(1e-8, 3.0)
