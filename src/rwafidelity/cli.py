@@ -1,9 +1,9 @@
 """Command-line harness: parameter scans, oracle checks, and the circuit mapper.
 
-One JSON config document drives every subcommand but circuit-map, and each
-takes the flags of the fields it reads.  Output is plot-ready CSV or JSON with
-a stable column order and floats that read back exactly ('%.17g' in CSV, repr
-in JSON), so regenerated files diff cleanly.
+One JSON config document drives every subcommand but circuit-map; each reads
+only the paths its table row names, and takes their flags.  Output is
+plot-ready CSV or JSON with a stable column order and floats that read back
+exactly ('%.17g' in CSV, repr in JSON), so regenerated files diff cleanly.
 """
 
 from __future__ import annotations
@@ -33,14 +33,7 @@ from .dynamics import (
 from .floatrows import csv_rows, json_rows
 from .fockoracle import FockBasis, FockOracle, TruncationError
 from .metrics import gaussian_grid
-from .perturbation import (
-    PerturbativeRegime,
-    c2_coefficient,
-    convergence_order,
-    ladder_regimes,
-    perturbative_family,
-    vacuum_perturbative_fidelity,
-)
+from .perturbation import PerturbativeRegime, c2_coefficient, convergence_order, ladder_regimes, perturbative_family, vacuum_perturbative_fidelity
 from .states import InitialState
 
 __all__ = [
@@ -225,9 +218,8 @@ class ScanConfig:
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
-        state: dict = {"kind": self.initial_state.kind}
-        if self.initial_state.kind == "squeezed":
-            state["s"] = self.initial_state.s
+        kind, s = self.initial_state.kind, self.initial_state.s
+        state = {"kind": kind, "s": s} if kind == "squeezed" else {"kind": kind}
         doc = {"params": {}, "initial_state": state, "tau_grid": {}, "outputs": list(self.outputs), "oracle": {}}
         for field in SCAN_FIELDS:
             section, key = _at(doc, field.path)
@@ -270,8 +262,8 @@ class ScanSummary:
         return f"{text} regime_flags={','.join(self.regime_flags) or 'none'}"
 
 
-def run_scan(cfg: ScanConfig) -> tuple[dict[str, np.ndarray], ScanSummary]:
-    """Evaluate the grid, write the output file, and return the float columns, in output order, plus summary."""
+def _evaluate(cfg: ScanConfig) -> SimpleNamespace:
+    """The one evaluation of a tau grid: its taus, oracle point, Gaussian grid and regime (None where not made)."""
     p = cfg.params
     taus = np.linspace(cfg.tau_start, cfg.tau_end, cfg.steps)
     ts = taus / p.omega_a
@@ -284,15 +276,17 @@ def run_scan(cfg: ScanConfig) -> tuple[dict[str, np.ndarray], ScanSummary]:
             if exc.index is None:
                 raise
             raise TruncationError(exc.reason, exc.index, f"tau = {taus[exc.index]:.6g}") from exc
-    grid = gaussian_grid(cfg.initial_state.factor(), p, ts)
-    family = perturbative_family(p)
-    regime = PerturbativeRegime(g_tilde=p.g_bs / p.omega_a, tau=np.abs(taus), s=cfg.initial_state.s) if family else None
-    flags = regime.flags if family else ("outside-perturbative-family",)
-    scan = SimpleNamespace(grid=grid, regime=regime, point=point)
+    regime = PerturbativeRegime(g_tilde=p.g_bs / p.omega_a, tau=np.abs(taus), s=cfg.initial_state.s) if perturbative_family(p) else None
+    return SimpleNamespace(taus=taus, point=point, grid=gaussian_grid(cfg.initial_state.factor(), p, ts), regime=regime)
+
+
+def run_scan(cfg: ScanConfig) -> tuple[dict[str, np.ndarray], ScanSummary]:
+    """Evaluate the grid, write the output file, and return the float columns, in output order, plus summary."""
+    scan = _evaluate(cfg)
     written = (out for out in OUTPUTS if out.name in cfg.outputs or out.needs == "oracle" and cfg.oracle_enabled)
-    columns = {"tau": taus, **{out.name: np.asarray(out.read(scan), dtype=float) for out in written}}
+    columns = {"tau": scan.taus, **{out.name: np.asarray(out.read(scan), dtype=float) for out in written}}
     stats = (float(reduce(columns[name])) if name in columns else None for name, reduce in STATISTICS.values())
-    summary = ScanSummary(*stats, flags)
+    summary = ScanSummary(*stats, scan.regime.flags if scan.regime else ("outside-perturbative-family",))
     _write_output(cfg, columns, summary)
     return columns, summary
 
@@ -446,7 +440,7 @@ def _add_common_flags(sub: argparse.ArgumentParser, reads: tuple[str, ...]):
 
 
 def _document(args) -> dict:
-    """The --config file (or the default scan) as parsed, each given flag written into it; checked once, by from_dict."""
+    """The --config file (or the default scan), cut to the sections of args.reads, each given flag written in; checked once."""
     doc = {"params": {"omega_a": 1.0, "omega_b": 1.0, "g_bs": 0.05, "g_sq": 0.05}}
     if args.config:
         with open(args.config) as fh:
@@ -454,6 +448,8 @@ def _document(args) -> dict:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    sections = {path.partition(".")[0] for path in args.reads}  # a section the row leaves out is never looked at
+    doc = {key: value for key, value in _at(doc, "")[0].items() if key in sections}  # _at refuses a top level not an object
     s = getattr(args, "squeezing", None)  # a flag the subcommand does not take reads as absent
     state = None if s is None else {"kind": "squeezed", "s": s} if s != 0.0 else {"kind": "vacuum"}
     # --g is written first, so that --g-bs or --g-sq overrides one of the pair; args holds each flag at argparse's dest
@@ -518,10 +514,8 @@ def _cmd_perturbative_compare(args) -> int:
     print(f"coupling ladder: {ladder}")
     print(f"fitted order of 1 - F in g: {slope:.3f} (expected 2)")
     if s == 0.0:
-        taus = np.linspace(cfg.tau_start, cfg.tau_end, cfg.steps)
-        exact = gaussian_grid(cfg.initial_state.factor(), p, taus / p.omega_a).report.fidelity
-        law = vacuum_perturbative_fidelity(PerturbativeRegime(g_tilde=g, tau=np.abs(taus)))
-        worst = float(np.max(np.abs(exact - law)))
+        scan = _evaluate(cfg)
+        worst = float(np.max(np.abs(scan.grid.report.fidelity - vacuum_perturbative_fidelity(scan.regime))))
         print(f"max |F_exact - F_perturbative| on the grid: {worst:.3e}")
     return 0
 
@@ -552,30 +546,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantify the accuracy of the rotating wave approximation for two coupled oscillators.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    oracle_check = ("params.", "initial_state", "tau_grid.", "oracle.cutoff", "output_path", "format")
-    for name, fn, reads, helptext in (
-        ("validity", _cmd_validity, ("params.",), "check parameter stability and print normal modes"),
-        ("evolve", _cmd_evolve, ("params.", "tau_grid.start"), "print the evolution blocks at one time"),
-        ("fidelity-scan", _cmd_scan, (*oracle_check, "oracle.enabled"), "scan fidelity and related quantities over a tau grid"),
-        ("perturbative-compare", _cmd_perturbative_compare, ("params.", "initial_state", "tau_grid."), "fit the small-coupling convergence order"),
-        ("oracle-check", _cmd_scan, oracle_check, "compare against the truncated Fock-space oracle"),
+    oracle_check = ("params.", "initial_state", "tau_grid.", "outputs", "oracle.cutoff", "output_path", "format")
+    # each row is a subcommand's whole contract: the document paths it reads, and its fixed defaults
+    for name, fn, reads, helptext, fixed in (
+        ("validity", _cmd_validity, ("params.",), "check parameter stability and print normal modes", {}),
+        ("evolve", _cmd_evolve, ("params.", "tau_grid.start"), "print the evolution blocks at one time", {}),
+        ("fidelity-scan", _cmd_scan, (*oracle_check, "oracle.enabled"), "scan fidelity and related quantities over a tau grid",
+         {"wrote": "wrote {cfg.output_path} ({cfg.fmt}, {cfg.steps} rows)", "compare": False}),
+        ("perturbative-compare", _cmd_perturbative_compare, ("params.", "initial_state", "tau_grid."), "fit the small-coupling convergence order", {}),
+        ("oracle-check", _cmd_scan, oracle_check, "compare against the truncated Fock-space oracle",
+         {"oracle": True, "wrote": "wrote {cfg.output_path} ({cfg.steps} rows, cutoff {cfg.cutoff})", "compare": True}),
     ):
         sub = subs.add_parser(name, help=helptext)
         _add_common_flags(sub, reads)
-        sub.set_defaults(fn=fn)
-    subs.choices["fidelity-scan"].set_defaults(wrote="wrote {cfg.output_path} ({cfg.fmt}, {cfg.steps} rows)", compare=False)
-    subs.choices["oracle-check"].set_defaults(oracle=True, wrote="wrote {cfg.output_path} ({cfg.steps} rows, cutoff {cfg.cutoff})", compare=True)
+        sub.set_defaults(fn=fn, reads=reads, usage=sub, **fixed)
     sub = subs.add_parser("circuit-map", help="map a pumped circuit to effective oscillator parameters")
     for f in fields(CircuitParams):
         need = {"required": True} if f.default is MISSING else {"default": f.default}
         sub.add_argument("--" + f.name.replace("_", "-"), type=float, **need)
-    sub.set_defaults(fn=_cmd_circuit_map)
+    sub.set_defaults(fn=_cmd_circuit_map, usage=sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:  # refused with the usage of the subcommand, which names the flags it does take
+        args.usage.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.fn(args)
     except ValueError as exc:

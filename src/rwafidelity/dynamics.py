@@ -238,8 +238,8 @@ def evolution_blocks(p: OscillatorParams, t) -> tuple[np.ndarray, np.ndarray]:
     t = np.atleast_1d(_times(t))
     lam, left, right = _modes(p)
     table = (left[:2].T[:, :, None] * right[:, None, :]).reshape(4, 8)
-    phases = mode_phases(lam[2:], t)
-    s = (np.concatenate([phases[::-1].conj(), phases]).T @ table).reshape(-1, 2, 4)
+    phases = mode_phases(lam[2:], t) - 1.0  # S(t) = I + left diag(phases - 1) right is exactly I at t = 0; left @ right is I only to rounding
+    s = (np.concatenate([phases[::-1].conj(), phases]).T @ table).reshape(-1, 2, 4) + np.eye(2, 4)
     check_bogoliubov(s[..., :2], s[..., 2:], t, "S(t)")
     return s[..., :2], s[..., 2:]
 

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 WINDOW_G2TAU = 0.1
+LADDER_SAMPLES = 9  # taus per rung of ``ladder_regimes``, across one beat
 
 
 def perturbative_family(p: OscillatorParams) -> bool:
@@ -129,16 +130,14 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
-def ladder_regimes(
-    g_values, g_tau: float, s: float = 0.0, samples: int = 9
-) -> list[PerturbativeRegime]:
+def ladder_regimes(g_values, g_tau: float, s: float = 0.0) -> list[PerturbativeRegime]:
     """One regime per rung of a coupling ladder at fixed g*tau, its taus sampled across one beat.
 
     The fidelity deficit oscillates with cos(2 tau); sampling tau over a half
     period of that oscillation around the target tau = g_tau/g and taking the
     worst point gives a ladder constant stable enough for a slope fit.
     """
-    beat = np.linspace(-np.pi / 2.0, np.pi / 2.0, samples)
+    beat = np.linspace(-np.pi / 2.0, np.pi / 2.0, LADDER_SAMPLES)
     return [PerturbativeRegime(g_tilde=g, tau=np.maximum(g_tau / g + beat, 0.0), s=s) for g in g_values]
 
 

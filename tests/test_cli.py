@@ -40,6 +40,8 @@ from rwafidelity.states import InitialState
 
 
 PARAMS_DOC = {"params": {"omega_a": 1.0, "omega_b": 1.0}}
+DETUNED = {"omega_a": 1.0, "omega_b": 1.2, "g_bs": 0.1, "g_sq": 0.05}
+RESONANT = {"omega_a": 1.0, "omega_b": 1.0, "g_bs": 0.1, "g_sq": 0.1}
 PHASE_OVERFLOW = "tau_grid: the mode phases (max(omega_a, omega_b) + |g_bs| + |g_sq|) tau / omega_a must be finite numbers"
 
 
@@ -169,26 +171,51 @@ class TestSubcommandFlags:
         ids=" ".join,
     )
     def test_a_flag_of_a_field_not_read_exit_2(self, tmp_path, monkeypatch, capsys, argv):
-        # argparse refuses it and exits; main does not catch that exit
+        # argparse refuses it with the subcommand's own usage and exits; main does not catch that exit
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: rwafidelity {argv[0]} [-h] ")
+        assert err.endswith(f"\nrwafidelity {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}\n")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["validity", "evolve"])
-    def test_validity_and_evolve_read_only_the_parameter_point(self, tmp_path, capsys, command):
-        # fields they do not read, each invalid, change nothing; evolve reads tau_grid.start alone of its section
-        read = {"params": {"omega_a": 1.0, "omega_b": 1.2, "g_bs": 0.1, "g_sq": 0.05}, "tau_grid": {"start": 1.5}}
-        unread = {**read, "tau_grid": {"start": 1.5, "steps": 1}, "outputs": "fidelity", "oracle": {"cutoff": 0}, "format": "xml"}
+    def test_circuit_map_refuses_a_scan_flag_with_its_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["circuit-map", "--epsilon-a", "6", "--epsilon-b", "5.5", "--g", "0.1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rwafidelity circuit-map [-h] ")
+        assert err.endswith("\nrwafidelity circuit-map: error: unrecognized arguments: --g 0.1\n")
+
+    @pytest.mark.parametrize(
+        "command, read, unread",
+        [
+            ("validity", {"params": DETUNED}, {"tau_grid": {"start": 1.5, "steps": 1}}),
+            ("evolve", {"params": DETUNED, "tau_grid": {"start": 1.5}}, {"tau_grid": {"start": 1.5, "steps": 1}}),
+            ("perturbative-compare", {"params": RESONANT, "tau_grid": {"end": 5.0, "steps": 20}}, {}),
+        ],
+        ids=["validity", "evolve", "perturbative-compare"],
+    )
+    def test_validity_and_evolve_read_only_the_parameter_point(self, tmp_path, capsys, command, read, unread):
+        # the fields a command's row does not read, each invalid, change nothing: validity reads params, evolve
+        # also tau_grid.start alone of its section, and perturbative-compare params, initial_state and tau_grid
+        unread = {**read, **unread, "outputs": "fidelity", "oracle": {"cutoff": 0}, "format": "xml", "output_path": None}
         printed = []
         for name, doc in ("unread", unread), ("read", read):
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
             assert main([command, "--config", str(tmp_path / f"{name}.json")]) == 0
             printed.append(capsys.readouterr())
         assert printed[0] == printed[1] and printed[0].err == ""
-        assert printed[0].out.startswith("tau=1.5 " if command == "evolve" else "params: omega_a=1.0 omega_b=1.2 ")
+        starts = {"validity": "params: omega_a=1.0 omega_b=1.2 ", "evolve": "tau=1.5 ", "perturbative-compare": "coupling ladder: [0.1, "}
+        assert printed[0].out.startswith(starts[command])
+
+    @pytest.mark.parametrize("command", ["fidelity-scan", "oracle-check"])
+    def test_a_scan_row_reads_every_section_of_the_scan_document(self, tmp_path, command):
+        # _document cuts a --config file to the sections of the row: a scan row without outputs would drop its columns
+        sections = {path.partition(".")[0] for path in build_parser().parse_args([command]).reads}
+        assert set(make_config(tmp_path).to_dict()) <= sections
 
 
 FAMILY = "needs resonant equal couplings with 0 < g/omega < 0.5"
@@ -799,7 +826,8 @@ class TestMainExitCodes:
     def test_evolve_identity_at_time_zero(self, capsys):
         assert main(["evolve", "--omega-a", "1", "--omega-b", "1", "--g", "0.2", "--tau-start", "0"]) == 0
         out = capsys.readouterr().out
-        assert "block A(t)" in out and "+1+0j" in out
+        identity = "full evolution block A(t):\n  [+1+0j, +0+0j]\n  [+0+0j, +1+0j]\n"
+        assert identity + "full evolution block B(t):\n  [+0+0j, +0+0j]\n  [+0+0j, +0+0j]\n" in out
 
     def test_fidelity_scan_writes_file(self, tmp_path, capsys):
         out_path = str(tmp_path / "out.csv")

@@ -289,6 +289,16 @@ class TestEvolutionBlocks:
 
     @pytest.mark.parametrize(
         "p",
+        [OscillatorParams(1.0, 1.0, 0.2, 0.2), OscillatorParams(1.0, 1.3, -0.21, 0.13), OscillatorParams(1.0, 2.0, 0.0, 1.414213)],
+        ids=["resonant", "detuned", "near-bound"],
+    )
+    def test_identity_at_time_zero_is_exact(self, p):
+        # S(0) is I, not left @ right, which is I only to rounding
+        alpha, beta = evolution_blocks(p, [0.0])
+        assert np.array_equal(alpha[0], np.eye(2)) and np.array_equal(beta[0], np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "p",
         [
             OscillatorParams(1.0, 10.0, 0.05, 0.05),
             OscillatorParams(1.0, 1.3, -0.21, 0.13),
