@@ -42,6 +42,13 @@ The work is estimated from the window plan alone, as each window's term bound
 times (sector length + TERM_OVERHEAD) plus one row of the plan per time, and a
 request over WORK_BUDGET is refused before any block is diagonalized or
 coefficient built.
+
+At exact resonance, omega_a = omega_b, `compare` propagates nothing for the
+vacuum or the squeezed pair: the normal modes (a +- b) / sqrt(2) separate, the
+input is one single-mode state in each, and each mode's full H on the even
+occupations of a box of 2 cutoff is one tridiagonal block that `RwaBlocks`
+diagonalizes once (`FockOracle._factors`).  That work, about len(ts) times
+(cutoff + 1)^2 per mode, does not grow with the time span.
 """
 
 from __future__ import annotations
@@ -296,26 +303,28 @@ def number_blocks(basis: FockBasis, psi: np.ndarray, parity: int) -> tuple[np.nd
 
 
 class RwaBlocks:
-    """Exact RWA evolution of a sector state, block by block of the conserved N = n_a + n_b.
+    """Exact evolution of a state under a sum of real tridiagonal blocks, each diagonalized once.
 
     H_RWA keeps n_a + n_b, so on the truncated basis it is a sum of
     tridiagonal blocks, one per N: diagonal omega_a n_a + omega_b n_b,
-    off-diagonal g_bs sqrt((n_a + 1) n_b).  Each block that `number_blocks`
-    keeps is diagonalized once, H_N = V_N diag(E_N) V_N^T, and then
-    psi_rwa,N(t) = V_N e^(-i E_N t) c_N with c_N = V_N^T psi0,N at any t.  The
+    off-diagonal g_bs sqrt((n_a + 1) n_b).  At exact resonance the full H of
+    each normal-mode factor is one such block (`FockOracle._factors`).  Each
+    block is diagonalized once, H_N = V_N diag(E_N) V_N^T, and then
+    psi_N(t) = V_N e^(-i E_N t) c_N with c_N = V_N^T psi0,N at any t.  The
     energies and eigenbasis amplitudes are flat over the kept entries, with no
     padding, and the times of a window are their trailing axis: a window costs
     one product per block for the overlap, and one per block of N >= cutoff on
     its first and last rows of V_N (n_b, n_a = cutoff) for the boundary weight.
     """
 
-    def __init__(self, p: OscillatorParams, basis: FockBasis, n_a: np.ndarray, n_b: np.ndarray, psi0: np.ndarray):
-        """Entries (n_a, n_b) of the blocks from `number_blocks`; psi0 holds the sector amplitudes at t = 0."""
-        self.index, total = basis.position(n_a, n_b), n_a + n_b
+    def __init__(self, diagonal: np.ndarray, off: np.ndarray, total: np.ndarray, index: np.ndarray, psi0: np.ndarray, edge=math.inf):
+        """Blocks of the consecutive entries of equal total, of diagonal and off[j] between entries j and j + 1.
+
+        psi0[index] holds the entries' amplitudes at t = 0, and each block of total >= edge keeps its first and last rows.
+        """
+        self.index = index
         starts = np.flatnonzero(np.diff(total, prepend=-1)).tolist()
         self.bounds = list(zip(starts, starts[1:] + [len(total)]))
-        diagonal = p.omega_a * n_a + p.omega_b * n_b
-        off = p.g_bs * np.sqrt((n_a[:-1] + 1.0) * n_b[:-1])  # between entries j and j + 1 of one block
         self.energies, self.c, self.vecs_t, self.edges = np.empty(len(total)), np.empty(len(total)), [], []
         for s, e in self.bounds:
             # each block is diagonalized about its mean energy, since eigh's error scales with
@@ -325,7 +334,7 @@ class RwaBlocks:
             self.energies[s:e] = energies + mean
             self.vecs_t.append(np.ascontiguousarray(vecs.T))  # V^T, the hot product's operand
             self.c[s:e] = self.vecs_t[-1] @ psi0[self.index[s:e]]
-            if total[s] >= basis.cutoff:
+            if total[s] >= edge:
                 self.edges.append((s, e, self.vecs_t[-1].T[:: max(e - s - 1, 1)]))  # one row if N = 2 cutoff
 
     def coefficients(self, ts: np.ndarray) -> np.ndarray:
@@ -350,6 +359,11 @@ class RwaBlocks:
             rows[s:e] = vecs_t @ rows[s:e]
         return np.einsum("kt,kt->t", coef, np.conjugate(proj, out=proj)).conj()
 
+    def measure(self, ts: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """|<psi_rwa|psi>|^2 and the RWA state's boundary weight per time, for rows psi of sector amplitudes at times ts."""
+        coef = self.coefficients(ts)
+        return np.abs(self.overlap(coef, psi)) ** 2, self.boundary_weight(coef)
+
     def boundary_weight(self, coef: np.ndarray) -> np.ndarray:
         """Weight of the RWA state on the truncation boundary, per time."""
         weight = np.zeros(coef.shape[-1])
@@ -359,10 +373,10 @@ class RwaBlocks:
         return weight
 
     def amplitudes(self, coef: np.ndarray, size: int) -> np.ndarray:
-        """Sector amplitudes of the RWA state at one time, for a one-column coef, exactly zero outside its blocks."""
-        out = np.zeros(size, dtype=complex)
+        """Sector amplitudes of the state, one column per column of coef, exactly zero outside its blocks."""
+        out = np.zeros((size, coef.shape[1]), dtype=complex)
         for (s, e), vecs_t in zip(self.bounds, self.vecs_t):
-            out[self.index[s:e]] = (vecs_t.T @ coef[s:e].view(float)).view(complex)[:, 0]
+            out[self.index[s:e]] = (vecs_t.T @ coef[s:e].view(float)).view(complex)
         return out
 
 
@@ -434,7 +448,9 @@ class FockOracle:
         if not work <= WORK_BUDGET:
             msg = f"the oracle would need about {work:.3g} amplitude updates, over the budget of {WORK_BUDGET:.3g}"
             raise ValueError(f"{msg}; shorten the tau span or lower the cutoff")
-        rwa = RwaBlocks(self.params, self.basis, n_a, n_b, psi)
+        p = self.params
+        off = p.g_bs * np.sqrt((n_a[:-1] + 1.0) * n_b[:-1])  # between entries j and j + 1 of one block
+        rwa = RwaBlocks(p.omega_a * n_a + p.omega_b * n_b, off, n_a + n_b, self.basis.position(n_a, n_b), psi, self.basis.cutoff)
         return rwa, self._propagate(psi, parity, ts, order, edges, anchors, terms)
 
     def _propagate(self, psi, parity, ts, order, edges, anchors, terms) -> Iterator[tuple]:
@@ -526,17 +542,24 @@ class FockOracle:
         psi0, discarded = initial_vector(self.basis, initial)
         rwa, windows = self._trajectory(psi0, (initial.n_a + initial.n_b) % 2, np.array([t], dtype=float))
         ((_, times, states),) = windows
-        return states[0], rwa.amplitudes(rwa.coefficients(times), states.shape[1]), discarded
+        return states[0], rwa.amplitudes(rwa.coefficients(times), states.shape[1])[:, 0], discarded
 
     def compare(self, initial: InitialState, ts) -> OraclePoint:
-        """Oracle outputs over an array of times, or float fields for a scalar t."""
-        psi0, tail = initial_vector(self.basis, initial)
-        parity, c = (initial.n_a + initial.n_b) % 2, self.basis.cutoff
-        n_a, n_b = self.basis.occupations(parity)
-        edge, n = np.flatnonzero(np.maximum(n_a, n_b) == c), np.where(n_b <= c, n_a + n_b, 0.0)
+        """Oracle outputs over an array of times, or float fields for a scalar t.
+
+        At exact resonance the vacuum and the squeezed pair take `_factors`, and every other input its sector.
+        """
         times = np.asarray(ts, dtype=float)
+        if self.params.omega_a == self.params.omega_b and initial.kind != "fock":
+            psi0, tail, edge, n, windows = self._factors(initial, times.ravel())
+        else:
+            psi0, tail = initial_vector(self.basis, initial)
+            parity, c = (initial.n_a + initial.n_b) % 2, self.basis.cutoff
+            n_a, n_b = self.basis.occupations(parity)
+            edge, n = np.flatnonzero(np.maximum(n_a, n_b) == c), np.where(n_b <= c, n_a + n_b, 0.0)
+            rwa, trajectory = self._trajectory(psi0, parity, times.ravel())
+            windows = ((where, t, states, *rwa.measure(t, states)) for where, t, states in trajectory)
         fid, d_n = np.empty(times.size), np.empty(times.size)
-        rwa, windows = self._trajectory(psi0, parity, times.ravel())
 
         def number(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             """Tail and <N> of each row of states, whose real parts become their densities."""
@@ -545,14 +568,11 @@ class FockOracle:
             return np.sum(density[:, edge], axis=1), np.sum(np.multiply(n, density, out=density), axis=1)
 
         # H_RWA commutes with N, so <N> keeps its initial value exactly, truncation included;
-        # summed as the full side is, so that delta_n is exactly 0 at t = 0
+        # summed as the full side is, so that delta_n of a propagated sector is exactly 0 at t = 0
         n_rwa = number(psi0.astype(complex)[None])[1][0]
-        for where, t, states in windows:
-            coef = rwa.coefficients(t)
-            boundary, fid[where] = rwa.boundary_weight(coef), np.abs(rwa.overlap(coef, states)) ** 2
-            del coef  # before the next window's propagation, which it would otherwise sit under
+        for where, t, states, fidelity, boundary in windows:
             tails, n_full = number(states)  # after the overlap, since it overwrites the states
-            tails, d_n[where] = np.maximum(tails, boundary), n_full - n_rwa
+            tails, fid[where], d_n[where] = np.maximum(tails, boundary), fidelity, n_full - n_rwa
             if np.any(tails > TAIL_TOL):
                 first = int(np.argmax(tails > TAIL_TOL))
                 msg = f"truncation tail {tails[first]:.3e} exceeds {TAIL_TOL} at cutoff {self.basis.cutoff}"
@@ -561,6 +581,44 @@ class FockOracle:
         if times.ndim == 0:
             return OraclePoint(fidelity=float(fid[0]), delta_n=float(d_n[0]), tail_weight=tail)
         return OraclePoint(fidelity=fid.reshape(times.shape), delta_n=d_n.reshape(times.shape), tail_weight=tail)
+
+    def _factors(self, initial: InitialState, ts: np.ndarray) -> tuple:
+        """`compare`'s inputs at omega_a = omega_b for the vacuum or the squeezed pair, from two single-mode factors.
+
+        d+- = (a +- b) / sqrt(2) separate for any g_bs: H = sum+- nu+- n+- +- (g_sq / 2)(d+-^2 + d+-'^2) and
+        H_RWA = sum+- nu+- n+-, with nu+- = omega +- g_bs.  A mode's box of 2 cutoff holds the (n_a, n_b) box of
+        cutoff, as n+ + n- = n_a + n_b.  The factors' states lie side by side in the RWA's frame, e^(i nu n t)
+        psi(t), where each one's overlap with psi0 is its RWA overlap, so F = |o+ o-|^2, and the tails add their
+        weights on n = 2 cutoff.  A window of times holds at most WINDOW amplitudes.
+        """
+        p, c = self.params, self.basis.cutoff
+        mode = squeezed_mode_amplitudes(initial.s, 2 * c)[::2]  # the vacuum at s = 0
+        weight = float(np.sum(mode**2))  # kept by each mode, so that the pair keeps its square
+        discarded = 1.0 - weight**2
+        if discarded > TAIL_TOL:
+            raise TruncationError(f"initial squeezed state loses weight {discarded:.3e} at cutoff {c}")
+        # |E| < w = 2 (cutoff + 1) (omega + |g_bs| + |g_sq|), so each phase E t and E (t - t') is finite where 2 w |t|
+        # is; the bound is a Python float, which overflows to inf with no warning, and nan or inf times fail it
+        big = float(np.finfo(float).max)
+        if not np.all(np.abs(ts) <= min(big, big / (4 * (c + 1) * (p.omega_a + abs(p.g_bs) + abs(p.g_sq))))):
+            raise ValueError("the oracle's times and their phases E t must be finite")
+        work = 2.0 * len(ts) * len(mode) ** 2
+        if not work <= WORK_BUDGET:
+            msg = f"the oracle would need about {work:.3g} amplitude updates, over the budget of {WORK_BUDGET:.3g}"
+            raise ValueError(f"{msg}; use fewer times or lower the cutoff")
+        psi0, sign = np.tile(mode / math.sqrt(weight), 2), np.repeat([1.0, -1.0], len(mode))
+        n, order, count = np.tile(2.0 * np.arange(len(mode)), 2), np.argsort(ts, kind="stable"), WINDOW // (4 * len(mode))
+        diagonal, off = (p.omega_a + sign * p.g_bs) * n, 0.5 * sign * p.g_sq * np.sqrt((n + 1.0) * (n + 2.0))
+        full, edge = RwaBlocks(diagonal, off, sign, np.arange(len(n)), psi0), np.flatnonzero(n == 2 * c)
+        rwa_tail = np.sum(psi0[edge] ** 2)  # H_RWA keeps each n+-, and so the RWA state's weight on the boundary
+
+        def windows() -> Iterator[tuple]:
+            for where in (order[first : first + count] for first in range(0, len(ts), count)):
+                states = full.amplitudes(full.coefficients(ts[where]), len(n)) * np.exp(1j * np.multiply.outer(diagonal, ts[where]))
+                o = np.einsum("fn,fnt->ft", psi0.reshape(2, -1), states.reshape(2, len(mode), -1))
+                yield where, ts[where], states.T, np.abs(o[0] * o[1]) ** 2, rwa_tail
+
+        return psi0, discarded, edge, n, windows()
 
 
 def fock_bound(n_a: int, n_b: int, g: float, omega: float, t: float) -> float:

@@ -140,6 +140,24 @@ def test_criterion_4_oracle_equivalence():
     )
 
 
+def test_criterion_4_on_a_propagated_sector():
+    # criterion 4 is resonant, where the oracle takes the two normal-mode factors; its detuned twin at
+    # omega_b = 1.1, under the same bounds, propagates the parity sector
+    taus = np.linspace(0.0, 10.0, 11)
+    worst_f = worst_n = worst_cert = 0.0
+    for g in (0.02, 0.05):
+        p = OscillatorParams(1.0, 1.1, g, g)
+        for initial in (InitialState("vacuum"), InitialState("squeezed", s=0.2)):
+            factor = initial.factor()
+            points, certs = (FockOracle(p, cutoff).compare(initial, taus) for cutoff in (40, 80))
+            worst_f = max(worst_f, max(abs(fidelity_eff(factor, p, tau).fidelity - f) for tau, f in zip(taus, points.fidelity)))
+            worst_n = max(worst_n, max(abs(delta_n(factor, p, tau) - d) for tau, d in zip(taus, points.delta_n)))
+            worst_cert = max(worst_cert, np.max(np.abs(points.fidelity - certs.fidelity)), np.max(np.abs(points.delta_n - certs.delta_n)))
+    assert worst_f < 1e-5
+    assert worst_n < 1e-5
+    assert worst_cert < 1e-6
+
+
 def test_criterion_5_vacuum_perturbative_law():
     tau = 2.0
     residuals, deficits = [], []

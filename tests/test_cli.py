@@ -1088,19 +1088,29 @@ class TestMainExitCodes:
         assert list(columns) == ["tau", *outputs, *(ORACLE_OUTPUTS if command == "oracle-check" or flags else ())]
 
     def test_oracle_check_over_work_budget_exit_2(self, tmp_path, capsys):
+        # detuned: the work of a propagated sector grows with the tau span
         start = time.perf_counter()
-        code = main(["oracle-check", "--cutoff", "96", "--tau-end", "100000", "--steps", "3", "--output", str(tmp_path / "oc.csv")])
+        argv = ["--omega-b", "1.1", "--cutoff", "96", "--tau-end", "100000", "--steps", "3", "--output", str(tmp_path / "oc.csv")]
+        code = main(["oracle-check", *argv])
         assert code == 2
         assert time.perf_counter() - start < 1.0
         assert "budget" in capsys.readouterr().err
 
     def test_oracle_span_past_the_largest_double_is_refused_without_a_warning(self, tmp_path, capsys):
-        # half the spectrum's width times the span overflows to inf terms, over the budget; a
+        # detuned: half the spectrum's width times the span overflows to inf terms, over the budget; a
         # RuntimeWarning would be raised here (warnings are errors), or printed from the console script
-        code = main(["oracle-check", "--cutoff", "96", "--tau-end", "1e307", "--steps", "3", "--output", str(tmp_path / "oc.csv")])
+        argv = ["--omega-b", "1.1", "--cutoff", "96", "--tau-end", "1e307", "--steps", "3", "--output", str(tmp_path / "oc.csv")]
+        code = main(["oracle-check", *argv])
         err = capsys.readouterr().err
         assert code == 2
         assert "would need about inf amplitude updates, over the budget" in err and "RuntimeWarning" not in err
+        assert not (tmp_path / "oc.csv").exists()
+
+    def test_resonant_oracle_phases_past_the_largest_double_are_refused_without_a_warning(self, tmp_path, capsys):
+        # on resonance the factors' work does not grow with the span, but their phases E t overflow a double
+        code = main(["oracle-check", "--cutoff", "96", "--tau-end", "1e307", "--steps", "3", "--output", str(tmp_path / "oc.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "validation error: the oracle's times and their phases E t must be finite\n"
         assert not (tmp_path / "oc.csv").exists()
 
     def test_oracle_budget_refused_before_the_gaussian_grid(self, tmp_path, capsys, monkeypatch):
@@ -1115,19 +1125,21 @@ class TestMainExitCodes:
         assert not (tmp_path / "oc.csv").exists()
 
     def test_truncation_error_names_the_tau_of_the_grid(self, tmp_path, capsys):
-        # omega_a = 2, so the oracle's time t = tau / 2: the tail first fails at t = 0.5, the row tau = 1
-        oracle, initial = FockOracle(OscillatorParams(2.0, 2.0, 0.9, 0.9), 10), InitialState("vacuum")
+        # omega_a = 2, so the oracle's time t = tau / 2: the tail first fails at t = 0.5, the row tau = 1; detuned, so
+        # that the sector is propagated
+        oracle, initial = FockOracle(OscillatorParams(2.0, 2.2, 0.9, 0.9), 10), InitialState("vacuum")
         oracle.compare(initial, np.array([0.0, 0.25]))
         with pytest.raises(TruncationError, match=re.escape("(first at t = 0.5)")):
             oracle.compare(initial, np.array([0.0, 0.25, 0.5]))
-        flags = ["--omega-a", "2", "--omega-b", "2", "--g", "0.9", "--tau-end", "4", "--steps", "9", "--cutoff", "10"]
+        flags = ["--omega-a", "2", "--omega-b", "2.2", "--g", "0.9", "--tau-end", "4", "--steps", "9", "--cutoff", "10"]
         assert main(["oracle-check", *flags, "--output", str(tmp_path / "oc.csv")]) == 1
         err = capsys.readouterr().err
         assert re.search(r"truncation tail \S+ exceeds \S+ at cutoff 10 \(first at tau = 1\)$", err.strip()), err
 
     def test_truncated_initial_state_exit_1(self, tmp_path, capsys):
-        # the initial state's own loss belongs to no tau, so it is reported as the oracle words it
-        flags = ["--g", "0.05", "--squeezing", "1.5", "--tau-end", "2", "--steps", "3", "--cutoff", "96"]
+        # the initial state's own loss belongs to no tau, so it is reported as the oracle words it; detuned, so that
+        # the state is cut at cutoff 96 per mode (the resonant factors hold it to 192)
+        flags = ["--omega-b", "1.1", "--g", "0.05", "--squeezing", "1.5", "--tau-end", "2", "--steps", "3", "--cutoff", "96"]
         assert main(["oracle-check", *flags, "--output", str(tmp_path / "oc.csv")]) == 1
         assert capsys.readouterr().err == "runtime error: initial squeezed state loses weight 2.082e-05 at cutoff 96\n"
         assert not (tmp_path / "oc.csv").exists()
