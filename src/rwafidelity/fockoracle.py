@@ -6,7 +6,8 @@ products, and only the initial vector is propagated, by a Chebyshev expansion
 of exp(-i H dt) over the Gershgorin interval of H (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967 (1984)).  Every term with a Bessel factor J_k(b dt)
 above double-precision roundoff is kept, so the propagation is unitary to
-rounding (about 1e-14), not exactly.
+rounding (about 1e-14), not exactly.  That set-up, each parity sector's H and
+their Gershgorin interval, is built on an oracle's first propagation.
 
 The requested times are sorted and cut into windows.  One series is expanded
 per window, from t = 0 for the first and from the last time of the window
@@ -37,22 +38,24 @@ under it keeps its initial value exactly.  The tails and <N> of the full side
 are summed over the window's states, which become their densities in place.
 The truncation tail is checked at every time, and a `TruncationError` names
 the first time it fails.  The number of Chebyshev terms grows as (omega_a +
-omega_b) * cutoff * |time span|.
-The work is estimated from the window plan alone, as each window's term bound
-times (sector length + TERM_OVERHEAD) plus one row of the plan per time, and a
-request over WORK_BUDGET is refused before any block is diagonalized or
-coefficient built.
+omega_b) * cutoff * |time span|.  The work is estimated from the window plan
+alone, as each window's term bound times (sector length + TERM_OVERHEAD) plus
+one row of the plan per time, and a request over WORK_BUDGET is refused before
+any block is diagonalized or coefficient built.
 
-At exact resonance, omega_a = omega_b, `compare` propagates nothing for the
-vacuum or the squeezed pair: the normal modes (a +- b) / sqrt(2) separate, the
-input is one single-mode state in each, and each mode's full H on the even
-occupations of a box of 2 cutoff is one tridiagonal block that `RwaBlocks`
-diagonalizes once (`FockOracle._factors`).  That work, about len(ts) times
-(cutoff + 1)^2 per mode, does not grow with the time span.
+At exact resonance, omega_a = omega_b, `compare` builds and propagates nothing
+for the vacuum or the squeezed pair: the normal modes (a +- b) / sqrt(2)
+separate, the input is one single-mode state in each, and each mode's full H on
+the even occupations of a box of 2 cutoff is one tridiagonal block that
+`RwaBlocks` diagonalizes once (`FockOracle._factors`).  The tails and <N> are
+read from the densities of the lab-frame states, and the RWA phases enter only
+the overlap.  That work, about len(ts) times (cutoff + 1)^2 per mode, does not
+grow with the time span.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -285,12 +288,10 @@ class OraclePoint:
 def number_blocks(basis: FockBasis, psi: np.ndarray, parity: int) -> tuple[np.ndarray, np.ndarray]:
     """Occupations (n_a, n_b) of the entries of the blocks of fixed N = n_a + n_b that carry psi's weight.
 
-    psi holds the amplitudes of the sector of the given parity.  Each kept
-    block holds its own entries, n_a rising from max(0, N - cutoff) to
-    min(N, cutoff), and the blocks follow one another in ascending N.  Blocks
-    whose weight is at most eps^2 / (number of blocks) are left out: together
-    they hold at most eps^2, and U_RWA keeps the weight of each block, so the
-    RWA state they omit has norm at most eps at every time.
+    psi holds the amplitudes of the sector of the given parity.  Each kept block holds its own entries, n_a rising
+    from max(0, N - cutoff) to min(N, cutoff), and the blocks follow one another in ascending N.  Blocks whose
+    weight is at most eps^2 / (number of blocks) are left out: together they hold at most eps^2, and U_RWA keeps
+    the weight of each block, so the RWA state they omit has norm at most eps at every time.
     """
     c = basis.cutoff
     total = np.arange(parity, 2 * c + 1, 2)[:, None]
@@ -305,16 +306,13 @@ def number_blocks(basis: FockBasis, psi: np.ndarray, parity: int) -> tuple[np.nd
 class RwaBlocks:
     """Exact evolution of a state under a sum of real tridiagonal blocks, each diagonalized once.
 
-    H_RWA keeps n_a + n_b, so on the truncated basis it is a sum of
-    tridiagonal blocks, one per N: diagonal omega_a n_a + omega_b n_b,
-    off-diagonal g_bs sqrt((n_a + 1) n_b).  At exact resonance the full H of
-    each normal-mode factor is one such block (`FockOracle._factors`).  Each
-    block is diagonalized once, H_N = V_N diag(E_N) V_N^T, and then
-    psi_N(t) = V_N e^(-i E_N t) c_N with c_N = V_N^T psi0,N at any t.  The
-    energies and eigenbasis amplitudes are flat over the kept entries, with no
-    padding, and the times of a window are their trailing axis: a window costs
-    one product per block for the overlap, and one per block of N >= cutoff on
-    its first and last rows of V_N (n_b, n_a = cutoff) for the boundary weight.
+    H_RWA keeps n_a + n_b, so on the truncated basis it is a sum of tridiagonal blocks, one per N: diagonal
+    omega_a n_a + omega_b n_b, off-diagonal g_bs sqrt((n_a + 1) n_b).  At exact resonance the full H of each
+    normal-mode factor is one such block (`FockOracle._factors`).  Each block is diagonalized once,
+    H_N = V_N diag(E_N) V_N^T, and then psi_N(t) = V_N e^(-i E_N t) c_N with c_N = V_N^T psi0,N at any t.  The
+    energies and eigenbasis amplitudes are flat over the kept entries, with no padding, and the times of a window
+    are their trailing axis: a window costs one product per block for the overlap, and one per block of
+    N >= cutoff on its first and last rows of V_N (n_b, n_a = cutoff) for the boundary weight.
     """
 
     def __init__(self, diagonal: np.ndarray, off: np.ndarray, total: np.ndarray, index: np.ndarray, psi0: np.ndarray, edge=math.inf):
@@ -386,27 +384,27 @@ class FockOracle:
     def __init__(self, p: OscillatorParams, cutoff: int):
         self.params = p
         self.basis = FockBasis(cutoff)
-        sectors = [GridHamiltonian.build(p, self.basis, parity) for parity in (0, 1)]
+
+    @functools.cached_property
+    def _chebyshev(self) -> tuple[float, float, list]:
+        """Centre and half-width of H's Gershgorin interval and each sector's recurrence operators, built on first use."""
+        sectors = [GridHamiltonian.build(self.params, self.basis, parity) for parity in (0, 1)]
         # every row of H is a row of one sector, so these are the whole basis's Gershgorin bounds
         lo, hi = zip(*(h.spectral_bounds() for h in sectors))
-        self._centre, self._half = 0.5 * (max(hi) + min(lo)), 0.5 * (max(hi) - min(lo))
+        centre, half = 0.5 * (max(hi) + min(lo)), 0.5 * (max(hi) - min(lo))
         # per sector, L = 2 (H - centre) / half for T_(k+1) = L T_k - T_(k-1): on real amplitudes, and with
         # each weight repeated (so `_shifted` doubles each shift) on complex ones as (real, imaginary) float pairs
-        self._recurrences = []
-        for h in sectors:
-            weights = [w * (2.0 / self._half) for w in (h.diagonal - self._centre, h.bs, h.sq)]
-            self._recurrences.append((GridHamiltonian(*weights), GridHamiltonian(*(np.repeat(w, 2) for w in weights))))
+        weights = [[w * (2.0 / half) for w in (h.diagonal - centre, h.bs, h.sq)] for h in sectors]
+        return centre, half, [(GridHamiltonian(*w), GridHamiltonian(*(np.repeat(x, 2) for x in w))) for w in weights]
 
     def _windows(self, ts: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
         """ts's positions in ascending order of time, its window edges in that order, and each window's anchor and terms.
 
-        Window w holds the times at order[edges[w] : edges[w + 1]] and is
-        anchored at the time before them, t = 0 for the first; its Chebyshev
-        series needs at most terms[w] terms.  A window takes times while their
-        rows of size amplitudes and of coefficients, times x (size + terms),
-        fit in WINDOW amplitudes, and at least one time: a binary search finds
-        how many for a window that starts at each position, and the windows
-        are chained from the first.
+        Window w holds the times at order[edges[w] : edges[w + 1]] and is anchored at the time before them, t = 0 for
+        the first; its Chebyshev series needs at most terms[w] terms.  A window takes times while their rows of size
+        amplitudes and of coefficients, times x (size + terms), fit in WINDOW amplitudes, and at least one time: a
+        binary search finds how many for a window that starts at each position, and the windows are chained from the
+        first.
         """
         order = np.argsort(ts, kind="stable")
         t = ts[order]
@@ -416,7 +414,7 @@ class FockOracle:
             # t is sorted, so the times farthest from the anchor are at the ends
             reach = np.maximum(np.abs(t[first] - anchor[first]), np.abs(t[first + count - 1] - anchor[first]))
             with np.errstate(over="ignore"):  # a span past the largest double is refused at inf terms
-                return chebyshev_terms(self._half * reach)
+                return chebyshev_terms(self._chebyshev[1] * reach)
 
         first = np.arange(len(t))
         fit, most = np.ones(len(t), dtype=int), np.minimum(max(WINDOW // size, 1), len(t) - first)
@@ -456,19 +454,16 @@ class FockOracle:
     def _propagate(self, psi, parity, ts, order, edges, anchors, terms) -> Iterator[tuple]:
         """Per window of `_windows` its (positions, times, sector states), from the last state of the window before.
 
-        Set up once per trajectory: one array of states, which each window
-        overwrites, and one buffer of CHUNK + 2 rows of terms with the
-        `_shifted` arguments from each row to the next, for the real operator
-        (the first window, from a real state) and its interleaved copy (the
-        later ones); fresh temporaries on every term made the recurrence's
-        speed hang on the state of the heap.  A run of windows whose rows,
-        times x term bound, fit in WINDOW entries shares one coefficient
-        table, and each window cuts it at its own kept length.
+        Set up once per trajectory: one array of states, which each window overwrites, and one buffer of CHUNK + 2
+        rows of terms with the `_shifted` arguments from each row to the next, for the real operator (the first window,
+        from a real state) and its interleaved copy (the later ones); fresh temporaries on every term made the
+        recurrence's speed hang on the state of the heap.  A run of windows whose rows, times x term bound, fit in
+        WINDOW entries shares one coefficient table, and each window cuts it at its own kept length.
         """
-        rows = CHUNK + 2
+        rows, (centre, half, recurrences) = CHUNK + 2, self._chebyshev
         flat, scratch = np.empty(rows * 2 * len(psi)), np.empty(2 * len(psi))
         kernels = []
-        for h in self._recurrences[parity]:
+        for h in recurrences[parity]:
             buf = flat[: rows * len(h.diagonal)].reshape(rows, -1)
             kernels.append((buf, [h._shifted(*pair, scratch[: len(h.diagonal)]) for pair in zip(buf, buf[1:])], h))
         counts = np.diff(edges)
@@ -484,10 +479,10 @@ class FockOracle:
                         break
                     run += 1
                 start, end = first, edges[run]
-                table, kept = chebyshev_coefficients(self._half * dts[start:end])
+                table, kept = chebyshev_coefficients(half * dts[start:end])
             out, rows = states[: last - first], slice(first - start, last - start)
             self._expand(kernels[np.iscomplexobj(psi)], psi, table[:, rows], kept[rows], out)
-            out *= np.exp(-1j * self._centre * dts[first:last])[:, None]
+            out *= np.exp(-1j * centre * dts[first:last])[:, None]
             psi = out[-1].copy()
             yield order[first:last], ts[order[first:last]], out
 
@@ -495,9 +490,8 @@ class FockOracle:
     def _expand(kernel: tuple, psi: np.ndarray, table: np.ndarray, kept: np.ndarray, states: np.ndarray) -> None:
         """Rows sum_k a_k T_k psi into states, one per row of a `chebyshev_coefficients` table and its kept lengths.
 
-        kernel is a buffer of terms, the `_shifted` arguments from its row j
-        to row j + 1 (steps[j]), and the recurrence operator: the real one for
-        a real psi, the interleaved copy, on float pairs, for a complex psi.
+        kernel is a buffer of terms, the `_shifted` arguments from its row j to row j + 1 (steps[j]), and the
+        recurrence operator: the real one for a real psi, the interleaved copy, on float pairs, for a complex psi.
         The terms T_k psi are formed CHUNK at a time in the buffer, whose last two rows seed
         the next chunk, and each chunk is summed by one product per half of the table (a_k is
         real for even k, else imaginary) and per CHUNK // 2 rows, so that the sums take no more
@@ -587,9 +581,9 @@ class FockOracle:
 
         d+- = (a +- b) / sqrt(2) separate for any g_bs: H = sum+- nu+- n+- +- (g_sq / 2)(d+-^2 + d+-'^2) and
         H_RWA = sum+- nu+- n+-, with nu+- = omega +- g_bs.  A mode's box of 2 cutoff holds the (n_a, n_b) box of
-        cutoff, as n+ + n- = n_a + n_b.  The factors' states lie side by side in the RWA's frame, e^(i nu n t)
-        psi(t), where each one's overlap with psi0 is its RWA overlap, so F = |o+ o-|^2, and the tails add their
-        weights on n = 2 cutoff.  A window of times holds at most WINDOW amplitudes.
+        cutoff, as n+ + n- = n_a + n_b.  The factors' lab-frame states lie side by side, and their densities give the
+        tails, which add the weights on n = 2 cutoff, and <N>; each one's RWA overlap is <e^(-i nu n t) psi0|psi(t)>,
+        so F = |o+ o-|^2.  A window of times holds at most WINDOW amplitudes.
         """
         p, c = self.params, self.basis.cutoff
         mode = squeezed_mode_amplitudes(initial.s, 2 * c)[::2]  # the vacuum at s = 0
@@ -614,9 +608,15 @@ class FockOracle:
 
         def windows() -> Iterator[tuple]:
             for where in (order[first : first + count] for first in range(0, len(ts), count)):
-                states = full.amplitudes(full.coefficients(ts[where]), len(n)) * np.exp(1j * np.multiply.outer(diagonal, ts[where]))
-                o = np.einsum("fn,fnt->ft", psi0.reshape(2, -1), states.reshape(2, len(mode), -1))
-                yield where, ts[where], states.T, np.abs(o[0] * o[1]) ** 2, rwa_tail
+                coef = full.coefficients(ts[where])
+                states = full.amplitudes(coef, len(n))
+                # psi0's RWA phases e^(-i nu n t), conjugated in the overlap: powers of each mode's phase at n = 2 along
+                # n = 0, 2, ..., written over the eigenbasis amplitudes, which the states no longer need
+                phases = coef.reshape(2, len(mode), -1)
+                phases[:, 0], phases[:, 1:] = 1.0, np.exp(1j * np.multiply.outer(diagonal[1 :: len(mode)], ts[where]))[:, None]
+                np.multiply(np.cumprod(phases, axis=1, out=phases), states.reshape(phases.shape), out=phases)
+                o = np.matmul(psi0.reshape(2, 1, -1), phases.view(float)).view(complex)
+                yield where, ts[where], states.T, np.abs(o[0, 0] * o[1, 0]) ** 2, rwa_tail
 
         return psi0, discarded, edge, n, windows()
 
