@@ -170,11 +170,11 @@ def _rwa_modes(p: OscillatorParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rwa_block(p: OscillatorParams, t) -> np.ndarray:
-    """exp(-i U t), the RWA evolution's unitary block, stacked over the shape of t: exp(-i nu_k t) times v[i, k] v[j, k]."""
-    t = _times(t)
+    """exp(-i U t), the RWA evolution's unitary block, stacked over the shape of t: exp(-i nu_k t) (``mode_phases``) times v[i, k] v[j, k]."""
     nu, v = _rwa_modes(p)
     table = (v.T[:, :, None] * v.T[:, None, :]).reshape(2, 4)
-    return (np.exp(-1j * np.multiply.outer(t, nu)) @ table).reshape(t.shape + (2, 2))
+    phases = np.moveaxis(mode_phases(nu, t), 0, -1)  # t's shape, then one column per RWA mode
+    return (phases @ table).reshape(phases.shape[:-1] + (2, 2))
 
 
 def _det(m: np.ndarray) -> np.ndarray:
@@ -263,5 +263,12 @@ def mode_table(p: OscillatorParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mode_phases(w: np.ndarray, t) -> np.ndarray:
-    """The points exp(-i w t) of the mode torus, (4, n), at a 1-D array of times."""
-    return np.exp(-1j * np.multiply.outer(w, _times(t)))
+    """The points exp(-i w t), of shape w.shape + t.shape: the mode torus, (4, n), at a 1-D array of times.
+
+    Raises ValueError where the largest |w t| is not finite.
+    """
+    t = _times(t)
+    # a product of Python floats, which overflows to inf with no warning
+    if not math.isfinite(float(np.max(np.abs(w))) * float(np.max(np.abs(t), initial=0.0))):
+        raise ValueError(f"the mode phases w t must be finite, got t = {t.flat[np.argmax(np.abs(t))]:.6g}")
+    return np.exp(-1j * np.multiply.outer(w, t))

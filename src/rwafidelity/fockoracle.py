@@ -40,8 +40,8 @@ The truncation tail is checked at every time, and a `TruncationError` names
 the first time it fails.  The number of Chebyshev terms grows as (omega_a +
 omega_b) * cutoff * |time span|.  The work is estimated from the window plan
 alone, as each window's term bound times (sector length + TERM_OVERHEAD) plus
-one row of the plan per time, and a request over WORK_BUDGET is refused before
-any block is diagonalized or coefficient built.
+one row of the plan per time, and `check_work` refuses a request over
+WORK_BUDGET before any block is diagonalized or coefficient built.
 
 At exact resonance, omega_a = omega_b, `compare` builds and propagates nothing
 for the vacuum or the squeezed pair: the normal modes (a +- b) / sqrt(2)
@@ -50,7 +50,9 @@ the even occupations of a box of 2 cutoff is one tridiagonal block that
 `RwaBlocks` diagonalizes once (`FockOracle._factors`).  The tails and <N> are
 read from the densities of the lab-frame states, and the RWA phases enter only
 the overlap.  That work, about len(ts) times (cutoff + 1)^2 per mode, does not
-grow with the time span.
+grow with the time span; `check_work` refuses it over WORK_BUDGET as well.  On
+either route `FockOracle._admit` first refuses every time whose phases E t may
+round by over PHASE_TOL.
 """
 
 from __future__ import annotations
@@ -70,8 +72,7 @@ __all__ = [
     "FockBasis",
     "GridHamiltonian",
     "chebyshev_coefficients",
-    "fock_vector",
-    "squeezed_vector",
+    "initial_vector",
     "FockOracle",
     "OraclePoint",
     "fock_bound",
@@ -89,6 +90,8 @@ BOUND_CERT_TOL = 1e-6
 # amplitudes and coefficients, and a cutoff is admitted while one state of its parity sector fits (to 360);
 # terms are formed CHUNK at a time in a buffer of CHUNK + 2 rows, and summed CHUNK // 2 states at a time.
 WORK_BUDGET = 4e9
+# Largest rounding, in rad, of a phase E t that the oracle admits: a tenth of criterion 4's 1e-5 (`FockOracle._admit`).
+PHASE_TOL = 1e-6
 TERM_OVERHEAD = 800
 WINDOW = 2**16
 CHUNK = 32
@@ -235,15 +238,6 @@ def chebyshev_coefficients(x) -> tuple[np.ndarray, np.ndarray]:
     return b.reshape((2,) + x.shape + b.shape[-1:]), kept.reshape(x.shape)
 
 
-def fock_vector(basis: FockBasis, n_a: int, n_b: int) -> np.ndarray:
-    """Amplitudes of |n_a, n_b> on its sector."""
-    if not (0 <= n_a <= basis.cutoff and 0 <= n_b <= basis.cutoff):
-        raise ValueError(f"occupation ({n_a}, {n_b}) outside cutoff {basis.cutoff}")
-    amp = np.zeros(len(basis.occupations((n_a + n_b) % 2)[0]))
-    amp[basis.position(n_a, n_b)] = 1.0
-    return amp
-
-
 def squeezed_mode_amplitudes(s: float, cutoff: int) -> np.ndarray:
     """Number-basis amplitudes of a single squeezed mode with +sinh(s) pair moment.
 
@@ -256,24 +250,32 @@ def squeezed_mode_amplitudes(s: float, cutoff: int) -> np.ndarray:
     return amp
 
 
-def squeezed_vector(basis: FockBasis, s: float) -> tuple[np.ndarray, float]:
-    """Amplitudes of the truncated squeezed-pair state on the even sector and the discarded weight before renormalization."""
-    mode = squeezed_mode_amplitudes(s, basis.cutoff)
-    # summed on the product's (n_a, n_b) grid, so that its rounding does not hang on the sector layout
-    weight = float(np.sum(np.outer(mode, mode) ** 2))
-    discarded = 1.0 - weight
+def squeezed_mode(s: float, cutoff: int, box: int) -> tuple[np.ndarray, float]:
+    """A squeezed mode's amplitudes on occupations 0 to box, normalized, and a pair's discarded weight, refused over TAIL_TOL."""
+    mode = squeezed_mode_amplitudes(s, box)
+    weight = float(np.sum(mode[::2] ** 2))  # kept by each mode, so that the pair keeps its square
+    discarded = 1.0 - weight**2
     if discarded > TAIL_TOL:
-        raise TruncationError(f"initial squeezed state loses weight {discarded:.3e} at cutoff {basis.cutoff}")
-    n_a, n_b = basis.occupations(0)
-    mode = np.append(mode, 0.0)  # zero on the dead column
-    return mode[n_a] * mode[n_b] / math.sqrt(weight), discarded
+        raise TruncationError(f"initial squeezed state loses weight {discarded:.3e} at cutoff {cutoff}")
+    return mode / math.sqrt(weight), discarded
 
 
 def initial_vector(basis: FockBasis, initial: InitialState) -> tuple[np.ndarray, float]:
-    """Amplitudes of the initial state on its sector, of parity n_a + n_b, and their discarded weight; the vacuum is |0, 0>."""
+    """Amplitudes of the initial state on its sector, of parity n_a + n_b, as a product of one-mode states, and their discarded weight."""
+    c = basis.cutoff
+    if max(initial.n_a, initial.n_b) > c:
+        raise ValueError(f"occupation ({initial.n_a}, {initial.n_b}) outside cutoff {c}")
+    modes, discarded = np.eye(c + 2)[[initial.n_a, initial.n_b]], 0.0  # zero on the dead column n_b = cutoff + 1
     if initial.kind == "squeezed":
-        return squeezed_vector(basis, initial.s)
-    return fock_vector(basis, initial.n_a, initial.n_b), 0.0
+        modes[:, :-1], discarded = squeezed_mode(initial.s, c, c)
+    n_a, n_b = basis.occupations((initial.n_a + initial.n_b) % 2)
+    return modes[0, n_a] * modes[1, n_b], discarded
+
+
+def check_work(work: float, advice: str) -> None:
+    """Refuse, with a ValueError that ends in advice, work over WORK_BUDGET amplitude updates; a nan or inf estimate fails too."""
+    if not work <= WORK_BUDGET:
+        raise ValueError(f"the oracle would need about {work:.3g} amplitude updates, over the budget of {WORK_BUDGET:.3g}; {advice}")
 
 
 @dataclass(frozen=True)
@@ -413,8 +415,7 @@ class FockOracle:
         def terms(first: np.ndarray, count: np.ndarray) -> np.ndarray:
             # t is sorted, so the times farthest from the anchor are at the ends
             reach = np.maximum(np.abs(t[first] - anchor[first]), np.abs(t[first + count - 1] - anchor[first]))
-            with np.errstate(over="ignore"):  # a span past the largest double is refused at inf terms
-                return chebyshev_terms(self._chebyshev[1] * reach)
+            return chebyshev_terms(self._chebyshev[1] * reach)  # finite behind `_admit`
 
         first = np.arange(len(t))
         fit, most = np.ones(len(t), dtype=int), np.minimum(max(WINDOW // size, 1), len(t) - first)
@@ -434,18 +435,13 @@ class FockOracle:
         psi holds the amplitudes of the sector of the given parity.
 
         Raises ValueError, before any block is diagonalized or coefficient
-        built, if a time is not finite or the work is over WORK_BUDGET.
+        built, if the work is over WORK_BUDGET.
         """
-        if not np.all(np.isfinite(ts)):
-            raise ValueError("the oracle's times must be finite")
         n_a, n_b = number_blocks(self.basis, psi, parity)
         # each time of a window holds its state and its RWA eigenbasis amplitudes, one per kept entry
         size = len(psi) + n_a.size
         order, edges, anchors, terms = self._windows(ts, size)
-        work = float(np.sum(terms)) * (len(psi) + TERM_OVERHEAD) + len(ts) * size
-        if not work <= WORK_BUDGET:
-            msg = f"the oracle would need about {work:.3g} amplitude updates, over the budget of {WORK_BUDGET:.3g}"
-            raise ValueError(f"{msg}; shorten the tau span or lower the cutoff")
+        check_work(float(np.sum(terms)) * (len(psi) + TERM_OVERHEAD) + len(ts) * size, "shorten the tau span or lower the cutoff")
         p = self.params
         off = p.g_bs * np.sqrt((n_a[:-1] + 1.0) * n_b[:-1])  # between entries j and j + 1 of one block
         rwa = RwaBlocks(p.omega_a * n_a + p.omega_b * n_b, off, n_a + n_b, self.basis.position(n_a, n_b), psi, self.basis.cutoff)
@@ -531,10 +527,23 @@ class FockOracle:
                 terms[:2] = terms[-2:]
                 start = k + 1
 
+    def _admit(self, ts: np.ndarray) -> np.ndarray:
+        """ts, refused with a ValueError at its first t whose phases E t, and steps E (t - t'), may round by over PHASE_TOL.
+
+        That rounding is at most about 2 eps R |t|, with R = 2 (cutoff + 1) (max(omega_a, omega_b) + |g_bs| + |g_sq|) >= |E|
+        on a sector and on the factors' boxes of 2 cutoff.
+        """
+        p = self.params
+        radius = 2 * (self.basis.cutoff + 1) * (max(p.omega_a, p.omega_b) + abs(p.g_bs) + abs(p.g_sq))
+        reach = PHASE_TOL / (2.0 * float(np.finfo(float).eps)) / radius  # a Python float: it over- or underflows with no warning
+        if (bad := np.flatnonzero(~(np.abs(ts) <= reach))).size:
+            raise ValueError(f"the oracle resolves its phases E t to {PHASE_TOL:g} rad only for |t| <= {reach:.3g}; first refused t = {ts[bad[0]]:.6g}")
+        return ts
+
     def evolved_pair(self, initial: InitialState, t: float) -> tuple[np.ndarray, np.ndarray, float]:
         """Amplitudes (full, rwa) on the initial state's sector at time t and its discarded weight."""
-        psi0, discarded = initial_vector(self.basis, initial)
-        rwa, windows = self._trajectory(psi0, (initial.n_a + initial.n_b) % 2, np.array([t], dtype=float))
+        ts, (psi0, discarded) = self._admit(np.array([t], dtype=float)), initial_vector(self.basis, initial)
+        rwa, windows = self._trajectory(psi0, (initial.n_a + initial.n_b) % 2, ts)
         ((_, times, states),) = windows
         return states[0], rwa.amplitudes(rwa.coefficients(times), states.shape[1])[:, 0], discarded
 
@@ -544,15 +553,8 @@ class FockOracle:
         At exact resonance the vacuum and the squeezed pair take `_factors`, and every other input its sector.
         """
         times = np.asarray(ts, dtype=float)
-        if self.params.omega_a == self.params.omega_b and initial.kind != "fock":
-            psi0, tail, edge, n, windows = self._factors(initial, times.ravel())
-        else:
-            psi0, tail = initial_vector(self.basis, initial)
-            parity, c = (initial.n_a + initial.n_b) % 2, self.basis.cutoff
-            n_a, n_b = self.basis.occupations(parity)
-            edge, n = np.flatnonzero(np.maximum(n_a, n_b) == c), np.where(n_b <= c, n_a + n_b, 0.0)
-            rwa, trajectory = self._trajectory(psi0, parity, times.ravel())
-            windows = ((where, t, states, *rwa.measure(t, states)) for where, t, states in trajectory)
+        route = self._factors if self.params.omega_a == self.params.omega_b and initial.kind != "fock" else self._sector
+        psi0, tail, edge, n, windows = route(initial, self._admit(times.ravel()))
         fid, d_n = np.empty(times.size), np.empty(times.size)
 
         def number(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -576,6 +578,15 @@ class FockOracle:
             return OraclePoint(fidelity=float(fid[0]), delta_n=float(d_n[0]), tail_weight=tail)
         return OraclePoint(fidelity=fid.reshape(times.shape), delta_n=d_n.reshape(times.shape), tail_weight=tail)
 
+    def _sector(self, initial: InitialState, ts: np.ndarray) -> tuple:
+        """`compare`'s inputs from the initial state's propagated parity sector."""
+        psi0, discarded = initial_vector(self.basis, initial)
+        parity, c = (initial.n_a + initial.n_b) % 2, self.basis.cutoff
+        n_a, n_b = self.basis.occupations(parity)
+        rwa, trajectory = self._trajectory(psi0, parity, ts)
+        edge, n = np.flatnonzero(np.maximum(n_a, n_b) == c), np.where(n_b <= c, n_a + n_b, 0.0)
+        return psi0, discarded, edge, n, ((where, t, states, *rwa.measure(t, states)) for where, t, states in trajectory)
+
     def _factors(self, initial: InitialState, ts: np.ndarray) -> tuple:
         """`compare`'s inputs at omega_a = omega_b for the vacuum or the squeezed pair, from two single-mode factors.
 
@@ -586,22 +597,10 @@ class FockOracle:
         so F = |o+ o-|^2.  A window of times holds at most WINDOW amplitudes.
         """
         p, c = self.params, self.basis.cutoff
-        mode = squeezed_mode_amplitudes(initial.s, 2 * c)[::2]  # the vacuum at s = 0
-        weight = float(np.sum(mode**2))  # kept by each mode, so that the pair keeps its square
-        discarded = 1.0 - weight**2
-        if discarded > TAIL_TOL:
-            raise TruncationError(f"initial squeezed state loses weight {discarded:.3e} at cutoff {c}")
-        # |E| < w = 2 (cutoff + 1) (omega + |g_bs| + |g_sq|), so each phase E t and E (t - t') is finite where 2 w |t|
-        # is; the bound is a Python float, which overflows to inf with no warning, and nan or inf times fail it
-        big = float(np.finfo(float).max)
-        if not np.all(np.abs(ts) <= min(big, big / (4 * (c + 1) * (p.omega_a + abs(p.g_bs) + abs(p.g_sq))))):
-            raise ValueError("the oracle's times and their phases E t must be finite")
-        work = 2.0 * len(ts) * len(mode) ** 2
-        if not work <= WORK_BUDGET:
-            msg = f"the oracle would need about {work:.3g} amplitude updates, over the budget of {WORK_BUDGET:.3g}"
-            raise ValueError(f"{msg}; use fewer times or lower the cutoff")
-        psi0, sign = np.tile(mode / math.sqrt(weight), 2), np.repeat([1.0, -1.0], len(mode))
-        n, order, count = np.tile(2.0 * np.arange(len(mode)), 2), np.argsort(ts, kind="stable"), WINDOW // (4 * len(mode))
+        mode, discarded = squeezed_mode(initial.s, c, 2 * c)  # the vacuum at s = 0
+        check_work(2.0 * len(ts) * (c + 1) ** 2, "use fewer times or lower the cutoff")
+        psi0, sign = np.tile(mode[::2], 2), np.repeat([1.0, -1.0], c + 1)
+        n, order, count = np.tile(2.0 * np.arange(c + 1), 2), np.argsort(ts, kind="stable"), WINDOW // (4 * (c + 1))
         diagonal, off = (p.omega_a + sign * p.g_bs) * n, 0.5 * sign * p.g_sq * np.sqrt((n + 1.0) * (n + 2.0))
         full, edge = RwaBlocks(diagonal, off, sign, np.arange(len(n)), psi0), np.flatnonzero(n == 2 * c)
         rwa_tail = np.sum(psi0[edge] ** 2)  # H_RWA keeps each n+-, and so the RWA state's weight on the boundary
@@ -612,8 +611,8 @@ class FockOracle:
                 states = full.amplitudes(coef, len(n))
                 # psi0's RWA phases e^(-i nu n t), conjugated in the overlap: powers of each mode's phase at n = 2 along
                 # n = 0, 2, ..., written over the eigenbasis amplitudes, which the states no longer need
-                phases = coef.reshape(2, len(mode), -1)
-                phases[:, 0], phases[:, 1:] = 1.0, np.exp(1j * np.multiply.outer(diagonal[1 :: len(mode)], ts[where]))[:, None]
+                phases = coef.reshape(2, c + 1, -1)
+                phases[:, 0], phases[:, 1:] = 1.0, np.exp(1j * np.multiply.outer(diagonal[1 :: c + 1], ts[where]))[:, None]
                 np.multiply(np.cumprod(phases, axis=1, out=phases), states.reshape(phases.shape), out=phases)
                 o = np.matmul(psi0.reshape(2, 1, -1), phases.view(float)).view(complex)
                 yield where, ts[where], states.T, np.abs(o[0, 0] * o[1, 0]) ** 2, rwa_tail

@@ -1097,20 +1097,39 @@ class TestMainExitCodes:
         assert "budget" in capsys.readouterr().err
 
     def test_oracle_span_past_the_largest_double_is_refused_without_a_warning(self, tmp_path, capsys):
-        # detuned: half the spectrum's width times the span overflows to inf terms, over the budget; a
-        # RuntimeWarning would be raised here (warnings are errors), or printed from the console script
+        # detuned: half the spectrum's width times the span would overflow to inf terms, but the phases E t are
+        # refused first, by the one time rule of both routes; a RuntimeWarning would be raised here (warnings are
+        # errors), or printed from the console script
         argv = ["--omega-b", "1.1", "--cutoff", "96", "--tau-end", "1e307", "--steps", "3", "--output", str(tmp_path / "oc.csv")]
         code = main(["oracle-check", *argv])
         err = capsys.readouterr().err
         assert code == 2
-        assert "would need about inf amplitude updates, over the budget" in err and "RuntimeWarning" not in err
+        assert err == "validation error: the oracle resolves its phases E t to 1e-06 rad only for |t| <= 9.67e+06; first refused t = 5e+306\n"
         assert not (tmp_path / "oc.csv").exists()
 
     def test_resonant_oracle_phases_past_the_largest_double_are_refused_without_a_warning(self, tmp_path, capsys):
-        # on resonance the factors' work does not grow with the span, but their phases E t overflow a double
+        # on resonance the factors' work does not grow with the span, but their phases E t are refused by the same rule
         code = main(["oracle-check", "--cutoff", "96", "--tau-end", "1e307", "--steps", "3", "--output", str(tmp_path / "oc.csv")])
         assert code == 2
-        assert capsys.readouterr().err == "validation error: the oracle's times and their phases E t must be finite\n"
+        assert capsys.readouterr().err == "validation error: the oracle resolves its phases E t to 1e-06 rad only for |t| <= 1.06e+07; first refused t = 5e+306\n"
+        assert not (tmp_path / "oc.csv").exists()
+
+    @pytest.mark.parametrize("omega_b, reach", [("1", "1.06e+07"), ("1.1", "9.67e+06")])
+    def test_oracle_phases_past_phase_tol_are_refused_on_both_routes(self, tmp_path, capsys, omega_b, reach):
+        # tau 5e16 gives finite phases E t, yet they may round by about 4.7e3 rad there, so neither route can
+        # resolve them, the factors, whose work does not grow with the span, included
+        argv = ["--omega-b", omega_b, "--cutoff", "96", "--tau-end", "1e17", "--steps", "3", "--output", str(tmp_path / "oc.csv")]
+        assert main(["oracle-check", *argv]) == 2
+        err = f"validation error: the oracle resolves its phases E t to 1e-06 rad only for |t| <= {reach}; first refused t = 5e+16\n"
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "oc.csv").exists()
+
+    @pytest.mark.parametrize("omega_b, weight", [("1", "3.749e-01"), ("1.1", "5.883e-01")])
+    def test_oracle_initial_truncation_exit_1(self, tmp_path, capsys, omega_b, weight):
+        # s = 2 loses most of its weight at cutoff 10, on the factors' box of 20 and on the sector alike
+        argv = ["--omega-b", omega_b, "--g", "0.05", "--squeezing", "2", "--cutoff", "10", "--steps", "3", "--output", str(tmp_path / "oc.csv")]
+        assert main(["oracle-check", *argv]) == 1
+        assert capsys.readouterr().err == f"runtime error: initial squeezed state loses weight {weight} at cutoff 10\n"
         assert not (tmp_path / "oc.csv").exists()
 
     def test_oracle_budget_refused_before_the_gaussian_grid(self, tmp_path, capsys, monkeypatch):

@@ -288,6 +288,22 @@ class TestEvolutionBlocks:
             evolution_blocks(OscillatorParams(1.0, 1.0, 0.1, 0.2), [0.0, np.inf])
 
     @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda p, t: rwa_block(p, t),
+            lambda p, t: evolution_blocks(p, [0.0, t]),
+            lambda p, t: gaussian_grid(squeezed_pair(0.3), p, [0.0, t]),
+            lambda p, t: fidelity_eff(vacuum(), p, t),
+        ],
+        ids=["rwa_block", "evolution_blocks", "gaussian_grid", "fidelity_eff"],
+    )
+    def test_phases_past_the_largest_double_are_refused_where_formed(self, entry):
+        # t is finite but 10 t is not: each entry point refuses it in mode_phases as invalid input, with no NaN,
+        # no RuntimeWarning (warnings are errors) and no ArithmeticError, which would report an internal failure
+        with pytest.raises(ValueError, match="^the mode phases w t must be finite, got t = 1e\\+308$"):
+            entry(OscillatorParams(1.0, 10.0, 0.05, 0.05), 1e308)
+
+    @pytest.mark.parametrize(
         "p",
         [OscillatorParams(1.0, 1.0, 0.2, 0.2), OscillatorParams(1.0, 1.3, -0.21, 0.13), OscillatorParams(1.0, 2.0, 0.0, 1.414213)],
         ids=["resonant", "detuned", "near-bound"],

@@ -10,6 +10,7 @@ from reference import full_basis, oracle_delta_n, oracle_fidelity
 from rwafidelity import fockoracle
 from rwafidelity.dynamics import OscillatorParams
 from rwafidelity.fockoracle import (
+    PHASE_TOL,
     TAIL_TOL,
     WINDOW,
     WORK_BUDGET,
@@ -21,10 +22,8 @@ from rwafidelity.fockoracle import (
     bound_check,
     chebyshev_coefficients,
     fock_bound,
-    fock_vector,
     initial_vector,
     squeezed_mode_amplitudes,
-    squeezed_vector,
 )
 from rwafidelity.metrics import delta_n, fidelity_eff, gaussian_grid
 from rwafidelity.states import InitialState, squeezed_pair, vacuum
@@ -143,7 +142,7 @@ class TestBasis:
 
     def test_occupation_bounds(self):
         with pytest.raises(ValueError, match="outside cutoff 3"):
-            fock_vector(FockBasis(3), 4, 0)
+            initial_vector(FockBasis(3), InitialState("fock", n_a=4, n_b=0))[0]
 
     def test_cutoff_guard(self):
         # a cutoff is admitted while a state of its parity sector fits in WINDOW amplitudes, (cutoff + 1)
@@ -188,10 +187,11 @@ class TestBasis:
             want = np.zeros((basis.cutoff + 1) ** 2)
             want[full_index(basis, initial.n_a, initial.n_b)] = 1.0
             assert np.array_equal(full_basis(basis, amp, parity_of(initial)), want)
-        # the squeezed pair, bit for bit the renormalized product of its modes on the whole basis
-        amp, _ = squeezed_vector(basis, 0.05)
-        pair = np.kron(*[squeezed_mode_amplitudes(0.05, basis.cutoff)] * 2)
-        assert np.array_equal(full_basis(basis, amp, 0), pair / math.sqrt(np.sum(pair**2)))
+        # the squeezed pair, bit for bit the product of its modes on the whole basis, each renormalized by its own weight
+        amp, _ = initial_vector(basis, InitialState("squeezed", s=0.05))
+        mode = squeezed_mode_amplitudes(0.05, basis.cutoff)
+        mode /= math.sqrt(np.sum(mode[::2] ** 2))
+        assert np.array_equal(full_basis(basis, amp, 0), np.kron(mode, mode))
 
 
 class TestHamiltonian:
@@ -309,7 +309,7 @@ class TestChebyshev:
 class TestPropagation:
     def test_time_zero(self):
         oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.1, 0.1), 4)
-        psi = fock_vector(oracle.basis, 1, 2)
+        psi = initial_vector(oracle.basis, InitialState("fock", n_a=1, n_b=2))[0]
         full, rwa, _ = oracle.evolved_pair(InitialState("fock", n_a=1, n_b=2), 0.0)
         assert full.shape == rwa.shape == psi.shape
         assert np.allclose(full, psi, atol=1e-14)
@@ -443,7 +443,8 @@ class TestWindows:
         ts = np.concatenate([np.linspace(-6.0, 30.0, 300), [0.0, 4.5, 4.5, -6.0, 30.0, 60.0]])
         ts = ts[rng.permutation(len(ts))]
         oracle = FockOracle(p, cutoff)
-        psi0, parity = (squeezed_vector(oracle.basis, 0.2)[0], 0) if kind == "squeezed" else (fock_vector(oracle.basis, 2, 1), 1)
+        initial = InitialState("squeezed", s=0.2) if kind == "squeezed" else InitialState("fock", n_a=2, n_b=1)
+        psi0, parity = initial_vector(oracle.basis, initial)[0], parity_of(initial)
         assert len(oracle._windows(ts, len(psi0))[1]) > 3
         _, windows = oracle._trajectory(psi0, parity, ts)
         got = np.empty((len(ts), len(psi0)), dtype=complex)
@@ -546,7 +547,7 @@ class TestRwaBlocks:
     def test_time_major_projection_matches_dense(self, cutoff):
         # squeezed input: blocks of 1 to cutoff + 1 rows, each held at its own size
         p, basis = PARAMS["mixed-sign"], FockBasis(cutoff)
-        sector, _ = squeezed_vector(basis, 0.2)
+        sector, _ = initial_vector(basis, InitialState("squeezed", s=0.2))
         n_a, n_b = fockoracle.number_blocks(basis, sector, 0)
         sizes = np.unique(n_a + n_b, return_counts=True)[1]
         assert sizes[0] == 1 and len(set(sizes.tolist())) > 5
@@ -571,7 +572,7 @@ class TestRwaBlocks:
         # the blocks of n_a + n_b that carry weight, read off the dense reference, and one amplitude per
         # time for each of their entries: nothing for the blocks left out, no padding for the others
         p, basis = PARAMS[name], FockBasis(cutoff)
-        sector, _ = squeezed_vector(basis, 0.2)
+        sector, _ = initial_vector(basis, InitialState("squeezed", s=0.2))
         psi0, total = full_basis(basis, sector, 0), np.add(*full_occupations(basis))
         weights = {n: np.sum(psi0[total == n] ** 2) for n in range(0, 2 * cutoff + 1, 2)}
         kept = [n for n, w in weights.items() if w > np.finfo(float).eps ** 2 / len(weights)]
@@ -604,7 +605,7 @@ class TestRwaBlocks:
         # sin and cos at the first time and per distinct step, then a running product; a grid that
         # starts away from t = 0 fails if the product is seeded with any phase but the first time's
         p, basis = PARAMS["mixed-sign"], FockBasis(12)
-        sector, _ = squeezed_vector(basis, 0.2)
+        sector, _ = initial_vector(basis, InitialState("squeezed", s=0.2))
         rwa = rwa_blocks(p, basis, sector, 0, ts)
         phase = np.multiply.outer(rwa.energies, ts)
         coef = rwa.coefficients(ts)
@@ -625,7 +626,7 @@ class TestRwaBlocks:
     def test_single_entry_corner_block_is_one_boundary_row(self, cutoff):
         # |c, c> is the whole block N = 2 cutoff, whose one entry is both its first and its last row
         p, basis = PARAMS["mixed-sign"], FockBasis(cutoff)
-        psi0 = fock_vector(basis, cutoff, cutoff)
+        psi0 = initial_vector(basis, InitialState("fock", n_a=cutoff, n_b=cutoff))[0]
         n_a, n_b = fockoracle.number_blocks(basis, psi0, 0)
         assert n_a.tolist() == n_b.tolist() == [cutoff]
         ts = np.array([-40.0, 0.0, 0.9, 130.0])
@@ -636,7 +637,7 @@ class TestRwaBlocks:
     @pytest.mark.parametrize("cutoff", [12, 13])
     def test_block_weights_conserved(self, cutoff):
         oracle = FockOracle(PARAMS["equal"], cutoff)
-        psi0, _ = squeezed_vector(oracle.basis, 0.2)
+        psi0, _ = initial_vector(oracle.basis, InitialState("squeezed", s=0.2))
         n = sector_number(oracle.basis, 0)
         weights0 = np.bincount(n, weights=np.abs(psi0) ** 2)
         for t in (-60.0, 1.1, 200.0):
@@ -690,10 +691,10 @@ class TestSqueezedInput:
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
-            squeezed_vector(FockBasis(10), 2.0)
+            initial_vector(FockBasis(10), InitialState("squeezed", s=2.0))
 
     def test_recorded_tail_small(self):
-        _, discarded = squeezed_vector(FockBasis(40), 0.2)
+        _, discarded = initial_vector(FockBasis(40), InitialState("squeezed", s=0.2))
         assert 0.0 <= discarded < 1e-12
 
 
@@ -750,10 +751,39 @@ class TestOracle:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_times(self, bad):
         oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 8)
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="resolves its phases E t .*" + re.escape(f"; first refused t = {bad:.6g}") + "$"):
             oracle.compare(InitialState("vacuum"), np.array([0.0, bad, 1.0]))
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="resolves its phases E t .*" + re.escape(f"; first refused t = {bad:.6g}") + "$"):
             oracle.evolved_pair(InitialState("vacuum"), bad)
+
+    @pytest.mark.parametrize("omega_b", [1.0, 1.1])
+    @pytest.mark.parametrize("initial", [InitialState("vacuum"), InitialState("squeezed", s=0.2), InitialState("fock", n_a=1, n_b=2)])
+    def test_one_time_rule_refuses_before_any_work(self, monkeypatch, omega_b, initial):
+        # both routes admit |t| up to PHASE_TOL / (2 eps R), R = 2 (cutoff + 1) (max omega + |g_bs| + |g_sq|), and
+        # refuse the first time past it before any eigh, window plan or coefficient table is built
+        p, cutoff = OscillatorParams(1.0, omega_b, 0.05, -0.05), 40
+        reach = PHASE_TOL / (2.0 * np.finfo(float).eps) / (2 * (cutoff + 1) * (omega_b + 0.05 + 0.05))
+        oracle = FockOracle(p, cutoff)
+        assert np.array_equal(oracle._admit(np.array([-reach, reach])), [-reach, reach])
+        forbid_work(monkeypatch)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("diagonalized or planned windows past the time rule")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_work)
+        monkeypatch.setattr(FockOracle, "_windows", no_work)
+        past = np.nextafter(reach, np.inf)
+        message = re.escape(f"only for |t| <= {reach:.3g}; first refused t = {-past:.6g}") + "$"
+        with pytest.raises(ValueError, match=message):
+            oracle.compare(initial, np.array([0.0, reach, -past, 2.0 * past]))
+        with pytest.raises(ValueError, match=message):
+            oracle.evolved_pair(initial, -past)
+
+    @pytest.mark.parametrize("cutoff, reach", [(40, "2.5e+07"), (96, "1.06e+07")])
+    def test_time_rule_reach_of_criterion_4(self, cutoff, reach):
+        # g = 0.05 on resonance: |t| is admitted to about 2.5e7 at cutoff 40 and 1.06e7 at cutoff 96
+        with pytest.raises(ValueError, match=re.escape(f"only for |t| <= {reach};")):
+            FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), cutoff).compare(InitialState("vacuum"), 1e17)
 
     def test_work_budget_admits_long_span_at_cutoff_40(self, monkeypatch):
         # cutoff 40 to tau 1000 runs in a few seconds; only the estimate is exercised here
@@ -790,7 +820,7 @@ class TestOracle:
         # 100001 times at cutoff 24 are estimated at 3.71e9 updates to tau 110000 and 4.19e9 to
         # tau 125000, which is refused; the limit is near tau 119000
         oracle = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 24)
-        psi0 = fock_vector(oracle.basis, 0, 0)
+        psi0 = initial_vector(oracle.basis, InitialState("vacuum"))[0]
         oracle._trajectory(psi0, 0, np.linspace(0.0, 110000.0, 100001))
         with pytest.raises(ValueError, match=re.escape(f"over the budget of {WORK_BUDGET:.3g}")):
             oracle._trajectory(psi0, 0, np.linspace(0.0, 125000.0, 100001))
@@ -808,10 +838,12 @@ class TestOracle:
 
     @pytest.mark.parametrize("tau", [1e19, 1e300])
     def test_work_budget_refuses_huge_finite_times(self, monkeypatch, tau):
-        # past 2^63 terms an integer term bound would wrap negative and admit the request
+        # past 2^63 terms an integer term bound would wrap negative and admit the request; `compare` refuses these
+        # times by their phases first, so the sector's own estimate is called directly
+        oracle = FockOracle(TWIN, 8)
         forbid_work(monkeypatch)
         with pytest.raises(ValueError, match=re.escape(f"over the budget of {WORK_BUDGET:.3g}")):
-            FockOracle(TWIN, 8).compare(InitialState("vacuum"), np.array([0.0, tau]))
+            oracle._trajectory(initial_vector(oracle.basis, InitialState("vacuum"))[0], 0, np.array([0.0, tau]))
 
     def test_one_miller_recurrence_per_run_of_windows(self, monkeypatch):
         calls = []
@@ -824,7 +856,7 @@ class TestOracle:
         ts = np.linspace(0.0, 10.0, 401)
         oracle = FockOracle(TWIN, 24)
         oracle.compare(InitialState("vacuum"), ts)
-        sector = fock_vector(oracle.basis, 0, 0)
+        sector = initial_vector(oracle.basis, InitialState("vacuum"))[0]
         order, edges, anchors, terms = oracle._windows(ts, len(sector) + fockoracle.number_blocks(oracle.basis, sector, 0)[0].size)
         # the tables hold every time once, in window order, each from its own window's anchor
         assert np.array_equal(np.concatenate(calls), oracle._chebyshev[1] * (ts[order] - np.repeat(anchors, np.diff(edges))))
@@ -851,7 +883,7 @@ class TestOracle:
 
         monkeypatch.setattr(FockOracle, "_expand", staticmethod(spy))
         oracle, ts = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 12), np.linspace(0.0, 10.0, 200)
-        psi0 = fock_vector(oracle.basis, 0, 0)
+        psi0 = initial_vector(oracle.basis, InitialState("vacuum"))[0]
         order, edges, anchors, _ = oracle._windows(ts, len(psi0) + 1)
         assert np.diff(edges).tolist() == [199, 1]
         for _ in oracle._trajectory(psi0, 0, ts)[1]:
@@ -933,7 +965,7 @@ class TestOracle:
         monkeypatch.setattr(fockoracle, "chebyshev_coefficients", counted)
         monkeypatch.setattr(FockOracle, "_expand", staticmethod(lambda kernel, psi, table, kept, states: states.fill(0.0)))
         oracle, ts = FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 8), np.linspace(0.0, 100.0, 200_000)
-        psi0, _ = squeezed_vector(oracle.basis, 0.1)
+        psi0, _ = initial_vector(oracle.basis, InitialState("squeezed", s=0.1))
         _, windows = oracle._trajectory(psi0, 0, ts)
         assert sum(len(where) for where, _, _ in windows) == len(ts)
         assert len(sizes) > 100 and max(sizes) <= fockoracle.WINDOW
@@ -1073,6 +1105,18 @@ class TestResonantFactors:
             assert str(error.value).endswith(f"at cutoff {c} (first at t = {ts[first]:.6g})")
             assert ts[order][error.value.index] == ts[first]
 
+    @pytest.mark.parametrize("omega_b, weight", [(1.0, "3.749e-01"), (1.1, "5.883e-01")])
+    def test_initial_truncation_refused_before_diagonalizing(self, monkeypatch, omega_b, weight):
+        # s = 2 at cutoff 10: the factors' box of 20 keeps more of the pair than the sector's box of 10 does, and
+        # both refuse the input through the one squeezed mode before any block is diagonalized
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("diagonalized a truncated input")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        oracle = FockOracle(OscillatorParams(1.0, omega_b, 0.05, 0.05), 10)
+        with pytest.raises(TruncationError, match=f"^initial squeezed state loses weight {weight} at cutoff 10$"):
+            oracle.compare(InitialState("squeezed", s=2.0), np.linspace(0.0, 10.0, 3))
+
     def test_work_budget_refuses_before_diagonalizing(self, monkeypatch):
         # about 2 len(ts) (cutoff + 1)^2 updates, whatever the span: 1e6 times at cutoff 96 are 1.9e10
         def no_eigh(*args, **kwargs):
@@ -1083,7 +1127,7 @@ class TestResonantFactors:
         with pytest.raises(ValueError, match=re.escape(f"about 1.88e+10 amplitude updates, over the budget of {WORK_BUDGET:.3g}")):
             oracle.compare(InitialState("vacuum"), np.linspace(0.0, 10.0, 1_000_000))
         for bad in (np.nan, np.inf, 1e307):
-            with pytest.raises(ValueError, match="times and their phases E t must be finite"):
+            with pytest.raises(ValueError, match="resolves its phases E t .*" + re.escape(f"; first refused t = {bad:.6g}") + "$"):
                 oracle.compare(InitialState("vacuum"), np.array([0.0, bad]))
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])

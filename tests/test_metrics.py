@@ -428,3 +428,35 @@ class TestHighPrecisionSweep:
             for name, g, r in zip(bounds, got, self.reference(mpmath, p, s, t)):
                 worst[name] = max(worst[name], abs(g - r) / abs(r))
         assert all(worst[name] <= bound for name, bound in bounds.items()), worst
+
+
+class TestSymmetries:
+    """Exact symmetries of the problem, which need no reference: the reported columns F, delta_n, r_+ and r_-."""
+
+    @staticmethod
+    def columns(p: OscillatorParams, s: float, t: np.ndarray) -> np.ndarray:
+        grid = gaussian_grid(squeezed_pair(s), p, t)
+        return np.stack([grid.report.fidelity, grid.delta_n, grid.report.r_plus, grid.report.r_minus])
+
+    def test_random_draws_keep_their_symmetries(self):
+        # 20 draws: omega_b in [0.5, 2], couplings of either sign 1e-4 to 1 (relative) below the bound, s in [-2, 2]
+        # and 64 times in [0, 50].  b -> -b, (g_bs, g_sq) -> (-g_bs, -g_sq), and t -> -t (H is real) left every column
+        # bit for bit; swapping omega_a and omega_b moved them by at most 3.5e-11, and (omega, g, t) -> (2^k omega,
+        # 2^k g, t / 2^k), |k| <= 8, by at most 1.2e-12, each relative to max(1, |x|); 2528 of the 5120 scaled values
+        # stayed bit-equal
+        rng = np.random.default_rng(7)
+        worst = {"swap": 0.0, "scale": 0.0}
+        for _ in range(20):
+            wb = rng.uniform(0.5, 2.0)
+            total = (1.0 - 10.0 ** rng.uniform(-4.0, 0.0)) * np.sqrt(wb)
+            share, (sign_bs, sign_sq) = rng.uniform(), rng.choice([-1.0, 1.0], 2)
+            p = OscillatorParams(1.0, wb, sign_bs * share * total, sign_sq * (1.0 - share) * total)
+            s, t, k = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 50.0, 64), int(rng.integers(-8, 9))
+            base = self.columns(p, s, t)
+            assert np.array_equal(self.columns(OscillatorParams(1.0, wb, -p.g_bs, -p.g_sq), s, t), base)
+            assert np.array_equal(self.columns(p, s, -t), base)
+            swapped = self.columns(OscillatorParams(wb, 1.0, p.g_bs, p.g_sq), s, t)
+            scaled = self.columns(OscillatorParams(*(2.0**k * x for x in (1.0, wb, p.g_bs, p.g_sq))), s, t / 2.0**k)
+            for name, got in (("swap", swapped), ("scale", scaled)):
+                worst[name] = max(worst[name], float(np.max(np.abs(got - base) / np.maximum(1.0, np.abs(base)))))
+        assert worst["swap"] <= 1e-10 and worst["scale"] <= 1e-11, worst
