@@ -31,7 +31,7 @@ from .dynamics import (
     time_evolution,
 )
 from .floatrows import csv_rows, json_rows
-from .fockoracle import FockBasis, FockOracle, TruncationError
+from .fockoracle import FockBasis, FockOracle, PhaseError, TruncationError
 from .metrics import gaussian_grid
 from .perturbation import PerturbativeRegime, c2_coefficient, convergence_order, ladder_regimes, perturbative_family, vacuum_perturbative_fidelity
 from .states import InitialState
@@ -272,10 +272,10 @@ def _evaluate(cfg: ScanConfig) -> SimpleNamespace:
         # first, so that a request over the oracle's work budget is refused before the grid is paid for
         try:
             point = FockOracle(p, cfg.cutoff).compare(cfg.initial_state, ts)
-        except TruncationError as exc:
+        except (TruncationError, PhaseError) as exc:
             if exc.index is None:
                 raise
-            raise TruncationError(exc.reason, exc.index, f"tau = {taus[exc.index]:.6g}") from exc
+            raise exc.in_units("tau", taus, p.omega_a) from exc
     regime = PerturbativeRegime(g_tilde=p.g_bs / p.omega_a, tau=np.abs(taus), s=cfg.initial_state.s) if perturbative_family(p) else None
     return SimpleNamespace(taus=taus, point=point, grid=gaussian_grid(cfg.initial_state.factor(), p, ts), regime=regime)
 

@@ -30,10 +30,10 @@ and `evolved_pair` returns sector amplitudes.
 The RWA copy keeps only a'b + ab', which conserves N = n_a + n_b itself, so it
 is solved, not propagated: `RwaBlocks` diagonalizes once each tridiagonal
 block of fixed N that carries the initial state's weight (one block for the
-vacuum or a Fock state), holds each at its own size, and reads the RWA state,
-its overlap with the full state and, from each block's own first and last
-rows, its weight on the truncation boundary from that eigenbasis at all the
-times of a window at once.  Its cost does not grow with the time span, and <N>
+vacuum or a Fock state), holds each at its own size, and forms the RWA state
+on the kept entries from that eigenbasis at all the times of a window at once.
+Its overlap with the full state and its weight on the truncation boundary are
+read from that state.  Its cost does not grow with the time span, and <N>
 under it keeps its initial value exactly.  The tails and <N> of the full side
 are summed over the window's states, which become their densities in place.
 The truncation tail is checked at every time, and a `TruncationError` names
@@ -52,7 +52,7 @@ read from the densities of the lab-frame states, and the RWA phases enter only
 the overlap.  That work, about len(ts) times (cutoff + 1)^2 per mode, does not
 grow with the time span; `check_work` refuses it over WORK_BUDGET as well.  On
 either route `FockOracle._admit` first refuses every time whose phases E t may
-round by over PHASE_TOL.
+round by over PHASE_TOL; a `PhaseError` names the first and the reach of |t|.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from .states import InitialState
 
 __all__ = [
     "TruncationError",
+    "PhaseError",
     "FockBasis",
     "GridHamiltonian",
     "chebyshev_coefficients",
@@ -103,6 +104,22 @@ class TruncationError(RuntimeError):
     def __init__(self, reason: str, index: int | None = None, at: str = ""):
         super().__init__(f"{reason} (first at {at})" if at else reason)
         self.reason, self.index = reason, index
+
+    def in_units(self, name: str, times: np.ndarray, scale: float) -> "TruncationError":
+        """The same error naming its time times[index], from a grid called name whose values are scale times the oracle's t."""
+        return TruncationError(self.reason, self.index, f"{name} = {times[self.index]:.6g}")
+
+
+class PhaseError(ValueError):
+    """Raised for times whose phases E t may round by over PHASE_TOL; names the reach of |t| and the first, at flat `index`."""
+
+    def __init__(self, reach: float, index: int, at: float, name: str = "t"):
+        super().__init__(f"the oracle resolves its phases E t to {PHASE_TOL:g} rad only for |{name}| <= {reach:.3g}; first refused {name} = {at:.6g}")
+        self.reach, self.index = reach, index
+
+    def in_units(self, name: str, times: np.ndarray, scale: float) -> "PhaseError":
+        """As `TruncationError.in_units`, with the reach in the grid's unit too."""
+        return PhaseError(self.reach * scale, self.index, times[self.index], name)
 
 
 @dataclass(frozen=True)
@@ -313,29 +330,27 @@ class RwaBlocks:
     normal-mode factor is one such block (`FockOracle._factors`).  Each block is diagonalized once,
     H_N = V_N diag(E_N) V_N^T, and then psi_N(t) = V_N e^(-i E_N t) c_N with c_N = V_N^T psi0,N at any t.  The
     energies and eigenbasis amplitudes are flat over the kept entries, with no padding, and the times of a window
-    are their trailing axis: a window costs one product per block for the overlap, and one per block of
-    N >= cutoff on its first and last rows of V_N (n_b, n_a = cutoff) for the boundary weight.
+    are their trailing axis: `amplitudes` forms the state on the kept entries by one product per block, written
+    over the eigenbasis amplitudes, and every reader of the state takes it from there.
     """
 
-    def __init__(self, diagonal: np.ndarray, off: np.ndarray, total: np.ndarray, index: np.ndarray, psi0: np.ndarray, edge=math.inf):
+    def __init__(self, diagonal: np.ndarray, off: np.ndarray, total: np.ndarray, index: np.ndarray, psi0: np.ndarray):
         """Blocks of the consecutive entries of equal total, of diagonal and off[j] between entries j and j + 1.
 
-        psi0[index] holds the entries' amplitudes at t = 0, and each block of total >= edge keeps its first and last rows.
+        psi0[index] holds the entries' amplitudes at t = 0.
         """
         self.index = index
         starts = np.flatnonzero(np.diff(total, prepend=-1)).tolist()
         self.bounds = list(zip(starts, starts[1:] + [len(total)]))
-        self.energies, self.c, self.vecs_t, self.edges = np.empty(len(total)), np.empty(len(total)), [], []
+        self.energies, self.c, self.vecs_t = np.empty(len(total)), np.empty(len(total)), []
         for s, e in self.bounds:
             # each block is diagonalized about its mean energy, since eigh's error scales with
             # the norm it sees and E t reaches thousands of radians
             mean = np.mean(diagonal[s:e])
             energies, vecs = np.linalg.eigh(np.diag(diagonal[s:e] - mean) + np.diag(off[s : e - 1], -1), UPLO="L")
             self.energies[s:e] = energies + mean
-            self.vecs_t.append(np.ascontiguousarray(vecs.T))  # V^T, the hot product's operand
+            self.vecs_t.append(np.ascontiguousarray(vecs.T))  # V^T, whose transpose forms the state
             self.c[s:e] = self.vecs_t[-1] @ psi0[self.index[s:e]]
-            if total[s] >= edge:
-                self.edges.append((s, e, self.vecs_t[-1].T[:: max(e - s - 1, 1)]))  # one row if N = 2 cutoff
 
     def coefficients(self, ts: np.ndarray) -> np.ndarray:
         """Eigenbasis amplitudes e^(-i E t) c, one row per kept entry and one column per time.
@@ -349,35 +364,13 @@ class RwaBlocks:
         coef[:, 0] *= self.c
         return np.cumprod(coef, axis=1, out=coef)
 
-    def overlap(self, coef: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """<psi_rwa|psi> per time, for RWA eigenbasis amplitudes coef and rows psi of sector amplitudes."""
-        # the blocks' entries of psi, gathered once and projected in place, block by block; both parts
-        # go through one real product per block, times side by side on the trailing axis
-        proj = psi.T[self.index]
-        rows = proj.view(float)
+    def amplitudes(self, coef: np.ndarray) -> np.ndarray:
+        """The state's amplitudes on the kept entries, psi[index], one column per column of coef, written over coef."""
+        # both parts go through one real product per block, times side by side on the trailing axis
+        rows = coef.view(float)
         for (s, e), vecs_t in zip(self.bounds, self.vecs_t):
-            rows[s:e] = vecs_t @ rows[s:e]
-        return np.einsum("kt,kt->t", coef, np.conjugate(proj, out=proj)).conj()
-
-    def measure(self, ts: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """|<psi_rwa|psi>|^2 and the RWA state's boundary weight per time, for rows psi of sector amplitudes at times ts."""
-        coef = self.coefficients(ts)
-        return np.abs(self.overlap(coef, psi)) ** 2, self.boundary_weight(coef)
-
-    def boundary_weight(self, coef: np.ndarray) -> np.ndarray:
-        """Weight of the RWA state on the truncation boundary, per time."""
-        weight = np.zeros(coef.shape[-1])
-        for s, e, rows in self.edges:
-            edge = np.matmul(rows, coef[s:e].view(float)).reshape(len(rows), -1, 2)
-            weight += np.einsum("ktc,ktc->t", edge, edge)
-        return weight
-
-    def amplitudes(self, coef: np.ndarray, size: int) -> np.ndarray:
-        """Sector amplitudes of the state, one column per column of coef, exactly zero outside its blocks."""
-        out = np.zeros((size, coef.shape[1]), dtype=complex)
-        for (s, e), vecs_t in zip(self.bounds, self.vecs_t):
-            out[self.index[s:e]] = (vecs_t.T @ coef[s:e].view(float)).view(complex)
-        return out
+            rows[s:e] = vecs_t.T @ rows[s:e]
+        return coef
 
 
 class FockOracle:
@@ -444,7 +437,7 @@ class FockOracle:
         check_work(float(np.sum(terms)) * (len(psi) + TERM_OVERHEAD) + len(ts) * size, "shorten the tau span or lower the cutoff")
         p = self.params
         off = p.g_bs * np.sqrt((n_a[:-1] + 1.0) * n_b[:-1])  # between entries j and j + 1 of one block
-        rwa = RwaBlocks(p.omega_a * n_a + p.omega_b * n_b, off, n_a + n_b, self.basis.position(n_a, n_b), psi, self.basis.cutoff)
+        rwa = RwaBlocks(p.omega_a * n_a + p.omega_b * n_b, off, n_a + n_b, self.basis.position(n_a, n_b), psi)
         return rwa, self._propagate(psi, parity, ts, order, edges, anchors, terms)
 
     def _propagate(self, psi, parity, ts, order, edges, anchors, terms) -> Iterator[tuple]:
@@ -528,7 +521,7 @@ class FockOracle:
                 start = k + 1
 
     def _admit(self, ts: np.ndarray) -> np.ndarray:
-        """ts, refused with a ValueError at its first t whose phases E t, and steps E (t - t'), may round by over PHASE_TOL.
+        """ts, refused with a PhaseError at its first t whose phases E t, and steps E (t - t'), may round by over PHASE_TOL.
 
         That rounding is at most about 2 eps R |t|, with R = 2 (cutoff + 1) (max(omega_a, omega_b) + |g_bs| + |g_sq|) >= |E|
         on a sector and on the factors' boxes of 2 cutoff.
@@ -537,7 +530,7 @@ class FockOracle:
         radius = 2 * (self.basis.cutoff + 1) * (max(p.omega_a, p.omega_b) + abs(p.g_bs) + abs(p.g_sq))
         reach = PHASE_TOL / (2.0 * float(np.finfo(float).eps)) / radius  # a Python float: it over- or underflows with no warning
         if (bad := np.flatnonzero(~(np.abs(ts) <= reach))).size:
-            raise ValueError(f"the oracle resolves its phases E t to {PHASE_TOL:g} rad only for |t| <= {reach:.3g}; first refused t = {ts[bad[0]]:.6g}")
+            raise PhaseError(reach, int(bad[0]), ts[bad[0]])
         return ts
 
     def evolved_pair(self, initial: InitialState, t: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -545,7 +538,9 @@ class FockOracle:
         ts, (psi0, discarded) = self._admit(np.array([t], dtype=float)), initial_vector(self.basis, initial)
         rwa, windows = self._trajectory(psi0, (initial.n_a + initial.n_b) % 2, ts)
         ((_, times, states),) = windows
-        return states[0], rwa.amplitudes(rwa.coefficients(times), states.shape[1])[:, 0], discarded
+        rwa_state = np.zeros_like(states[0])  # exactly zero outside the blocks
+        rwa_state[rwa.index] = rwa.amplitudes(rwa.coefficients(times))[:, 0]
+        return states[0], rwa_state, discarded
 
     def compare(self, initial: InitialState, ts) -> OraclePoint:
         """Oracle outputs over an array of times, or float fields for a scalar t.
@@ -585,7 +580,16 @@ class FockOracle:
         n_a, n_b = self.basis.occupations(parity)
         rwa, trajectory = self._trajectory(psi0, parity, ts)
         edge, n = np.flatnonzero(np.maximum(n_a, n_b) == c), np.where(n_b <= c, n_a + n_b, 0.0)
-        return psi0, discarded, edge, n, ((where, t, states, *rwa.measure(t, states)) for where, t, states in trajectory)
+        on_edge = np.isin(rwa.index, edge)  # the kept entries on the truncation boundary
+
+        def measure(t: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """|<psi_rwa|psi>|^2 and the RWA state's boundary weight per time; its locals are freed before the next window."""
+            # the full states gathered onto the blocks' entries, in the RWA state's layout, and conjugated in place
+            phi, psi = rwa.amplitudes(rwa.coefficients(t)), states.T[rwa.index]
+            boundary = phi[on_edge].view(float).reshape(-1, len(t), 2)
+            return np.abs(np.einsum("kt,kt->t", np.conjugate(psi, out=psi), phi)) ** 2, np.einsum("ktc,ktc->t", boundary, boundary)
+
+        return psi0, discarded, edge, n, ((where, t, states, *measure(t, states)) for where, t, states in trajectory)
 
     def _factors(self, initial: InitialState, ts: np.ndarray) -> tuple:
         """`compare`'s inputs at omega_a = omega_b for the vacuum or the squeezed pair, from two single-mode factors.
@@ -607,11 +611,10 @@ class FockOracle:
 
         def windows() -> Iterator[tuple]:
             for where in (order[first : first + count] for first in range(0, len(ts), count)):
-                coef = full.coefficients(ts[where])
-                states = full.amplitudes(coef, len(n))
+                states = full.amplitudes(full.coefficients(ts[where]))
                 # psi0's RWA phases e^(-i nu n t), conjugated in the overlap: powers of each mode's phase at n = 2 along
-                # n = 0, 2, ..., written over the eigenbasis amplitudes, which the states no longer need
-                phases = coef.reshape(2, c + 1, -1)
+                # n = 0, 2, ..., in a buffer of their own, since the states are written over the eigenbasis amplitudes
+                phases = np.empty(states.shape, complex).reshape(2, c + 1, -1)
                 phases[:, 0], phases[:, 1:] = 1.0, np.exp(1j * np.multiply.outer(diagonal[1 :: c + 1], ts[where]))[:, None]
                 np.multiply(np.cumprod(phases, axis=1, out=phases), states.reshape(phases.shape), out=phases)
                 o = np.matmul(psi0.reshape(2, 1, -1), phases.view(float)).view(complex)

@@ -1104,14 +1104,14 @@ class TestMainExitCodes:
         code = main(["oracle-check", *argv])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == "validation error: the oracle resolves its phases E t to 1e-06 rad only for |t| <= 9.67e+06; first refused t = 5e+306\n"
+        assert err == "validation error: the oracle resolves its phases E t to 1e-06 rad only for |tau| <= 9.67e+06; first refused tau = 5e+306\n"
         assert not (tmp_path / "oc.csv").exists()
 
     def test_resonant_oracle_phases_past_the_largest_double_are_refused_without_a_warning(self, tmp_path, capsys):
         # on resonance the factors' work does not grow with the span, but their phases E t are refused by the same rule
         code = main(["oracle-check", "--cutoff", "96", "--tau-end", "1e307", "--steps", "3", "--output", str(tmp_path / "oc.csv")])
         assert code == 2
-        assert capsys.readouterr().err == "validation error: the oracle resolves its phases E t to 1e-06 rad only for |t| <= 1.06e+07; first refused t = 5e+306\n"
+        assert capsys.readouterr().err == "validation error: the oracle resolves its phases E t to 1e-06 rad only for |tau| <= 1.06e+07; first refused tau = 5e+306\n"
         assert not (tmp_path / "oc.csv").exists()
 
     @pytest.mark.parametrize("omega_b, reach", [("1", "1.06e+07"), ("1.1", "9.67e+06")])
@@ -1120,7 +1120,17 @@ class TestMainExitCodes:
         # resolve them, the factors, whose work does not grow with the span, included
         argv = ["--omega-b", omega_b, "--cutoff", "96", "--tau-end", "1e17", "--steps", "3", "--output", str(tmp_path / "oc.csv")]
         assert main(["oracle-check", *argv]) == 2
-        err = f"validation error: the oracle resolves its phases E t to 1e-06 rad only for |t| <= {reach}; first refused t = 5e+16\n"
+        err = f"validation error: the oracle resolves its phases E t to 1e-06 rad only for |tau| <= {reach}; first refused tau = 5e+16\n"
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "oc.csv").exists()
+
+    @pytest.mark.parametrize("omega_b, reach", [("2", "1.11e+07"), ("2.2", "1.01e+07")])
+    def test_oracle_phase_refusal_names_the_grid_tau(self, tmp_path, capsys, omega_b, reach):
+        # at omega_a = 2 the oracle's t is tau / 2: the refusal names the grid's tau = 5e16, not t = 2.5e16, and the
+        # reach in tau, twice the reach 5.53e6 (resonant) or 5.04e6 (detuned) in t, on either route
+        argv = ["--omega-a", "2", "--omega-b", omega_b, "--cutoff", "96", "--tau-end", "1e17", "--steps", "3", "--output", str(tmp_path / "oc.csv")]
+        assert main(["oracle-check", *argv]) == 2
+        err = f"validation error: the oracle resolves its phases E t to 1e-06 rad only for |tau| <= {reach}; first refused tau = 5e+16\n"
         assert capsys.readouterr().err == err
         assert not (tmp_path / "oc.csv").exists()
 

@@ -423,6 +423,17 @@ def frozen_propagation(self, psi, parity, ts, order, edges, anchors, terms):
         yield order[first:last], ts[order[first:last]], np.tile(psi.astype(complex), (last - first, 1))
 
 
+def sector_measurement(oracle, initial, psi, ts):
+    """The sector route's |<psi_rwa|psi>|^2 and RWA boundary weight per time, for given rows psi of full sector states at ts."""
+    oracle._propagate = lambda psi0, parity, ts, order, edges, anchors, terms: (
+        (order[a:b], ts[order[a:b]], psi[order[a:b]]) for a, b in zip(edges[:-1], edges[1:])
+    )
+    fidelity, boundary = np.empty(len(ts)), np.empty(len(ts))
+    for where, _, _, f, w in oracle._sector(initial, np.asarray(ts, dtype=float))[-1]:
+        fidelity[where], boundary[where] = f, w
+    return fidelity, boundary
+
+
 def forbid_work(monkeypatch):
     """Make building a coefficient table or propagating fail, so a test sees what is refused before either."""
 
@@ -552,18 +563,30 @@ class TestRwaBlocks:
         sizes = np.unique(n_a + n_b, return_counts=True)[1]
         assert sizes[0] == 1 and len(set(sizes.tolist())) > 5
         ts = np.array([-40.0, 0.0, 0.9, 2.5, 130.0])
+        coef = rwa_blocks(p, basis, sector, 0, ts).coefficients(ts)
+        assert coef.shape == (sizes.sum(),) + ts.shape and np.all(n_a >= 0) and np.all(n_b >= 0)
+        self.assert_matches_dense(p, basis, cutoff, ts)
+
+    @staticmethod
+    def assert_matches_dense(p, basis, cutoff, ts):
+        """The squeezed input's RWA state, formed on the kept entries, its overlap with random full states, and the
+        sector's measurement of |overlap|^2 and of the RWA boundary weight, against a dense propagation."""
+        initial = InitialState("squeezed", s=0.2)
+        sector, _ = initial_vector(basis, initial)
         rwa = rwa_blocks(p, basis, sector, 0, ts)
         rng = np.random.default_rng(cutoff)
         psi = rng.normal(size=(len(ts), len(sector))) + 1j * rng.normal(size=(len(ts), len(sector)))
-        coef = rwa.coefficients(ts)
-        assert coef.shape == (sizes.sum(),) + ts.shape and np.all(n_a >= 0) and np.all(n_b >= 0)
+        state = rwa.amplitudes(rwa.coefficients(ts))
+        fidelity, boundary = sector_measurement(FockOracle(p, cutoff), initial, psi, ts)
         h_rwa, mask, psi0 = build_hamiltonian(p, basis, "rwa"), full_boundary(basis), full_basis(basis, sector, 0)
-        overlap, boundary = rwa.overlap(coef, psi), rwa.boundary_weight(coef)
         for i, t in enumerate(ts):
-            ref = dense_propagate(h_rwa, psi0, t)
-            assert abs(overlap[i] - np.vdot(ref, full_basis(basis, psi[i], 0))) < 1e-12
+            ref, full = dense_propagate(h_rwa, psi0, t), full_basis(basis, psi[i], 0)
+            got = np.zeros(len(sector), dtype=complex)
+            got[rwa.index] = state[:, i]
+            got = full_basis(basis, got, 0)
+            overlap = np.vdot(ref, full)
+            assert abs(np.vdot(got, full) - overlap) < 1e-12 and abs(math.sqrt(fidelity[i]) - abs(overlap)) < 1e-12
             assert abs(boundary[i] - np.sum(np.abs(ref[mask]) ** 2)) < 1e-14
-            got = full_basis(basis, rwa.amplitudes(coef[..., i : i + 1], len(sector))[:, 0], 0)
             assert np.max(np.abs(got - ref)) < 1e-12
 
     @pytest.mark.parametrize("cutoff", [12, 13])
@@ -582,19 +605,8 @@ class TestRwaBlocks:
         assert (n_a + n_b).tolist() == np.repeat(kept, sizes).tolist()
         assert n_a.tolist() == [a for n, m in zip(kept, sizes) for a in range(max(0, n - cutoff), max(0, n - cutoff) + m)]
         ts = np.array([-40.0, 0.0, 0.9, 130.0])
-        rwa = rwa_blocks(p, basis, sector, 0, ts)
-        rng = np.random.default_rng(cutoff)
-        psi = rng.normal(size=(len(ts), len(sector))) + 1j * rng.normal(size=(len(ts), len(sector)))
-        coef = rwa.coefficients(ts)
-        assert coef.shape == (sum(sizes), len(ts))
-        h_rwa, mask = build_hamiltonian(p, basis, "rwa"), full_boundary(basis)
-        overlap, boundary = rwa.overlap(coef, psi), rwa.boundary_weight(coef)
-        for i, t in enumerate(ts):
-            ref = dense_propagate(h_rwa, psi0, t)
-            assert abs(overlap[i] - np.vdot(ref, full_basis(basis, psi[i], 0))) < 1e-12
-            assert abs(boundary[i] - np.sum(np.abs(ref[mask]) ** 2)) < 1e-14
-            got = full_basis(basis, rwa.amplitudes(coef[..., i : i + 1], len(sector))[:, 0], 0)
-            assert np.max(np.abs(got - ref)) < 1e-12
+        assert rwa_blocks(p, basis, sector, 0, ts).coefficients(ts).shape == (sum(sizes), len(ts))
+        self.assert_matches_dense(p, basis, cutoff, ts)
 
     @pytest.mark.parametrize(
         "ts",
@@ -630,9 +642,20 @@ class TestRwaBlocks:
         n_a, n_b = fockoracle.number_blocks(basis, psi0, 0)
         assert n_a.tolist() == n_b.tolist() == [cutoff]
         ts = np.array([-40.0, 0.0, 0.9, 130.0])
-        rwa = rwa_blocks(p, basis, psi0, 0, ts)
-        boundary = rwa.boundary_weight(rwa.coefficients(ts))
+        _, boundary = sector_measurement(FockOracle(p, cutoff), InitialState("fock", n_a=cutoff, n_b=cutoff), np.tile(psi0, (len(ts), 1)), ts)
         assert np.max(np.abs(boundary - 1.0)) < 1e-14
+
+    @pytest.mark.parametrize("cutoff", [12, 13])
+    def test_rwa_tail_is_read_on_the_boundary_entries_alone(self, cutoff):
+        # at t = 0 the RWA state is its input, so the tail of a Fock input is 1 where max(n_a, n_b) = cutoff and 0
+        # elsewhere: every entry of the truncated basis is tried, and a tail read on any other set of entries fails
+        oracle = FockOracle(PARAMS["mixed-sign"], cutoff)
+        for n_a in range(cutoff + 1):
+            for n_b in range(cutoff + 1):
+                initial = InitialState("fock", n_a=n_a, n_b=n_b)
+                psi0 = initial_vector(oracle.basis, initial)[0]
+                _, boundary = sector_measurement(oracle, initial, psi0[None], [0.0])
+                assert abs(boundary[0] - (max(n_a, n_b) == cutoff)) < 1e-14, (n_a, n_b)
 
     @pytest.mark.parametrize("cutoff", [12, 13])
     def test_block_weights_conserved(self, cutoff):
@@ -975,7 +998,9 @@ class TestOracle:
         # the RWA amplitudes of the kept entries alone: the traced peak is 2.32 MB (numpy 2.4, Python
         # 3.11), where a complex table with its real halves copied took it to 2.52 MB, and RWA blocks
         # padded to the widest one, chunk sums of every row and fresh density temporaries to 3.29 MB
-        # (both measured on resonance, before resonant inputs went to the factors)
+        # (both measured on resonance, before resonant inputs went to the factors).  On this detuned
+        # twin it is 2.42 MB (numpy 2.4.6, Python 3.11.7), and 3.14 MB if a window's RWA state and
+        # gathered full states outlive its measurement, through the next window's expansion
         oracle = FockOracle(TWIN, 40)
         tracemalloc.start()
         try:
@@ -986,10 +1011,13 @@ class TestOracle:
         assert peak < 2.8e6
 
     def test_peak_memory_of_a_wide_squeezed_state_at_cutoff_96(self):
-        # s = 1.2 keeps 97 RWA blocks, 49 of them with rows on the truncation boundary; each keeps its own
-        # one or two rows of V: the traced peak is 6.96 MB (numpy 2.4, Python 3.11), and the bound fails
-        # one dense matrix of those rows over every entry of the 49 blocks with a complex table (8.86 MB,
-        # measured on resonance, before resonant inputs went to the factors)
+        # s = 1.2 keeps 97 RWA blocks, 49 of them with entries on the truncation boundary, whose RWA weight
+        # is read from the state formed on the kept entries: the traced peak is 7.56 MB on this detuned twin
+        # (numpy 2.4.6, Python 3.11.7), and 8.31 MB if a window's RWA state and gathered full states outlive
+        # its measurement.  It was 6.96 MB (numpy 2.4, Python 3.11) with each block's one or two boundary
+        # rows of V kept, and the bound fails one dense matrix of those rows over every entry of the 49
+        # blocks with a complex table (8.86 MB; both measured on resonance, before resonant inputs went to
+        # the factors)
         oracle = FockOracle(TWIN, 96)
         tracemalloc.start()
         try:
@@ -1142,9 +1170,9 @@ class TestResonantFactors:
     def test_windows_hold_at_most_window_amplitudes(self, monkeypatch):
         sizes, amplitudes = [], fockoracle.RwaBlocks.amplitudes
 
-        def spy(self, coef, size):
+        def spy(self, coef):
             sizes.append(coef.size)
-            return amplitudes(self, coef, size)
+            return amplitudes(self, coef)
 
         monkeypatch.setattr(fockoracle.RwaBlocks, "amplitudes", spy)
         FockOracle(OscillatorParams(1.0, 1.0, 0.05, 0.05), 40).compare(InitialState("vacuum"), np.linspace(0.0, 10.0, 2001))
