@@ -357,6 +357,9 @@ class CircuitParams:
     pump_bs_freq: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():  # by its own name, before any derived frequency is formed
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.epsilon_a <= 0 or self.epsilon_b <= 0:
             raise ValueError("lab-frame oscillator frequencies must be positive")
         if self.pump_sq_freq < 0 or self.pump_bs_freq < 0:

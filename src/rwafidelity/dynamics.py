@@ -126,6 +126,8 @@ class SymplecticMatrix:
     def __post_init__(self):
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=complex))
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=complex))
+        if self.alpha.shape != (2, 2) or self.beta.shape != (2, 2):
+            raise ValueError(f"blocks must be 2x2, got alpha of shape {self.alpha.shape} and beta of shape {self.beta.shape}")
         defect, limit = bogoliubov_defects(self.alpha, self.beta)
         if not defect <= limit:
             raise ValueError(f"blocks violate the Bogoliubov identities (defect {defect:.3e})")
@@ -157,10 +159,10 @@ def normal_mode_frequencies(p: OscillatorParams) -> tuple[float, float]:
     return float(lam[3]), float(lam[2])
 
 
-def _times(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("time must be finite")
+def read_times(t, one: bool = False) -> np.ndarray:
+    """t as a float array of any shape, a scalar being shape (); with one, any other shape is refused by name."""
+    if (t := np.asarray(t, dtype=float)).ndim and one:
+        raise ValueError(f"one time expected, got an array of shape {t.shape}")
     return t
 
 
@@ -194,12 +196,10 @@ def bogoliubov_defects(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray,
 
 
 def check_bogoliubov(alpha: np.ndarray, beta: np.ndarray, t: np.ndarray, what: str):
-    """Raise ArithmeticError, an internal failure, at the first t whose computed blocks break the identities."""
+    """Raise ArithmeticError, an internal failure, at the first t whose computed blocks, stacked over t's shape, break the identities."""
     defect, limit = bogoliubov_defects(alpha, beta)
-    bad = np.flatnonzero(~(defect <= limit))
-    if bad.size:
-        i = bad[0]
-        raise ArithmeticError(f"{what} violates the Bogoliubov identities at t={t[i]:.17g} (defect {defect[i]:.3e})")
+    if (bad := np.flatnonzero(~(defect <= limit))).size:
+        raise ArithmeticError(f"{what} violates the Bogoliubov identities at t={t.flat[bad[0]]:.17g} (defect {defect.flat[bad[0]]:.3e})")
 
 
 def colpa(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,7 +227,7 @@ def _modes(p: OscillatorParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def evolution_blocks(p: OscillatorParams, t) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks (alpha, beta) of S(t) = exp(Omega H t), stacked over a 1-D array of times.
+    """Blocks (alpha, beta) of S(t) = exp(Omega H t), stacked over the shape of t, which may be any.
 
     The phase broadcast over the normal modes of ``_modes``, for any stable couplings:
     S(t)[i, j] = sum_k left[i, k] exp(-i lam_k t) right[k, j], one (n, 4) @ (4, 8) product.
@@ -235,18 +235,18 @@ def evolution_blocks(p: OscillatorParams, t) -> tuple[np.ndarray, np.ndarray]:
     The phases of -kappa_+- are the conjugates of those of kappa_+-, as in ``grid_at``: lam's
     computed pairs are not exact negatives, and at long times their phases would drift apart.
     """
-    t = np.atleast_1d(_times(t))
+    t = read_times(t)
     lam, left, right = _modes(p)
     table = (left[:2].T[:, :, None] * right[:, None, :]).reshape(4, 8)
-    phases = mode_phases(lam[2:], t) - 1.0  # S(t) = I + left diag(phases - 1) right is exactly I at t = 0; left @ right is I only to rounding
-    s = (np.concatenate([phases[::-1].conj(), phases]).T @ table).reshape(-1, 2, 4) + np.eye(2, 4)
+    phases = mode_phases(lam[2:], t.ravel()) - 1.0  # S(t) = I + left diag(phases - 1) right is exactly I at t = 0; left @ right is I only to rounding
+    s = (np.concatenate([phases[::-1].conj(), phases]).T @ table).reshape(t.shape + (2, 4)) + np.eye(2, 4)
     check_bogoliubov(s[..., :2], s[..., 2:], t, "S(t)")
     return s[..., :2], s[..., 2:]
 
 
 def time_evolution(p: OscillatorParams, t: float) -> SymplecticMatrix:
-    """Full evolution S(t) at one time: the single-time case of ``evolution_blocks``."""
-    return SymplecticMatrix(*(block[0] for block in evolution_blocks(p, [t])))
+    """Full evolution S(t) at one time: ``evolution_blocks`` at t of shape ()."""
+    return SymplecticMatrix(*evolution_blocks(p, read_times(t, one=True)))
 
 
 def mode_table(p: OscillatorParams) -> tuple[np.ndarray, np.ndarray]:
@@ -263,11 +263,12 @@ def mode_table(p: OscillatorParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mode_phases(w: np.ndarray, t) -> np.ndarray:
-    """The points exp(-i w t), of shape w.shape + t.shape: the mode torus, (4, n), at a 1-D array of times.
+    """The points exp(-i w t), of shape w.shape + t.shape for t of any shape: the mode torus, (4, n), at n times.
 
-    Raises ValueError where the largest |w t| is not finite.
+    Raises ValueError where a time or the largest |w t| is not finite.
     """
-    t = _times(t)
+    if not np.all(np.isfinite(t := read_times(t))):
+        raise ValueError("time must be finite")
     # a product of Python floats, which overflows to inf with no warning
     if not math.isfinite(float(np.max(np.abs(w))) * float(np.max(np.abs(t), initial=0.0))):
         raise ValueError(f"the mode phases w t must be finite, got t = {t.flat[np.argmax(np.abs(t))]:.6g}")

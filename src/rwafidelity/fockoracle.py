@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import OscillatorParams
+from .dynamics import OscillatorParams, read_times
 from .states import InitialState
 
 __all__ = [
@@ -535,7 +535,7 @@ class FockOracle:
 
     def evolved_pair(self, initial: InitialState, t: float) -> tuple[np.ndarray, np.ndarray, float]:
         """Amplitudes (full, rwa) on the initial state's sector at time t and its discarded weight."""
-        ts, (psi0, discarded) = self._admit(np.array([t], dtype=float)), initial_vector(self.basis, initial)
+        ts, (psi0, discarded) = self._admit(read_times(t, one=True).ravel()), initial_vector(self.basis, initial)
         rwa, windows = self._trajectory(psi0, (initial.n_a + initial.n_b) % 2, ts)
         ((_, times, states),) = windows
         rwa_state = np.zeros_like(states[0])  # exactly zero outside the blocks
@@ -543,11 +543,11 @@ class FockOracle:
         return states[0], rwa_state, discarded
 
     def compare(self, initial: InitialState, ts) -> OraclePoint:
-        """Oracle outputs over an array of times, or float fields for a scalar t.
+        """Oracle outputs over an array of times of any shape, stacked over it, or float fields for a scalar t.
 
         At exact resonance the vacuum and the squeezed pair take `_factors`, and every other input its sector.
         """
-        times = np.asarray(ts, dtype=float)
+        times = read_times(ts)
         route = self._factors if self.params.omega_a == self.params.omega_b and initial.kind != "fock" else self._sector
         psi0, tail, edge, n, windows = route(initial, self._admit(times.ravel()))
         fid, d_n = np.empty(times.size), np.empty(times.size)
@@ -626,6 +626,7 @@ class FockOracle:
 def fock_bound(n_a: int, n_b: int, g: float, omega: float, t: float) -> float:
     """Resonant worst-case bound on ||(U - U_RWA)|n_a, n_b>||, even in g and t as the distance is."""
     InitialState("fock", n_a=n_a, n_b=n_b)  # refuses a bool, non-integer or negative occupation
+    read_times(t, one=True)  # and an array of times; t itself keeps its type in the bound
     if not (math.isfinite(g) and math.isfinite(t) and 0 < omega < math.inf):
         raise ValueError("g and t must be finite and omega finite and positive")
     total, g = n_a + n_b, abs(g)

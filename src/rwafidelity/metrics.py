@@ -6,7 +6,7 @@ states is 1/sqrt(det(I + B_f^dag B_f)); the companion block A_f provides the
 mandatory internal cross-check 1/|det A_f|, and the singular values of B_f
 give the squeezing parameters r_+- with F = 1/(cosh r_+ cosh r_-).
 
-``gaussian_grid`` evaluates all of these over an array of times from one mode
+``gaussian_grid`` evaluates all of these over times of any shape from one mode
 table (``grid_at``); ``fidelity_eff`` and ``delta_n`` are its one-time cases.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import OscillatorParams, SymplecticMatrix, _det, check_bogoliubov, mode_phases, mode_table
+from .dynamics import OscillatorParams, SymplecticMatrix, _det, check_bogoliubov, mode_phases, mode_table, read_times
 
 __all__ = [
     "FidelityReport",
@@ -41,13 +41,13 @@ class FidelityReport:
     r_plus: float
     r_minus: float
 
-    def at(self, i: int) -> "FidelityReport":
+    def at(self, i: int | tuple) -> "FidelityReport":
         return FidelityReport(*(float(v[i]) for v in vars(self).values()))
 
 
 @dataclass(frozen=True)
 class GaussianGrid:
-    """The Gaussian route over a 1-D array of times: one entry per time, S_f blocks stacked."""
+    """The Gaussian route over an array of times of any shape: every field, S_f blocks included, stacked over it."""
 
     report: FidelityReport
     delta_n: np.ndarray
@@ -56,14 +56,13 @@ class GaussianGrid:
 
 
 def gaussian_grid(factor: SymplecticMatrix, p: OscillatorParams, t) -> GaussianGrid:
-    """Full-vs-RWA comparison of the initial state at each time of a 1-D array: ``grid_at`` the torus points of t."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    """Full-vs-RWA comparison of the initial state at each time of an array of any shape: ``grid_at`` the torus points of t."""
     w, table = mode_table(p)
     return grid_at(factor, table, mode_phases(w, t), t)
 
 
 def grid_at(factor: SymplecticMatrix, table: np.ndarray, torus: np.ndarray, t: np.ndarray) -> GaussianGrid:
-    """The comparison at torus points (4, n) of ``mode_table``'s table; t labels the points in errors.
+    """The comparison at torus points (4,) + t.shape of ``mode_table``'s table, stacked over t's shape; t labels the points in errors.
 
     S_eff = phases @ table = I + X and S_f = I + s0^-1 X s0 = I + alpha0^dag X s0 - beta0^T X* s0',
     s0' being s0 with its block rows swapped (the plain s0^-1 S_eff s0 cancels blocks of size
@@ -71,6 +70,7 @@ def grid_at(factor: SymplecticMatrix, table: np.ndarray, torus: np.ndarray, t: n
     t: the Bogoliubov identities of S_eff and S_f, and the B-route fidelity against the A-route
     1/|det A_f|.  Both are absolute for F <= 1 and unit blocks, blind to small relative errors.
     """
+    t, torus = read_times(t), torus.reshape(4, -1)  # the points in t's flat order
     al0, be0, s0 = factor.alpha, factor.beta, factor.matrix
     sandwich = np.hstack([np.kron(al0.conj().T, s0.T), np.kron(-be0.T, s0[[2, 3, 0, 1]].T)])
     # row 4 i + j: entry (i, j) of X, then of X*, which first holds the phases - 1: the outer
@@ -91,18 +91,17 @@ def grid_at(factor: SymplecticMatrix, table: np.ndarray, torus: np.ndarray, t: n
     rows = s_eff.reshape(2, 4, -1)  # see delta_n: per row (a, b), Re b^dag ((I + 2 beta0 beta0^dag) b + 2 beta0 alpha0^T a)
     terms = np.hstack([2.0 * be0 @ al0.T, np.eye(2) + 2.0 * be0 @ be0.conj().T]) @ rows
     terms *= rows[:, 2:].conj()
-    dn = terms.real.sum(axis=(0, 1))[:-1]
+    dn = terms.real.sum(axis=(0, 1))[:-1].reshape(t.shape)
     del x, s_eff, rows, eff, terms  # the largest buffer, freed before S_f is checked
     s_f[[0, 5]] += 1.0
-    blocks = np.moveaxis(s_f[:, :-1].reshape(2, 4, -1), -1, 0)
+    blocks = np.moveaxis(s_f[:, :-1].reshape(2, 4, -1), -1, 0).reshape(t.shape + (2, 4))
     a_f, b_f = blocks[..., :2], blocks[..., 2:]
     check_bogoliubov(a_f, b_f, t, "S_f")
     fid, r_plus, r_minus = _gram_report(b_f)
     fid_a = 1.0 / np.abs(_det(a_f))
-    bad = np.flatnonzero(~(np.abs(fid - fid_a) <= CROSS_CHECK_TOL * np.maximum(1.0, fid)))
-    if bad.size:
+    if (bad := np.flatnonzero(~(np.abs(fid - fid_a) <= CROSS_CHECK_TOL * np.maximum(1.0, fid)))).size:
         i = bad[0]
-        raise ArithmeticError(f"fidelity routes disagree at t={t[i]:.17g}: {fid[i]} vs {fid_a[i]}")
+        raise ArithmeticError(f"fidelity routes disagree at t={t.flat[i]:.17g}: {fid.flat[i]} vs {fid_a.flat[i]}")
     fid = np.minimum(fid, 1.0)
     return GaussianGrid(FidelityReport(fid, np.sqrt(2.0 * (1.0 - np.sqrt(fid))), r_plus, r_minus), dn, a_f, b_f)
 
@@ -126,7 +125,7 @@ def bloch_messiah(b_block: np.ndarray) -> tuple[float, float]:
 
 def fidelity_eff(factor: SymplecticMatrix, p: OscillatorParams, t: float) -> FidelityReport:
     """Fidelity between the full- and RWA-evolved images of the initial state."""
-    return gaussian_grid(factor, p, [t]).report.at(0)
+    return gaussian_grid(factor, p, read_times(t, one=True)).report.at(())
 
 
 def delta_n(factor: SymplecticMatrix, p: OscillatorParams, t: float) -> float:
@@ -138,4 +137,4 @@ def delta_n(factor: SymplecticMatrix, p: OscillatorParams, t: float) -> float:
         dN = Tr(B+B) + 2 Re Tr(B+B beta0* beta0^T) + 2 Re Tr(B+A alpha0 beta0^T).
     Vanishes identically when B = 0.
     """
-    return float(gaussian_grid(factor, p, [t]).delta_n[0])
+    return float(gaussian_grid(factor, p, read_times(t, one=True)).delta_n)

@@ -1225,6 +1225,17 @@ class TestMainExitCodes:
         assert main(["circuit-map", "--epsilon-a", "6", "--epsilon-b", "5.5", *flags]) == 2
         assert capsys.readouterr().err == f"validation error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epsilon_a", "nan"), ("epsilon_b", "inf"), ("pump_sq_amp", "-inf"), ("pump_sq_freq", "nan"), ("pump_bs_amp", "nan"), ("pump_bs_freq", "inf")],
+    )
+    def test_circuit_params_name_the_nonfinite_field(self, capsys, field, value):
+        # once the refusal named a derived value: omega_a for epsilon_a, g_bs for pump_bs_amp, the frame detunings for
+        # pump_bs_freq; each field is refused by its own name, before the frame is formed
+        flag = "--" + field.replace("_", "-")
+        assert main(["circuit-map", "--epsilon-a", "6", "--epsilon-b", "5.5", f"{flag}={value}"]) == 2
+        assert capsys.readouterr().err == f"validation error: {field} must be a finite real number, got {value}\n"
+
     def test_circuit_map_static_terms_warn(self, capsys):
         # a beam-splitter pump at frequency 0 leaves its six dropped terms static, each printed as +0
         assert main(["circuit-map", "--epsilon-a", "6", "--epsilon-b", "5.5", "--pump-bs-amp", "0.3", "--pump-bs-freq", "0"]) == 0

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +33,9 @@ from rwafidelity.dynamics import (
     rwa_block,
     time_evolution,
 )
+from rwafidelity.fockoracle import FockOracle, bound_check, fock_bound
 from rwafidelity.metrics import delta_n, fidelity_eff, gaussian_grid
-from rwafidelity.states import squeezed_pair, vacuum
+from rwafidelity.states import InitialState, squeezed_pair, vacuum
 
 
 def random_params(rng, equal=False, margin=0.9):
@@ -280,8 +282,8 @@ class TestEvolutionBlocks:
             # the single-time functions are exactly rows of the batched ones
             s = time_evolution(p, t)
             assert np.array_equal(s.alpha, alpha[i]) and np.array_equal(s.beta, beta[i])
-            assert fidelity_eff(factor, p, t) == grid.report.at(i)
-            assert delta_n(factor, p, t) == grid.delta_n[i]
+            assert fidelity_eff(factor, p, t) == grid.report.at(i) and type(fidelity_eff(factor, p, t).fidelity) is float
+            assert delta_n(factor, p, t) == grid.delta_n[i] and type(delta_n(factor, p, t)) is float
 
     def test_rejects_nonfinite_time(self):
         with pytest.raises(ValueError, match="finite"):
@@ -449,6 +451,20 @@ class TestSymplecticMatrix:
         with pytest.raises(ArithmeticError, match="t=1 "):
             check_bogoliubov(np.stack([np.eye(2), nan]), np.zeros((2, 2, 2)), np.array([0.0, 1.0]), "S")
 
+    def test_refuses_blocks_that_are_not_2x2(self):
+        # stacked blocks once failed inside the Bogoliubov check, with numpy's ambiguous truth value
+        blocks = evolution_blocks(OscillatorParams(1.0, 1.3, -0.21, 0.13), [1.0, 2.0])
+        with pytest.raises(ValueError, match=r"^blocks must be 2x2, got alpha of shape \(2, 2, 2\) and beta of shape \(2, 2, 2\)$"):
+            SymplecticMatrix(*blocks)
+        with pytest.raises(ValueError, match=r"alpha of shape \(2, 2\) and beta of shape \(4,\)$"):
+            SymplecticMatrix(np.eye(2), np.zeros(4))
+
+    def test_stacked_check_names_a_time_by_its_flat_index(self):
+        alpha = np.broadcast_to(np.eye(2), (2, 3, 2, 2)).copy()
+        alpha[1, 0] *= 2.0
+        with pytest.raises(ArithmeticError, match="^S violates the Bogoliubov identities at t=3 "):
+            check_bogoliubov(alpha, np.zeros_like(alpha), np.arange(6.0).reshape(2, 3), "S")
+
     def test_inverse(self):
         s = time_evolution(OscillatorParams(1.0, 1.1, 0.2, 0.2), 1.3)
         prod = (s @ inverse(s)).matrix
@@ -492,3 +508,64 @@ def test_references_do_not_call_the_routes_they_check():
     }
     assert imported and not {"rwa_block", "normal_mode_frequencies"} & imported
     assert not {"rwa_block", "normal_mode_frequencies"} & set(vars(reference))
+
+
+class TestTimeContract:
+    """Array entry points stack over the shape of t, a scalar being shape (); scalar entry points take exactly one time."""
+
+    P = OscillatorParams(1.0, 1.3, -0.21, 0.13)
+    Q = OscillatorParams(1.0, 1.1, 0.05, 0.05)
+    SCALAR = {
+        "time_evolution": lambda t: time_evolution(TestTimeContract.P, t),
+        "fidelity_eff": lambda t: fidelity_eff(vacuum(), TestTimeContract.P, t),
+        "delta_n": lambda t: delta_n(vacuum(), TestTimeContract.P, t),
+        "evolved_pair": lambda t: FockOracle(TestTimeContract.Q, 6).evolved_pair(InitialState("vacuum"), t),
+        "fock_bound": lambda t: fock_bound(0, 0, 0.05, 1.0, t),
+        "bound_check": lambda t: bound_check(0, 0, OscillatorParams(1.0, 1.0, 0.05, 0.05), t, 8),
+    }
+
+    @pytest.mark.parametrize("t", [[1.0], [1.0, 2.0], np.ones((1, 1))], ids=["one-element", "two", "2-d"])
+    @pytest.mark.parametrize("name", list(SCALAR))
+    def test_scalar_entry_points_refuse_arrays(self, name, t, monkeypatch):
+        # once: time_evolution read S at the first time, fidelity_eff and delta_n failed in a broadcast, evolved_pair
+        # raised IndexError, and fock_bound and bound_check TypeError.  The refusal comes before any work
+        monkeypatch.setattr(FockOracle, "_trajectory", None)
+        monkeypatch.setattr("rwafidelity.dynamics._modes", None)
+        with pytest.raises(ValueError, match=rf"^one time expected, got an array of shape {re.escape(str(np.shape(t)))}$"):
+            self.SCALAR[name](t)
+
+    @staticmethod
+    def leaves(result) -> list[bytes]:
+        """The bytes of each number or array a result holds, through dataclasses and tuples."""
+        if hasattr(result, "__dataclass_fields__"):
+            result = tuple(vars(result).values())
+        if isinstance(result, tuple):
+            return [b for v in result for b in TestTimeContract.leaves(v)]
+        return [np.asarray(result).tobytes()]
+
+    @pytest.mark.parametrize("name", list(SCALAR))
+    def test_scalar_entry_points_take_one_time_of_any_type(self, name):
+        # a Python float, a numpy float and a 0-d array give the same bits
+        got = [self.leaves(self.SCALAR[name](t)) for t in (1.7, np.float64(1.7), np.array(1.7))]
+        assert got[0] == got[1] == got[2]
+
+    def test_array_entry_points_stack_over_the_shape_of_t(self):
+        # once: evolution_blocks gave (6, 2, 2) in column-major order and gaussian_grid failed in a broadcast
+        t = np.linspace(0.0, 5.0, 6).reshape(2, 3)
+        for got, flat in zip(evolution_blocks(self.P, t), evolution_blocks(self.P, t.ravel())):
+            assert got.shape == (2, 3, 2, 2) and np.array_equal(got, flat.reshape(got.shape))
+        grid, flat = gaussian_grid(squeezed_pair(0.3), self.P, t), gaussian_grid(squeezed_pair(0.3), self.P, t.ravel())
+        for name in ("fidelity", "bures", "r_plus", "r_minus"):
+            assert np.array_equal(getattr(grid.report, name), getattr(flat.report, name).reshape(2, 3))
+        assert np.array_equal(grid.delta_n, flat.delta_n.reshape(2, 3))
+        assert np.array_equal(grid.a_f, flat.a_f.reshape(2, 3, 2, 2)) and np.array_equal(grid.b_f, flat.b_f.reshape(2, 3, 2, 2))
+        for p in self.Q, OscillatorParams(1.0, 1.0, 0.05, 0.05):  # the propagated sector and the resonant factors
+            oracle = FockOracle(p, 12)
+            point, flat = oracle.compare(InitialState("squeezed", s=0.1), t), oracle.compare(InitialState("squeezed", s=0.1), t.ravel())
+            assert np.array_equal(point.fidelity, flat.fidelity.reshape(2, 3)) and np.array_equal(point.delta_n, flat.delta_n.reshape(2, 3))
+
+    def test_a_scalar_is_shape_empty(self):
+        alpha, beta = evolution_blocks(self.P, 1.7)
+        assert alpha.shape == beta.shape == (2, 2)
+        grid = gaussian_grid(vacuum(), self.P, 1.7)
+        assert grid.report.fidelity.shape == grid.delta_n.shape == () and grid.b_f.shape == (2, 2)

@@ -733,6 +733,17 @@ class TestOracle:
         assert np.array_equal(got.fidelity, ref.fidelity)
         assert np.array_equal(got.delta_n, ref.delta_n)
 
+    @pytest.mark.parametrize("initial", [InitialState("vacuum"), InitialState("squeezed", s=0.3), InitialState("fock", n_a=2, n_b=1)], ids=["vacuum", "squeezed", "fock"])
+    @pytest.mark.parametrize("omega_b", [1.0, 1.1], ids=["resonant", "detuned"])
+    def test_even_in_t(self, omega_b, initial):
+        # H and the initial states are real, so F and delta_n are even in t, as TestSymmetries pins for the Gaussian
+        # route: on resonance the squeezed pair and the vacuum take the factors, the rest a propagated sector.  The
+        # largest gap here is 1.6e-15
+        oracle, ts = FockOracle(OscillatorParams(1.0, omega_b, 0.1, 0.07), 30), np.linspace(0.5, 8.5, 9)
+        forward, backward = oracle.compare(initial, ts), oracle.compare(initial, -ts)
+        assert np.max(np.abs(forward.fidelity - backward.fidelity)) <= 1e-14
+        assert np.max(np.abs(forward.delta_n - backward.delta_n)) <= 1e-14
+
     def test_uncoupled_fidelity_is_one(self):
         p = OscillatorParams(1.0, 1.5)
         assert oracle_fidelity(p, InitialState("vacuum"), 3.0, 10) == pytest.approx(1.0, abs=1e-12)
